@@ -5,7 +5,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use taps_baselines::max_min_rates;
-use taps_core::{AllocMode, FlowDemand, SlotAllocator, Taps, TapsConfig};
+use taps_core::oracle::naive_batch;
+use taps_core::{FlowDemand, SlotAllocator, Taps, TapsConfig};
 use taps_flowsim::{SimConfig, Simulation};
 use taps_timeline::IntervalSet;
 use taps_topology::build::{fat_tree, single_rooted, GBPS};
@@ -98,10 +99,10 @@ fn bench_taps_admission(c: &mut Criterion) {
     g.finish();
 }
 
-/// Legacy (per-call path enumeration, allocating interval folds) vs the
-/// fast re-allocation engine (path cache + scratch buffers + pruned,
-/// possibly parallel candidate evaluation) on a fat-tree where the
-/// candidate budget is large enough for the differences to matter.
+/// The paper-naive reference (per-flow path enumeration, allocating
+/// interval folds) vs the allocation engine (path cache, scratch buffers,
+/// bound-pruned candidate ranking) on a fat-tree where the candidate
+/// budget is large enough for the differences to matter.
 fn bench_admission(c: &mut Criterion) {
     let mut g = c.benchmark_group("admission");
     g.sample_size(10);
@@ -121,23 +122,25 @@ fn bench_admission(c: &mut Criterion) {
             }
         })
         .collect();
-    for (name, mode) in [("legacy", AllocMode::Legacy), ("fast", AllocMode::Fast)] {
-        g.bench_with_input(
-            BenchmarkId::new(name, demands.len()),
-            &demands,
-            |b, demands| {
-                // Persistent allocator: the path cache warms on the first
-                // batch and is reused across iterations, exactly as the
-                // controller reuses it across task arrivals.
-                let mut alloc = SlotAllocator::new(&topo, 0.0001, 64);
-                alloc.engine_mut().set_mode(mode);
-                b.iter(|| {
-                    alloc.reset();
-                    black_box(alloc.allocate_batch(demands, 0))
-                });
-            },
-        );
-    }
+    g.bench_with_input(
+        BenchmarkId::new("naive_batch", demands.len()),
+        &demands,
+        |b, demands| b.iter(|| black_box(naive_batch(&topo, 0.0001, 64, demands, 0))),
+    );
+    g.bench_with_input(
+        BenchmarkId::new("allocate_batch", demands.len()),
+        &demands,
+        |b, demands| {
+            // Persistent allocator: the path cache warms on the first
+            // batch and is reused across iterations, exactly as the
+            // controller reuses it across task arrivals.
+            let mut alloc = SlotAllocator::new(&topo, 0.0001, 64);
+            b.iter(|| {
+                alloc.reset();
+                black_box(alloc.allocate_batch(demands, 0))
+            });
+        },
+    );
     g.finish();
 }
 

@@ -4,13 +4,14 @@
 //! Replays a Poisson stream of task arrivals against a persistent
 //! allocator: each arrival adds a task's flows to the active set and
 //! triggers the full re-allocation TAPS performs per arrival (Alg. 1).
-//! Wall-clock latency of every re-allocation is recorded for the legacy
-//! engine (per-call path enumeration, allocating interval folds), the
-//! fast engine (path cache, scratch buffers, pruned parallel candidate
-//! evaluation) and the delta engine (cross-arrival reuse: undisturbed
-//! flows are translated instead of re-searched), on fat-trees k=8, 16
-//! and 24. All runs replay the same stream and must produce
-//! bit-identical schedules — the binary asserts this before reporting.
+//! Wall-clock latency of every re-allocation is recorded for the
+//! paper-naive reference (`taps_core::oracle::naive_batch`: per-flow path
+//! enumeration, allocating interval folds), the engine's full pass (path
+//! cache, scratch buffers, bound-pruned candidate ranking) and its delta
+//! pass (cross-arrival reuse: undisturbed flows are translated instead
+//! of re-searched), on fat-trees k=8, 16 and 24. All runs replay the
+//! same stream and must produce bit-identical schedules — the binary
+//! asserts this before reporting.
 //!
 //! Emits `BENCH_admission.json` with p50/p95 admission latency,
 //! sustainable arrivals/sec and the fast- and delta-vs-legacy speedups
@@ -26,16 +27,17 @@ use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::time::Instant;
 use taps_bench::Args;
-use taps_core::{AllocMode, DeltaCache, FlowDemand, ShardedAllocator, SlotAllocator};
+use taps_core::oracle::naive_batch;
+use taps_core::{DeltaCache, FlowDemand, ShardedAllocator, SlotAllocator};
 use taps_topology::build::{fat_tree, GBPS};
 use taps_topology::Topology;
 
 /// Which allocation entry point a replay exercises.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum RunMode {
-    /// `AllocMode::Legacy` full pass per arrival.
+    /// The paper-naive reference (`naive_batch`) per arrival.
     Legacy,
-    /// `AllocMode::Fast` full pass per arrival.
+    /// The engine's full pass (`reset` + `allocate_batch`) per arrival.
     Fast,
     /// `allocate_batch_delta` with a persistent cross-arrival cache.
     Delta,
@@ -74,7 +76,6 @@ struct Config {
     flows_per_task: usize,
     lambda: f64,
     max_paths: usize,
-    parallel_threshold: usize,
     seed: u64,
 }
 
@@ -84,19 +85,12 @@ fn replay(topo: &Topology, mode: RunMode, cfg: &Config) -> RunStats {
     const WARMUP: usize = 4;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut alloc = SlotAllocator::new(topo, 1e-4, cfg.max_paths);
-    alloc.engine_mut().set_mode(match mode {
-        RunMode::Legacy => AllocMode::Legacy,
-        RunMode::Fast | RunMode::Delta => AllocMode::Fast,
-    });
-    alloc
-        .engine_mut()
-        .set_parallel_threshold(cfg.parallel_threshold);
     if !matches!(mode, RunMode::Legacy) {
         // Bring-up: install the path tables before traffic arrives, as
-        // an SDN controller would. The legacy baseline stays naive (the
-        // paper re-enumerates on every arrival), and warm vs cold cache
-        // changes no allocation result — only where the enumeration
-        // cost is paid.
+        // an SDN controller would. The naive baseline never touches the
+        // engine (the paper re-enumerates on every arrival), and warm vs
+        // cold cache changes no allocation result — only where the
+        // enumeration cost is paid.
         alloc.warm_paths();
     }
     // Persistent cross-arrival cache; alive for the whole replay so every
@@ -140,10 +134,11 @@ fn replay(topo: &Topology, mode: RunMode, cfg: &Config) -> RunStats {
         let t0 = Instant::now();
         let allocs = match mode {
             RunMode::Delta => alloc.allocate_batch_delta(&flat, start_slot, &mut cache),
-            RunMode::Legacy | RunMode::Fast => {
+            RunMode::Fast => {
                 alloc.reset();
                 alloc.allocate_batch(&flat, start_slot)
             }
+            RunMode::Legacy => naive_batch(topo, 1e-4, cfg.max_paths, &flat, start_slot),
         }
         .expect("generated host pairs are connected");
         let dt = t0.elapsed();
@@ -207,7 +202,7 @@ struct ShardedRun {
 /// canonical Alg. 1 loop: one re-allocation per arriving task), one
 /// monolithic batched delta pass per burst, and one sharded pass per
 /// burst — and the final schedules are asserted bit-identical before
-/// any number is reported. The legacy engine is deliberately absent
+/// any number is reported. The naive reference is deliberately absent
 /// here — a full per-arrival path enumeration over 8 192 hosts is
 /// exactly the bottleneck the k≤24 rows above already quantify.
 fn replay_sharded(topo: &Topology, cfg: &ShardedConfig) -> ShardedRun {
@@ -390,8 +385,6 @@ fn main() {
         flows_per_task: args.get_usize("flows", 6),
         lambda: args.get_f64("lambda", 200.0),
         max_paths: args.get_usize("max-paths", 64),
-        parallel_threshold: args
-            .get_usize("parallel-threshold", taps_core::DEFAULT_PARALLEL_THRESHOLD),
         seed: args.get_usize("seed", 1) as u64,
     };
     assert!(cfg.arrivals > 0, "--arrivals must be at least 1");
@@ -424,11 +417,11 @@ fn main() {
         let delta = replay(&topo, RunMode::Delta, &cfg);
         assert_eq!(
             legacy.fingerprint, fast.fingerprint,
-            "fat_tree({k}): fast engine diverged from the legacy schedule"
+            "fat_tree({k}): the engine's full pass diverged from the naive reference"
         );
         assert_eq!(
             legacy.fingerprint, delta.fingerprint,
-            "fat_tree({k}): delta engine diverged from the legacy schedule"
+            "fat_tree({k}): the engine's delta pass diverged from the naive reference"
         );
         let speedup_p50 = legacy.p50_us / fast.p50_us;
         let speedup_mean = legacy.mean_us / fast.mean_us;

@@ -16,16 +16,16 @@
 //! is the reusable core: it keeps per-link occupancy buffers, a
 //! [`PathCache`], and a scratch [`IntervalSet`] alive across admissions
 //! (see DESIGN.md § Performance) and evaluates candidate paths with an
-//! early-exit bound — or on several threads when the candidate budget is
-//! large. [`SlotAllocator`] is the thin topology-borrowing façade the
-//! rest of the crate (and the benches) use.
+//! early-exit bound. There is one candidate search (`search_and_commit`)
+//! and one full-pass loop (`full_pass`); the paper-naive Alg. 2/3 they
+//! are tested against is the stateless [`crate::oracle::naive_batch`].
+//! [`SlotAllocator`] is the thin topology-borrowing façade the rest of
+//! the crate (and the benches) use.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use taps_timeline::{slots, IntervalSet};
 use taps_topology::cache::PathCache;
-use taps_topology::paths::PathFinder;
 use taps_topology::{LinkId, Path, Topology};
 
 /// Why an allocation could not be produced.
@@ -94,28 +94,6 @@ impl FlowAlloc {
     }
 }
 
-/// Which Alg. 2 inner loop the engine runs. Both produce bit-identical
-/// allocations; `Legacy` exists as the before/after baseline for the
-/// admission benchmarks and as a cross-check in tests.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AllocMode {
-    /// Cached paths, scratch-buffer unions, bound-pruned completion
-    /// scans, parallel candidate evaluation past
-    /// [`AllocEngine::parallel_threshold`]. The default.
-    Fast,
-    /// The original implementation: re-enumerate paths per flow and
-    /// materialize every candidate's slices.
-    Legacy,
-}
-
-/// Candidate count at or above which [`AllocMode::Fast`] evaluates
-/// candidates on multiple threads. Evaluating one candidate is only a
-/// handful of interval merges, so spawning threads per flow does not pay
-/// until the candidate set is very large — on a fat-tree k=16 replay a
-/// threshold of 32 made admission ~6x *slower* than staying sequential.
-/// Tune per workload with [`AllocEngine::set_parallel_threshold`].
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 512;
-
 /// Number of slots a transfer of `bytes` needs at `bottleneck` bytes/s
 /// with `slot`-second slots.
 #[inline]
@@ -124,26 +102,45 @@ pub(crate) fn slots_for(slot: f64, bytes: f64, bottleneck: f64) -> u64 {
     slots::from_f64_ceil((bytes / per_slot) - 1e-9).max(1)
 }
 
-/// Folds the occupancy sets of a path's links into `out` without heap
-/// allocation: the per-candidate reference list lives on the stack
-/// (paths on the paper's topology families are at most 6 hops; a `Vec`
-/// fallback covers anything longer). Used to materialize the *winner's*
-/// slices; candidate ranking goes through [`first_fit_links`], which
-/// never builds the union at all.
+/// Calls `f` with the occupancy sets of a path's links — preceded by
+/// the pre-merged `shared` set when one is given — without heap
+/// allocation: the reference list lives on the stack (paths on the
+/// paper's topology families are at most 6 hops; a `Vec` fallback covers
+/// anything longer than 16).
 #[inline]
-pub(crate) fn union_path(occupancy: &[IntervalSet], links: &[LinkId], out: &mut IntervalSet) {
+fn with_path_sets<R>(
+    shared: Option<&IntervalSet>,
+    occupancy: &[IntervalSet],
+    links: &[LinkId],
+    f: impl FnOnce(&[&IntervalSet]) -> R,
+) -> R {
     const MAX_HOPS: usize = 16;
-    let empty = IntervalSet::new();
-    if links.len() <= MAX_HOPS {
-        let mut refs: [&IntervalSet; MAX_HOPS] = [&empty; MAX_HOPS];
-        for (r, l) in refs.iter_mut().zip(links) {
+    let head = usize::from(shared.is_some());
+    let n = head + links.len();
+    if n <= MAX_HOPS {
+        let empty = IntervalSet::new();
+        let mut refs: [&IntervalSet; MAX_HOPS] = [shared.unwrap_or(&empty); MAX_HOPS];
+        for (r, l) in refs[head..].iter_mut().zip(links) {
             *r = &occupancy[l.idx()];
         }
-        IntervalSet::union_many(&refs[..links.len()], out);
+        f(&refs[..n])
     } else {
-        let refs: Vec<&IntervalSet> = links.iter().map(|l| &occupancy[l.idx()]).collect();
-        IntervalSet::union_many(&refs, out);
+        let refs: Vec<&IntervalSet> = shared
+            .into_iter()
+            .chain(links.iter().map(|l| &occupancy[l.idx()]))
+            .collect();
+        f(&refs)
     }
+}
+
+/// Folds the occupancy sets of a path's links into `out`. Used to
+/// materialize the *winner's* slices; candidate ranking goes through
+/// [`first_fit_links`], which never builds the union at all.
+#[inline]
+pub(crate) fn union_path(occupancy: &[IntervalSet], links: &[LinkId], out: &mut IntervalSet) {
+    with_path_sets(None, occupancy, links, |refs| {
+        IntervalSet::union_many(refs, out);
+    });
 }
 
 /// Bounded first-fit completion over the union of a path's occupancy
@@ -160,50 +157,9 @@ pub(crate) fn first_fit_links(
     slots: u64,
     bound: u64,
 ) -> Option<u64> {
-    const MAX_HOPS: usize = 16;
-    let empty = IntervalSet::new();
-    if links.len() <= MAX_HOPS {
-        let mut refs: [&IntervalSet; MAX_HOPS] = [&empty; MAX_HOPS];
-        for (r, l) in refs.iter_mut().zip(links) {
-            *r = &occupancy[l.idx()];
-        }
-        IntervalSet::first_fit_bound_many(&refs[..links.len()], from, slots, bound)
-    } else {
-        let refs: Vec<&IntervalSet> = links.iter().map(|l| &occupancy[l.idx()]).collect();
-        IntervalSet::first_fit_bound_many(&refs, from, slots, bound)
-    }
-}
-
-/// Bounded first-fit over a pre-merged `shared` occupancy set plus the
-/// remaining per-link sets. Used by the candidate scan when every
-/// candidate traverses the same access links: the caller merges those
-/// once per search and each sweep then walks the (dense) access
-/// occupancy a single time instead of once per candidate. Union is
-/// associative, so the result is identical to [`first_fit_links`] over
-/// the full link list.
-#[inline]
-pub(crate) fn first_fit_shared(
-    shared: &IntervalSet,
-    occupancy: &[IntervalSet],
-    mid: &[LinkId],
-    from: u64,
-    slots: u64,
-    bound: u64,
-) -> Option<u64> {
-    const MAX_HOPS: usize = 16;
-    let n = mid.len() + 1;
-    if n <= MAX_HOPS {
-        let mut refs: [&IntervalSet; MAX_HOPS] = [shared; MAX_HOPS];
-        for (r, l) in refs[1..].iter_mut().zip(mid) {
-            *r = &occupancy[l.idx()];
-        }
-        IntervalSet::first_fit_bound_many(&refs[..n], from, slots, bound)
-    } else {
-        let mut refs: Vec<&IntervalSet> = Vec::with_capacity(n);
-        refs.push(shared);
-        refs.extend(mid.iter().map(|l| &occupancy[l.idx()]));
-        IntervalSet::first_fit_bound_many(&refs, from, slots, bound)
-    }
+    with_path_sets(None, occupancy, links, |refs| {
+        IntervalSet::first_fit_bound_many(refs, from, slots, bound)
+    })
 }
 
 /// Persistent Alg. 2/3 state, reused across admissions.
@@ -217,13 +173,11 @@ pub(crate) fn first_fit_shared(
 pub struct AllocEngine {
     /// Slot duration, seconds.
     pub(crate) slot: f64,
-    /// Candidate-path budget for Alg. 2 (paper: "all the possible paths";
-    /// capped with even sampling at fat-tree scale — see DESIGN.md).
-    max_paths: usize,
-    mode: AllocMode,
-    parallel_threshold: usize,
     /// `O_x` per directed link, in slot indices.
     pub(crate) occupancy: Vec<IntervalSet>,
+    /// Candidate paths per host pair, capped at the Alg. 2 budget (paper:
+    /// "all the possible paths"; evenly sampled at fat-tree scale — see
+    /// DESIGN.md).
     cache: PathCache,
     /// Scratch `T_ocp` reused across candidates and admissions.
     pub(crate) scratch: IntervalSet,
@@ -247,9 +201,9 @@ pub struct AllocEngine {
 ///
 /// `slots_scanned` is defined as the winner's completion depth
 /// (`completion_slot - start_slot + 1`) rather than the raw number of
-/// slots the search visited: the raw count depends on pruning order and
-/// would differ between the sequential and parallel fast paths, while the
-/// winner depth is identical across modes, thread counts and runs.
+/// slots the search visited: the raw count depends on pruning order
+/// (seeded vs unseeded search, delta translation vs full pass), while
+/// the winner depth is identical across all of them and across runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocCounters {
     /// Candidate paths ranked across all allocations.
@@ -265,9 +219,6 @@ impl AllocEngine {
         assert!(max_paths > 0, "candidate-path budget must be at least 1");
         AllocEngine {
             slot,
-            max_paths,
-            mode: AllocMode::Fast,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             occupancy: Vec::new(),
             cache: PathCache::new(max_paths),
             scratch: IntervalSet::new(),
@@ -287,23 +238,6 @@ impl AllocEngine {
     #[inline]
     pub fn slot_duration(&self) -> f64 {
         self.slot
-    }
-
-    /// The active allocation mode.
-    #[inline]
-    pub fn mode(&self) -> AllocMode {
-        self.mode
-    }
-
-    /// Switches between the fast and legacy Alg. 2 inner loops.
-    pub fn set_mode(&mut self, mode: AllocMode) {
-        self.mode = mode;
-    }
-
-    /// Candidate count at which parallel evaluation kicks in (tests use a
-    /// low threshold to force the parallel path on small topologies).
-    pub fn set_parallel_threshold(&mut self, threshold: usize) {
-        self.parallel_threshold = threshold.max(1);
     }
 
     /// The path cache (for inspection in tests).
@@ -400,235 +334,111 @@ impl AllocEngine {
         slots_for(self.slot, bytes, bottleneck)
     }
 
-    /// Alg. 3 — `TimeAllocation(p, f)`: slices for `remaining` bytes on
-    /// `path`, starting no earlier than `start_slot`, given current
-    /// occupancy. Returns `(slices, completion_slot)`.
-    pub fn time_allocation(
-        &self,
-        topo: &Topology,
-        path: &Path,
-        remaining: f64,
-        start_slot: u64,
-    ) -> (IntervalSet, u64) {
-        let mut t_ocp = IntervalSet::new();
-        for l in &path.links {
-            t_ocp = t_ocp.union(&self.occupancy[l.idx()]);
-        }
-        let e = self.slots_needed(remaining, path.bottleneck(topo));
-        let slices = t_ocp
-            .allocate_first_free(start_slot, e)
-            // lint: panic-ok(invariant: the idle tail is infinite, so E >= 1 slots are always allocatable)
-            .expect("E >= 1 slots always allocatable");
-        // lint: panic-ok(invariant: E >= 1 makes the allocation non-empty)
-        let completion = slices.max_end().expect("non-empty allocation");
-        (slices, completion)
-    }
-
-    /// Alg. 2 — `PathCalculation` for a single flow: tries every candidate
-    /// path, keeps the earliest-completing one, commits its slices to the
-    /// path's links and returns the allocation. Fails with
-    /// [`AllocError::Disconnected`] when no candidate path survives
-    /// between the flow's endpoints (possible under link/switch faults).
-    // lint: l7-ok(allocation-layer primitive below the validation boundary: every public caller validates the staged batch at Scheduler::commit or Controller::commit before exposing it)
-    pub fn allocate_flow(
-        &mut self,
-        topo: &Topology,
-        demand: &FlowDemand,
-        start_slot: u64,
-    ) -> Result<FlowAlloc, AllocError> {
-        match self.mode {
-            AllocMode::Fast => self.allocate_flow_fast(topo, demand, start_slot),
-            AllocMode::Legacy => self.allocate_flow_legacy(topo, demand, start_slot),
-        }
-    }
-
-    fn allocate_flow_fast(
-        &mut self,
-        topo: &Topology,
-        demand: &FlowDemand,
-        start_slot: u64,
-    ) -> Result<FlowAlloc, AllocError> {
-        self.search_and_commit(topo, demand, start_slot)
-            .map(|(_, _, al)| al)
-    }
-
-    /// The fast Alg. 2 inner loop for one flow: candidate ranking,
-    /// winner materialization, occupancy commit. Also returns the
-    /// candidate list and the winning index so the delta re-allocation
-    /// engine can cache them without re-deriving the winner.
+    /// Alg. 2 — `PathCalculation` for one flow: ranks every candidate
+    /// path by its first-fit completion slot (Alg. 3), keeps the
+    /// earliest-completing one (ties to the lowest candidate index),
+    /// materializes the winner's slices and commits them to its links.
+    /// Fails with [`AllocError::Disconnected`] when no candidate path
+    /// survives between the flow's endpoints (possible under link/switch
+    /// faults). Also returns the candidate list and the winning index so
+    /// the delta re-allocation engine can cache them.
+    ///
+    /// `candidates` is the pair's candidate list when the caller already
+    /// holds it (the delta engine's cached entry: same topology, fault
+    /// epoch and budget — all gate-checked — so the path-cache lookup is
+    /// skipped); `None` fetches it from the path cache.
+    ///
+    /// `seed` is a candidate index expected to rank well (the delta
+    /// engine passes the previous pass's winner). It is evaluated first
+    /// to establish a tight incumbent, so the remaining candidates prune
+    /// at a near-final bound instead of tightening it incrementally. The
+    /// chosen winner and allocation are bit-identical with or without a
+    /// seed — evaluation order only changes the work done, because the
+    /// adaptive bound preserves the exact `(completion, index)` first-wins
+    /// order.
     pub(crate) fn search_and_commit(
         &mut self,
         topo: &Topology,
         demand: &FlowDemand,
         start_slot: u64,
-    ) -> Result<(Arc<Vec<Path>>, usize, FlowAlloc), AllocError> {
-        self.search_and_commit_seeded(topo, demand, start_slot, None)
-    }
-
-    /// [`search_and_commit`](Self::search_and_commit) with an optional
-    /// *seed*: a candidate index expected to rank well (the delta engine
-    /// passes the previous pass's winner). The seed is evaluated first to
-    /// establish a tight incumbent, so the remaining candidates prune at
-    /// a near-final bound instead of tightening it incrementally. The
-    /// chosen winner and allocation are bit-identical with or without a
-    /// seed — evaluation order only changes the work done, because the
-    /// adaptive bound preserves the exact `(completion, index)` first-wins
-    /// order.
-    pub(crate) fn search_and_commit_seeded(
-        &mut self,
-        topo: &Topology,
-        demand: &FlowDemand,
-        start_slot: u64,
+        candidates: Option<Arc<Vec<Path>>>,
         seed: Option<usize>,
     ) -> Result<(Arc<Vec<Path>>, usize, FlowAlloc), AllocError> {
-        let src = topo.host(demand.src);
-        let dst = topo.host(demand.dst);
-        let candidates = self.cache.paths(topo, src, dst);
-        self.search_and_commit_known(topo, demand, start_slot, candidates, seed)
-    }
-
-    /// [`search_and_commit_seeded`] with the candidate list supplied by
-    /// the caller. The delta engine uses this for flows whose cached
-    /// entry already holds the pair's candidates: the path cache would
-    /// return the identical list (same topology, fault epoch and budget
-    /// — all gate-checked), so the lookup is skipped entirely.
-    ///
-    /// [`search_and_commit_seeded`]: Self::search_and_commit_seeded
-    pub(crate) fn search_and_commit_known(
-        &mut self,
-        topo: &Topology,
-        demand: &FlowDemand,
-        start_slot: u64,
-        candidates: Arc<Vec<Path>>,
-        seed: Option<usize>,
-    ) -> Result<(Arc<Vec<Path>>, usize, FlowAlloc), AllocError> {
+        let candidates =
+            candidates.unwrap_or_else(|| self.candidate_paths(topo, demand.src, demand.dst));
         if candidates.is_empty() {
             return Err(AllocError::Disconnected { flow: demand.id });
         }
         let remaining = demand.remaining;
         let slot = self.slot;
 
-        // Rank candidates by completion slot; ties go to the lowest
-        // candidate index, exactly like the sequential first-wins scan.
-        let best: (u64, usize) = if candidates.len() >= self.parallel_threshold {
-            let occupancy = &self.occupancy;
-            let n = candidates.len();
-            let workers = std::thread::available_parallelism()
-                .map(|v| v.get())
-                .unwrap_or(1)
-                .min(n)
-                .min(8);
-            // Global incumbent completion; candidates that cannot beat
-            // *or tie* it are pruned. Ties must survive so the final
-            // (completion, index) reduction can restore the sequential
-            // first-wins order deterministically.
-            let best_seen = AtomicU64::new(u64::MAX);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let candidates = &candidates;
-                        let best_seen = &best_seen;
-                        s.spawn(move || {
-                            let mut local: Option<(u64, usize)> = None;
-                            let mut i = w;
-                            while i < n {
-                                let p = &candidates[i];
-                                let e = slots_for(slot, remaining, p.bottleneck(topo));
-                                // lint: l9-ok(Relaxed: the bound is a monotone pruning hint, a stale read only costs wasted work, never a wrong result)
-                                let bound = best_seen.load(Ordering::Relaxed);
-                                if let Some(c) =
-                                    first_fit_links(occupancy, &p.links, start_slot, e, bound)
-                                {
-                                    // lint: l9-ok(Relaxed: fetch_min keeps the bound monotone nonincreasing, determinism comes from the final min reduction over worker results)
-                                    best_seen.fetch_min(c, Ordering::Relaxed);
-                                    if local.is_none_or(|b| (c, i) < b) {
-                                        local = Some((c, i));
-                                    }
-                                }
-                                i += workers;
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // lint: panic-ok(worker panic is unrecoverable; propagate it to the caller)
-                    .filter_map(|h| h.join().expect("candidate evaluation thread panicked"))
-                    .min()
-                    // lint: panic-ok(invariant: every candidate finds a fit in the infinite idle tail)
-                    .expect("at least one candidate completes (idle tail is infinite)")
-            })
-        } else {
-            // Every candidate for a host pair traverses the same two
-            // access links, which also carry the densest occupancy (all
-            // of the pair's flows cross them). Merge those once per
-            // search so each per-candidate sweep walks the access
-            // intervals a single time instead of once per candidate.
-            let shared_access = candidates.len() > 1 && {
-                let f = &candidates[0].links;
-                f.len() >= 2
-                    && candidates[1..].iter().all(|p| {
-                        p.links.len() >= 2 && p.links[0] == f[0] && p.links.last() == f.last()
-                    })
-            };
-            if shared_access {
-                let f = &candidates[0].links;
-                union_path(&self.occupancy, &[f[0], f[f.len() - 1]], &mut self.scratch);
-            }
-            let shared = shared_access.then_some(&self.scratch);
-            let occupancy = &self.occupancy;
-            let rank = |p: &Path, e: u64, bound: u64| -> Option<u64> {
-                match shared {
-                    Some(s) => first_fit_shared(
-                        s,
-                        occupancy,
-                        &p.links[1..p.links.len() - 1],
-                        start_slot,
-                        e,
-                        bound,
-                    ),
-                    None => first_fit_links(occupancy, &p.links, start_slot, e, bound),
-                }
-            };
-            let mut best: Option<(u64, usize)> = None;
-            if let Some(si) = seed.filter(|&si| si < candidates.len()) {
-                let p = &candidates[si];
-                let e = slots_for(slot, remaining, p.bottleneck(topo));
-                if let Some(c) = rank(p, e, u64::MAX) {
-                    best = Some((c, si));
-                }
-            }
-            for (i, p) in candidates.iter().enumerate() {
-                if Some(i) == seed {
-                    continue;
-                }
-                let e = slots_for(slot, remaining, p.bottleneck(topo));
-                // The bound preserves the exact (completion, index)
-                // first-wins order: a candidate below the incumbent's
-                // index may tie it, one above must strictly beat it.
-                // Unseeded, the incumbent's index is always below `i`,
-                // which reduces to the plain strictly-better rule.
-                let bound = match best {
-                    None => u64::MAX,
-                    Some((c, bi)) => {
-                        if i < bi {
-                            c
-                        } else {
-                            c.saturating_sub(1)
-                        }
-                    }
-                };
-                if let Some(c) = rank(p, e, bound) {
-                    best = Some((c, i));
-                }
-            }
-            // lint: panic-ok(invariant: every candidate finds a fit in the infinite idle tail)
-            best.expect("at least one candidate completes (idle tail is infinite)")
+        // Every candidate for a host pair traverses the same two access
+        // links, which also carry the densest occupancy (all of the
+        // pair's flows cross them). Merge those once per search so each
+        // per-candidate sweep walks the access intervals a single time
+        // instead of once per candidate. Union is associative, so the
+        // result is identical to a sweep over the full link list.
+        let shared_access = candidates.len() > 1 && {
+            let f = &candidates[0].links;
+            f.len() >= 2
+                && candidates[1..]
+                    .iter()
+                    .all(|p| p.links.len() >= 2 && p.links[0] == f[0] && p.links.last() == f.last())
         };
+        if shared_access {
+            let f = &candidates[0].links;
+            union_path(&self.occupancy, &[f[0], f[f.len() - 1]], &mut self.scratch);
+        }
+        let shared = shared_access.then_some(&self.scratch);
+        let occupancy = &self.occupancy;
+        let rank = |p: &Path, e: u64, bound: u64| -> Option<u64> {
+            let links = match shared {
+                Some(_) => &p.links[1..p.links.len() - 1],
+                None => &p.links[..],
+            };
+            with_path_sets(shared, occupancy, links, |refs| {
+                IntervalSet::first_fit_bound_many(refs, start_slot, e, bound)
+            })
+        };
+        // Rank candidates by completion slot; ties go to the lowest
+        // candidate index (first-wins).
+        let mut best: Option<(u64, usize)> = None;
+        if let Some(si) = seed.filter(|&si| si < candidates.len()) {
+            let p = &candidates[si];
+            let e = slots_for(slot, remaining, p.bottleneck(topo));
+            if let Some(c) = rank(p, e, u64::MAX) {
+                best = Some((c, si));
+            }
+        }
+        for (i, p) in candidates.iter().enumerate() {
+            if Some(i) == seed {
+                continue;
+            }
+            let e = slots_for(slot, remaining, p.bottleneck(topo));
+            // The bound preserves the exact (completion, index)
+            // first-wins order: a candidate below the incumbent's index
+            // may tie it, one above must strictly beat it. Unseeded, the
+            // incumbent's index is always below `i`, which reduces to the
+            // plain strictly-better rule.
+            let bound = match best {
+                None => u64::MAX,
+                Some((c, bi)) => {
+                    if i < bi {
+                        c
+                    } else {
+                        c.saturating_sub(1)
+                    }
+                }
+            };
+            if let Some(c) = rank(p, e, bound) {
+                best = Some((c, i));
+            }
+        }
+        let (completion_slot, idx) =
+            // lint: panic-ok(invariant: every candidate finds a fit in the infinite idle tail)
+            best.expect("at least one candidate completes (idle tail is infinite)");
 
         // Materialize the slices for the winner only.
-        let (completion_slot, idx) = best;
         // lint: cast-ok(candidate counts are bounded by max_paths, far below 2^64)
         self.counters.paths_tried += candidates.len() as u64;
         self.counters.slots_scanned += completion_slot.saturating_sub(start_slot) + 1;
@@ -644,41 +454,6 @@ impl AllocEngine {
         self.commit_slices(&path.links, &slices);
         let al = self.finish(demand, path, slices, completion_slot);
         Ok((candidates, idx, al))
-    }
-
-    fn allocate_flow_legacy(
-        &mut self,
-        topo: &Topology,
-        demand: &FlowDemand,
-        start_slot: u64,
-    ) -> Result<FlowAlloc, AllocError> {
-        let pf = PathFinder::new(topo);
-        let src = topo.host(demand.src);
-        let dst = topo.host(demand.dst);
-        let candidates = pf.paths(src, dst, self.max_paths);
-        if candidates.is_empty() {
-            return Err(AllocError::Disconnected { flow: demand.id });
-        }
-
-        let mut best: Option<(IntervalSet, u64, Path)> = None;
-        // lint: cast-ok(candidate counts are bounded by max_paths, far below 2^64)
-        let num_candidates = candidates.len() as u64;
-        for p in candidates {
-            let (slices, completion) = self.time_allocation(topo, &p, demand.remaining, start_slot);
-            let better = match &best {
-                None => true,
-                Some((_, c, _)) => completion < *c,
-            };
-            if better {
-                best = Some((slices, completion, p));
-            }
-        }
-        // lint: panic-ok(invariant: candidate path sets checked non-empty above)
-        let (slices, completion_slot, path) = best.expect("at least one candidate");
-        self.counters.paths_tried += num_candidates;
-        self.counters.slots_scanned += completion_slot.saturating_sub(start_slot) + 1;
-        self.commit_slices(&path.links, &slices);
-        Ok(self.finish(demand, path, slices, completion_slot))
     }
 
     pub(crate) fn finish(
@@ -699,13 +474,34 @@ impl AllocEngine {
         }
     }
 
-    /// Allocates a whole priority-ordered batch (the body of Alg. 2's
-    /// outer loop): flows are placed one after another, each seeing the
-    /// occupancy committed by its predecessors. The first disconnected
-    /// flow aborts the batch (callers degrade by dropping that flow's
-    /// task and retrying — occupancy is rebuilt from scratch per attempt,
-    /// so the partial commit is harmless as long as the caller resets or
-    /// re-runs).
+    /// The one full-pass loop (the body of Alg. 2's outer loop): flows
+    /// are placed one after another in priority order, each seeing the
+    /// occupancy committed by its predecessors. `record` sees every
+    /// placement with its candidate list and winning index — the delta
+    /// engine's fallback builds its cache from it. The first
+    /// disconnected flow aborts the pass.
+    pub(crate) fn full_pass(
+        &mut self,
+        topo: &Topology,
+        demands: &[FlowDemand],
+        start_slot: u64,
+        mut record: impl FnMut(&FlowDemand, Arc<Vec<Path>>, usize, &FlowAlloc),
+    ) -> Result<Vec<FlowAlloc>, AllocError> {
+        let mut out = Vec::with_capacity(demands.len());
+        for d in demands {
+            let (candidates, winner, al) =
+                self.search_and_commit(topo, d, start_slot, None, None)?;
+            record(d, candidates, winner, &al);
+            out.push(al);
+        }
+        Ok(out)
+    }
+
+    /// Allocates a whole priority-ordered batch on top of the current
+    /// occupancy. The first disconnected flow aborts the batch (callers
+    /// degrade by dropping that flow's task and retrying — occupancy is
+    /// rebuilt from scratch per attempt, so the partial commit is
+    /// harmless as long as the caller resets or re-runs).
     // lint: l7-ok(allocation-layer primitive below the validation boundary: every public caller validates the staged batch at Scheduler::commit or Controller::commit before exposing it)
     pub fn allocate_batch(
         &mut self,
@@ -713,10 +509,7 @@ impl AllocEngine {
         demands: &[FlowDemand],
         start_slot: u64,
     ) -> Result<Vec<FlowAlloc>, AllocError> {
-        demands
-            .iter()
-            .map(|d| self.allocate_flow(topo, d, start_slot))
-            .collect()
+        self.full_pass(topo, demands, start_slot, |_, _, _, _| {})
     }
 
     /// Removes a committed allocation (used when a completed flow's tail
@@ -745,8 +538,8 @@ impl<'t> SlotAllocator<'t> {
         SlotAllocator { topo, engine }
     }
 
-    /// The underlying engine (mode / threshold switches in tests and
-    /// benches).
+    /// The underlying engine (work counters, pod-scoped warm-up, fault
+    /// absorption).
     pub fn engine_mut(&mut self) -> &mut AllocEngine {
         &mut self.engine
     }
@@ -756,12 +549,6 @@ impl<'t> SlotAllocator<'t> {
     /// bit-identical with or without it.
     pub fn warm_paths(&mut self) {
         self.engine.warm_paths(self.topo);
-    }
-
-    /// Slot duration, seconds.
-    #[inline]
-    pub fn slot_duration(&self) -> f64 {
-        self.engine.slot_duration()
     }
 
     /// First slot that starts at or after `time`.
@@ -784,32 +571,6 @@ impl<'t> SlotAllocator<'t> {
     /// given bottleneck capacity.
     pub fn slots_needed(&self, bytes: f64, bottleneck: f64) -> u64 {
         self.engine.slots_needed(bytes, bottleneck)
-    }
-
-    /// Alg. 3 — `TimeAllocation(p, f)`: slices for `remaining` bytes on
-    /// `path`, starting no earlier than `start_slot`, given current
-    /// occupancy. Returns `(slices, completion_slot)`.
-    pub fn time_allocation(
-        &self,
-        path: &Path,
-        remaining: f64,
-        start_slot: u64,
-    ) -> (IntervalSet, u64) {
-        self.engine
-            .time_allocation(self.topo, path, remaining, start_slot)
-    }
-
-    /// Alg. 2 — `PathCalculation` for a single flow: tries every candidate
-    /// path, keeps the earliest-completing one, commits its slices to the
-    /// path's links and returns the allocation. Fails with
-    /// [`AllocError::Disconnected`] when no path survives.
-    // lint: l7-ok(allocation-layer primitive below the validation boundary: every public caller validates the staged batch at Scheduler::commit or Controller::commit before exposing it)
-    pub fn allocate_flow(
-        &mut self,
-        demand: &FlowDemand,
-        start_slot: u64,
-    ) -> Result<FlowAlloc, AllocError> {
-        self.engine.allocate_flow(self.topo, demand, start_slot)
     }
 
     /// Allocates a whole priority-ordered batch (the body of Alg. 2's
@@ -849,6 +610,7 @@ impl<'t> SlotAllocator<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::naive_batch;
     use taps_topology::build::{dumbbell, fat_tree, fig3_star, GBPS};
 
     fn demand(id: usize, src: usize, dst: usize, remaining: f64, deadline: f64) -> FlowDemand {
@@ -859,6 +621,13 @@ mod tests {
             remaining,
             deadline,
         }
+    }
+
+    /// Alg. 2 for a single flow on top of the current occupancy.
+    fn place(a: &mut SlotAllocator<'_>, d: &FlowDemand, start_slot: u64) -> FlowAlloc {
+        a.allocate_batch(std::slice::from_ref(d), start_slot)
+            .unwrap()
+            .remove(0)
     }
 
     #[test]
@@ -879,9 +648,7 @@ mod tests {
     fn single_flow_gets_contiguous_prefix() {
         let topo = dumbbell(1, 1, GBPS);
         let mut a = SlotAllocator::new(&topo, 0.001, 4);
-        let al = a
-            .allocate_flow(&demand(0, 0, 1, 4.0 * 125_000.0, 1.0), 0)
-            .unwrap();
+        let al = place(&mut a, &demand(0, 0, 1, 4.0 * 125_000.0, 1.0), 0);
         assert_eq!(al.completion_slot, 4);
         assert_eq!(al.slices.total_slots(), 4);
         assert!(al.on_time);
@@ -893,8 +660,8 @@ mod tests {
         let mut a = SlotAllocator::new(&topo, 0.001, 4);
         let d0 = demand(0, 0, 1, 3.0 * 125_000.0, 1.0);
         let d1 = demand(1, 0, 1, 2.0 * 125_000.0, 1.0);
-        let a0 = a.allocate_flow(&d0, 0).unwrap();
-        let a1 = a.allocate_flow(&d1, 0).unwrap();
+        let a0 = place(&mut a, &d0, 0);
+        let a1 = place(&mut a, &d1, 0);
         assert_eq!(a0.completion_slot, 3);
         assert_eq!(a1.completion_slot, 5);
         assert!(!a0.slices.intersects(&a1.slices));
@@ -906,12 +673,8 @@ mod tests {
         let mut a = SlotAllocator::new(&topo, 0.001, 4);
         // h0 -> h2 and h1 -> h0 share no directed link... but do share
         // the bottleneck? h0->h2 uses sl->sr; h1->h0 stays left: disjoint.
-        let a0 = a
-            .allocate_flow(&demand(0, 0, 2, 125_000.0, 1.0), 0)
-            .unwrap();
-        let a1 = a
-            .allocate_flow(&demand(1, 1, 0, 125_000.0, 1.0), 0)
-            .unwrap();
+        let a0 = place(&mut a, &demand(0, 0, 2, 125_000.0, 1.0), 0);
+        let a1 = place(&mut a, &demand(1, 1, 0, 125_000.0, 1.0), 0);
         assert_eq!(a0.completion_slot, 1);
         assert_eq!(a1.completion_slot, 1);
     }
@@ -922,12 +685,8 @@ mod tests {
         // different cores and finish concurrently.
         let topo = fat_tree(4, GBPS);
         let mut a = SlotAllocator::new(&topo, 0.001, 16);
-        let a0 = a
-            .allocate_flow(&demand(0, 0, 4, 125_000.0, 1.0), 0)
-            .unwrap();
-        let a1 = a
-            .allocate_flow(&demand(1, 1, 5, 125_000.0, 1.0), 0)
-            .unwrap();
+        let a0 = place(&mut a, &demand(0, 0, 4, 125_000.0, 1.0), 0);
+        let a1 = place(&mut a, &demand(1, 1, 5, 125_000.0, 1.0), 0);
         assert_eq!(a0.completion_slot, 1);
         assert_eq!(
             a1.completion_slot, 1,
@@ -942,12 +701,8 @@ mod tests {
         let topo = fat_tree(4, GBPS);
         let mut a = SlotAllocator::new(&topo, 0.001, 1);
         // Same src edge switch, same dst edge switch -> same single path.
-        let a0 = a
-            .allocate_flow(&demand(0, 0, 4, 125_000.0, 1.0), 0)
-            .unwrap();
-        let a1 = a
-            .allocate_flow(&demand(1, 0, 4, 125_000.0, 1.0), 0)
-            .unwrap();
+        let a0 = place(&mut a, &demand(0, 0, 4, 125_000.0, 1.0), 0);
+        let a1 = place(&mut a, &demand(1, 0, 4, 125_000.0, 1.0), 0);
         assert_eq!(a0.completion_slot, 1);
         assert_eq!(a1.completion_slot, 2, "queued behind flow 0");
     }
@@ -991,12 +746,9 @@ mod tests {
     fn reset_clears_occupancy() {
         let topo = dumbbell(1, 1, GBPS);
         let mut a = SlotAllocator::new(&topo, 0.001, 4);
-        a.allocate_flow(&demand(0, 0, 1, 125_000.0, 1.0), 0)
-            .unwrap();
+        place(&mut a, &demand(0, 0, 1, 125_000.0, 1.0), 0);
         a.reset();
-        let al = a
-            .allocate_flow(&demand(1, 0, 1, 125_000.0, 1.0), 0)
-            .unwrap();
+        let al = place(&mut a, &demand(1, 0, 1, 125_000.0, 1.0), 0);
         assert_eq!(al.completion_slot, 1);
     }
 
@@ -1004,13 +756,9 @@ mod tests {
     fn release_frees_slices() {
         let topo = dumbbell(1, 1, GBPS);
         let mut a = SlotAllocator::new(&topo, 0.001, 4);
-        let a0 = a
-            .allocate_flow(&demand(0, 0, 1, 125_000.0, 1.0), 0)
-            .unwrap();
+        let a0 = place(&mut a, &demand(0, 0, 1, 125_000.0, 1.0), 0);
         a.release(&a0);
-        let a1 = a
-            .allocate_flow(&demand(1, 0, 1, 125_000.0, 1.0), 0)
-            .unwrap();
+        let a1 = place(&mut a, &demand(1, 0, 1, 125_000.0, 1.0), 0);
         assert_eq!(a1.completion_slot, 1);
     }
 
@@ -1018,18 +766,16 @@ mod tests {
     fn start_slot_is_respected() {
         let topo = dumbbell(1, 1, GBPS);
         let mut a = SlotAllocator::new(&topo, 0.001, 4);
-        let al = a
-            .allocate_flow(&demand(0, 0, 1, 125_000.0, 1.0), 7)
-            .unwrap();
+        let al = place(&mut a, &demand(0, 0, 1, 125_000.0, 1.0), 7);
         assert_eq!(al.slices.min_start(), Some(7));
         assert_eq!(al.completion_slot, 8);
     }
 
-    /// Same batch, all three engine configurations: fast-sequential,
-    /// fast-parallel (threshold forced to 1) and legacy must agree on
-    /// every path, slice set and completion slot.
+    /// The engine (cached paths, scratch buffers, bound pruning, shared
+    /// access-link merge) must reproduce the paper-naive reference on
+    /// every path, slice set, completion slot and verdict.
     #[test]
-    fn fast_parallel_and_legacy_agree_bit_for_bit() {
+    fn engine_and_naive_reference_agree_bit_for_bit() {
         let topo = fat_tree(4, GBPS);
         let demands: Vec<FlowDemand> = (0..24)
             .map(|i| {
@@ -1044,23 +790,16 @@ mod tests {
             .filter(|d| d.src != d.dst)
             .collect();
 
-        let run = |mode: AllocMode, threshold: usize| {
-            let mut a = SlotAllocator::new(&topo, 0.0001, 16);
-            a.engine_mut().set_mode(mode);
-            a.engine_mut().set_parallel_threshold(threshold);
-            a.allocate_batch(&demands, 3).unwrap()
-        };
-        let legacy = run(AllocMode::Legacy, usize::MAX);
-        let fast_seq = run(AllocMode::Fast, usize::MAX);
-        let fast_par = run(AllocMode::Fast, 1);
-        for ((l, s), p) in legacy.iter().zip(&fast_seq).zip(&fast_par) {
-            assert_eq!(l.path, s.path, "flow {}", l.id);
-            assert_eq!(l.slices, s.slices, "flow {}", l.id);
-            assert_eq!(l.completion_slot, s.completion_slot);
-            assert_eq!(l.on_time, s.on_time);
-            assert_eq!(s.path, p.path, "parallel diverged on flow {}", s.id);
-            assert_eq!(s.slices, p.slices);
-            assert_eq!(s.completion_slot, p.completion_slot);
+        let naive = naive_batch(&topo, 0.0001, 16, &demands, 3).unwrap();
+        let engine = SlotAllocator::new(&topo, 0.0001, 16)
+            .allocate_batch(&demands, 3)
+            .unwrap();
+        assert_eq!(naive.len(), engine.len());
+        for (n, e) in naive.iter().zip(&engine) {
+            assert_eq!(n.path, e.path, "flow {}", n.id);
+            assert_eq!(n.slices, e.slices, "flow {}", n.id);
+            assert_eq!(n.completion_slot, e.completion_slot);
+            assert_eq!(n.on_time, e.on_time);
         }
     }
 
@@ -1072,13 +811,13 @@ mod tests {
         let t2 = fat_tree(4, GBPS);
         let mut e = AllocEngine::new(0.001, 8);
         e.ensure_topology(&t1);
-        e.allocate_flow(&t1, &demand(0, 0, 2, 125_000.0, 1.0), 0)
+        e.allocate_batch(&t1, &[demand(0, 0, 2, 125_000.0, 1.0)], 0)
             .unwrap();
         e.ensure_topology(&t2);
         let al = e
-            .allocate_flow(&t2, &demand(1, 0, 8, 125_000.0, 1.0), 0)
+            .allocate_batch(&t2, &[demand(1, 0, 8, 125_000.0, 1.0)], 0)
             .unwrap();
-        assert_eq!(al.completion_slot, 1, "old occupancy must not leak");
+        assert_eq!(al[0].completion_slot, 1, "old occupancy must not leak");
     }
 
     /// Re-admitting the same endpoints hits the path cache instead of
@@ -1089,44 +828,29 @@ mod tests {
         let mut a = SlotAllocator::new(&topo, 0.001, 16);
         for i in 0..10 {
             a.reset();
-            a.allocate_flow(&demand(i, 0, 8, 125_000.0, 1.0), 0)
-                .unwrap();
+            place(&mut a, &demand(i, 0, 8, 125_000.0, 1.0), 0);
         }
         assert_eq!(a.engine_mut().path_cache().enumerations(), 1);
     }
-    /// Link failures make candidate sets empty: both engine modes must
-    /// report `Disconnected` instead of panicking, and recover after the
-    /// cable is restored (epoch-based cache invalidation).
+
+    /// Link failures make candidate sets empty: the engine must report
+    /// `Disconnected` instead of panicking, and recover after the cable
+    /// is restored (epoch-based cache invalidation).
     #[test]
     fn disconnected_endpoints_yield_structured_error() {
         let topo = dumbbell(1, 1, GBPS);
         let mut a = SlotAllocator::new(&topo, 0.001, 4);
-        a.allocate_flow(&demand(0, 0, 1, 125_000.0, 1.0), 0)
-            .unwrap();
+        place(&mut a, &demand(0, 0, 1, 125_000.0, 1.0), 0);
         // The dumbbell cross cable is hop 1 of the only path.
-        let cross = a
-            .allocate_flow(&demand(1, 0, 1, 1.0, 1.0), 0)
-            .unwrap()
-            .path
-            .links[1];
+        let cross = place(&mut a, &demand(1, 0, 1, 1.0, 1.0), 0).path.links[1];
         topo.fail_link(cross);
         a.reset();
-        for mode in [AllocMode::Fast, AllocMode::Legacy] {
-            a.engine_mut().set_mode(mode);
-            let err = a
-                .allocate_flow(&demand(2, 0, 1, 125_000.0, 1.0), 0)
-                .unwrap_err();
-            assert_eq!(err, AllocError::Disconnected { flow: 2 }, "{mode:?}");
-            let err = a
-                .allocate_batch(&[demand(3, 0, 1, 1.0, 1.0)], 0)
-                .unwrap_err();
-            assert_eq!(err, AllocError::Disconnected { flow: 3 });
-        }
+        let err = a
+            .allocate_batch(&[demand(3, 0, 1, 1.0, 1.0)], 0)
+            .unwrap_err();
+        assert_eq!(err, AllocError::Disconnected { flow: 3 });
         topo.restore_link(cross);
-        a.engine_mut().set_mode(AllocMode::Fast);
-        let al = a
-            .allocate_flow(&demand(4, 0, 1, 125_000.0, 1.0), 0)
-            .unwrap();
+        let al = place(&mut a, &demand(4, 0, 1, 125_000.0, 1.0), 0);
         assert_eq!(al.completion_slot, 1);
     }
 }

@@ -33,22 +33,26 @@
 //! 1. **Batch fallback** — cache invalid, topology/fault-epoch changed,
 //!    start slot moved backwards, or the priority order of surviving
 //!    flows changed: run the full pass (and rebuild the cache from it).
-//! 2. **Pass degradation** — if more than
-//!    [`DeltaCache::set_search_fallback_fraction`] of the batch has
-//!    already needed a full search, stop consulting the cache for the
-//!    remainder: the dirty-set closure has swallowed the batch and the
-//!    bookkeeping would only add overhead to what is now a full pass.
+//! 2. **Pass degradation** — if more than `SEARCH_FALLBACK_FRACTION`
+//!    (0.75) of the batch has already needed a full search, stop
+//!    consulting the cache for the remainder: the dirty-set closure has
+//!    swallowed the batch and the bookkeeping would only add overhead to
+//!    what is now a full pass.
 //! 3. **Per-flow fallback** — a dirty winner path or a changed demand
 //!    sends just that flow through the ordinary search.
 
 use crate::alloc::{
-    first_fit_links, slots_for, union_path, AllocEngine, AllocError, AllocMode, FlowAlloc,
-    FlowDemand,
+    first_fit_links, slots_for, union_path, AllocEngine, AllocError, FlowAlloc, FlowDemand,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use taps_timeline::IntervalSet;
 use taps_topology::{Path, Topology};
+
+/// Fraction of a batch (of at least 8 flows) allowed through the full
+/// search before the pass stops consulting the cache (fallback ladder
+/// step 2).
+const SEARCH_FALLBACK_FRACTION: f64 = 0.75;
 
 /// What the previous pass decided for one flow.
 struct DeltaEntry {
@@ -134,6 +138,7 @@ pub struct DeltaStats {
 /// allocation context (scheduler, controller, bench replay); feed it
 /// every batch or none — a stale cache is detected and rebuilt, never
 /// silently trusted.
+#[derive(Default)]
 pub struct DeltaCache {
     /// False until the first successful pass installs entries.
     valid: bool,
@@ -147,9 +152,6 @@ pub struct DeltaCache {
     entries: Vec<DeltaEntry>,
     /// Flow id → index into `entries`.
     index: BTreeMap<usize, usize>,
-    /// Fraction of the batch allowed through the full search before the
-    /// pass stops consulting the cache (fallback ladder step 2).
-    search_fallback_fraction: f64,
     /// Link indices whose translated previous occupancy is known to be
     /// vacated before the next pass runs (entries dropped by fault
     /// absorption). Folded into `free_dirt` at the start of every delta
@@ -161,25 +163,6 @@ pub struct DeltaCache {
     /// Sorted demand ids of the current batch (departure detection).
     ids_scratch: Vec<usize>,
     stats: DeltaStats,
-}
-
-impl Default for DeltaCache {
-    fn default() -> Self {
-        DeltaCache {
-            valid: false,
-            prev_start: 0,
-            epoch: 0,
-            topo_name: String::new(),
-            entries: Vec::new(),
-            index: BTreeMap::new(),
-            search_fallback_fraction: 0.75,
-            pending_free: Vec::new(),
-            add_dirt: LinkDirt::default(),
-            free_dirt: LinkDirt::default(),
-            ids_scratch: Vec::new(),
-            stats: DeltaStats::default(),
-        }
-    }
 }
 
 impl DeltaCache {
@@ -198,13 +181,6 @@ impl DeltaCache {
     pub fn invalidate(&mut self) {
         self.valid = false;
         self.pending_free.clear();
-    }
-
-    /// Sets the searched-fraction threshold of fallback ladder step 2
-    /// (clamped to `0.0..=1.0`; `0.0` degrades on the first searched
-    /// flow, `1.0` never degrades).
-    pub fn set_search_fallback_fraction(&mut self, fraction: f64) {
-        self.search_fallback_fraction = fraction.clamp(0.0, 1.0);
     }
 
     /// Replaces the cached pass.
@@ -247,9 +223,6 @@ impl AllocEngine {
     /// [`reset`](Self::reset) first (doing so is harmless, merely
     /// wasted work).
     ///
-    /// In [`AllocMode::Legacy`] the cache is bypassed (and invalidated):
-    /// the legacy loop exists as the unoptimized baseline.
-    ///
     /// [`allocate_batch`]: Self::allocate_batch
     // lint: l7-ok(allocation-layer primitive below the validation boundary: every public caller validates the staged batch at Scheduler::commit or Controller::commit before exposing it)
     pub fn allocate_batch_delta(
@@ -260,11 +233,6 @@ impl AllocEngine {
         cache: &mut DeltaCache,
     ) -> Result<Vec<FlowAlloc>, AllocError> {
         self.ensure_topology(topo);
-        if self.mode() != AllocMode::Fast {
-            cache.valid = false;
-            self.reset();
-            return self.allocate_batch(topo, demands, start_slot);
-        }
         let usable = cache.valid
             && cache.topo_name == topo.name
             && cache.epoch == topo.epoch()
@@ -278,7 +246,6 @@ impl AllocEngine {
         self.reset();
         let counters_before = self.counters;
 
-        let threshold = cache.search_fallback_fraction;
         let DeltaCache {
             ref entries,
             ref index,
@@ -475,16 +442,13 @@ impl AllocEngine {
                 // previous winner: it usually still ranks near-best, so
                 // the other candidates prune at a tight bound.
                 let known = entry.filter(|e| e.src == d.src && e.dst == d.dst);
-                let (candidates, widx, al) = match known {
-                    Some(e) => self.search_and_commit_known(
-                        topo,
-                        d,
-                        start_slot,
-                        Arc::clone(&e.candidates),
-                        Some(e.winner),
-                    )?,
-                    None => self.search_and_commit_seeded(topo, d, start_slot, None)?,
-                };
+                let (candidates, widx, al) = self.search_and_commit(
+                    topo,
+                    d,
+                    start_slot,
+                    known.map(|e| Arc::clone(&e.candidates)),
+                    known.map(|e| e.winner),
+                )?;
                 if reuse_enabled {
                     match entry {
                         // A re-searched flow that landed exactly on its
@@ -508,7 +472,7 @@ impl AllocEngine {
                         }
                     }
                     // lint: cast-ok(batch sizes are far below 2^52; exact as f64)
-                    if total >= 8 && (searched as f64) > threshold * (total as f64) {
+                    if total >= 8 && (searched as f64) > SEARCH_FALLBACK_FRACTION * (total as f64) {
                         // The dirty closure swallowed the batch: stop
                         // consulting the cache, the remainder is a plain
                         // full pass (results are identical either way).
@@ -598,14 +562,14 @@ impl AllocEngine {
     ///   flows translated over the vacated capacity stay sound.
     ///
     /// Finally the cache is re-stamped to the current epoch. Returns
-    /// `false` when there was nothing to absorb into (invalid cache,
-    /// different topology, or a non-[`AllocMode::Fast`] engine) — the
-    /// next batch then falls back as before. Bit-identity with the full
-    /// pass is unchanged (the `validate`-feature debug cross-check still
-    /// re-verifies every subsequent batch).
+    /// `false` when there was nothing to absorb into (invalid cache or
+    /// different topology) — the next batch then falls back as before.
+    /// Bit-identity with the full pass is unchanged (the
+    /// `validate`-feature debug cross-check still re-verifies every
+    /// subsequent batch).
     pub fn absorb_fault_epoch(&mut self, topo: &Topology, cache: &mut DeltaCache) -> bool {
         self.ensure_topology(topo);
-        if !cache.valid || cache.topo_name != topo.name || self.mode() != AllocMode::Fast {
+        if !cache.valid || cache.topo_name != topo.name {
             return false;
         }
         let epoch = topo.epoch();
@@ -646,12 +610,10 @@ impl AllocEngine {
     ) -> Result<Vec<FlowAlloc>, AllocError> {
         self.reset();
         let mut entries = Vec::with_capacity(demands.len());
-        let mut out = Vec::with_capacity(demands.len());
-        for d in demands {
-            // On error the cache keeps its previous entries: they still
-            // describe the last *successful* pass, and every call
-            // re-validates before trusting them.
-            let (candidates, winner, al) = self.search_and_commit(topo, d, start_slot)?;
+        // On error the cache keeps its previous entries: they still
+        // describe the last *successful* pass, and every call
+        // re-validates before trusting them.
+        let out = self.full_pass(topo, demands, start_slot, |d, candidates, winner, al| {
             entries.push(DeltaEntry {
                 id: d.id,
                 src: d.src,
@@ -662,8 +624,7 @@ impl AllocEngine {
                 slices: al.slices.clone(),
                 completion: al.completion_slot,
             });
-            out.push(al);
-        }
+        })?;
         cache.install(topo, entries, start_slot);
         Ok(out)
     }
@@ -863,48 +824,32 @@ mod tests {
         assert_eq!(cache.stats().full_fallbacks, 3, "priority order changed");
     }
 
-    /// Legacy mode bypasses and invalidates the cache.
+    /// A batch that crosses the searched-fraction threshold (every
+    /// surviving flow's `remaining` changed, so every flow needs the
+    /// full search) degrades the pass; allocations still match the full
+    /// pass.
     #[test]
-    fn legacy_mode_bypasses_cache() {
-        let topo = dumbbell(2, 2, GBPS);
-        let demands = vec![
-            demand(0, 0, 2, 125_000.0, 1.0),
-            demand(1, 1, 3, 125_000.0, 1.0),
-        ];
-        let mut a = SlotAllocator::new(&topo, 0.001, 4);
-        let mut cache = DeltaCache::new();
-        a.allocate_batch_delta(&demands, 0, &mut cache).unwrap();
-        assert_eq!(cache.stats().full_fallbacks, 1);
-
-        a.engine_mut().set_mode(AllocMode::Legacy);
-        let mut reference = SlotAllocator::new(&topo, 0.001, 4);
-        reference.engine_mut().set_mode(AllocMode::Legacy);
-        let want = reference.allocate_batch(&demands, 1).unwrap();
-        let got = a.allocate_batch_delta(&demands, 1, &mut cache).unwrap();
-        assert_allocs_eq(&want, &got);
-
-        // Back to fast: the invalidated cache must rebuild, not reuse.
-        a.engine_mut().set_mode(AllocMode::Fast);
-        a.allocate_batch_delta(&demands, 2, &mut cache).unwrap();
-        assert_eq!(cache.stats().full_fallbacks, 2);
-    }
-
-    /// A zero threshold degrades the pass to full search as soon as any
-    /// flow needs searching; allocations still match the full pass.
-    #[test]
-    fn zero_threshold_degrades_but_matches() {
+    fn threshold_crossing_degrades_but_matches() {
         let topo = fat_tree(4, GBPS);
         let base = mix(16, 16, 6);
         let mut a = SlotAllocator::new(&topo, 0.0001, 16);
         let mut cache = DeltaCache::new();
-        cache.set_search_fallback_fraction(0.0);
-        a.allocate_batch_delta(&base[..12], 0, &mut cache).unwrap();
+        a.allocate_batch_delta(&base, 0, &mut cache).unwrap();
 
+        let shrunk: Vec<FlowDemand> = base
+            .iter()
+            .map(|d| FlowDemand {
+                remaining: d.remaining - 10_000.0,
+                ..d.clone()
+            })
+            .collect();
         let mut reference = SlotAllocator::new(&topo, 0.0001, 16);
-        let want = reference.allocate_batch(&base, 3).unwrap();
-        let got = a.allocate_batch_delta(&base, 3, &mut cache).unwrap();
+        let want = reference.allocate_batch(&shrunk, 3).unwrap();
+        let got = a.allocate_batch_delta(&shrunk, 3, &mut cache).unwrap();
         assert_allocs_eq(&want, &got);
-        assert_eq!(cache.stats().threshold_degrades, 1);
+        let s = cache.stats();
+        assert_eq!(s.full_fallbacks, 1, "the second batch stayed a delta pass");
+        assert_eq!(s.threshold_degrades, 1);
     }
 
     /// The disconnected error propagates and the stale-but-valid cache
@@ -965,7 +910,7 @@ mod tests {
     }
 
     /// Absorption is a no-op (but reports success) when the epoch never
-    /// moved, and declines on an invalid cache or a legacy-mode engine.
+    /// moved, and declines on an invalid cache.
     #[test]
     fn absorb_edge_cases() {
         let topo = fat_tree(4, GBPS);
@@ -979,10 +924,6 @@ mod tests {
         a.allocate_batch_delta(&demands, 0, &mut cache).unwrap();
         assert!(a.engine_mut().absorb_fault_epoch(&topo, &mut cache));
         assert_eq!(cache.stats().absorbed_epochs, 0, "same epoch: no work");
-
-        a.engine_mut().set_mode(AllocMode::Legacy);
-        assert!(!a.engine_mut().absorb_fault_epoch(&topo, &mut cache));
-        a.engine_mut().set_mode(AllocMode::Fast);
 
         cache.invalidate();
         assert!(!a.engine_mut().absorb_fault_epoch(&topo, &mut cache));

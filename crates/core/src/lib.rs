@@ -32,10 +32,7 @@ mod scheduler;
 pub mod shard;
 pub mod validate;
 
-pub use alloc::{
-    AllocCounters, AllocEngine, AllocError, AllocMode, FlowAlloc, FlowDemand, SlotAllocator,
-    DEFAULT_PARALLEL_THRESHOLD,
-};
+pub use alloc::{AllocCounters, AllocEngine, AllocError, FlowAlloc, FlowDemand, SlotAllocator};
 pub use analysis::{analyze, gantt_for_link, ScheduleAnalysis};
 pub use delta::{DeltaCache, DeltaStats};
 pub use oracle::SingleLinkOracle;

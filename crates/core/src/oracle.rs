@@ -1,6 +1,15 @@
-//! An exact (exponential-time) oracle for small task-scheduling
-//! instances, used to measure how close TAPS's heuristic gets to the
-//! optimum the paper proves NP-hard (§IV-B).
+//! Reference implementations the production code is measured against.
+//!
+//! * [`naive_batch`] — the paper-naive Alg. 2/3, written straight from
+//!   the pseudocode with no cache, scratch buffer or pruning. The
+//!   allocation engine ([`crate::AllocEngine`]) must reproduce its
+//!   schedules bit for bit; the proptests, the root `alloc_reference`
+//!   test and `bench_admission`'s `before_legacy` column all use it.
+//! * [`SingleLinkOracle`] — an exact (exponential-time) optimizer for
+//!   small task-scheduling instances, used to measure how close TAPS's
+//!   heuristic gets to the optimum the paper proves NP-hard (§IV-B).
+//!
+//! # `SingleLinkOracle`
 //!
 //! Scope: all flows of an instance share one bottleneck link (the
 //! motivation-example setting). On a single preemptive link, a set of
@@ -10,7 +19,67 @@
 //! flows entirely inside the window fits in `e − s`. The oracle then
 //! maximizes the number (or total size) of tasks over all task subsets.
 
+use crate::alloc::{slots_for, AllocError, FlowAlloc, FlowDemand};
 use taps_flowsim::Workload;
+use taps_timeline::{slots, IntervalSet};
+use taps_topology::paths::PathFinder;
+use taps_topology::{Path, Topology};
+
+/// The paper-naive Alg. 2 (`PathCalculation`) and Alg. 3
+/// (`TimeAllocation`) over one priority-ordered batch, starting from
+/// empty occupancy: for every flow, re-enumerate its candidate paths
+/// (capped at `max_paths`), materialize each candidate's slices as the
+/// first `E` idle slots of `T_ocp = ⋃ O_x` at or after `start_slot`,
+/// keep the earliest-completing candidate (strict first-wins) and commit
+/// it. Stateless and deliberately unoptimized — it shares nothing with
+/// the engine but the slot arithmetic and the demand/allocation types.
+/// Fails with [`AllocError::Disconnected`] at the first flow (in
+/// priority order) whose endpoints have no surviving path.
+pub fn naive_batch(
+    topo: &Topology,
+    slot: f64,
+    max_paths: usize,
+    demands: &[FlowDemand],
+    start_slot: u64,
+) -> Result<Vec<FlowAlloc>, AllocError> {
+    let pf = PathFinder::new(topo);
+    let mut occupancy = vec![IntervalSet::new(); topo.num_links()];
+    let mut out = Vec::with_capacity(demands.len());
+    for d in demands {
+        let mut best: Option<(IntervalSet, u64, Path)> = None;
+        for p in pf.paths(topo.host(d.src), topo.host(d.dst), max_paths) {
+            let mut t_ocp = IntervalSet::new();
+            for l in &p.links {
+                t_ocp = t_ocp.union(&occupancy[l.idx()]);
+            }
+            let e = slots_for(slot, d.remaining, p.bottleneck(topo));
+            let slices = t_ocp
+                .allocate_first_free(start_slot, e)
+                // lint: panic-ok(invariant: the idle tail is infinite, so E >= 1 slots are always allocatable)
+                .expect("E >= 1 slots always allocatable");
+            // lint: panic-ok(invariant: E >= 1 makes the allocation non-empty)
+            let completion = slices.max_end().expect("non-empty allocation");
+            if best.as_ref().is_none_or(|(_, c, _)| completion < *c) {
+                best = Some((slices, completion, p));
+            }
+        }
+        let Some((slices, completion_slot, path)) = best else {
+            return Err(AllocError::Disconnected { flow: d.id });
+        };
+        for l in &path.links {
+            occupancy[l.idx()].insert_set(&slices);
+        }
+        out.push(FlowAlloc {
+            id: d.id,
+            path,
+            slices,
+            completion_slot,
+            deadline: d.deadline,
+            on_time: slots::to_f64(completion_slot) * slot <= d.deadline + 1e-9,
+        });
+    }
+    Ok(out)
+}
 
 /// One flow projected onto the shared bottleneck.
 #[derive(Clone, Debug)]

@@ -9,7 +9,7 @@
 //! transmitting under the old schedule until the boundary, and the
 //! re-pack starts exactly there.
 
-use crate::alloc::{AllocEngine, AllocError, AllocMode, FlowAlloc, FlowDemand};
+use crate::alloc::{AllocEngine, AllocError, FlowAlloc, FlowDemand};
 use crate::delta::DeltaCache;
 use crate::obs::obs_event;
 #[cfg(feature = "obs")]
@@ -166,14 +166,6 @@ impl Taps {
     #[cfg(feature = "obs")]
     pub fn set_trace_sink(&mut self, sink: std::sync::Arc<dyn taps_obs::TraceSink>) {
         self.trace = Some(sink);
-    }
-
-    /// Switches the allocation engine between the fast (default) and
-    /// legacy Alg. 2 inner loops. Both produce identical schedules; the
-    /// legacy loop is the before/after baseline for the admission
-    /// benchmarks.
-    pub fn set_alloc_mode(&mut self, mode: AllocMode) {
-        self.engine.set_mode(mode);
     }
 
     /// The admission decisions taken so far, in arrival order.

@@ -278,7 +278,9 @@ impl ShardedAllocator {
                 self.coordinator.commit_slices(&al.path.links, &al.slices);
             }
             for (d, &pos) in cross.iter().zip(&cross_slots) {
-                let (_, _, al) = self.coordinator.search_and_commit(topo, d, start_slot)?;
+                let (_, _, al) = self
+                    .coordinator
+                    .search_and_commit(topo, d, start_slot, None, None)?;
                 merged[pos] = Some(al);
             }
         }

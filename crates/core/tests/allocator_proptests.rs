@@ -1,11 +1,13 @@
 //! Property tests of the TAPS slotted allocator (Alg. 2/3): whatever the
 //! demand mix, committed slices must be disjoint per link, earliest-first
-//! per flow, and monotone under added contention.
+//! per flow, monotone under added contention, and bit-identical to the
+//! paper-naive reference (`taps_core::oracle::naive_batch`).
 
 use proptest::prelude::*;
-use taps_core::{AllocMode, FlowDemand, SlotAllocator};
+use taps_core::oracle::naive_batch;
+use taps_core::{AllocError, FlowDemand, SlotAllocator};
 use taps_timeline::IntervalSet;
-use taps_topology::build::{fat_tree, single_rooted, GBPS};
+use taps_topology::build::{dumbbell, fat_tree, single_rooted, GBPS};
 use taps_topology::Topology;
 
 fn arb_demands(hosts: usize) -> impl Strategy<Value = Vec<FlowDemand>> {
@@ -118,35 +120,25 @@ proptest! {
     }
 
     #[test]
-    fn fast_modes_and_legacy_agree_bit_for_bit(
+    fn engine_and_naive_reference_agree_bit_for_bit(
         demands in arb_demands(16),
         start in 0u64..200,
     ) {
-        // The fast engine (cached paths, scratch buffers, bound pruning)
-        // must reproduce the legacy schedule exactly — sequentially AND
-        // with parallel candidate evaluation forced on (threshold 1),
-        // where ties must still resolve to the lowest candidate index.
+        // The engine (cached paths, scratch buffers, bound pruning) must
+        // reproduce the paper-naive schedule exactly, including ties
+        // resolving to the lowest candidate index.
         let topo = fat_tree(4, GBPS);
-        let run = |mode: AllocMode, threshold: usize| {
-            let mut a = SlotAllocator::new(&topo, 0.001, 16);
-            a.engine_mut().set_mode(mode);
-            a.engine_mut().set_parallel_threshold(threshold);
-            a.allocate_batch(&demands, start).unwrap()
-        };
-        let legacy = run(AllocMode::Legacy, usize::MAX);
-        let sequential = run(AllocMode::Fast, usize::MAX);
-        let parallel = run(AllocMode::Fast, 1);
-        for (l, s) in legacy.iter().zip(&sequential) {
-            prop_assert_eq!(&l.path, &s.path);
-            prop_assert_eq!(&l.slices, &s.slices);
-            prop_assert_eq!(l.completion_slot, s.completion_slot);
-            prop_assert_eq!(l.on_time, s.on_time);
-        }
-        for (l, p) in legacy.iter().zip(&parallel) {
-            prop_assert_eq!(&l.path, &p.path);
-            prop_assert_eq!(&l.slices, &p.slices);
-            prop_assert_eq!(l.completion_slot, p.completion_slot);
-            prop_assert_eq!(l.on_time, p.on_time);
+        let naive = naive_batch(&topo, 0.001, 16, &demands, start).unwrap();
+        let engine = SlotAllocator::new(&topo, 0.001, 16)
+            .allocate_batch(&demands, start)
+            .unwrap();
+        prop_assert_eq!(naive.len(), engine.len());
+        for (n, e) in naive.iter().zip(&engine) {
+            prop_assert_eq!(n.id, e.id);
+            prop_assert_eq!(&n.path, &e.path);
+            prop_assert_eq!(&n.slices, &e.slices);
+            prop_assert_eq!(n.completion_slot, e.completion_slot);
+            prop_assert_eq!(n.on_time, e.on_time);
         }
     }
 
@@ -172,4 +164,29 @@ proptest! {
         let makespan = allocs.iter().map(|al| al.completion_slot).max().unwrap();
         prop_assert_eq!(makespan, total, "no idle slots on a single bottleneck");
     }
+}
+
+/// A failed link that cuts a host pair off: the reference and the engine
+/// report the same error — the earliest disconnected flow in priority
+/// order, not the lowest id.
+#[test]
+fn disconnection_error_matches_the_reference() {
+    let topo = dumbbell(2, 2, GBPS);
+    let flow = |id, src, dst| FlowDemand {
+        id,
+        src,
+        dst,
+        remaining: GBPS * 0.001,
+        deadline: 1.0,
+    };
+    let cross = naive_batch(&topo, 0.001, 4, &[flow(0, 0, 2)], 0).unwrap()[0]
+        .path
+        .links[1];
+    topo.fail_link(cross);
+    // 0 -> 1 stays on the left side; 1 -> 3 and 0 -> 2 need the cable.
+    let demands = [flow(9, 0, 1), flow(7, 1, 3), flow(5, 0, 2)];
+    let want = Err(AllocError::Disconnected { flow: 7 });
+    assert_eq!(naive_batch(&topo, 0.001, 4, &demands, 0).map(|_| ()), want);
+    let mut a = SlotAllocator::new(&topo, 0.001, 4);
+    assert_eq!(a.allocate_batch(&demands, 0).map(|_| ()), want);
 }

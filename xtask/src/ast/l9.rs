@@ -1,9 +1,8 @@
 //! L9 — per-site atomic memory-ordering allowlist.
 //!
-//! The workspace has exactly two lock-free paths: the wait-free
-//! observability ring (`crates/obs/src/ring.rs`) and the parallel
-//! candidate-evaluation pruning bound (`crates/core/src/alloc.rs`).
-//! Every `Ordering::X` use in those files must carry a
+//! The workspace has exactly one lock-free path: the wait-free
+//! observability ring (`crates/obs/src/ring.rs`). Every `Ordering::X`
+//! use in that file must carry a
 //! `// lint: l9-ok(X: why)` marker on the same line or the line above,
 //! whose justification *names the ordering it defends*: the reason must
 //! start with `<Ordering>:` for one of the orderings at the site and
@@ -19,7 +18,7 @@ use std::collections::BTreeMap;
 use syn::TokenTree;
 
 /// Files under the per-site ordering allowlist.
-const SCOPE_FILES: &[&str] = &["crates/obs/src/ring.rs", "crates/core/src/alloc.rs"];
+const SCOPE_FILES: &[&str] = &["crates/obs/src/ring.rs"];
 
 const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 

@@ -87,11 +87,14 @@ pub fn scope_for(rel: &str) -> Option<RuleScope> {
         return None;
     }
     // Compat shims emulate third-party crates; xtask is the lint tool;
-    // the bench crate is a measurement harness (panicking on setup
-    // failure is fine there, and it is not part of the scheduling library).
+    // the bench crate and the standalone benchmark harness are
+    // measurement harnesses (panicking on setup failure and printing
+    // reports is fine there, and they are not part of the scheduling
+    // library).
     if rel.starts_with("compat/")
         || rel.starts_with("xtask/")
         || rel.starts_with("crates/bench/")
+        || rel.starts_with("benchmark/")
         || rel.starts_with("target/")
     {
         return None;
