@@ -219,6 +219,31 @@ fn bench_taps_full_run_slot_sensitivity(c: &mut Criterion) {
     g.finish();
 }
 
+/// One `Taps` round of the benchmark's `sim_taps_k8` shape at growing
+/// round lengths: time per task must stay flat, since the engine's
+/// per-event cost follows the flows in flight, not the workload.
+fn bench_flowsim_round(c: &mut Criterion) {
+    let mut g = c.benchmark_group("flowsim/round");
+    g.sample_size(10);
+    let topo = fat_tree(8, GBPS);
+    for tasks in [500usize, 1_000, 2_000] {
+        let wl = WorkloadConfig {
+            num_tasks: tasks,
+            mean_flows_per_task: 16.0,
+            sd_flows_per_task: 4.0,
+            arrival_rate: 300.0,
+            ..WorkloadConfig::paper_multi_rooted(topo.num_hosts(), 1)
+        }
+        .generate();
+        g.bench_with_input(BenchmarkId::from_parameter(tasks), &wl, |b, wl| {
+            b.iter(|| {
+                black_box(Simulation::new(&topo, wl, SimConfig::default()).run(&mut Taps::new()))
+            });
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_interval_set,
@@ -227,6 +252,7 @@ criterion_group!(
     bench_admission,
     bench_path_enumeration,
     bench_end_to_end_sim,
-    bench_taps_full_run_slot_sensitivity
+    bench_taps_full_run_slot_sensitivity,
+    bench_flowsim_round
 );
 criterion_main!(benches);

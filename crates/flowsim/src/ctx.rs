@@ -11,6 +11,12 @@ pub(crate) struct SimState {
     pub now: f64,
     pub flows: Vec<FlowRt>,
     pub tasks: Vec<TaskRt>,
+    /// Ids of the arrived flows that were live at the end of the last
+    /// event, plus this event's arrivals, in ascending id order. The
+    /// engine appends at task arrival and compacts once per event; a
+    /// flow that turned terminal since is still listed, so every reader
+    /// filters on `is_live()`.
+    pub live: Vec<FlowId>,
 }
 
 /// Controlled view of the simulation handed to [`crate::Scheduler`]
@@ -66,14 +72,15 @@ impl<'a> SimCtx<'a> {
         self.st.tasks[id].spec.flows.clone()
     }
 
-    /// Ids of all live (admitted, unfinished) flows.
+    /// Ids of all live (admitted, unfinished) flows, in ascending id
+    /// order. Costs `O(in-flight)`, not `O(flows of the workload)`.
     pub fn live_flow_ids(&self) -> impl Iterator<Item = FlowId> + '_ {
+        let flows = &self.st.flows;
         self.st
-            .flows
+            .live
             .iter()
-            .enumerate()
-            .filter(|(_, f)| f.status.is_live())
-            .map(|(i, _)| i)
+            .copied()
+            .filter(move |&fid| flows[fid].status.is_live())
     }
 
     /// Fraction of a task's bytes already delivered — the *completion
@@ -147,8 +154,7 @@ impl<'a> SimCtx<'a> {
                 f.delivered == 0.0,
                 "rejecting task {id} after flow {fid} transmitted"
             );
-            f.status = FlowStatus::Rejected;
-            f.rate = 0.0;
+            f.retire(FlowStatus::Rejected);
         }
         self.st.tasks[id].status = TaskStatus::Rejected;
     }
@@ -160,8 +166,7 @@ impl<'a> SimCtx<'a> {
         for fid in self.task_flows(id) {
             let f = &mut self.st.flows[fid];
             if f.status.is_live() {
-                f.status = FlowStatus::Discarded;
-                f.rate = 0.0;
+                f.retire(FlowStatus::Discarded);
             }
         }
         self.st.tasks[id].status = TaskStatus::Discarded;
@@ -172,7 +177,6 @@ impl<'a> SimCtx<'a> {
     pub fn terminate_flow(&mut self, id: FlowId) {
         let f = &mut self.st.flows[id];
         debug_assert!(f.status.is_live());
-        f.status = FlowStatus::Terminated;
-        f.rate = 0.0;
+        f.retire(FlowStatus::Terminated);
     }
 }

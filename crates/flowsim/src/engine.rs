@@ -4,6 +4,12 @@
 //! scheduler-assigned constant rate. Events are task arrivals, flow
 //! completions, deadline expiries and scheduler wake-ups; after each batch
 //! of simultaneous events the scheduler reassigns rates.
+//!
+//! One event costs `O(flows in flight)`, whatever the length of the
+//! workload: the engine keeps the ids of the arrived, unfinished flows in
+//! ascending order (appended at task arrival, which is id order; compacted
+//! once per event) and both its own per-event passes and
+//! [`SimCtx::live_flow_ids`] walk that list, never the full flow array.
 
 use crate::ctx::{SimCtx, SimState};
 use crate::fault::{sort_fault_plan, FaultEvent, FaultKind};
@@ -57,8 +63,17 @@ pub struct Simulation<'a> {
 impl<'a> Simulation<'a> {
     /// Creates a simulation. The workload must validate against the
     /// topology (host indices in range).
+    ///
+    /// # Panics
+    ///
+    /// If [`Workload::validate`] refuses the workload: the engine's
+    /// live-flow list is ascending by id only because flow ranges are
+    /// contiguous and tasks arrive in id order.
     pub fn new(topo: &'a Topology, workload: &'a Workload, cfg: SimConfig) -> Self {
-        debug_assert!(workload.validate().is_ok());
+        if let Err(why) = workload.validate() {
+            // lint: panic-ok(documented constructor precondition: an unvalidated workload would silently break the live list's ordering)
+            panic!("invalid workload: {why}");
+        }
         debug_assert!(workload
             .flows
             .iter()
@@ -101,16 +116,14 @@ impl<'a> Simulation<'a> {
                 .cloned()
                 .map(TaskRt::new)
                 .collect(),
+            live: Vec::new(),
         };
-        // Deadline event list, sorted ascending; `dl_ptr` advances past
-        // entries whose flow reached a terminal state.
-        let mut deadline_events: Vec<(f64, usize)> = self
-            .workload
-            .flows
-            .iter()
-            .map(|f| (f.deadline, f.id))
-            .collect();
-        deadline_events.sort_by(|a, b| a.0.total_cmp(&b.0));
+        // Flow ids by ascending deadline (stable, so by id within one
+        // deadline); `dl_ptr` advances past entries whose flow reached a
+        // terminal state.
+        let deadline_of = |fid: usize| self.workload.flows[fid].deadline;
+        let mut by_deadline: Vec<usize> = (0..self.workload.flows.len()).collect();
+        by_deadline.sort_by(|&a, &b| deadline_of(a).total_cmp(&deadline_of(b)));
         let mut dl_ptr = 0usize;
 
         // Fault plan, time-sorted. The engine owns the topology's fault
@@ -122,7 +135,14 @@ impl<'a> Simulation<'a> {
         let mut fault_ptr = 0usize;
 
         let mut next_arrival = 0usize; // index into workload.tasks
+
+        // Live flows with a positive rate, ascending by id, and the
+        // earliest instant one of them finishes. Both are rebuilt after
+        // every rate assignment and nothing touches a flow between that
+        // and the next event, so they hold at the top of the loop.
         let mut senders: Vec<usize> = Vec::new();
+        let mut t_complete = f64::INFINITY;
+        let mut completed: Vec<usize> = Vec::new();
         let mut segments: Vec<RateSegment> = Vec::new();
         // Stamped per-link load accumulator for capacity validation.
         let mut link_load: Vec<(f64, u64)> = vec![(0.0, 0); self.topo.num_links()];
@@ -133,25 +153,17 @@ impl<'a> Simulation<'a> {
 
         loop {
             // ---- pick the next event time ------------------------------
-            let mut t_next = f64::INFINITY;
+            // Earliest projected completion among senders.
+            let mut t_next = t_complete;
             if next_arrival < st.tasks.len() {
                 t_next = t_next.min(st.tasks[next_arrival].spec.arrival);
             }
-            // Earliest projected completion among senders.
-            for &fid in &senders {
-                let f = &st.flows[fid];
-                if f.rate > 0.0 {
-                    t_next = t_next.min(st.now + f.remaining() / f.rate);
-                }
-            }
             // Earliest pending deadline (skip terminal flows permanently).
-            while dl_ptr < deadline_events.len()
-                && st.flows[deadline_events[dl_ptr].1].status.is_terminal()
-            {
+            while dl_ptr < by_deadline.len() && st.flows[by_deadline[dl_ptr]].status.is_terminal() {
                 dl_ptr += 1;
             }
-            if dl_ptr < deadline_events.len() {
-                t_next = t_next.min(deadline_events[dl_ptr].0);
+            if dl_ptr < by_deadline.len() {
+                t_next = t_next.min(deadline_of(by_deadline[dl_ptr]));
             }
             // Next topology fault.
             if fault_ptr < faults.len() {
@@ -173,50 +185,44 @@ impl<'a> Simulation<'a> {
             }
             let t_next = t_next.max(st.now);
 
-            // ---- advance the fluid model to t_next ---------------------
+            // ---- advance the fluid model to t_next; completions --------
             let dt = t_next - st.now;
-            if dt > 0.0 {
-                for &fid in &senders {
-                    let f = &mut st.flows[fid];
-                    if f.rate > 0.0 {
-                        let bytes = (f.rate * dt).min(f.remaining());
-                        f.delivered += bytes;
-                        if self.cfg.log_segments && bytes > 0.0 {
-                            segments.push(RateSegment {
-                                flow: fid,
-                                t0: st.now,
-                                t1: t_next,
-                                bytes,
-                            });
-                        }
-                    }
-                }
-            }
-            st.now = t_next;
-
-            // ---- completions -------------------------------------------
-            let mut completed: Vec<usize> = Vec::new();
+            completed.clear();
             for &fid in &senders {
                 let f = &mut st.flows[fid];
-                if f.status.is_live() && f.is_done() {
-                    f.status = FlowStatus::Completed;
-                    f.finish = Some(st.now);
-                    f.rate = 0.0;
+                if dt > 0.0 {
+                    let bytes = (f.rate * dt).min(f.remaining());
+                    f.delivered += bytes;
+                    if self.cfg.log_segments && bytes > 0.0 {
+                        segments.push(RateSegment {
+                            flow: fid,
+                            t0: st.now,
+                            t1: t_next,
+                            bytes,
+                        });
+                    }
+                }
+                if f.is_done() {
+                    f.retire(FlowStatus::Completed);
+                    f.finish = Some(t_next);
                     completed.push(fid);
                 }
             }
-            for fid in &completed {
-                obs_event!(self.trace, st.now, FlowCompleted { flow: *fid as u64 });
+            st.now = t_next;
+            for &fid in &completed {
+                obs_event!(self.trace, st.now, FlowCompleted { flow: fid as u64 });
                 let mut ctx = SimCtx {
                     st: &mut st,
                     topo: self.topo,
                 };
-                sched.on_flow_completed(&mut ctx, *fid);
+                sched.on_flow_completed(&mut ctx, fid);
             }
 
             // ---- deadline expiries -------------------------------------
-            while dl_ptr < deadline_events.len() && deadline_events[dl_ptr].0 <= st.now + EPS_TIME {
-                let (_, fid) = deadline_events[dl_ptr];
+            while dl_ptr < by_deadline.len()
+                && deadline_of(by_deadline[dl_ptr]) <= st.now + EPS_TIME
+            {
+                let fid = by_deadline[dl_ptr];
                 dl_ptr += 1;
                 let f = &mut st.flows[fid];
                 if !f.status.is_live() || f.missed_deadline {
@@ -224,9 +230,8 @@ impl<'a> Simulation<'a> {
                 }
                 if f.is_done() {
                     // Finished exactly at the deadline: count as complete.
-                    f.status = FlowStatus::Completed;
+                    f.retire(FlowStatus::Completed);
                     f.finish = Some(st.now);
-                    f.rate = 0.0;
                     obs_event!(self.trace, st.now, FlowCompleted { flow: fid as u64 });
                     let mut ctx = SimCtx {
                         st: &mut st,
@@ -242,9 +247,8 @@ impl<'a> Simulation<'a> {
                 match sched.on_flow_deadline(&mut ctx, fid) {
                     DeadlineAction::Stop => {
                         let f = &mut st.flows[fid];
-                        f.status = FlowStatus::Missed;
+                        f.retire(FlowStatus::Missed);
                         f.missed_deadline = true;
-                        f.rate = 0.0;
                         obs_event!(self.trace, st.now, DeadlineExpired { flow: fid as u64 });
                     }
                     DeadlineAction::Continue => {
@@ -339,12 +343,11 @@ impl<'a> Simulation<'a> {
                         }
                     );
                     let f = &mut st.flows[fid];
-                    f.status = FlowStatus::Admitted;
                     if f.is_done() {
                         // 0-byte flow: complete at the instant it arrives
                         // (even when deadline == arrival — completion wins
                         // over same-instant expiry for an empty flow).
-                        f.status = FlowStatus::Completed;
+                        f.retire(FlowStatus::Completed);
                         f.finish = Some(st.now);
                         obs_event!(self.trace, st.now, FlowCompleted { flow: fid as u64 });
                     } else if f.spec.deadline <= st.now + EPS_TIME {
@@ -352,9 +355,15 @@ impl<'a> Simulation<'a> {
                         // deadline event was consumed before the flow
                         // existed, so it expires here, before the
                         // scheduler ever sees it live.
-                        f.status = FlowStatus::Missed;
+                        f.retire(FlowStatus::Missed);
                         f.missed_deadline = true;
                         obs_event!(self.trace, st.now, DeadlineExpired { flow: fid as u64 });
+                    } else {
+                        f.status = FlowStatus::Admitted;
+                        // `Workload::validate` (checked in `new`) makes
+                        // ids contiguous in arrival order.
+                        debug_assert!(st.live.last() < Some(&fid));
+                        st.live.push(fid);
                     }
                 }
                 let mut ctx = SimCtx {
@@ -378,26 +387,39 @@ impl<'a> Simulation<'a> {
                 };
                 sched.assign_rates(&mut ctx);
             }
-            // Data-plane truth: nothing crosses a dead link, whatever rate
-            // the scheduler asked for. The flow stalls (delivering zero
-            // bytes) until the scheduler re-routes it or it expires.
-            if !self.topo.all_up() {
-                for f in st.flows.iter_mut() {
-                    if f.rate > 0.0
-                        && f.route
-                            .as_ref()
-                            .is_some_and(|r| r.links.iter().any(|l| !self.topo.is_link_up(*l)))
-                    {
-                        f.rate = 0.0;
-                    }
-                }
-            }
+            // One pass over the flows in flight: drop the ones that
+            // turned terminal during this event from the live list, stall
+            // the ones on a dead link, and collect the senders with their
+            // earliest completion.
+            let degraded = !self.topo.all_up();
             senders.clear();
-            for (fid, f) in st.flows.iter().enumerate() {
-                if f.status.is_live() && f.rate > 0.0 {
-                    senders.push(fid);
+            t_complete = f64::INFINITY;
+            let SimState {
+                now, flows, live, ..
+            } = &mut st;
+            live.retain(|&fid| {
+                let f = &mut flows[fid];
+                if !f.status.is_live() {
+                    return false;
                 }
-            }
+                // Data-plane truth: nothing crosses a dead link, whatever
+                // rate the scheduler asked for. The flow stalls
+                // (delivering zero bytes) until the scheduler re-routes
+                // it or it expires.
+                if degraded
+                    && f.rate > 0.0
+                    && f.route
+                        .as_ref()
+                        .is_some_and(|r| r.links.iter().any(|l| !self.topo.is_link_up(*l)))
+                {
+                    f.rate = 0.0;
+                }
+                if f.rate > 0.0 {
+                    senders.push(fid);
+                    t_complete = t_complete.min(*now + f.remaining() / f.rate);
+                }
+                true
+            });
 
             if self.cfg.validate_capacity {
                 load_epoch += 1;
@@ -433,7 +455,8 @@ impl<'a> Simulation<'a> {
         // *indeterminate*, and the report excludes them from the miss rate
         // instead of counting an artifact of `max_events` as a miss.
         if !truncated {
-            for f in &mut st.flows {
+            for &fid in &st.live {
+                let f = &mut st.flows[fid];
                 if f.status.is_live() {
                     f.status = FlowStatus::Missed;
                     f.missed_deadline = true;
@@ -442,6 +465,8 @@ impl<'a> Simulation<'a> {
         }
 
         self.topo.reset_faults();
+        // The report is the run's memory peak; the event lists are dead.
+        drop(by_deadline);
 
         SimReport::build(
             sched.name(),
@@ -605,6 +630,21 @@ mod tests {
         assert_eq!(rep.flow_outcomes[0].delivered, 0.0);
         assert_eq!(rep.tasks_completed, 0);
         assert!(!rep.truncated);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid workload: task 1 arrivals out of order")]
+    fn out_of_order_workload_is_refused() {
+        // Checked in release builds too: the live list is only ascending
+        // by id if tasks arrive in id order.
+        let topo = dumbbell(2, 2, GBPS);
+        let mut wl = Workload::from_tasks(vec![
+            (0.0, 10.0, vec![(0, 2, GBPS / 10.0)]),
+            (0.5, 10.0, vec![(1, 3, GBPS / 10.0)]),
+        ]);
+        wl.tasks[1].arrival = -1.0;
+        wl.flows[1].arrival = -1.0;
+        let _ = Simulation::new(&topo, &wl, SimConfig::default());
     }
 
     #[test]

@@ -40,7 +40,8 @@ pub trait Scheduler {
     /// A task (and all of its flows) just arrived.
     fn on_task_arrival(&mut self, ctx: &mut SimCtx<'_>, task: TaskId);
 
-    /// A flow just delivered its last byte.
+    /// A flow just delivered its last byte. It is already terminal: its
+    /// rate is zero and its route released.
     fn on_flow_completed(&mut self, _ctx: &mut SimCtx<'_>, _flow: FlowId) {}
 
     /// A live flow's deadline just expired.

@@ -60,7 +60,7 @@ pub struct FlowRt {
     /// Current lifecycle state.
     pub status: FlowStatus,
     /// Route assigned by the scheduler (must be set before the flow can
-    /// receive a nonzero rate).
+    /// receive a nonzero rate). Released when the flow turns terminal.
     pub route: Option<Path>,
     /// Current fluid transmission rate, bytes per second.
     pub rate: f64,
@@ -86,6 +86,16 @@ impl FlowRt {
             finish: None,
             missed_deadline: false,
         }
+    }
+
+    /// Moves the flow to the terminal `status`: it stops transmitting
+    /// and releases its route, so a run holds paths for in-flight flows
+    /// only (nothing reads the route of a finished flow).
+    pub(crate) fn retire(&mut self, status: FlowStatus) {
+        debug_assert!(status.is_terminal());
+        self.status = status;
+        self.rate = 0.0;
+        self.route = None;
     }
 
     /// Bytes still to deliver.

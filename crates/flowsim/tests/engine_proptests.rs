@@ -4,12 +4,17 @@
 //! scheduler does within its contract, the engine must conserve bytes,
 //! never oversubscribe a link (the engine's own validator is armed), and
 //! terminate.
+//!
+//! Every run goes through [`LiveSetCheck`], which compares the engine's
+//! incrementally maintained live-flow list against a scan of the whole
+//! flow array at every scheduler callback.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use taps_flowsim::{
-    DeadlineAction, FlowId, FlowStatus, Scheduler, SimConfig, SimCtx, Simulation, TaskId, Workload,
+    DeadlineAction, FaultEvent, FaultKind, FlowId, FlowStatus, Scheduler, SimConfig, SimCtx,
+    Simulation, TaskId, TaskStatus, Workload,
 };
 use taps_topology::build::{dumbbell, single_rooted, GBPS};
 
@@ -18,6 +23,10 @@ struct Chaos {
     rng: StdRng,
     reject_prob: f64,
     continue_prob: f64,
+    /// Per arrival: preempt one earlier, still admitted task.
+    discard_prob: f64,
+    /// Per live flow and rate assignment: terminate it early.
+    terminate_prob: f64,
 }
 
 impl Chaos {
@@ -26,6 +35,8 @@ impl Chaos {
             rng: StdRng::seed_from_u64(seed),
             reject_prob,
             continue_prob,
+            discard_prob: 0.0,
+            terminate_prob: 0.0,
         }
     }
 }
@@ -36,7 +47,15 @@ impl Scheduler for Chaos {
     }
 
     fn on_task_arrival(&mut self, ctx: &mut SimCtx<'_>, task: TaskId) {
-        if self.rng.gen_bool(self.reject_prob) {
+        if task > 0 && self.rng.gen_bool(self.discard_prob) {
+            let victim = self.rng.gen_range(0..task);
+            if ctx.task(victim).status == TaskStatus::Admitted {
+                ctx.discard_task(victim);
+            }
+        }
+        // ECMP routing panics on a disconnected pair, so arrivals during
+        // an outage are turned away.
+        if !ctx.topo().all_up() || self.rng.gen_bool(self.reject_prob) {
             ctx.reject_task(task);
             return;
         }
@@ -56,7 +75,14 @@ impl Scheduler for Chaos {
     fn assign_rates(&mut self, ctx: &mut SimCtx<'_>) {
         // Random share of each flow's fair share: never oversubscribes
         // because the shares are scaled by the per-link flow counts.
-        let live: Vec<FlowId> = ctx.live_flow_ids().collect();
+        let mut live: Vec<FlowId> = ctx.live_flow_ids().collect();
+        live.retain(|&fid| {
+            let kill = self.rng.gen_bool(self.terminate_prob);
+            if kill {
+                ctx.terminate_flow(fid);
+            }
+            !kill
+        });
         if live.is_empty() {
             return;
         }
@@ -82,6 +108,73 @@ impl Scheduler for Chaos {
                 ctx.set_rate(fid, fair * frac);
             }
         }
+    }
+}
+
+/// Differential check of the engine's live-flow list: before and after
+/// every callback of the wrapped scheduler, `live_flow_ids()` must read
+/// exactly like a scan of the full flow array, and every terminal flow
+/// must have stopped and released its route.
+struct LiveSetCheck<S>(S);
+
+fn assert_live_view(ctx: &SimCtx<'_>) {
+    let listed: Vec<FlowId> = ctx.live_flow_ids().collect();
+    let scanned: Vec<FlowId> = ctx
+        .flows()
+        .iter()
+        .enumerate()
+        .filter(|(_, f)| f.status.is_live())
+        .map(|(fid, _)| fid)
+        .collect();
+    assert_eq!(listed, scanned, "live list diverged at t={}", ctx.now());
+    for (fid, f) in ctx.flows().iter().enumerate() {
+        if f.status.is_terminal() {
+            assert!(
+                f.route.is_none() && f.rate == 0.0,
+                "terminal flow {fid} still holds a route or a rate"
+            );
+        }
+    }
+}
+
+impl<S: Scheduler> Scheduler for LiveSetCheck<S> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn on_task_arrival(&mut self, ctx: &mut SimCtx<'_>, task: TaskId) {
+        assert_live_view(ctx);
+        self.0.on_task_arrival(ctx, task);
+        assert_live_view(ctx);
+    }
+
+    fn on_flow_completed(&mut self, ctx: &mut SimCtx<'_>, flow: FlowId) {
+        assert_live_view(ctx);
+        self.0.on_flow_completed(ctx, flow);
+        assert_live_view(ctx);
+    }
+
+    fn on_flow_deadline(&mut self, ctx: &mut SimCtx<'_>, flow: FlowId) -> DeadlineAction {
+        assert_live_view(ctx);
+        let action = self.0.on_flow_deadline(ctx, flow);
+        assert_live_view(ctx);
+        action
+    }
+
+    fn on_fault(&mut self, ctx: &mut SimCtx<'_>, event: &FaultEvent) {
+        assert_live_view(ctx);
+        self.0.on_fault(ctx, event);
+        assert_live_view(ctx);
+    }
+
+    fn assign_rates(&mut self, ctx: &mut SimCtx<'_>) {
+        assert_live_view(ctx);
+        self.0.assign_rates(ctx);
+        assert_live_view(ctx);
+    }
+
+    fn next_wake(&mut self, now: f64) -> Option<f64> {
+        self.0.next_wake(now)
     }
 }
 
@@ -117,11 +210,28 @@ proptest! {
         seed in 0u64..1_000,
         reject in 0.0f64..0.5,
         cont in 0.0f64..1.0,
+        discard in 0.0f64..0.3,
+        terminate in 0.0f64..0.05,
+        outage in (0usize..1_000, 0.0f64..0.1, 0.0f64..0.05),
     ) {
         let topo = single_rooted(2, 2, 4, GBPS);
-        let mut chaos = Chaos::new(seed, reject, cont);
-        // validate_capacity on: the engine itself asserts feasibility.
-        let rep = Simulation::new(&topo, &wl, SimConfig::default()).run(&mut chaos);
+        let mut chaos = LiveSetCheck(Chaos {
+            discard_prob: discard,
+            terminate_prob: terminate,
+            ..Chaos::new(seed, reject, cont)
+        });
+        // One cable fails mid-run and is repaired later.
+        let (link, down_at, down_for) = outage;
+        let (link, _) = topo.links().nth(link % topo.num_links()).expect("index in range");
+        let cfg = SimConfig {
+            faults: vec![
+                FaultEvent { time: down_at, kind: FaultKind::LinkDown(link) },
+                FaultEvent { time: down_at + down_for, kind: FaultKind::LinkUp(link) },
+            ],
+            // validate_capacity on: the engine itself asserts feasibility.
+            ..SimConfig::default()
+        };
+        let rep = Simulation::new(&topo, &wl, cfg).run(&mut chaos);
         prop_assert!(!rep.truncated, "chaos run must terminate naturally");
         prop_assert_eq!(rep.flows_total, wl.num_flows());
         // Byte conservation per flow.
@@ -150,7 +260,7 @@ proptest! {
         // A flow cannot finish faster than its size over the line rate,
         // counting from its arrival.
         let topo = dumbbell(8, 8, GBPS);
-        let mut chaos = Chaos::new(seed, 0.1, 0.5);
+        let mut chaos = LiveSetCheck(Chaos::new(seed, 0.1, 0.5));
         let rep = Simulation::new(&topo, &wl, SimConfig::default()).run(&mut chaos);
         for o in &rep.flow_outcomes {
             if let Some(fin) = o.finish {
@@ -170,7 +280,7 @@ proptest! {
         // With Continue-probability 0, no flow may deliver anything
         // after its deadline: delivered <= capacity x (deadline-arrival).
         let topo = dumbbell(8, 8, GBPS);
-        let mut chaos = Chaos::new(seed, 0.0, 0.0);
+        let mut chaos = LiveSetCheck(Chaos::new(seed, 0.0, 0.0));
         let rep = Simulation::new(&topo, &wl, SimConfig::default()).run(&mut chaos);
         for o in &rep.flow_outcomes {
             let spec = &wl.flows[o.flow];

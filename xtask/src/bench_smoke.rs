@@ -16,9 +16,19 @@
 //! configuration must reproduce the same `schedule_fingerprint` — the
 //! shard-determinism gate (shard count and thread interleaving must
 //! never leak into the schedule).
+//!
+//! Last, the flowsim linearity gate ([`run_linearity`]): a `Taps` round
+//! of the benchmark's `sim_taps_k8` shape is timed at 1 000 and at 4 000
+//! tasks, and seconds-per-1 000-tasks may grow by at most 2x. The
+//! engine walks only the flows in flight, so the figure is flat (0.9x);
+//! when it scanned every flow of the workload per event it grew 15x
+//! (EXPERIMENTS.md, "Flowsim engine scaling").
 
 use std::path::Path;
 use std::process::Command;
+use std::time::Instant;
+
+use taps::prelude::*;
 
 /// One gate violation, human-readable.
 pub struct Failure {
@@ -46,6 +56,73 @@ pub struct ShardedRow {
     pub speedup_sharded: f64,
     /// Flow allocations committed per second of sharded wall-clock.
     pub admissions_per_sec: f64,
+}
+
+/// Seconds per 1 000 tasks of the two timed flowsim rounds.
+pub struct LinearityRow {
+    /// At [`LINEARITY_TASKS`]`.0` tasks.
+    pub short: f64,
+    /// At [`LINEARITY_TASKS`]`.1` tasks.
+    pub long: f64,
+}
+
+/// Round lengths the linearity gate compares.
+pub const LINEARITY_TASKS: (usize, usize) = (1_000, 4_000);
+
+/// Largest allowed growth of seconds-per-1 000-tasks between the two.
+pub const LINEARITY_MAX_GROWTH: f64 = 2.0;
+
+/// Best-of-three seconds per 1 000 tasks of one `Taps` round of the
+/// `sim_taps_k8` shape (`fat_tree(8)`, Poisson 300 tasks/s, ~16 flows
+/// per task, capacity validation on) cut to `tasks` tasks.
+fn sim_seconds_per_1000(topo: &Topology, tasks: usize) -> f64 {
+    let wl = WorkloadConfig {
+        num_tasks: tasks,
+        mean_flows_per_task: 16.0,
+        sd_flows_per_task: 4.0,
+        arrival_rate: 300.0,
+        ..WorkloadConfig::paper_multi_rooted(topo.num_hosts(), 1)
+    }
+    .generate();
+    let best = (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            let rep = Simulation::new(topo, &wl, SimConfig::default()).run(&mut Taps::new());
+            std::hint::black_box(rep);
+            start.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min);
+    best * 1_000.0 / tasks as f64
+}
+
+/// Times the two rounds and checks the gate.
+pub fn run_linearity() -> (LinearityRow, Vec<Failure>) {
+    let topo = fat_tree(8, GBPS);
+    let row = LinearityRow {
+        short: sim_seconds_per_1000(&topo, LINEARITY_TASKS.0),
+        long: sim_seconds_per_1000(&topo, LINEARITY_TASKS.1),
+    };
+    let mut failures = Vec::new();
+    check_linearity(&row, &mut failures);
+    (row, failures)
+}
+
+/// The linearity gate itself, separated from the timing for unit testing.
+pub fn check_linearity(row: &LinearityRow, failures: &mut Vec<Failure>) {
+    if row.long > LINEARITY_MAX_GROWTH * row.short {
+        failures.push(Failure {
+            what: format!(
+                "flowsim: {:.3} s per 1 000 tasks at {} tasks, {:.3} at {} ({:.1}x > {:.1}x): \
+                 per-event cost grows with the length of the round",
+                row.short,
+                LINEARITY_TASKS.0,
+                row.long,
+                LINEARITY_TASKS.1,
+                row.long / row.short,
+                LINEARITY_MAX_GROWTH
+            ),
+        });
+    }
 }
 
 /// Smoke arguments shared by both invocations of the determinism pair:
@@ -386,6 +463,30 @@ mod tests {
         let mut failures = Vec::new();
         assert!(check_sharded(&serde_json::Value::Object(Vec::new()), &mut failures).is_none());
         assert_eq!(failures.len(), 1);
+    }
+
+    #[test]
+    fn flat_or_shrinking_cost_per_task_passes_linearity() {
+        let mut failures = Vec::new();
+        for (short, long) in [(0.18, 0.14), (0.10, 0.19)] {
+            check_linearity(&LinearityRow { short, long }, &mut failures);
+        }
+        assert!(failures.is_empty(), "{}", failures[0].what);
+    }
+
+    #[test]
+    fn growing_cost_per_task_fails_linearity() {
+        let mut failures = Vec::new();
+        // The full-array-scan engine: 0.39 s -> 5.86 s per 1 000 tasks.
+        check_linearity(
+            &LinearityRow {
+                short: 0.39,
+                long: 5.86,
+            },
+            &mut failures,
+        );
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].what.contains("15.0x > 2.0x"));
     }
 
     #[test]

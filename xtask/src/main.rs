@@ -9,7 +9,9 @@
 //!   channels + link outage + controller crash/failover per seed, with
 //!   safety and bit-identical-determinism assertions (DESIGN.md §10).
 //! * `bench-smoke` — run `bench_admission` with a tiny config in release
-//!   mode and fail on any admission hot-path regression (DESIGN.md §12).
+//!   mode and fail on any admission hot-path regression (DESIGN.md §12),
+//!   then time a flowsim round at 1 000 and 4 000 tasks and fail if the
+//!   cost per task grows with the round.
 //! * `soak` — run the deterministic live-service soak gate: overload
 //!   burst, shedding audit, byte-identical double runs (DESIGN.md §15).
 //! * `scenarios` — replay the golden scenario matrix (weighted,
@@ -64,7 +66,9 @@ tasks:
                      is slower than legacy (speedup_p50 < 1.0) at any k, if the
                      sharded k=32 section is slower than per-task sequential
                      admission, if any schedule diverged, or if a rerun of the
-                     sharded configuration changes the schedule fingerprint
+                     sharded configuration changes the schedule fingerprint;
+                     then times a flowsim Taps round at 1 000 and 4 000 tasks and
+                     fails if seconds-per-1 000-tasks grows by more than 2x
   soak [--small]     deterministic live-service soak gate (DESIGN.md §15): two
                      seeds, paper-scale k=16 fat-tree, overload burst phase;
                      asserts zero invariant violations, byte-identical double
@@ -176,7 +180,9 @@ fn trace() -> ExitCode {
 
 fn bench_smoke() -> ExitCode {
     let root = workspace_root();
-    let (rows, sharded, failures) = xtask::bench_smoke::run(&root);
+    let (rows, sharded, mut failures) = xtask::bench_smoke::run(&root);
+    let (linearity, nonlinear) = xtask::bench_smoke::run_linearity();
+    failures.extend(nonlinear);
     for r in &rows {
         println!(
             "xtask bench-smoke: k={} fast {:.1}x, delta {:.1}x over legacy p50",
@@ -190,8 +196,16 @@ fn bench_smoke() -> ExitCode {
             s.k, s.speedup_batched, s.speedup_sharded, s.admissions_per_sec
         );
     }
+    println!(
+        "xtask bench-smoke: flowsim {:.3} s per 1 000 tasks at {} tasks, {:.3} at {} ({:.1}x)",
+        linearity.short,
+        xtask::bench_smoke::LINEARITY_TASKS.0,
+        linearity.long,
+        xtask::bench_smoke::LINEARITY_TASKS.1,
+        linearity.long / linearity.short
+    );
     if failures.is_empty() {
-        println!("xtask bench-smoke: clean (no admission hot-path regression)");
+        println!("xtask bench-smoke: clean (no admission hot-path regression, flowsim linear)");
         ExitCode::SUCCESS
     } else {
         for f in &failures {
