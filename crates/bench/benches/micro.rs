@@ -1,10 +1,12 @@
 //! Criterion micro-benchmarks for the hot paths of the reproduction:
 //! the interval algebra, the max-min water-filling, TAPS admission
-//! (Alg. 1–3), path enumeration and end-to-end simulation runs. These
-//! quantify the controller-side cost the paper argues is affordable.
+//! (Alg. 1–3), path enumeration, end-to-end simulation runs and one
+//! controller probe on top of a growing history. These quantify the
+//! controller-side cost the paper argues is affordable.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use taps_baselines::max_min_rates;
+use taps_bench::history::AgedController;
 use taps_core::oracle::naive_batch;
 use taps_core::{FlowDemand, SlotAllocator, Taps, TapsConfig};
 use taps_flowsim::{SimConfig, Simulation};
@@ -244,6 +246,24 @@ fn bench_flowsim_round(c: &mut Criterion) {
     g.finish();
 }
 
+/// One controller probe against the same ≈200 flows in flight, on top
+/// of a registry that remembers 0, 5 000 or 20 000 retired flows (an
+/// iteration is the probe plus the TERMs that restore the in-flight
+/// set): time must stay flat, since the probe path iterates the
+/// in-flight index only.
+fn bench_sdn_handle_probe(c: &mut Criterion) {
+    let mut g = c.benchmark_group("sdn/handle_probe");
+    g.sample_size(10);
+    let topo = fat_tree(16, GBPS);
+    for retired in [0usize, 5_000, 20_000] {
+        g.bench_with_input(BenchmarkId::new("history", retired), &retired, |b, &n| {
+            let mut aged = AgedController::new(&topo, n);
+            b.iter(|| black_box(aged.probe_and_retire()));
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_interval_set,
@@ -253,6 +273,7 @@ criterion_group!(
     bench_path_enumeration,
     bench_end_to_end_sim,
     bench_taps_full_run_slot_sensitivity,
-    bench_flowsim_round
+    bench_flowsim_round,
+    bench_sdn_handle_probe
 );
 criterion_main!(benches);

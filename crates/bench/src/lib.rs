@@ -10,6 +10,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod history;
+
 use taps_baselines::{Baraat, D2tcp, FairSharing, Pdq, Varys, D3};
 use taps_core::{RejectPolicy, Taps, TapsConfig};
 use taps_flowsim::{Scheduler, SimConfig, SimReport, Simulation, Workload};

@@ -7,6 +7,7 @@ use crate::obs::obs_event;
 #[cfg(feature = "obs")]
 use crate::obs::obs_id;
 use crate::switch::{FlowEntry, FlowTable, TableError};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use taps_core::{AllocEngine, AllocError, DeltaCache, FlowAlloc, FlowDemand, RejectPolicy};
 use taps_topology::Topology;
@@ -116,6 +117,119 @@ struct FlowReg {
     done: bool,
 }
 
+impl FlowReg {
+    /// The record of a flow first heard of through its scheduling
+    /// header, `delivered` bytes into its transfer.
+    fn fresh(p: &ProbeHeader, delivered: f64) -> FlowReg {
+        FlowReg {
+            task: p.task,
+            src: p.src,
+            dst: p.dst,
+            size: p.size,
+            delivered,
+            deadline: p.deadline,
+            done: false,
+        }
+    }
+}
+
+/// One in-flight (registered, not done) flow, as Alg. 1 orders it and
+/// Alg. 2/3 consume it.
+#[derive(Clone, Debug, PartialEq)]
+struct InFlight {
+    id: usize,
+    task: usize,
+    src: usize,
+    dst: usize,
+    /// `size - delivered`, unclamped: the SJF key (the demand handed to
+    /// Alg. 2/3 is this clamped to at least one byte).
+    remaining: f64,
+    deadline: f64,
+}
+
+impl InFlight {
+    fn of(id: usize, r: &FlowReg) -> InFlight {
+        InFlight {
+            id,
+            task: r.task,
+            src: r.src,
+            dst: r.dst,
+            remaining: r.size - r.delivered,
+            deadline: r.deadline,
+        }
+    }
+
+    /// F_tmp's order: EDF, then SJF, then flow id (`total_cmp`: a NaN
+    /// deadline or size can neither panic nor unsort the index).
+    fn order(&self, other: &InFlight) -> Ordering {
+        self.deadline
+            .total_cmp(&other.deadline)
+            .then_with(|| self.remaining.total_cmp(&other.remaining))
+            .then_with(|| self.id.cmp(&other.id))
+    }
+}
+
+/// The in-flight index (DESIGN.md §7): every registered flow that is
+/// not done, kept sorted in F_tmp order. It is the only structure the
+/// probe, burst, repack and TERM paths iterate, so one probe costs what
+/// its in-flight set costs however many retired flows the registry
+/// remembers. Invariant: it equals the registry filtered by `!done` and
+/// sorted by [`InFlight::order`] — every registry mutation that inserts
+/// a flow, flips `done` or moves `delivered` updates it in the same
+/// breath.
+#[derive(Debug, Default)]
+struct InFlightIndex {
+    order: Vec<InFlight>,
+}
+
+impl InFlightIndex {
+    fn insert(&mut self, e: InFlight) {
+        let at = self
+            .order
+            .partition_point(|x| x.order(&e) == Ordering::Less);
+        self.order.insert(at, e);
+    }
+
+    /// Removes the entry equal to `key`, which is [`InFlight::of`] the
+    /// flow's current registry record.
+    fn remove(&mut self, key: &InFlight) {
+        match self.order.binary_search_by(|x| x.order(key)) {
+            Ok(at) => {
+                self.order.remove(at);
+            }
+            // lint: panic-ok(invariant: a not-done registry flow is indexed under the key its record yields)
+            Err(_) => unreachable!("in-flight index lost flow {}", key.id),
+        }
+    }
+
+    /// Moves the delivered count of flow `id`, whose registry record is
+    /// `r`, re-keying its entry when the flow is in flight (remaining
+    /// bytes are the SJF key).
+    fn set_delivered(&mut self, id: usize, r: &mut FlowReg, delivered: f64) {
+        if r.done {
+            r.delivered = delivered;
+        } else if delivered.to_bits() != r.delivered.to_bits() {
+            self.remove(&InFlight::of(id, r));
+            r.delivered = delivered;
+            self.insert(InFlight::of(id, r));
+        }
+    }
+
+    /// Removes every entry matching `gone`; returns the removed flow
+    /// ids in index order.
+    fn take_where(&mut self, gone: impl Fn(&InFlight) -> bool) -> Vec<usize> {
+        let mut taken = Vec::new();
+        self.order.retain(|e| {
+            let gone = gone(e);
+            if gone {
+                taken.push(e.id);
+            }
+            !gone
+        });
+        taken
+    }
+}
+
 /// One registered flow inside a [`ControllerCheckpoint`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct CheckpointFlow {
@@ -171,10 +285,17 @@ pub struct Controller<'t> {
     delta: DeltaCache,
     /// Reusable demand buffer for [`Controller::allocate_ftmp`].
     demands: Vec<FlowDemand>,
-    /// Ordered maps: `commit()` and `ftmp` iterate them, and control-
-    /// plane command order must be deterministic (lint rule L1).
+    /// The durable record of every flow ever registered: what
+    /// checkpoints carry, duplicate probes replay against and `resync`
+    /// reconciles with. A `done` flow stays known, so a lossy resync
+    /// cannot resurrect a preempted one. Only `checkpoint` iterates it;
+    /// every other path touches it by key.
     registry: BTreeMap<usize, FlowReg>,
-    /// Committed schedule per flow.
+    /// F_tmp, incrementally maintained.
+    inflight: InFlightIndex,
+    /// Committed schedule per flow. An ordered map: `commit()` walks it
+    /// and control-plane command order must be deterministic (lint rule
+    /// L1).
     schedule: BTreeMap<usize, FlowAlloc>,
     tables: Vec<FlowTable>,
     stats: ControlStats,
@@ -208,6 +329,7 @@ impl<'t> Controller<'t> {
             delta: DeltaCache::new(),
             demands: Vec::new(),
             registry: BTreeMap::new(),
+            inflight: InFlightIndex::default(),
             schedule: BTreeMap::new(),
             tables,
             stats: ControlStats::default(),
@@ -247,6 +369,18 @@ impl<'t> Controller<'t> {
         })
     }
 
+    /// Total slots of a flow's committed grant, if any — what a reply
+    /// summarises, without cloning the grant as [`Self::grant_of`] does.
+    pub fn granted_slots(&self, flow: usize) -> Option<u64> {
+        self.schedule.get(&flow).map(|al| al.slices.total_slots())
+    }
+
+    /// Number of flows in flight (registered, not done): the length of
+    /// F_tmp, which is what one probe's cost follows.
+    pub fn in_flight(&self) -> usize {
+        self.inflight.order.len()
+    }
+
     /// Current controller incarnation.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -263,8 +397,59 @@ impl<'t> Controller<'t> {
     /// reports can only advance the delivered count, never regress it.
     pub fn note_progress(&mut self, flow: usize, delivered: f64) {
         if let Some(r) = self.registry.get_mut(&flow) {
-            r.delivered = r.delivered.max(delivered.min(r.size));
+            let delivered = r.delivered.max(delivered.min(r.size));
+            self.inflight.set_delivered(flow, r, delivered);
         }
+    }
+
+    /// Records `reg` as flow `flow` (replacing any earlier record of
+    /// that id) and indexes it when it is in flight.
+    fn register(&mut self, flow: usize, reg: FlowReg) {
+        let live = (!reg.done).then(|| InFlight::of(flow, &reg));
+        if let Some(old) = self.registry.insert(flow, reg) {
+            if !old.done {
+                self.inflight.remove(&InFlight::of(flow, &old));
+            }
+        }
+        if let Some(e) = live {
+            self.inflight.insert(e);
+        }
+    }
+
+    /// Forgets a flow entirely (a rejected newcomer's, or a rolled-back
+    /// burst's).
+    fn unregister(&mut self, flow: usize) {
+        if let Some(r) = self.registry.remove(&flow) {
+            if !r.done {
+                self.inflight.remove(&InFlight::of(flow, &r));
+            }
+        }
+    }
+
+    /// Marks every in-flight flow of `task` done (preemption, or a task
+    /// given up during recovery): its flows leave F_tmp but stay in the
+    /// registry.
+    fn give_up_task(&mut self, task: usize) {
+        for flow in self.inflight.take_where(|e| e.task == task) {
+            if let Some(r) = self.registry.get_mut(&flow) {
+                r.done = true;
+            }
+        }
+    }
+
+    /// The tasks owning a flow that `allocs` — one tentative pass over
+    /// the in-flight index, hence in its order — lands late, in first-
+    /// miss order.
+    fn late_tasks(&self, allocs: &[FlowAlloc]) -> Vec<usize> {
+        debug_assert_eq!(allocs.len(), self.inflight.order.len());
+        let mut late: Vec<usize> = Vec::new();
+        for (al, e) in allocs.iter().zip(&self.inflight.order) {
+            debug_assert_eq!(al.id, e.id);
+            if !al.on_time && !late.contains(&e.task) {
+                late.push(e.task);
+            }
+        }
+        late
     }
 
     /// Handles a task probe (Fig. 4 steps 2–5): runs Alg. 1 and returns
@@ -301,18 +486,7 @@ impl<'t> Controller<'t> {
 
         // Register the newcomer's flows.
         for p in probes {
-            self.registry.insert(
-                p.flow,
-                FlowReg {
-                    task,
-                    src: p.src,
-                    dst: p.dst,
-                    size: p.size,
-                    delivered: 0.0,
-                    deadline: p.deadline,
-                    done: false,
-                },
-            );
+            self.register(p.flow, FlowReg::fresh(p, 0.0));
         }
 
         // Nothing can be (re)scheduled before the control round trip
@@ -347,15 +521,7 @@ impl<'t> Controller<'t> {
         // Reject rule. A newcomer whose endpoints are disconnected (a
         // link fault severed every candidate path) is rejected outright,
         // whatever the policy — there is nothing to allocate.
-        let mut missing_tasks: Vec<usize> = Vec::new();
-        for al in &tentative {
-            if !al.on_time {
-                let t = self.registry[&al.id].task;
-                if !missing_tasks.contains(&t) {
-                    missing_tasks.push(t);
-                }
-            }
-        }
+        let missing_tasks = self.late_tasks(&tentative);
         let verdict = if newcomer_dead {
             TaskVerdict::Rejected
         } else if self.cfg.policy == RejectPolicy::AlwaysAdmit {
@@ -386,11 +552,7 @@ impl<'t> Controller<'t> {
                     }
                 );
                 obs_event!(&self.trace, now, Admit { task: obs_id(task) });
-                for r in self.registry.values_mut() {
-                    if r.task == *victim {
-                        r.done = true;
-                    }
-                }
+                self.give_up_task(*victim);
                 self.allocate_degrading(start_slot, None).0
             }
             TaskVerdict::Rejected => {
@@ -414,7 +576,7 @@ impl<'t> Controller<'t> {
                     );
                 }
                 for p in probes {
-                    self.registry.remove(&p.flow);
+                    self.unregister(p.flow);
                 }
                 self.allocate_degrading(start_slot, None).0
             }
@@ -517,25 +679,13 @@ impl<'t> Controller<'t> {
                 "burst task ids must be distinct"
             );
             for p in &tasks[i] {
-                self.registry.insert(
-                    p.flow,
-                    FlowReg {
-                        task,
-                        src: p.src,
-                        dst: p.dst,
-                        size: p.size,
-                        delivered: 0.0,
-                        deadline: p.deadline,
-                        done: false,
-                    },
-                );
+                self.register(p.flow, FlowReg::fresh(p, 0.0));
             }
         }
         let start_slot = self
             .engine
             .slot_at(now + self.cfg.control_rtt + self.cfg.grant_fence);
-        let ids = self.ftmp_ids();
-        match self.allocate_ftmp(&ids, start_slot) {
+        match self.allocate_ftmp(start_slot) {
             Ok(allocs) if allocs.iter().all(|al| al.on_time) => {
                 self.stats.probes += fresh.len();
                 for &i in fresh {
@@ -553,7 +703,7 @@ impl<'t> Controller<'t> {
                 // to full passes regardless of cache state.
                 for &i in fresh {
                     for p in &tasks[i] {
-                        self.registry.remove(&p.flow);
+                        self.unregister(p.flow);
                     }
                 }
                 None
@@ -561,45 +711,19 @@ impl<'t> Controller<'t> {
         }
     }
 
-    /// F_tmp: all unfinished registered flows, EDF/SJF order
-    /// (`total_cmp`: a NaN deadline or size cannot panic the sort).
-    fn ftmp_ids(&self) -> Vec<usize> {
-        let reg = &self.registry;
-        let mut ids: Vec<usize> = reg
-            .iter()
-            .filter(|(_, r)| !r.done)
-            .map(|(&id, _)| id)
-            .collect();
-        ids.sort_by(|&a, &b| {
-            let ra = &reg[&a];
-            let rb = &reg[&b];
-            ra.deadline
-                .total_cmp(&rb.deadline)
-                .then_with(|| (ra.size - ra.delivered).total_cmp(&(rb.size - rb.delivered)))
-                .then_with(|| a.cmp(&b))
-        });
-        ids
-    }
-
-    /// One tentative Alg. 2/3 run over the given flows from a clean
-    /// occupancy state.
-    fn allocate_ftmp(
-        &mut self,
-        ids: &[usize],
-        start_slot: u64,
-    ) -> Result<Vec<FlowAlloc>, AllocError> {
-        let registry = &self.registry;
+    /// One tentative Alg. 2/3 run over F_tmp — the in-flight index, in
+    /// its order — from a clean occupancy state. The allocations come
+    /// back in that same order.
+    fn allocate_ftmp(&mut self, start_slot: u64) -> Result<Vec<FlowAlloc>, AllocError> {
         self.demands.clear();
-        self.demands.extend(ids.iter().map(|&id| {
-            let r = &registry[&id];
-            FlowDemand {
-                id,
-                src: r.src,
-                dst: r.dst,
-                remaining: (r.size - r.delivered).max(1.0),
-                deadline: r.deadline,
-            }
-        }));
+        self.demands
+            .extend(self.inflight.order.iter().map(|e| FlowDemand {
+                id: e.id,
+                src: e.src,
+                dst: e.dst,
+                remaining: e.remaining.max(1.0),
+                deadline: e.deadline,
+            }));
         // Delta re-allocation: resets occupancy itself and translates
         // flows undisturbed since the previous pass — bit-identical to a
         // full `allocate_batch` (cross-checked in debug builds).
@@ -621,8 +745,7 @@ impl<'t> Controller<'t> {
         let mut newcomer_dead = false;
         // lint: l5-ok(each iteration gives up one disconnected task, so at most one pass per registered task)
         loop {
-            let ids = self.ftmp_ids();
-            match self.allocate_ftmp(&ids, start_slot) {
+            match self.allocate_ftmp(start_slot) {
                 Ok(allocs) => return (allocs, newcomer_dead),
                 Err(AllocError::Disconnected { flow }) => {
                     let t = self.registry[&flow].task;
@@ -631,11 +754,7 @@ impl<'t> Controller<'t> {
                     } else {
                         self.stats.failed_tasks += 1;
                     }
-                    for r in self.registry.values_mut() {
-                        if r.task == t {
-                            r.done = true;
-                        }
-                    }
+                    self.give_up_task(t);
                 }
             }
         }
@@ -717,23 +836,11 @@ impl<'t> Controller<'t> {
                 // Reject rule, degraded: every task that would miss its
                 // deadline on the surviving paths is preempted so the
                 // rest stay on time.
-                let mut doomed: Vec<usize> = Vec::new();
-                for al in &allocs {
-                    if !al.on_time {
-                        let t = self.registry[&al.id].task;
-                        if !doomed.contains(&t) {
-                            doomed.push(t);
-                        }
-                    }
-                }
+                let doomed = self.late_tasks(&allocs);
                 if !doomed.is_empty() {
                     for t in doomed {
                         self.stats.failed_tasks += 1;
-                        for r in self.registry.values_mut() {
-                            if r.task == t {
-                                r.done = true;
-                            }
-                        }
+                        self.give_up_task(t);
                     }
                     continue;
                 }
@@ -756,7 +863,10 @@ impl<'t> Controller<'t> {
         let _ = now;
         self.stats.terms += 1;
         if let Some(r) = self.registry.get_mut(&flow) {
-            r.done = true;
+            if !r.done {
+                self.inflight.remove(&InFlight::of(flow, r));
+                r.done = true;
+            }
             r.delivered = r.size;
         }
         let mut cmds = Vec::new();
@@ -861,7 +971,7 @@ impl<'t> Controller<'t> {
         c.epoch = ckpt.epoch + 1;
         c.gen = ckpt.gen;
         for f in &ckpt.flows {
-            c.registry.insert(
+            c.register(
                 f.flow,
                 FlowReg {
                     task: f.task,
@@ -894,26 +1004,19 @@ impl<'t> Controller<'t> {
             listed.push(p.flow);
             if let Some(r) = self.registry.get_mut(&p.flow) {
                 if !r.done {
-                    r.delivered = r.delivered.max((r.size - remaining).max(0.0));
+                    let delivered = r.delivered.max((r.size - remaining).max(0.0));
+                    self.inflight.set_delivered(p.flow, r, delivered);
                 }
             } else {
-                self.registry.insert(
-                    p.flow,
-                    FlowReg {
-                        task: p.task,
-                        src: p.src,
-                        dst: p.dst,
-                        size: p.size,
-                        delivered: (p.size - remaining).max(0.0),
-                        deadline: p.deadline,
-                        done: false,
-                    },
-                );
+                self.register(p.flow, FlowReg::fresh(p, (p.size - remaining).max(0.0)));
                 self.decided.entry(p.task).or_insert(TaskVerdict::Accepted);
             }
         }
-        for (&flow, r) in self.registry.iter_mut() {
-            if r.src == host && !r.done && !listed.contains(&flow) {
+        let finished = self
+            .inflight
+            .take_where(|e| e.src == host && !listed.contains(&e.id));
+        for flow in finished {
+            if let Some(r) = self.registry.get_mut(&flow) {
                 r.done = true;
                 r.delivered = r.size;
             }
@@ -979,12 +1082,18 @@ impl<'t> Controller<'t> {
             assert!(report.is_clean(), "{report}");
         }
         let mut cmds = Vec::new();
-        // Withdraw entries of flows whose path changed or disappeared.
-        let new: BTreeMap<usize, &FlowAlloc> = allocs.iter().map(|al| (al.id, al)).collect();
-        let stale: Vec<usize> = self
-            .schedule
+        // Withdraw entries of flows whose path changed or disappeared:
+        // every committed flow that does not keep its path, ascending id.
+        let schedule = &self.schedule;
+        let mut kept: Vec<usize> = allocs
+            .iter()
+            .filter(|al| schedule.get(&al.id).is_some_and(|old| old.path == al.path))
+            .map(|al| al.id)
+            .collect();
+        kept.sort_unstable();
+        let stale: Vec<usize> = schedule
             .keys()
-            .filter(|id| new.get(id).map(|al| &al.path) != self.schedule.get(id).map(|al| &al.path))
+            .filter(|id| kept.binary_search(id).is_err())
             .copied()
             .collect();
         for id in stale {
@@ -1454,5 +1563,272 @@ mod tests {
         let a = Controller::restore(&topo, cfg_unit(), &full);
         let b = Controller::restore(&topo, cfg_unit(), &merge_checkpoints(&shards));
         assert_eq!(a.checkpoint(), b.checkpoint());
+    }
+
+    /// What the in-flight index replaced, kept as its oracle: the
+    /// registry filtered by `!done`, sorted EDF → SJF → id with
+    /// `total_cmp` — the former `ftmp_ids()` walk and lookup-sort.
+    fn ftmp_by_definition(c: &Controller<'_>) -> Vec<InFlight> {
+        let mut v: Vec<InFlight> = c
+            .registry
+            .iter()
+            .filter(|(_, r)| !r.done)
+            .map(|(&id, r)| InFlight::of(id, r))
+            .collect();
+        v.sort_by(|a, b| {
+            a.deadline
+                .total_cmp(&b.deadline)
+                .then_with(|| a.remaining.total_cmp(&b.remaining))
+                .then_with(|| a.id.cmp(&b.id))
+        });
+        v
+    }
+
+    /// Asserts the index equals its definition, and that the task
+    /// membership it carries equals a brute-force registry scan.
+    fn assert_index_is_the_definition(c: &Controller<'_>, after: &str) {
+        assert_eq!(
+            c.inflight.order,
+            ftmp_by_definition(c),
+            "in-flight index diverged from the registry after {after}"
+        );
+        let mut indexed: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for e in &c.inflight.order {
+            indexed.entry(e.task).or_default().push(e.id);
+        }
+        indexed.values_mut().for_each(|flows| flows.sort_unstable());
+        let mut scanned: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (&flow, r) in c.registry.iter().filter(|(_, r)| !r.done) {
+            scanned.entry(r.task).or_default().push(flow);
+        }
+        assert_eq!(indexed, scanned, "task membership diverged after {after}");
+    }
+
+    /// Which outcomes a random history reached (the coverage witness of
+    /// [`random_history`]).
+    #[derive(Debug, Default)]
+    struct Reached {
+        accepted: usize,
+        rejected: usize,
+        preempted: usize,
+        clean_bursts: usize,
+        fallback_bursts: usize,
+        terms_of_live_flows: usize,
+        rekeyed: usize,
+        given_up: usize,
+        failovers: usize,
+        resync_finished: usize,
+        reused_flow_ids: usize,
+    }
+
+    /// Drives one controller through a seeded random history of every
+    /// operation that can change the in-flight set, checking the index
+    /// against its definition after each; what it reached is added to
+    /// `reached`.
+    fn random_history(seed: u64, ops: usize, reached: &mut Reached) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        // A single-cable dumbbell disconnects under a fault; the
+        // fat-tree re-routes.
+        let topo = if seed.is_multiple_of(2) {
+            dumbbell(3, 3, GBPS)
+        } else {
+            fat_tree(4, GBPS)
+        };
+        let hosts = topo.num_hosts();
+        let cables: Vec<taps_topology::LinkId> = topo
+            .links()
+            .filter(|(_, l)| topo.node(l.src).kind.is_switch() && topo.node(l.dst).kind.is_switch())
+            .map(|(id, _)| id)
+            .collect();
+        let mut down: Vec<taps_topology::LinkId> = Vec::new();
+        let mut c = Controller::new(&topo, cfg_unit());
+        let (mut next_task, mut next_flow) = (0usize, 0usize);
+        let mut now = 0.0f64;
+
+        // A fresh task of 1–3 flows; sizes and deadlines come from small
+        // sets so EDF and SJF ties (decided by flow id) are common.
+        let new_task = |rng: &mut StdRng,
+                        now: f64,
+                        next_task: &mut usize,
+                        next_flow: &mut usize,
+                        reached: &mut Reached| {
+            let task = *next_task;
+            *next_task += 1;
+            let deadline = now.floor() + f64::from(rng.gen_range(2u32..9));
+            (0..rng.gen_range(1usize..4))
+                .map(|_| {
+                    let src = rng.gen_range(0..hosts);
+                    let dst = (src + rng.gen_range(1..hosts)) % hosts;
+                    // Outside input may reuse a flow id; the newer record
+                    // replaces the older one.
+                    let flow = if *next_flow > 0 && rng.gen_bool(0.05) {
+                        reached.reused_flow_ids += 1;
+                        rng.gen_range(0..*next_flow)
+                    } else {
+                        *next_flow += 1;
+                        *next_flow - 1
+                    };
+                    let size = f64::from(rng.gen_range(1u32..4)) * GBPS;
+                    probe(task, flow, src, dst, size, deadline)
+                })
+                .collect::<Vec<ProbeHeader>>()
+        };
+
+        for _ in 0..ops {
+            now += rng.gen_range(0.0..0.7);
+            let what = match rng.gen_range(0u32..100) {
+                0..=39 => {
+                    let probes = if next_task > 0 && rng.gen_bool(0.1) {
+                        // A duplicate delivery of a decided task.
+                        let task = rng.gen_range(0..next_task);
+                        vec![probe(
+                            task,
+                            rng.gen_range(0..next_flow),
+                            0,
+                            1,
+                            GBPS,
+                            now + 4.0,
+                        )]
+                    } else {
+                        new_task(&mut rng, now, &mut next_task, &mut next_flow, reached)
+                    };
+                    match c.handle_probe(now, &probes).0 {
+                        TaskVerdict::Accepted => reached.accepted += 1,
+                        TaskVerdict::AcceptedWithPreemption(_) => reached.preempted += 1,
+                        TaskVerdict::Rejected => reached.rejected += 1,
+                    }
+                    "handle_probe"
+                }
+                40..=49 => {
+                    let burst: Vec<Vec<ProbeHeader>> = (0..rng.gen_range(2usize..5))
+                        .map(|_| new_task(&mut rng, now, &mut next_task, &mut next_flow, reached))
+                        .collect();
+                    let (results, _) = c.handle_probe_burst(now, &burst);
+                    if results.iter().all(|(v, _)| *v == TaskVerdict::Accepted) {
+                        reached.clean_bursts += 1;
+                    } else {
+                        reached.fallback_bursts += 1;
+                    }
+                    "handle_probe_burst"
+                }
+                50..=64 if next_flow > 0 => {
+                    // Known, finished and never-seen flows alike.
+                    let flow = rng.gen_range(0..next_flow + 2);
+                    if c.registry.get(&flow).is_some_and(|r| !r.done) {
+                        reached.terms_of_live_flows += 1;
+                    }
+                    c.handle_term(now, flow);
+                    "handle_term"
+                }
+                65..=79 if next_flow > 0 => {
+                    let flow = rng.gen_range(0..next_flow + 2);
+                    let before = c.inflight.order.clone();
+                    // Stale (lower) and overshooting reports included.
+                    c.note_progress(flow, rng.gen_range(0.0..4.0) * GBPS);
+                    if c.inflight.order != before {
+                        reached.rekeyed += 1;
+                    }
+                    "note_progress"
+                }
+                80..=89 => {
+                    let failed = c.stats().failed_tasks;
+                    if !down.is_empty() && rng.gen_bool(0.6) {
+                        let link = down.swap_remove(rng.gen_range(0..down.len()));
+                        c.handle_link_event(now, LinkEvent::LinkUp { link });
+                    } else {
+                        let link = cables[rng.gen_range(0..cables.len())];
+                        if !down.contains(&link) {
+                            down.push(link);
+                        }
+                        c.handle_link_event(now, LinkEvent::LinkDown { link });
+                    }
+                    reached.given_up += c.stats().failed_tasks - failed;
+                    "handle_link_event"
+                }
+                90..=94 => {
+                    // Failover: checkpoint → restore → resync → repack.
+                    let ckpt = c.checkpoint();
+                    c = Controller::restore(&topo, cfg_unit(), &ckpt);
+                    assert_index_is_the_definition(&c, "restore");
+                    for host in 0..hosts {
+                        // The server lists most of its live flows (a
+                        // missing one finished there) with fresher
+                        // progress, plus now and then one the checkpoint
+                        // never saw.
+                        let mut report: Vec<(ProbeHeader, f64)> = Vec::new();
+                        for f in ckpt.flows.iter().filter(|f| f.src == host && !f.done) {
+                            if rng.gen_bool(0.8) {
+                                let left = (f.size - f.delivered) * rng.gen_range(0.0..1.2);
+                                let p = probe(f.task, f.flow, f.src, f.dst, f.size, f.deadline);
+                                report.push((p, left));
+                            } else {
+                                reached.resync_finished += 1;
+                            }
+                        }
+                        if rng.gen_bool(0.1) {
+                            let dst = (host + 1) % hosts;
+                            let p = probe(next_task, next_flow, host, dst, 2.0 * GBPS, now + 6.0);
+                            next_task += 1;
+                            next_flow += 1;
+                            report.push((p, GBPS));
+                        }
+                        c.resync(host, &report);
+                        assert_index_is_the_definition(&c, "resync");
+                        // The sweep the index took over from the registry
+                        // walk: an unlisted live flow of this host is done.
+                        assert!(c.registry.iter().all(|(flow, r)| r.done
+                            || r.src != host
+                            || report.iter().any(|(p, _)| p.flow == *flow)));
+                    }
+                    c.reallocate_all(now);
+                    reached.failovers += 1;
+                    "reallocate_all"
+                }
+                _ => {
+                    c.reallocate_all(now);
+                    "reallocate_all"
+                }
+            };
+            assert_index_is_the_definition(&c, what);
+        }
+    }
+
+    /// The histories above are only a witness if they reach every way a
+    /// flow enters, leaves or re-keys.
+    #[test]
+    fn random_histories_reach_every_update_point() {
+        let mut total = Reached::default();
+        for seed in 0..12 {
+            random_history(seed, 80, &mut total);
+        }
+        for (what, n) in [
+            ("accepted", total.accepted),
+            ("rejected", total.rejected),
+            ("preempted", total.preempted),
+            ("clean bursts", total.clean_bursts),
+            ("fallback bursts", total.fallback_bursts),
+            ("TERMs of live flows", total.terms_of_live_flows),
+            ("re-keying progress reports", total.rekeyed),
+            ("tasks given up in recovery", total.given_up),
+            ("failovers", total.failovers),
+            ("flows finished per resync", total.resync_finished),
+            ("reused flow ids", total.reused_flow_ids),
+        ] {
+            assert!(n > 0, "no history reached: {what}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// After every operation of a random history the in-flight index
+        /// equals the registry filtered and sorted the old way.
+        #[test]
+        fn inflight_index_is_the_registry_filtered_and_sorted(seed in proptest::any::<u64>()) {
+            random_history(seed, 60, &mut Reached::default());
+        }
     }
 }

@@ -6,7 +6,8 @@
 //! pending queue, then admit work — one task at a time in the normal
 //! regime, whole bursts via [`Controller::handle_probe_burst`] once the
 //! overload watermark trips (with hysteresis, so the mode does not
-//! flap). Everything is a pure function of the submitted requests and
+//! flap) — and flush the replies, so a decision leaves in the iteration
+//! that made it. Everything is a pure function of the submitted requests and
 //! the `now` values passed in: no wall clock, no RNG, no threads —
 //! identical inputs produce byte-identical decisions, trace events and
 //! metrics.
@@ -125,9 +126,12 @@ pub struct ServiceController<'t> {
     /// Granted tasks not yet retired: task → (deadline, flow ids).
     /// The reject rule never grants slices past the deadline, so once
     /// `now` passes it every flow has used its slices; the loop then
-    /// synthesizes the servers' TERMs, keeping the controller registry
-    /// bounded by the in-flight set (a daemon runs forever — without
-    /// retirement, admission cost would grow with total history).
+    /// synthesizes the servers' TERMs. That bounds this map and the
+    /// controller's in-flight index — what an admission iterates — by
+    /// the in-flight set. It does not bound memory: the controller
+    /// registry and decision cache, and `outcomes` here, keep one record
+    /// per flow and task ever decided (duplicate replay and resync need
+    /// a finished flow to stay known), touched by key only.
     active: BTreeMap<u64, (f64, Vec<usize>)>,
     decision_log: Vec<(u64, u64)>,
     shed_log: Vec<ShedRecord>,
@@ -524,9 +528,10 @@ impl<'t> ServiceController<'t> {
             .iter()
             .filter_map(|f| {
                 let flow = usize::try_from(f.flow).ok()?;
-                self.ctrl.grant_of(flow).map(|g| GrantSummary {
+                let slots = self.ctrl.granted_slots(flow)?;
+                Some(GrantSummary {
                     flow: f.flow,
-                    slots: g.slices.total_slots(),
+                    slots,
                 })
             })
             .collect()
@@ -647,7 +652,8 @@ impl<'t> ServiceController<'t> {
 
     /// One event-loop iteration at simulation time `now`: retire
     /// elapsed grants, poll the transport, shed, update the admission
-    /// mode, admit. Returns the number of terminal decisions made.
+    /// mode, admit, flush the replies. Returns the number of terminal
+    /// decisions made.
     pub fn step<T: Transport>(&mut self, now: f64, tr: &mut T) -> usize {
         self.last_now = now;
         self.retire_completed(now);
@@ -679,7 +685,9 @@ impl<'t> ServiceController<'t> {
         }
         self.shed_infeasible(tr, now);
         self.update_batch_mode(now);
-        self.admit(tr, now)
+        let decided = self.admit(tr, now);
+        tr.flush();
+        decided
     }
 
     /// Marks the service as draining: no new submissions are accepted
@@ -712,6 +720,7 @@ impl<'t> ServiceController<'t> {
             self.shed_infeasible(tr, now);
             self.update_batch_mode(now);
             let n = self.admit(tr, now);
+            tr.flush();
             now += n.max(1) as f64 * self.cfg.decision_cost;
         }
         self.state = ServiceState::Drained;

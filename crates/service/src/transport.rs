@@ -31,6 +31,12 @@ pub trait Transport {
     /// shows up as [`PushError::Full`] and the caller decides what to
     /// drop.
     fn push(&mut self, client: ClientId, resp: Response) -> Result<(), PushError>;
+
+    /// Hands whatever `push` queued to the wire, as far as it goes
+    /// without blocking. The loop calls it once per iteration, after
+    /// admitting, so a reply leaves in the iteration that decided it.
+    /// Transports whose `push` already delivers need not override it.
+    fn flush(&mut self) {}
 }
 
 /// Default bound on [`SimTransport`] inbound queues.

@@ -5,8 +5,9 @@
 //! The event loop stays single-threaded: `poll()` accepts pending
 //! connections, reads whatever bytes are available, frames them into
 //! lines and decodes requests; `push()` queues an encoded line onto the
-//! client's bounded write buffer, which `poll()` flushes
-//! opportunistically. A client whose buffer is full gets
+//! client's bounded write buffer, which `flush()` — called by the loop
+//! at the end of every iteration — and `poll()` write out as far as the
+//! socket takes them. A client whose buffer is full gets
 //! [`PushError::Full`] — exactly the drop-and-mark contract the service
 //! loop expects. Malformed lines are answered with
 //! [`Response::Error`] rather than killing the connection.
@@ -193,5 +194,9 @@ impl Transport for UdsTransport {
         // lint: l10-ok(bound: outbox_cap — checked above)
         conn.wrq.push_back(encode_line(&resp));
         Ok(())
+    }
+
+    fn flush(&mut self) {
+        self.flush_writes();
     }
 }

@@ -450,3 +450,40 @@ fn uds_transport_serves_the_jsonl_protocol() {
         .any(|r| matches!(r, Response::Error { .. })));
     let _ = std::fs::remove_file(&path);
 }
+
+/// A reply leaves in the iteration that decided it: after one `step` —
+/// and no further `poll()` — the `Decision` line is on the client's
+/// socket.
+#[cfg(unix)]
+#[test]
+fn uds_reply_is_written_by_the_step_that_decided_it() {
+    use std::io::{Read, Write};
+    use std::os::unix::net::UnixStream;
+    use taps_service::UdsTransport;
+
+    let path = std::env::temp_dir().join(format!("taps-svc-flush-{}.sock", std::process::id()));
+    let topo = dumbbell(4, 4, GBPS);
+    let mut svc =
+        ServiceController::new(&topo, ControllerConfig::default(), ServiceConfig::default());
+    let mut tr = UdsTransport::bind(&path).expect("bind test socket");
+
+    let mut client = UnixStream::connect(&path).expect("connect");
+    client
+        .write_all(taps_service::encode_line(&submit(1, 1, 0, 4, 1e5, 10.0)).as_bytes())
+        .unwrap();
+    // The step's own poll accepts the connection and reads the submit.
+    assert_eq!(svc.step(0.0, &mut tr), 1);
+
+    client.set_nonblocking(true).unwrap();
+    let mut buf = [0u8; 4096];
+    let n = client
+        .read(&mut buf)
+        .expect("the decision is readable without a second poll");
+    let text = String::from_utf8_lossy(&buf[..n]).into_owned();
+    let line = text.lines().next().expect("one reply line");
+    assert!(matches!(
+        taps_service::decode_line::<Response>(line),
+        Ok(Response::Decision { task: 1, .. })
+    ));
+    let _ = std::fs::remove_file(&path);
+}

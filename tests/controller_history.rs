@@ -1,0 +1,180 @@
+//! One controller probe must cost what its in-flight set costs, however
+//! long the daemon has been up, and making it so must not move a single
+//! decision. No wall clock: the first test pins a seeded service run —
+//! digest, controller counters, switch commands — to the values the
+//! same file produced on the commit before the in-flight index (there
+//! without the `in_flight()` lines, which that commit cannot compile)
+//! and watches the index follow the live flows while the registry only
+//! grows; the second probes one in-flight set on top of 0 and of 20 000
+//! retired flows and compares every output.
+
+use std::collections::BTreeMap;
+
+use taps::prelude::*;
+use taps::sdn::{
+    CheckpointFlow, ControlStats, Controller, ControllerCheckpoint, ControllerConfig, TaskVerdict,
+};
+use taps_service::load::submit_for_task;
+use taps_service::{run_load, LoadConfig, ServiceConfig, ServiceController};
+use taps_workload::{ReplayConfig, ReplayPlan};
+
+/// The `uds_steady` / `sim_taps_k8` shape: Poisson arrivals at
+/// 300 tasks/s of ~16-flow tasks on `fat_tree(8)`.
+fn round(tasks: usize, seed: u64) -> (Workload, ReplayPlan) {
+    let wl = WorkloadConfig {
+        num_tasks: tasks,
+        mean_flows_per_task: 16.0,
+        sd_flows_per_task: 4.0,
+        arrival_rate: 300.0,
+        ..WorkloadConfig::paper_multi_rooted(128, seed)
+    }
+    .generate();
+    let plan = ReplayPlan::build(&wl, &ReplayConfig::default());
+    (wl, plan)
+}
+
+#[test]
+fn a_seeded_service_run_is_pinned_and_the_index_follows_the_live_flows() {
+    const TASKS: usize = 360;
+    const LEGS: usize = 6;
+    let topo = fat_tree(8, GBPS);
+    let (wl, plan) = round(TASKS, 17);
+    let svc_cfg = ServiceConfig::default();
+    let mut svc = ServiceController::new(&topo, ControllerConfig::default(), svc_cfg);
+
+    // The plan is replayed in legs so the controller can be looked at
+    // along the way.
+    let mut digest = 0u64;
+    let (mut registered, mut in_flight_max) = (Vec::new(), 0usize);
+    for leg in plan.events.chunks(TASKS / LEGS) {
+        let leg = ReplayPlan {
+            events: leg.to_vec(),
+        };
+        let report = run_load(&mut svc, &svc_cfg, &wl, &leg, &LoadConfig::default());
+        assert_eq!(report.violations, Vec::<String>::new());
+        digest = report.digest;
+        let ckpt = svc.controller().checkpoint();
+        let live = ckpt.flows.iter().filter(|f| !f.done).count();
+        assert_eq!(svc.controller().in_flight(), live);
+        in_flight_max = in_flight_max.max(live);
+        registered.push(ckpt.flows.len());
+    }
+
+    // The registry remembers every flow ever granted; what a probe
+    // iterates does not.
+    assert!(registered.windows(2).all(|w| w[0] < w[1]), "{registered:?}");
+    let total = *registered.last().expect("six legs");
+    assert!(
+        4 * in_flight_max < total,
+        "in flight at most {in_flight_max}, registered {total}"
+    );
+
+    let stats = svc.controller().stats().clone();
+    assert_eq!(digest, PINNED_DIGEST, "decision digest {digest:#x}");
+    assert_eq!(stats, pinned_stats());
+    assert_eq!(stats.installs + stats.withdrawals, PINNED_SWITCH_COMMANDS);
+}
+
+// Taken on the parent commit (PR 16, before the in-flight index).
+const PINNED_DIGEST: u64 = 0x5240_58a2_0d19_1aa2;
+const PINNED_SWITCH_COMMANDS: usize = 237_799;
+
+fn pinned_stats() -> ControlStats {
+    ControlStats {
+        probes: 360,
+        grants: 3_970,
+        terms: 2_731,
+        installs: 119_221,
+        withdrawals: 118_578,
+        rejected_tasks: 112,
+        preempted_tasks: 67,
+        ..ControlStats::default()
+    }
+}
+
+/// A standby restored from a checkpoint of `retired` finished flows
+/// (16 per task, ids from 1 000 000 up) and nothing in flight.
+fn controller_with_history(topo: &Topology, retired: usize) -> Controller<'_> {
+    const BASE: usize = 1_000_000;
+    let hosts = topo.num_hosts();
+    let ckpt = ControllerCheckpoint {
+        epoch: 0,
+        gen: 0,
+        flows: (0..retired)
+            .map(|i| CheckpointFlow {
+                flow: BASE + i,
+                task: BASE + i / 16,
+                src: i % hosts,
+                dst: (i + 1) % hosts,
+                size: 1e5,
+                delivered: 1e5,
+                deadline: 0.01,
+                done: true,
+            })
+            .collect(),
+        decided: (0..retired.div_ceil(16))
+            .map(|t| (BASE + t, TaskVerdict::Accepted))
+            .collect(),
+    };
+    Controller::restore(topo, ControllerConfig::default(), &ckpt)
+}
+
+#[test]
+fn retired_flows_in_the_registry_change_no_verdict_grant_or_command() {
+    const RETIRED: usize = 20_000;
+    let topo = fat_tree(8, GBPS);
+    let (wl, plan) = round(120, 23);
+    let mut fresh = controller_with_history(&topo, 0);
+    let mut aged = controller_with_history(&topo, RETIRED);
+    assert_eq!(aged.checkpoint().flows.len(), RETIRED);
+    assert_eq!(aged.in_flight(), 0);
+
+    // The service's call sequence on a bare controller: TERM the flows
+    // of granted tasks whose deadline has passed, then probe.
+    let mut granted: BTreeMap<usize, (f64, Vec<usize>)> = BTreeMap::new();
+    let mut verdicts = [0usize; 3];
+    for ev in &plan.events {
+        let due: Vec<usize> = granted
+            .iter()
+            .filter(|(_, (deadline, _))| *deadline <= ev.at)
+            .map(|(&task, _)| task)
+            .collect();
+        for flow in due.iter().flat_map(|t| granted.remove(t)).flat_map(|g| g.1) {
+            assert_eq!(
+                fresh.handle_term(ev.at, flow),
+                aged.handle_term(ev.at, flow)
+            );
+        }
+        // (verdict, grants, switch commands)
+        let probes = submit_for_task(&wl, ev.task, ev.deadline).probes();
+        let a = fresh.handle_probe(ev.at, &probes);
+        let b = aged.handle_probe(ev.at, &probes);
+        assert_eq!(
+            a, b,
+            "task {} decided differently on top of history",
+            ev.task
+        );
+        assert_eq!(fresh.in_flight(), aged.in_flight());
+        match a.0 {
+            TaskVerdict::Accepted => verdicts[0] += 1,
+            TaskVerdict::AcceptedWithPreemption(victim) => {
+                verdicts[1] += 1;
+                granted.remove(&victim);
+            }
+            TaskVerdict::Rejected => verdicts[2] += 1,
+        }
+        if a.0 != TaskVerdict::Rejected {
+            let flows = probes.iter().map(|p| p.flow).collect();
+            granted.insert(ev.task, (ev.deadline, flows));
+        }
+    }
+    assert!(
+        verdicts.iter().all(|&n| n > 0),
+        "the sequence should accept, preempt and reject: {verdicts:?}"
+    );
+    assert_eq!(fresh.stats(), aged.stats());
+    assert_eq!(
+        aged.checkpoint().flows.len(),
+        RETIRED + fresh.checkpoint().flows.len()
+    );
+}

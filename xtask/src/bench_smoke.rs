@@ -23,12 +23,22 @@
 //! engine walks only the flows in flight, so the figure is flat (0.9x);
 //! when it scanned every flow of the workload per event it grew 15x
 //! (EXPERIMENTS.md, "Flowsim engine scaling").
+//!
+//! Beside it, the controller history-independence gate
+//! ([`run_history`]): one `handle_probe` against the same ≈200 flows in
+//! flight on `fat_tree(16)` is timed on a controller whose registry
+//! remembers no retired flow and on one that remembers 20 000, and the
+//! second may cost at most 1.2x the first. The probe path iterates the
+//! in-flight index only, so the figure is 1.0x; when every pass walked
+//! the registry and sorted by looking each flow up in it, it was 2.6x
+//! (EXPERIMENTS.md, "Controller probe scaling").
 
 use std::path::Path;
 use std::process::Command;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use taps::prelude::*;
+use taps_bench::history::AgedController;
 
 /// One gate violation, human-readable.
 pub struct Failure {
@@ -120,6 +130,64 @@ pub fn check_linearity(row: &LinearityRow, failures: &mut Vec<Failure>) {
                 LINEARITY_TASKS.1,
                 row.long / row.short,
                 LINEARITY_MAX_GROWTH
+            ),
+        });
+    }
+}
+
+/// Best-of-five µs per `handle_probe` of the two timed histories.
+pub struct HistoryRow {
+    /// With no retired flow in the registry.
+    pub fresh: f64,
+    /// With [`HISTORY_RETIRED`] retired flows in the registry.
+    pub aged: f64,
+}
+
+/// Retired flows the aged controller of the history gate remembers.
+pub const HISTORY_RETIRED: usize = 20_000;
+
+/// Largest allowed ratio of the aged probe time to the fresh one.
+pub const HISTORY_MAX_RATIO: f64 = 1.2;
+
+/// Timed probes per sample of the history gate.
+const HISTORY_PROBES: u32 = 48;
+
+/// Best-of-five mean µs of one `handle_probe` against the fixture's
+/// in-flight set, on a controller remembering `retired` finished flows.
+fn probe_us(topo: &Topology, retired: usize) -> f64 {
+    (0..5)
+        .map(|_| {
+            let mut aged = AgedController::new(topo, retired);
+            let total: Duration = (0..HISTORY_PROBES).map(|_| aged.probe_and_retire()).sum();
+            total.as_secs_f64() * 1e6 / f64::from(HISTORY_PROBES)
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Times the two histories and checks the gate.
+pub fn run_history() -> (HistoryRow, Vec<Failure>) {
+    let topo = fat_tree(16, GBPS);
+    let row = HistoryRow {
+        fresh: probe_us(&topo, 0),
+        aged: probe_us(&topo, HISTORY_RETIRED),
+    };
+    let mut failures = Vec::new();
+    check_history(&row, &mut failures);
+    (row, failures)
+}
+
+/// The history gate itself, separated from the timing for unit testing.
+pub fn check_history(row: &HistoryRow, failures: &mut Vec<Failure>) {
+    if row.aged > HISTORY_MAX_RATIO * row.fresh {
+        failures.push(Failure {
+            what: format!(
+                "controller: {:.0} us per probe on a fresh registry, {:.0} us with {} retired \
+                 flows ({:.2}x > {:.1}x): probe cost grows with how long the controller has been up",
+                row.fresh,
+                row.aged,
+                HISTORY_RETIRED,
+                row.aged / row.fresh,
+                HISTORY_MAX_RATIO
             ),
         });
     }
@@ -487,6 +555,30 @@ mod tests {
         );
         assert_eq!(failures.len(), 1);
         assert!(failures[0].what.contains("15.0x > 2.0x"));
+    }
+
+    #[test]
+    fn flat_probe_cost_passes_the_history_gate() {
+        let mut failures = Vec::new();
+        for (fresh, aged) in [(131.0, 134.0), (140.0, 128.0), (100.0, 120.0)] {
+            check_history(&HistoryRow { fresh, aged }, &mut failures);
+        }
+        assert!(failures.is_empty(), "{}", failures[0].what);
+    }
+
+    #[test]
+    fn probe_cost_following_the_registry_fails_the_history_gate() {
+        let mut failures = Vec::new();
+        // The registry walk and lookup-sort: 207 us -> 577 us per probe.
+        check_history(
+            &HistoryRow {
+                fresh: 207.0,
+                aged: 577.0,
+            },
+            &mut failures,
+        );
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].what.contains("2.79x > 1.2x"));
     }
 
     #[test]

@@ -183,6 +183,8 @@ fn bench_smoke() -> ExitCode {
     let (rows, sharded, mut failures) = xtask::bench_smoke::run(&root);
     let (linearity, nonlinear) = xtask::bench_smoke::run_linearity();
     failures.extend(nonlinear);
+    let (history, aging) = xtask::bench_smoke::run_history();
+    failures.extend(aging);
     for r in &rows {
         println!(
             "xtask bench-smoke: k={} fast {:.1}x, delta {:.1}x over legacy p50",
@@ -204,8 +206,19 @@ fn bench_smoke() -> ExitCode {
         xtask::bench_smoke::LINEARITY_TASKS.1,
         linearity.long / linearity.short
     );
+    println!(
+        "xtask bench-smoke: controller {:.0} us per probe on a fresh registry, {:.0} with {} \
+         retired flows ({:.2}x)",
+        history.fresh,
+        history.aged,
+        xtask::bench_smoke::HISTORY_RETIRED,
+        history.aged / history.fresh
+    );
     if failures.is_empty() {
-        println!("xtask bench-smoke: clean (no admission hot-path regression, flowsim linear)");
+        println!(
+            "xtask bench-smoke: clean (no admission hot-path regression, flowsim linear, \
+             controller probes history-independent)"
+        );
         ExitCode::SUCCESS
     } else {
         for f in &failures {
