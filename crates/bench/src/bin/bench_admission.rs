@@ -28,7 +28,7 @@ use std::collections::VecDeque;
 use std::time::Instant;
 use taps_bench::Args;
 use taps_core::oracle::naive_batch;
-use taps_core::{DeltaCache, FlowDemand, ShardedAllocator, SlotAllocator};
+use taps_core::{DeltaCache, FlowDemand, SlotAllocator};
 use taps_topology::build::{fat_tree, GBPS};
 use taps_topology::Topology;
 
@@ -54,14 +54,6 @@ struct RunStats {
     latencies_us: Vec<f64>,
     /// Delta-engine reuse statistics (`RunMode::Delta` only).
     delta_stats: Option<taps_core::DeltaStats>,
-}
-
-/// FNV-1a fold of one word into a running schedule fingerprint.
-fn fnv_word(h: &mut u64, w: u64) {
-    for b in w.to_le_bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
 }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -159,210 +151,6 @@ fn replay(topo: &Topology, mode: RunMode, cfg: &Config) -> RunStats {
         latencies_us,
         delta_stats: (mode == RunMode::Delta).then(|| cache.stats()),
     }
-}
-
-/// Result of the paper-scale sharded replay: per-burst latency stats
-/// for three admission strategies over the identical arrival stream.
-struct ShardedRun {
-    /// Per-task sequential admission of the burst (one delta pass per
-    /// arriving task, the canonical Alg. 1 loop) — total per burst.
-    sequential_mean_us: f64,
-    /// Whole burst in one monolithic delta pass.
-    batched_mean_us: f64,
-    /// Whole burst in one sharded pass (per-pod shard controllers).
-    sharded_mean_us: f64,
-    sharded_p50_us: f64,
-    /// Burst admission speedup: sequential / batched.
-    speedup_batched_vs_sequential: f64,
-    /// End-to-end speedup of the sharded batched pass over per-task
-    /// sequential admission — the before/after of this regime.
-    speedup_sharded_vs_sequential: f64,
-    /// Sharded vs monolithic batched pass. On a single-core machine the
-    /// shards run inline, so this hovers near 1.0 by construction.
-    speedup_sharded_vs_batched: f64,
-    /// Flow allocations committed per second of sharded wall-clock:
-    /// every pass re-admits the entire in-flight window (TAPS
-    /// re-allocates all live flows on each arrival batch), so the rate
-    /// is `window flows / pass latency`, averaged over rounds.
-    admissions_per_sec: f64,
-    /// In-flight window size (flows) once the sliding window is full.
-    window_flows: usize,
-    rounds: usize,
-    /// FNV-1a over every measured round's sharded schedule (flow ids,
-    /// path links, slices, completion slots, verdicts). A pure function
-    /// of the seeded workload — two runs of the same configuration must
-    /// produce the same value on any machine and any core count, which
-    /// is exactly what the bench-smoke shard-determinism gate checks.
-    schedule_fingerprint: u64,
-}
-
-/// Paper-scale regime (fat-tree k=32, 8 192 hosts): pod-local Poisson
-/// bursts admitted batch-at-a-time, sharded per pod. Three strategies
-/// replay the identical stream — per-task sequential admission (the
-/// canonical Alg. 1 loop: one re-allocation per arriving task), one
-/// monolithic batched delta pass per burst, and one sharded pass per
-/// burst — and the final schedules are asserted bit-identical before
-/// any number is reported. The naive reference is deliberately absent
-/// here — a full per-arrival path enumeration over 8 192 hosts is
-/// exactly the bottleneck the k≤24 rows above already quantify.
-fn replay_sharded(topo: &Topology, cfg: &ShardedConfig) -> ShardedRun {
-    const WARMUP: usize = 2;
-    let per_pod = topo.num_hosts() / cfg.pods;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut sharded = ShardedAllocator::new(topo, 1e-4, cfg.max_paths);
-    // Pod-scoped warm-up all around: every allocator pre-enumerates
-    // exactly the intra-pod ToR pairs the pod-local workload can touch,
-    // so no strategy pays enumeration inside the timed region and the
-    // comparison is cache-fair. (An all-pairs warm at k=32 would
-    // enumerate 512×511 ToR pairs and dominate the run for nothing —
-    // cross-pod pairs never occur here.)
-    sharded.warm(topo);
-    let pods = taps_topology::pods::PodMap::new(topo);
-    let mut unsharded = SlotAllocator::new(topo, 1e-4, cfg.max_paths);
-    let mut cache = DeltaCache::new();
-    let mut seq_alloc = SlotAllocator::new(topo, 1e-4, cfg.max_paths);
-    let mut seq_cache = DeltaCache::new();
-    for p in 0..pods.num_pods() {
-        let p = u32::try_from(p).expect("pod count fits u32");
-        unsharded.engine_mut().warm_paths_pod(topo, &pods, p);
-        seq_alloc.engine_mut().warm_paths_pod(topo, &pods, p);
-    }
-    let mut active: VecDeque<Vec<FlowDemand>> = VecDeque::new();
-    let mut flat: Vec<FlowDemand> = Vec::new();
-    let mut next_id = 0usize;
-    let mut start_slot = 0u64;
-    let mut sequential_us = Vec::with_capacity(cfg.rounds);
-    let mut batched_us = Vec::with_capacity(cfg.rounds);
-    let mut sharded_us = Vec::with_capacity(cfg.rounds);
-    let mut admissions_per_sec = Vec::with_capacity(cfg.rounds);
-    let mut window_flows = 0usize;
-    let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
-    for round in 0..WARMUP + cfg.rounds {
-        // One Poisson burst: `batch` tasks of pod-local flows arriving
-        // inside the same admission window.
-        let burst: Vec<FlowDemand> = (0..cfg.batch * cfg.flows_per_task)
-            .map(|_| {
-                let pod = rng.gen_range(0..cfg.pods);
-                let src = rng.gen_range(0..per_pod);
-                let mut dst = rng.gen_range(0..per_pod);
-                if dst == src {
-                    dst = (dst + 1) % per_pod;
-                }
-                let id = next_id;
-                next_id += 1;
-                FlowDemand {
-                    id,
-                    src: pod * per_pod + src,
-                    dst: pod * per_pod + dst,
-                    remaining: rng.gen_range(50_000..500_000) as f64,
-                    deadline: (start_slot + rng.gen_range(200u64..1_000)) as f64 * 1e-4,
-                }
-            })
-            .collect();
-        active.push_back(burst.clone());
-        while active.len() > cfg.window_batches {
-            active.pop_front();
-        }
-        // Sequential baseline: admit the burst one task at a time, each
-        // arrival re-allocating incumbents + the prefix admitted so far
-        // (the per-task Alg. 1 loop batching replaces).
-        flat.clear();
-        flat.extend(active.iter().take(active.len() - 1).flatten().cloned());
-        let t0 = Instant::now();
-        let mut seq_last = Vec::new();
-        for task_flows in burst.chunks(cfg.flows_per_task) {
-            flat.extend_from_slice(task_flows);
-            seq_last = seq_alloc
-                .allocate_batch_delta(&flat, start_slot, &mut seq_cache)
-                // lint: panic-ok(bench harness: generated pod-local pairs are connected)
-                .expect("pod-local pairs are connected");
-        }
-        let t_sequential = t0.elapsed();
-        // `flat` now holds the full window; the batched passes see the
-        // exact demand set the sequential loop ended on.
-        let t1 = Instant::now();
-        let want = unsharded
-            .allocate_batch_delta(&flat, start_slot, &mut cache)
-            // lint: panic-ok(bench harness: generated pod-local pairs are connected)
-            .expect("pod-local pairs are connected");
-        let t_batched = t1.elapsed();
-        let t2 = Instant::now();
-        let got = sharded
-            .allocate_batch_sharded(topo, &flat, start_slot)
-            // lint: panic-ok(bench harness: generated pod-local pairs are connected)
-            .expect("pod-local pairs are connected");
-        let t_sharded = t2.elapsed();
-        // Bit-identity gates before any timing is trusted: batched ==
-        // sequential's final pass (batching exactness) and sharded ==
-        // batched (shard determinism).
-        assert_eq!(
-            want.len(),
-            seq_last.len(),
-            "round {round}: seq batch length"
-        );
-        assert_eq!(want.len(), got.len(), "round {round}: sharded batch length");
-        for ((w, s), g) in want.iter().zip(&seq_last).zip(&got) {
-            assert!(
-                w.id == s.id && w.path == s.path && w.slices == s.slices && w.on_time == s.on_time,
-                "round {round}: batched schedule diverged from sequential at flow {}",
-                w.id
-            );
-            assert!(
-                w.id == g.id && w.path == g.path && w.slices == g.slices && w.on_time == g.on_time,
-                "round {round}: sharded schedule diverged at flow {}",
-                w.id
-            );
-        }
-        if round >= WARMUP {
-            sequential_us.push(t_sequential.as_secs_f64() * 1e6);
-            batched_us.push(t_batched.as_secs_f64() * 1e6);
-            sharded_us.push(t_sharded.as_secs_f64() * 1e6);
-            admissions_per_sec.push(flat.len() as f64 / t_sharded.as_secs_f64());
-            window_flows = window_flows.max(flat.len());
-            for a in &got {
-                fnv_word(&mut fingerprint, a.id as u64); // lint: cast-ok(flow ids are small indices)
-                for l in &a.path.links {
-                    fnv_word(&mut fingerprint, u64::from(l.0));
-                }
-                for iv in a.slices.intervals() {
-                    fnv_word(&mut fingerprint, iv.start);
-                    fnv_word(&mut fingerprint, iv.end);
-                }
-                fnv_word(&mut fingerprint, a.completion_slot);
-                fnv_word(&mut fingerprint, u64::from(a.on_time));
-            }
-        }
-        std::hint::black_box((want, got, seq_last));
-        start_slot += rng.gen_range(4u64..12);
-    }
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    let sequential_mean_us = mean(&sequential_us);
-    let batched_mean_us = mean(&batched_us);
-    let sharded_mean_us = mean(&sharded_us);
-    sharded_us.sort_by(f64::total_cmp);
-    ShardedRun {
-        sequential_mean_us,
-        batched_mean_us,
-        sharded_mean_us,
-        sharded_p50_us: percentile(&sharded_us, 0.50),
-        speedup_batched_vs_sequential: sequential_mean_us / batched_mean_us,
-        speedup_sharded_vs_sequential: sequential_mean_us / sharded_mean_us,
-        speedup_sharded_vs_batched: batched_mean_us / sharded_mean_us,
-        admissions_per_sec: mean(&admissions_per_sec),
-        window_flows,
-        rounds: cfg.rounds,
-        schedule_fingerprint: fingerprint,
-    }
-}
-
-struct ShardedConfig {
-    pods: usize,
-    batch: usize,
-    flows_per_task: usize,
-    window_batches: usize,
-    rounds: usize,
-    max_paths: usize,
-    seed: u64,
 }
 
 fn stats_value(s: &RunStats) -> serde_json::Value {
@@ -511,93 +299,6 @@ fn main() {
             ("schedules_identical".into(), serde_json::Value::Bool(true)),
         ]));
     }
-    // Paper-scale sharded regime: fat-tree k=32 (8 192 hosts) with
-    // pod-local Poisson bursts admitted batch-at-a-time. `--sharded-k 0`
-    // disables the section (it builds a 9 472-node topology).
-    let sharded_k = args.get_usize("sharded-k", 32);
-    let sharded_row = if sharded_k > 0 {
-        let scfg = ShardedConfig {
-            pods: sharded_k,
-            batch: args.get_usize("sharded-batch", 64),
-            flows_per_task: cfg.flows_per_task,
-            window_batches: args.get_usize("sharded-window", 4),
-            rounds: args.get_usize("sharded-rounds", 10),
-            max_paths: cfg.max_paths,
-            seed: cfg.seed,
-        };
-        let topo = fat_tree(sharded_k, GBPS);
-        let run = replay_sharded(&topo, &scfg);
-        println!(
-            "  fat_tree({sharded_k:>2}) sharded: sequential {:>9.1}us | batched {:>8.1}us \
-             ({:>4.1}x) | sharded {:>8.1}us ({:>4.1}x vs seq) | {:.0} admissions/s over {} rounds",
-            run.sequential_mean_us,
-            run.batched_mean_us,
-            run.speedup_batched_vs_sequential,
-            run.sharded_mean_us,
-            run.speedup_sharded_vs_sequential,
-            run.admissions_per_sec,
-            run.rounds
-        );
-        Some(serde_json::Value::Object(vec![
-            ("k".into(), serde_json::Value::UInt(sharded_k as u64)),
-            (
-                "hosts".into(),
-                serde_json::Value::UInt(topo.num_hosts() as u64),
-            ),
-            (
-                "batch_tasks".into(),
-                serde_json::Value::UInt(scfg.batch as u64),
-            ),
-            (
-                "window_batches".into(),
-                serde_json::Value::UInt(scfg.window_batches as u64),
-            ),
-            (
-                "window_flows".into(),
-                serde_json::Value::UInt(run.window_flows as u64),
-            ),
-            ("rounds".into(), serde_json::Value::UInt(scfg.rounds as u64)),
-            (
-                "sequential_mean_us".into(),
-                serde_json::Value::Float(run.sequential_mean_us),
-            ),
-            (
-                "batched_mean_us".into(),
-                serde_json::Value::Float(run.batched_mean_us),
-            ),
-            (
-                "sharded_mean_us".into(),
-                serde_json::Value::Float(run.sharded_mean_us),
-            ),
-            (
-                "sharded_p50_us".into(),
-                serde_json::Value::Float(run.sharded_p50_us),
-            ),
-            (
-                "speedup_batched_vs_sequential".into(),
-                serde_json::Value::Float(run.speedup_batched_vs_sequential),
-            ),
-            (
-                "speedup_sharded_vs_sequential".into(),
-                serde_json::Value::Float(run.speedup_sharded_vs_sequential),
-            ),
-            (
-                "speedup_sharded_vs_batched".into(),
-                serde_json::Value::Float(run.speedup_sharded_vs_batched),
-            ),
-            (
-                "admissions_per_sec_batched".into(),
-                serde_json::Value::Float(run.admissions_per_sec),
-            ),
-            (
-                "schedule_fingerprint".into(),
-                serde_json::Value::UInt(run.schedule_fingerprint),
-            ),
-            ("schedules_identical".into(), serde_json::Value::Bool(true)),
-        ]))
-    } else {
-        None
-    };
     let mut doc = serde_json::Value::Object(vec![
         ("bench".into(), serde_json::Value::Str("admission".into())),
         (
@@ -637,9 +338,6 @@ fn main() {
         ),
         ("results".into(), serde_json::Value::Array(results)),
     ]);
-    if let (serde_json::Value::Object(members), Some(row)) = (&mut doc, sharded_row) {
-        members.push(("sharded".into(), row));
-    }
     // Route the report through the normalizing writer shared with the
     // trace exporter: machine-local keys (timestamps, hostnames) are
     // stripped and cwd-prefixed paths relativized, so two runs of the

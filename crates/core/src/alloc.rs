@@ -256,20 +256,6 @@ impl AllocEngine {
         self.cache.warm(topo);
     }
 
-    /// [`warm_paths`](Self::warm_paths) restricted to one pod
-    /// ([`PathCache::warm_pod`]): a per-pod shard engine only allocates
-    /// pod-local flows, so it skips the (dominant at k=32) cross-pod
-    /// pair enumerations and bring-up can warm pods in parallel.
-    pub fn warm_paths_pod(
-        &mut self,
-        topo: &Topology,
-        pods: &taps_topology::pods::PodMap,
-        pod: taps_topology::pods::PodId,
-    ) {
-        self.ensure_topology(topo);
-        self.cache.warm_pod(topo, pods, pod);
-    }
-
     /// Candidate paths for a host-index pair straight from the engine's
     /// path cache (which self-refreshes on fault-epoch changes). The
     /// delta engine's fault absorption compares a cached entry's list
@@ -538,8 +524,7 @@ impl<'t> SlotAllocator<'t> {
         SlotAllocator { topo, engine }
     }
 
-    /// The underlying engine (work counters, pod-scoped warm-up, fault
-    /// absorption).
+    /// The underlying engine (work counters, fault absorption).
     pub fn engine_mut(&mut self) -> &mut AllocEngine {
         &mut self.engine
     }

@@ -29,7 +29,6 @@ pub mod hardness;
 mod obs;
 pub mod oracle;
 mod scheduler;
-pub mod shard;
 pub mod validate;
 
 pub use alloc::{AllocCounters, AllocEngine, AllocError, FlowAlloc, FlowDemand, SlotAllocator};
@@ -37,5 +36,4 @@ pub use analysis::{analyze, gantt_for_link, ScheduleAnalysis};
 pub use delta::{DeltaCache, DeltaStats};
 pub use oracle::SingleLinkOracle;
 pub use scheduler::{RejectDecision, RejectPolicy, Taps, TapsConfig};
-pub use shard::ShardedAllocator;
 pub use validate::{Violation, ViolationReport};

@@ -61,14 +61,6 @@ pub struct TapsConfig {
     pub max_candidate_paths: usize,
     /// Reject-rule variant.
     pub policy: RejectPolicy,
-    /// Admit every task arriving at the same slot boundary in a single
-    /// re-allocation pass when the whole burst fits on time. Exact: any
-    /// deadline miss or disconnection in the burst pass falls back to
-    /// the canonical per-task sequential admission, so verdicts and the
-    /// final committed schedule are identical either way (see
-    /// [`Taps::process_pending`]'s monotonicity argument). Default
-    /// `false` keeps the one-task-at-a-time Alg. 1 trace shape.
-    pub batch_arrivals: bool,
     /// Upper bound on the pending-arrival queue. An arrival past the cap
     /// is shed immediately (recorded as a `Reject` decision with the
     /// `SHED_QUEUE_FULL` reason and counted in
@@ -85,7 +77,6 @@ impl Default for TapsConfig {
             slot: 0.0001, // 0.1 ms
             max_candidate_paths: 16,
             policy: RejectPolicy::Paper,
-            batch_arrivals: false,
             pending_cap: 65_536,
         }
     }
@@ -497,16 +488,6 @@ impl Taps {
 
     /// Admits every pending task whose boundary has been reached, in
     /// arrival order (the body of Alg. 1).
-    ///
-    /// With [`TapsConfig::batch_arrivals`] the due tasks sharing one
-    /// start slot are admitted as a single burst. The fast path is exact
-    /// by first-fit monotonicity: removing flows from a pass only frees
-    /// capacity, so if the pass over incumbents + the *whole* burst is
-    /// all on-time, every sequential prefix pass is all on-time too —
-    /// each per-task admission would Accept, and its final pass equals
-    /// the burst pass. One commit therefore reproduces the sequential
-    /// outcome bit for bit. Any miss or disconnection voids that
-    /// argument, so the burst falls back to the per-task loop.
     fn process_pending(&mut self, ctx: &mut SimCtx<'_>) {
         while let Some(&task) = self.pending.front() {
             let boundary = self.boundary_slot(ctx.task(task).spec.arrival);
@@ -515,59 +496,7 @@ impl Taps {
             }
             self.pending.pop_front();
             let start_slot = boundary.max(self.current_slot(ctx.now()));
-            if !self.cfg.batch_arrivals {
-                self.admit(ctx, task, start_slot);
-                continue;
-            }
-            // Gather the rest of the burst: every further due task whose
-            // admission would start at this same slot.
-            let mut burst = vec![task];
-            while let Some(&next) = self.pending.front() {
-                let b = self.boundary_slot(ctx.task(next).spec.arrival);
-                if slots::to_f64(b) * self.cfg.slot > ctx.now() + 1e-9
-                    || b.max(self.current_slot(ctx.now())) != start_slot
-                {
-                    break;
-                }
-                self.pending.pop_front();
-                burst.push(next);
-            }
-            self.admit_burst(ctx, burst, start_slot);
-        }
-    }
-
-    /// One-pass admission of a same-slot arrival burst, with exact
-    /// fallback (see [`Taps::process_pending`]).
-    fn admit_burst(&mut self, ctx: &mut SimCtx<'_>, burst: Vec<TaskId>, start_slot: u64) {
-        if burst.len() == 1 {
-            self.admit(ctx, burst[0], start_slot);
-            return;
-        }
-        // F_tmp = F_trans ∪ flows(burst): the burst tasks are already
-        // popped off `pending`, so filtering on still-pending tasks
-        // keeps exactly the incumbents plus the whole burst.
-        let mut ftmp: Vec<FlowId> = ctx
-            .live_flow_ids()
-            .filter(|&fid| !self.pending.contains(&ctx.flow(fid).spec.task))
-            .collect();
-        Self::sort_by_priority(ctx, &mut ftmp);
-        if let Ok(allocs) = self.allocate(ctx, &ftmp, start_slot) {
-            if allocs.iter().all(|al| al.on_time) {
-                for &t in &burst {
-                    obs_event!(self.trace, ctx.now(), Admit { task: obs_id(t) });
-                    self.decisions.push((t, RejectDecision::Accept));
-                }
-                self.commit(ctx, allocs);
-                return;
-            }
-        }
-        // Exact fallback: the canonical sequential loop. The burst pass
-        // committed nothing and touched no flow state, so replaying the
-        // tasks one at a time here is indistinguishable from never
-        // having tried the fast path (the delta cache's contents differ,
-        // but delta passes are bit-identical to full passes regardless).
-        for t in burst {
-            self.admit(ctx, t, start_slot);
+            self.admit(ctx, task, start_slot);
         }
     }
 
@@ -1017,51 +946,6 @@ mod tests {
         assert!(rep.task_success[1]);
         // The newcomer was admitted at the t=1 boundary and ran after.
         assert!(rep.flow_outcomes[1].finish.unwrap() >= 2.0 - 1e-9);
-    }
-
-    /// `batch_arrivals` admits a same-slot burst in one pass with
-    /// verdicts and per-flow outcomes identical to the sequential loop —
-    /// including a later infeasible burst that forces the exact
-    /// fallback.
-    #[test]
-    fn batched_bursts_match_sequential_admission() {
-        let topo = dumbbell(8, 8, GBPS);
-        let u = GBPS;
-        let wl = Workload::from_tasks(vec![
-            // Feasible 4-task burst at t=0 (6 units over an 8 s horizon
-            // on the shared bottleneck): the one-pass fast path.
-            (0.0, 8.0, vec![(0, 8, u), (1, 9, u)]),
-            (0.0, 8.0, vec![(2, 10, u)]),
-            (0.0, 8.0, vec![(3, 11, u), (4, 12, u)]),
-            (0.0, 8.0, vec![(5, 13, u)]),
-            // Infeasible burst at t=1 (4 units due in 2 s): the burst
-            // pass misses, so admission must replay sequentially.
-            (1.0, 3.0, vec![(6, 14, 4.0 * u)]),
-            (1.0, 3.5, vec![(7, 15, 4.0 * u)]),
-        ]);
-        let run = |batch: bool| {
-            let mut taps = Taps::with_config(TapsConfig {
-                slot: 1.0,
-                batch_arrivals: batch,
-                ..TapsConfig::default()
-            });
-            let rep = Simulation::new(&topo, &wl, SimConfig::default()).run(&mut taps);
-            (taps.decisions().to_vec(), rep)
-        };
-        let (seq_dec, seq) = run(false);
-        let (bat_dec, bat) = run(true);
-        assert_eq!(seq_dec, bat_dec);
-        assert_eq!(seq.tasks_completed, bat.tasks_completed);
-        assert_eq!(seq.flows_on_time, bat.flows_on_time);
-        for (a, b) in seq.flow_outcomes.iter().zip(&bat.flow_outcomes) {
-            assert_eq!(a.status, b.status);
-            assert_eq!(a.finish, b.finish);
-            assert_eq!(a.delivered, b.delivered);
-        }
-        // The t=0 burst really took the one-pass path: all accepted.
-        assert!(bat_dec[..4]
-            .iter()
-            .all(|(_, d)| *d == RejectDecision::Accept));
     }
 
     /// A full pending queue sheds overflow arrivals as Rejects and counts

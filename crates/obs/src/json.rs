@@ -16,10 +16,10 @@ use std::io;
 use std::path::Path;
 
 /// Keys whose values are machine-local by construction and are removed
-/// from any emitted document (at any nesting depth). Thread and shard
-/// worker counts depend on the machine's core count, so reports carry
-/// none — only deterministic workload/topology parameters.
-const LOCAL_KEYS: [&str; 9] = [
+/// from any emitted document (at any nesting depth). Thread counts
+/// depend on the machine's core count, so reports carry none — only
+/// deterministic workload/topology parameters.
+const LOCAL_KEYS: [&str; 8] = [
     "generated_at",
     "timestamp",
     "wall_clock",
@@ -28,7 +28,6 @@ const LOCAL_KEYS: [&str; 9] = [
     "abs_path",
     "threads",
     "num_threads",
-    "shard_threads",
 ];
 
 /// Strips machine-local keys and relativizes absolute paths (in place).

@@ -27,13 +27,11 @@
 mod event;
 pub mod json;
 pub mod jsonl;
-pub mod merge;
 mod metrics;
 pub mod replay;
 mod ring;
 
 pub use event::{TraceEvent, TraceRecord, MAX_FIELDS};
-pub use merge::merge_shard_streams;
 pub use metrics::{Histogram, Metrics, COUNT_BOUNDS, DEPTH_BOUNDS, LATENCY_US_BOUNDS};
 pub use ring::{RingRecorder, DEFAULT_CAPACITY};
 

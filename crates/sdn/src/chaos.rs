@@ -187,10 +187,10 @@ pub struct ChaosReport {
     pub channel_stats: [ChannelStats; 4],
     /// Retry counters: server, controller→server, controller→switch.
     pub retry_stats: [RetryStats; 3],
-    /// FNV-1a digest over verdicts (merged into task-id order, so the
-    /// digest is independent of shard-interleaved decision order),
-    /// completion times, delivered bytes and violation counters — two
-    /// runs of the same config must match bit for bit.
+    /// FNV-1a digest over verdicts (in task-id order, so the digest is a
+    /// function of the verdict set, not of decision order), completion
+    /// times, delivered bytes and violation counters — two runs of the
+    /// same config must match bit for bit.
     pub digest: u64,
 }
 
@@ -781,11 +781,10 @@ fn run_inner(
     };
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     // The digest folds verdicts in task-id order, not decision order:
-    // a sharded controller decides same-window tasks in per-pod streams,
-    // so decision order is a shard-interleaving artifact while the
-    // verdict *set* is not. Merging by the stable key first keeps the
-    // digest identical across shard counts; the per-flow and counter
-    // folds below are already order-free (dense id iteration).
+    // which probe gets through the lossy channel first decides the
+    // order, while the verdict *set* is what a run is pinned on. The
+    // per-flow and counter folds below are already order-free (dense id
+    // iteration).
     let mut merged: Vec<&(usize, TaskVerdict)> = verdicts.iter().collect();
     merged.sort_by_key(|p| p.0);
     for (task, v) in merged {

@@ -630,7 +630,7 @@ impl<'t> Controller<'t> {
             .map(|(i, _)| i)
             .collect();
         if fresh.len() > 1 {
-            if let Some(cmds) = self.admit_burst_fast(now, tasks, &fresh) {
+            if let Some(cmds) = self.burst_fast_path(now, tasks, &fresh) {
                 let mut results = Vec::with_capacity(tasks.len());
                 for (i, group) in tasks.iter().enumerate() {
                     if fresh.contains(&i) {
@@ -662,7 +662,7 @@ impl<'t> Controller<'t> {
     /// allocation pass, and commits iff everything lands on time.
     /// Returns `None` — with the registrations rolled back and no other
     /// state touched — when the burst must be replayed sequentially.
-    fn admit_burst_fast(
+    fn burst_fast_path(
         &mut self,
         now: f64,
         tasks: &[Vec<ProbeHeader>],
@@ -919,44 +919,6 @@ impl<'t> Controller<'t> {
                 .collect(),
             decided: self.decided.iter().map(|(&t, v)| (t, v.clone())).collect(),
         }
-    }
-
-    /// Splits the controller checkpoint into per-pod shard checkpoints:
-    /// shard `p` carries the flows whose source host lives in pod `p`
-    /// (the pod whose shard controller admits them) plus the decision-
-    /// cache entries of the tasks it owns — a task is owned by the pod
-    /// of its lowest-id registered flow; decisions for tasks with no
-    /// registered flow (e.g. rejected long ago) default to shard 0.
-    /// Every flow and every decision lands in exactly one shard, so the
-    /// union of the shard checkpoints reassembles the full checkpoint
-    /// bit for bit ([`merge_checkpoints`]): a standby can restore from
-    /// whichever shard checkpoints survived and re-learn the rest from
-    /// server resyncs.
-    pub fn checkpoint_shards(
-        &self,
-        pods: &taps_topology::pods::PodMap,
-    ) -> Vec<ControllerCheckpoint> {
-        let full = self.checkpoint();
-        let n = pods.num_pods().max(1);
-        let mut shards: Vec<ControllerCheckpoint> = (0..n)
-            .map(|_| ControllerCheckpoint {
-                epoch: full.epoch,
-                gen: full.gen,
-                flows: Vec::new(),
-                decided: Vec::new(),
-            })
-            .collect();
-        let mut task_owner: BTreeMap<usize, usize> = BTreeMap::new();
-        for f in &full.flows {
-            let p = pods.host_pod(f.src) as usize;
-            task_owner.entry(f.task).or_insert(p);
-            shards[p].flows.push(f.clone());
-        }
-        for (t, v) in &full.decided {
-            let p = task_owner.get(t).copied().unwrap_or(0);
-            shards[p].decided.push((*t, v.clone()));
-        }
-        shards
     }
 
     /// Builds a standby controller from a checkpoint: the epoch is bumped
@@ -1216,30 +1178,6 @@ impl<'t> Controller<'t> {
                 }
             );
         }
-    }
-}
-
-/// Reassembles a full [`ControllerCheckpoint`] from per-shard
-/// checkpoints (inverse of [`Controller::checkpoint_shards`]): flows and
-/// decisions are merged back into id order, and the `(epoch, gen)`
-/// high-water mark is the max over the shards, so restoring from the
-/// merge outranks anything any shard's writer sent.
-pub fn merge_checkpoints(shards: &[ControllerCheckpoint]) -> ControllerCheckpoint {
-    let mut flows: Vec<CheckpointFlow> = shards
-        .iter()
-        .flat_map(|s| s.flows.iter().cloned())
-        .collect();
-    flows.sort_by_key(|f| f.flow);
-    let mut decided: Vec<(usize, TaskVerdict)> = shards
-        .iter()
-        .flat_map(|s| s.decided.iter().cloned())
-        .collect();
-    decided.sort_by_key(|d| d.0);
-    ControllerCheckpoint {
-        epoch: shards.iter().map(|s| s.epoch).max().unwrap_or(0),
-        gen: shards.iter().map(|s| s.gen).max().unwrap_or(0),
-        flows,
-        decided,
     }
 }
 
@@ -1531,38 +1469,6 @@ mod tests {
             let n = taps_topology::NodeId::from_idx(n);
             assert_eq!(seq.table(n).entries_sorted(), bat.table(n).entries_sorted());
         }
-    }
-
-    /// Per-pod shard checkpoints partition the full checkpoint exactly
-    /// and reassemble it bit for bit.
-    #[test]
-    fn shard_checkpoints_reassemble_the_full_checkpoint() {
-        let topo = fat_tree(4, GBPS);
-        let pods = taps_topology::pods::PodMap::new(&topo);
-        let mut c = Controller::new(&topo, cfg_unit());
-        // Pod-local tasks in pods 0 and 2, plus one cross-pod task.
-        c.handle_probe(0.0, &[probe(0, 0, 0, 3, GBPS, 8.0)]);
-        c.handle_probe(0.0, &[probe(1, 1, 8, 11, GBPS, 8.0)]);
-        c.handle_probe(
-            0.0,
-            &[probe(2, 2, 1, 14, GBPS, 8.0), probe(2, 3, 13, 2, GBPS, 8.0)],
-        );
-        let full = c.checkpoint();
-        let shards = c.checkpoint_shards(&pods);
-        assert_eq!(shards.len(), 4);
-        assert_eq!(merge_checkpoints(&shards), full);
-        // Flows live in their source pod's shard; the cross-pod task is
-        // owned by the pod of its lowest-id flow.
-        let ids = |s: &ControllerCheckpoint| s.flows.iter().map(|f| f.flow).collect::<Vec<_>>();
-        assert_eq!(ids(&shards[0]), vec![0, 2]);
-        assert_eq!(ids(&shards[2]), vec![1]);
-        assert_eq!(ids(&shards[3]), vec![3]);
-        assert!(shards[0].decided.iter().any(|(t, _)| *t == 2));
-        // A standby restored from the merge equals one restored from the
-        // full checkpoint.
-        let a = Controller::restore(&topo, cfg_unit(), &full);
-        let b = Controller::restore(&topo, cfg_unit(), &merge_checkpoints(&shards));
-        assert_eq!(a.checkpoint(), b.checkpoint());
     }
 
     /// What the in-flight index replaced, kept as its oracle: the

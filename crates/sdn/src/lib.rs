@@ -51,8 +51,7 @@ pub use channel::{
 pub use chaos::run_chaos_traced;
 pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
 pub use controller::{
-    merge_checkpoints, CheckpointFlow, ControlStats, Controller, ControllerCheckpoint,
-    ControllerConfig, TaskVerdict,
+    CheckpointFlow, ControlStats, Controller, ControllerCheckpoint, ControllerConfig, TaskVerdict,
 };
 pub use messages::{CtrlMsg, FlowGrant, LinkEvent, ProbeHeader, ServerMsg, SwitchCmd, SwitchMsg};
 pub use server::ServerAgent;

@@ -16,15 +16,16 @@ use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
 
+use taps_service::cli::flag_value;
 use taps_service::{decode_line, encode_line, verdict, Request, Response};
 use taps_workload::{ReplayConfig, ReplayPlan, WorkloadConfig};
 
-fn arg<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// [`flag_value`], or a one-line message and exit status 2.
+fn arg<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
+    flag_value(args, flag, default).unwrap_or_else(|e| {
+        eprintln!("taps-load: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// One blocking Stats round-trip; returns `daemon_now - our_elapsed` so
@@ -79,12 +80,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let socket = args
-        .iter()
-        .position(|a| a == "--socket")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "/tmp/taps-service.sock".to_string());
+    let socket = arg(&args, "--socket", "/tmp/taps-service.sock".to_string());
     let tasks: usize = arg(&args, "--tasks", 200);
     let hosts: usize = arg(&args, "--hosts", 128);
     let seed: u64 = arg(&args, "--seed", 7);

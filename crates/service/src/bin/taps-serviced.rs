@@ -13,26 +13,28 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use taps_sdn::ControllerConfig;
+use taps_service::cli::flag_value;
 use taps_service::{ServiceConfig, ServiceController, ServiceState, UdsTransport};
 use taps_topology::build::{fat_tree, GBPS};
 
-fn arg<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// [`flag_value`], or a one-line message and exit status 2.
+fn arg<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
+    flag_value(args, flag, default).unwrap_or_else(|e| {
+        eprintln!("taps-serviced: {e}");
+        std::process::exit(2)
+    })
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let socket = args
-        .iter()
-        .position(|a| a == "--socket")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "/tmp/taps-service.sock".to_string());
+    let socket = arg(&args, "--socket", "/tmp/taps-service.sock".to_string());
     let k: usize = arg(&args, "--k", 8);
+    if k < 2 || !k.is_multiple_of(2) {
+        eprintln!(
+            "taps-serviced: invalid value for --k: \"{k}\" (a fat-tree needs an even k >= 2)"
+        );
+        std::process::exit(2);
+    }
     let svc_cfg = ServiceConfig {
         queue_cap: arg(&args, "--queue-cap", 4_096),
         ..ServiceConfig::default()

@@ -54,3 +54,69 @@ pub use soak::{run_soak, SoakConfig, SoakFailure};
 pub use transport::{PushError, SimTransport, Transport, DEFAULT_INBOX_CAP, DEFAULT_OUTBOX_CAP};
 #[cfg(unix)]
 pub use uds::UdsTransport;
+
+/// Command-line flag parsing shared by `taps-serviced` and `taps-load`.
+pub mod cli {
+    use std::str::FromStr;
+
+    /// The value following `flag` in `args`, parsed as `T`; `default`
+    /// when the flag is absent. A flag with no value after it or with one
+    /// that does not parse is an error naming the flag (and the value).
+    pub fn flag_value<T: FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
+        let Some(i) = args.iter().position(|a| a == flag) else {
+            return Ok(default);
+        };
+        let Some(raw) = args.get(i + 1) else {
+            return Err(format!("missing value for {flag}"));
+        };
+        raw.parse()
+            .map_err(|_| format!("invalid value for {flag}: {raw:?}"))
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::flag_value;
+
+        fn args(a: &[&str]) -> Vec<String> {
+            a.iter().map(|s| s.to_string()).collect()
+        }
+
+        #[test]
+        fn absent_flag_yields_the_default() {
+            let a = args(&["taps-serviced", "--socket", "/tmp/s"]);
+            assert_eq!(flag_value(&a, "--k", 8usize), Ok(8));
+        }
+
+        #[test]
+        fn good_value_is_parsed() {
+            let a = args(&["taps-serviced", "--socket", "/tmp/s", "--k", "16"]);
+            assert_eq!(flag_value(&a, "--k", 8usize), Ok(16));
+            assert_eq!(
+                flag_value(&a, "--socket", String::new()),
+                Ok("/tmp/s".to_string())
+            );
+        }
+
+        #[test]
+        fn bad_value_names_flag_and_value() {
+            let a = args(&["taps-serviced", "--k", "abc", "--queue-cap", "4k"]);
+            assert_eq!(
+                flag_value(&a, "--k", 8usize),
+                Err("invalid value for --k: \"abc\"".to_string())
+            );
+            assert_eq!(
+                flag_value(&a, "--queue-cap", 4_096usize),
+                Err("invalid value for --queue-cap: \"4k\"".to_string())
+            );
+        }
+
+        #[test]
+        fn trailing_flag_is_an_error() {
+            let a = args(&["taps-serviced", "--k", "8", "--queue-cap"]);
+            assert_eq!(
+                flag_value(&a, "--queue-cap", 4_096usize),
+                Err("missing value for --queue-cap".to_string())
+            );
+        }
+    }
+}

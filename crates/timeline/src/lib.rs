@@ -511,31 +511,6 @@ impl IntervalSet {
         false
     }
 
-    /// Complement of the set within `[from, horizon)`.
-    pub fn complement_within(&self, from: u64, horizon: u64) -> IntervalSet {
-        let mut out = Vec::new();
-        let mut cursor = from;
-        for iv in &self.ivs {
-            if iv.end <= cursor {
-                continue;
-            }
-            if iv.start >= horizon {
-                break;
-            }
-            if iv.start > cursor {
-                out.push(Interval::new(cursor, iv.start.min(horizon)));
-            }
-            cursor = cursor.max(iv.end);
-            if cursor >= horizon {
-                break;
-            }
-        }
-        if cursor < horizon {
-            out.push(Interval::new(cursor, horizon));
-        }
-        IntervalSet { ivs: out }
-    }
-
     /// The paper's Alg. 3 inner step: allocate the earliest `slots` idle
     /// slots at or after `from`, where *idle* means "not in `self`"
     /// (`self` being the union `T_ocp` of the occupancy sets of all links on
@@ -812,27 +787,6 @@ mod tests {
         );
         assert!(a.intersects(&b));
         assert!(!set(&[(0, 1)]).intersects(&set(&[(1, 2)])));
-    }
-
-    #[test]
-    fn complement_within_works() {
-        let s = set(&[(2, 4), (6, 8)]);
-        let c = s.complement_within(0, 10);
-        assert_eq!(
-            c.intervals().collect::<Vec<_>>(),
-            vec![
-                Interval::new(0, 2),
-                Interval::new(4, 6),
-                Interval::new(8, 10)
-            ]
-        );
-    }
-
-    #[test]
-    fn complement_cursor_inside_interval() {
-        let s = set(&[(0, 5)]);
-        let c = s.complement_within(2, 8);
-        assert_eq!(c.intervals().collect::<Vec<_>>(), vec![Interval::new(5, 8)]);
     }
 
     #[test]

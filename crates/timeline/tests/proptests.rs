@@ -97,22 +97,6 @@ proptest! {
     }
 
     #[test]
-    fn complement_partitions_universe(ranges in arb_ranges(), from in 0u64..UNIVERSE) {
-        let s = build(&ranges);
-        let c = s.complement_within(from, UNIVERSE);
-        prop_assert!(c.is_normalized());
-        // Complement and set are disjoint...
-        prop_assert!(!c.intersects(&s));
-        // ...and together cover every slot in [from, UNIVERSE).
-        let u = c.union(&s);
-        for slot in from..UNIVERSE {
-            prop_assert!(u.contains(slot));
-        }
-        // Complement contains nothing before `from`.
-        prop_assert!(c.min_start().is_none_or(|m| m >= from));
-    }
-
-    #[test]
     fn allocation_contract(ranges in arb_ranges(), from in 0u64..UNIVERSE, slots in 1u64..64) {
         let busy = build(&ranges);
         let alloc = busy.allocate_first_free(from, slots).unwrap();

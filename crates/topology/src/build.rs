@@ -53,7 +53,8 @@ pub fn single_rooted(
 ///
 /// Wiring: edge switch `e` of a pod connects to all `k/2` aggregation
 /// switches of that pod; aggregation switch `a` (0-based within its pod)
-/// connects to core switches `a*k/2 .. (a+1)*k/2`.
+/// connects to core switches `a*k/2 .. (a+1)*k/2`. Hosts are packed
+/// pod-major: host `h` lives in pod `h / (k^2/4)`.
 pub fn fat_tree(k: usize, capacity: f64) -> Topology {
     assert!(
         k >= 2 && k.is_multiple_of(2),
@@ -94,21 +95,7 @@ pub fn fat_tree(k: usize, capacity: f64) -> Topology {
             }
         }
     }
-    // Pod-major host packing: host `h` lives in pod `h / (k^2/4)`. The
-    // sharded controller relies on this when it partitions demands, so
-    // pin it here where the ids are packed.
     debug_assert_eq!(t.num_hosts(), k * k * k / 4);
-    #[cfg(debug_assertions)]
-    {
-        let pods = crate::pods::PodMap::new(&t);
-        for h in 0..t.num_hosts() {
-            debug_assert_eq!(
-                pods.host_pod(h),
-                u32::try_from(h / (k * k / 4)).unwrap_or(u32::MAX),
-                "host {h} packed outside its pod"
-            );
-        }
-    }
     debug_assert!(t.validate().is_ok());
     t
 }

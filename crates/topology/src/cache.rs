@@ -108,25 +108,6 @@ impl PathCache {
     /// cache returns lists bit-identical to a cold one. Topologies (or
     /// routing modes) without ToR-pair sharing warm nothing.
     pub fn warm(&mut self, topo: &Topology) {
-        self.warm_filtered(topo, |_| true);
-    }
-
-    /// [`warm`](Self::warm) restricted to one pod: only ordered ToR pairs
-    /// whose representative hosts both live in `pod` are pre-enumerated.
-    /// A per-pod shard engine only ever allocates pod-local flows, so
-    /// warming the cross-pod pairs (the bulk at k=32: 512 ToRs give
-    /// ~261k ordered pairs against 240 per pod) would be wasted work —
-    /// and doing it per shard lets bring-up run pods in parallel.
-    pub fn warm_pod(
-        &mut self,
-        topo: &Topology,
-        pods: &crate::pods::PodMap,
-        pod: crate::pods::PodId,
-    ) {
-        self.warm_filtered(topo, |h| pods.host_pod(h) == pod);
-    }
-
-    fn warm_filtered(&mut self, topo: &Topology, keep_host: impl Fn(usize) -> bool) {
         if topo.routing != RoutingMode::UpDown {
             return;
         }
@@ -139,9 +120,6 @@ impl PathCache {
         let mut seen: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
         let mut reps: Vec<NodeId> = Vec::new();
         for h in 0..topo.num_hosts() {
-            if !keep_host(h) {
-                continue;
-            }
             let host = topo.host(h);
             if let Some(up) = leaf_uplink(topo, host) {
                 if seen.insert(topo.link(up).dst) {

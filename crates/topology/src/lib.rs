@@ -25,7 +25,6 @@
 pub mod build;
 pub mod cache;
 pub mod paths;
-pub mod pods;
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

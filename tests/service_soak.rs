@@ -1,0 +1,21 @@
+//! The service soak gate (`cargo xtask soak`) at its CI configuration,
+//! in simulated time: two seeds on `fat_tree(16)` with an overload
+//! phase, each run twice. The gate's own audits must come back empty —
+//! invariants, honest sheds, byte-identical double runs, throughput
+//! floor — and each seed's digest is pinned, so a change that moves a
+//! single verdict, shed or metric anywhere under `ServiceController`
+//! fails Tier-1 rather than only the xtask gate.
+
+use taps_service::{run_soak, SoakConfig};
+
+#[test]
+fn the_default_soak_is_clean_and_its_digests_are_pinned() {
+    let (lines, failures) = run_soak(&SoakConfig::default());
+    assert!(failures.is_empty(), "soak failures: {failures:?}");
+    assert_eq!(lines.len(), 2, "one report line per seed");
+    let pinned = [(11, "b4ae16e9536366c4"), (23, "3a638172e9d12986")];
+    for (line, (seed, digest)) in lines.iter().zip(pinned) {
+        assert!(line.starts_with(&format!("seed {seed}:")), "{line}");
+        assert!(line.ends_with(&format!("digest {digest}")), "{line}");
+    }
+}

@@ -1,30 +1,22 @@
-//! `cargo xtask bench-smoke` — the admission-latency regression gate.
+//! `cargo xtask bench-smoke` — three performance-regression gates.
 //!
-//! Runs `bench_admission` with a tiny configuration in release mode and
-//! fails if the fast or delta engine is *slower* than the paper-naive
-//! legacy pass (`speedup_p50 < 1.0`) at any benchmarked fat-tree size,
-//! or if any run's schedule diverged from the legacy schedule. The
-//! thresholds are deliberately loose — real speedups are an order of
-//! magnitude, so 1.0x only trips on a genuine hot-path regression (the
-//! PR 5 obs regression was 0.30x), never on CI machine noise.
+//! First, the engine gate ([`run`]): runs `bench_admission` once with a
+//! tiny configuration (fat-tree k = 8 and 16) in release mode and fails
+//! if the engine's full or delta pass is *slower* than the paper-naive
+//! reference (`speedup_p50 < 1.0`) at either size, or if any run's
+//! schedule diverged from the reference schedule. The thresholds are
+//! deliberately loose — real speedups are an order of magnitude, so
+//! 1.0x only trips on a genuine hot-path regression (the PR 5 obs
+//! regression was 0.30x), never on CI machine noise.
 //!
-//! The paper-scale sharded section (fat-tree k=32, 8 192 hosts) is
-//! gated too: batched and sharded burst admission must not be slower
-//! than the per-task sequential loop (`< 1.0` fails), the sharded
-//! schedule must stay bit-identical to the monolithic pass
-//! (`schedules_identical`), and a second run of the identical
-//! configuration must reproduce the same `schedule_fingerprint` — the
-//! shard-determinism gate (shard count and thread interleaving must
-//! never leak into the schedule).
-//!
-//! Last, the flowsim linearity gate ([`run_linearity`]): a `Taps` round
+//! Second, the flowsim linearity gate ([`run_linearity`]): a `Taps` round
 //! of the benchmark's `sim_taps_k8` shape is timed at 1 000 and at 4 000
 //! tasks, and seconds-per-1 000-tasks may grow by at most 2x. The
 //! engine walks only the flows in flight, so the figure is flat (0.9x);
 //! when it scanned every flow of the workload per event it grew 15x
 //! (EXPERIMENTS.md, "Flowsim engine scaling").
 //!
-//! Beside it, the controller history-independence gate
+//! Third, the controller history-independence gate
 //! ([`run_history`]): one `handle_probe` against the same ≈200 flows in
 //! flight on `fat_tree(16)` is timed on a controller whose registry
 //! remembers no retired flow and on one that remembers 20 000, and the
@@ -54,18 +46,6 @@ pub struct Row {
     pub speedup_p50: f64,
     /// Delta-engine p50 speedup over legacy.
     pub speedup_p50_delta: f64,
-}
-
-/// Summary of the paper-scale sharded section for reporting.
-pub struct ShardedRow {
-    /// Fat-tree parameter (32 → 8 192 hosts).
-    pub k: u64,
-    /// Batched burst admission over per-task sequential, mean.
-    pub speedup_batched: f64,
-    /// Sharded burst admission over per-task sequential, mean.
-    pub speedup_sharded: f64,
-    /// Flow allocations committed per second of sharded wall-clock.
-    pub admissions_per_sec: f64,
 }
 
 /// Seconds per 1 000 tasks of the two timed flowsim rounds.
@@ -193,18 +173,11 @@ pub fn check_history(row: &HistoryRow, failures: &mut Vec<Failure>) {
     }
 }
 
-/// Smoke arguments shared by both invocations of the determinism pair:
-/// the sharded section must see byte-identical parameters or the
-/// fingerprint comparison would be meaningless.
-const SHARDED_ARGS: [&str; 4] = ["--sharded-rounds", "4", "--sharded-batch", "32"];
-
-fn run_bench(
-    root: &Path,
-    ks: &str,
-    arrivals: &str,
-    out: &Path,
-    metrics_out: &Path,
-) -> Result<serde_json::Value, Failure> {
+/// Runs `bench_admission` with the smoke configuration — two sizes, a
+/// dozen timed arrivals, small window: enough signal for an
+/// order-of-magnitude gate, ~seconds of runtime — and parses its report.
+fn run_bench(root: &Path, out_dir: &Path) -> Result<serde_json::Value, Failure> {
+    let out = out_dir.join("BENCH_admission.json");
     let status = Command::new("cargo")
         .current_dir(root)
         .args([
@@ -216,19 +189,18 @@ fn run_bench(
             "bench_admission",
             "--",
             "--ks",
-            ks,
+            "8,16",
             "--arrivals",
-            arrivals,
+            "12",
             "--window",
             "6",
             "--flows",
             "4",
         ])
-        .args(SHARDED_ARGS)
         .arg("--out")
-        .arg(out)
+        .arg(&out)
         .arg("--metrics-out")
-        .arg(metrics_out)
+        .arg(out_dir.join("METRICS_admission.json"))
         .status();
     match status {
         Ok(s) if s.success() => {}
@@ -243,7 +215,7 @@ fn run_bench(
             });
         }
     }
-    let text = std::fs::read_to_string(out).map_err(|e| Failure {
+    let text = std::fs::read_to_string(&out).map_err(|e| Failure {
         what: format!("cannot read {}: {e}", out.display()),
     })?;
     serde_json::from_str(&text).map_err(|e| Failure {
@@ -253,29 +225,20 @@ fn run_bench(
 
 /// Runs the smoke benchmark in `root` and checks the gate. Returns the
 /// summary rows and every violation (empty = green).
-pub fn run(root: &Path) -> (Vec<Row>, Option<ShardedRow>, Vec<Failure>) {
+pub fn run(root: &Path) -> (Vec<Row>, Vec<Failure>) {
     let mut failures = Vec::new();
     let out_dir = root.join("target").join("bench-smoke");
     if let Err(e) = std::fs::create_dir_all(&out_dir) {
         return (
             Vec::new(),
-            None,
             vec![Failure {
                 what: format!("cannot create {}: {e}", out_dir.display()),
             }],
         );
     }
-    // Tiny config: two sizes, a dozen timed arrivals, small window —
-    // enough signal for an order-of-magnitude gate, ~seconds of runtime.
-    let doc = match run_bench(
-        root,
-        "8,16",
-        "12",
-        &out_dir.join("BENCH_admission.json"),
-        &out_dir.join("METRICS_admission.json"),
-    ) {
+    let doc = match run_bench(root, &out_dir) {
         Ok(doc) => doc,
-        Err(f) => return (Vec::new(), None, vec![f]),
+        Err(f) => return (Vec::new(), vec![f]),
     };
     let rows = check(&doc, &mut failures);
     if rows.is_empty() {
@@ -283,95 +246,7 @@ pub fn run(root: &Path) -> (Vec<Row>, Option<ShardedRow>, Vec<Failure>) {
             what: "bench report contains no result rows".into(),
         });
     }
-    let sharded = check_sharded(&doc, &mut failures);
-    // Shard-determinism gate: replay the identical sharded configuration
-    // (the k≤16 part shrinks to a single arrival — it is not what this
-    // run checks) and require the same schedule fingerprint.
-    match run_bench(
-        root,
-        "8",
-        "1",
-        &out_dir.join("BENCH_admission_rerun.json"),
-        &out_dir.join("METRICS_admission_rerun.json"),
-    ) {
-        Ok(rerun) => check_determinism(&doc, &rerun, &mut failures),
-        Err(f) => failures.push(f),
-    }
-    (rows, sharded, failures)
-}
-
-/// The paper-scale sharded gate: both batched strategies must beat (or
-/// at worst match) the per-task sequential loop, and the sharded
-/// schedule must be bit-identical to the monolithic one.
-pub fn check_sharded(doc: &serde_json::Value, failures: &mut Vec<Failure>) -> Option<ShardedRow> {
-    let Some(row) = doc.get("sharded") else {
-        failures.push(Failure {
-            what: "bench report has no sharded section".into(),
-        });
-        return None;
-    };
-    let k = row.get("k").and_then(|v| v.as_u64()).unwrap_or(0);
-    let mut speedup = |field: &str| -> f64 {
-        match row.get(field).and_then(|v| v.as_f64()) {
-            Some(s) => {
-                if s < 1.0 {
-                    failures.push(Failure {
-                        what: format!(
-                            "sharded k={k}: {field} {s:.2} < 1.0 (batched admission regressed)"
-                        ),
-                    });
-                }
-                s
-            }
-            None => {
-                failures.push(Failure {
-                    what: format!("sharded k={k}: missing {field}"),
-                });
-                0.0
-            }
-        }
-    };
-    let speedup_batched = speedup("speedup_batched_vs_sequential");
-    let speedup_sharded = speedup("speedup_sharded_vs_sequential");
-    if row.get("schedules_identical").and_then(|v| v.as_bool()) != Some(true) {
-        failures.push(Failure {
-            what: format!("sharded k={k}: schedules_identical is not true"),
-        });
-    }
-    Some(ShardedRow {
-        k,
-        speedup_batched,
-        speedup_sharded,
-        admissions_per_sec: row
-            .get("admissions_per_sec_batched")
-            .and_then(|v| v.as_f64())
-            .unwrap_or(0.0),
-    })
-}
-
-/// The shard-determinism gate: two runs of the identical sharded
-/// configuration must report the same schedule fingerprint.
-pub fn check_determinism(
-    a: &serde_json::Value,
-    b: &serde_json::Value,
-    failures: &mut Vec<Failure>,
-) {
-    let fp = |doc: &serde_json::Value| {
-        doc.get("sharded")
-            .and_then(|s| s.get("schedule_fingerprint"))
-            .and_then(|v| v.as_u64())
-    };
-    match (fp(a), fp(b)) {
-        (Some(x), Some(y)) if x == y => {}
-        (Some(x), Some(y)) => failures.push(Failure {
-            what: format!(
-                "shard determinism violated: fingerprints {x:#018x} vs {y:#018x} across reruns"
-            ),
-        }),
-        _ => failures.push(Failure {
-            what: "sharded schedule_fingerprint missing from a rerun report".into(),
-        }),
-    }
+    (rows, failures)
 }
 
 /// The gate itself, separated from process plumbing for unit testing:
@@ -474,65 +349,6 @@ mod tests {
         assert!(rows.is_empty());
     }
 
-    fn sharded_doc(batched: f64, sharded: f64, identical: bool, fp: u64) -> serde_json::Value {
-        serde_json::Value::Object(vec![(
-            "sharded".into(),
-            serde_json::Value::Object(vec![
-                ("k".into(), serde_json::Value::UInt(32)),
-                (
-                    "speedup_batched_vs_sequential".into(),
-                    serde_json::Value::Float(batched),
-                ),
-                (
-                    "speedup_sharded_vs_sequential".into(),
-                    serde_json::Value::Float(sharded),
-                ),
-                (
-                    "admissions_per_sec_batched".into(),
-                    serde_json::Value::Float(2.0e5),
-                ),
-                ("schedule_fingerprint".into(), serde_json::Value::UInt(fp)),
-                (
-                    "schedules_identical".into(),
-                    serde_json::Value::Bool(identical),
-                ),
-            ]),
-        )])
-    }
-
-    #[test]
-    fn healthy_sharded_row_passes() {
-        let mut failures = Vec::new();
-        let row = check_sharded(&sharded_doc(9.5, 9.7, true, 7), &mut failures);
-        assert!(failures.is_empty(), "{}", failures[0].what);
-        let row = row.expect("row parsed");
-        assert_eq!(row.k, 32);
-        assert!(row.admissions_per_sec > 1.0e5);
-    }
-
-    #[test]
-    fn regressed_sharded_speedup_fails() {
-        let mut failures = Vec::new();
-        check_sharded(&sharded_doc(9.5, 0.8, true, 7), &mut failures);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].what.contains("speedup_sharded_vs_sequential"));
-    }
-
-    #[test]
-    fn diverged_sharded_schedule_fails() {
-        let mut failures = Vec::new();
-        check_sharded(&sharded_doc(9.5, 9.7, false, 7), &mut failures);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].what.contains("schedules_identical"));
-    }
-
-    #[test]
-    fn missing_sharded_section_fails() {
-        let mut failures = Vec::new();
-        assert!(check_sharded(&serde_json::Value::Object(Vec::new()), &mut failures).is_none());
-        assert_eq!(failures.len(), 1);
-    }
-
     #[test]
     fn flat_or_shrinking_cost_per_task_passes_linearity() {
         let mut failures = Vec::new();
@@ -579,28 +395,5 @@ mod tests {
         );
         assert_eq!(failures.len(), 1);
         assert!(failures[0].what.contains("2.79x > 1.2x"));
-    }
-
-    #[test]
-    fn matching_fingerprints_pass_determinism() {
-        let mut failures = Vec::new();
-        check_determinism(
-            &sharded_doc(9.5, 9.7, true, 7),
-            &sharded_doc(9.5, 9.7, true, 7),
-            &mut failures,
-        );
-        assert!(failures.is_empty());
-    }
-
-    #[test]
-    fn fingerprint_mismatch_fails_determinism() {
-        let mut failures = Vec::new();
-        check_determinism(
-            &sharded_doc(9.5, 9.7, true, 7),
-            &sharded_doc(9.5, 9.7, true, 8),
-            &mut failures,
-        );
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].what.contains("shard determinism violated"));
     }
 }

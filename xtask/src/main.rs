@@ -8,10 +8,12 @@
 //! * `chaos --seeds N` — run the seeded control-plane chaos gate: lossy
 //!   channels + link outage + controller crash/failover per seed, with
 //!   safety and bit-identical-determinism assertions (DESIGN.md §10).
-//! * `bench-smoke` — run `bench_admission` with a tiny config in release
-//!   mode and fail on any admission hot-path regression (DESIGN.md §12),
-//!   then time a flowsim round at 1 000 and 4 000 tasks and fail if the
-//!   cost per task grows with the round.
+//! * `bench-smoke` — run `bench_admission` once with a tiny config in
+//!   release mode and fail on any admission hot-path regression
+//!   (DESIGN.md §12), time a flowsim round at 1 000 and 4 000 tasks and
+//!   fail if the cost per task grows with the round, and time a
+//!   controller probe on a fresh and an aged registry and fail if it
+//!   grows with history.
 //! * `soak` — run the deterministic live-service soak gate: overload
 //!   burst, shedding audit, byte-identical double runs (DESIGN.md §15).
 //! * `scenarios` — replay the golden scenario matrix (weighted,
@@ -61,14 +63,14 @@ tasks:
   trace              golden-trace gate: runs the traced testbed + chaos scenarios,
                      asserts byte-identical re-runs, replays the event stream through
                      the invariant validator, writes results/TRACE_*.jsonl
-  bench-smoke        admission-latency regression gate: runs bench_admission with a
-                     tiny config in release mode, fails if the fast or delta engine
-                     is slower than legacy (speedup_p50 < 1.0) at any k, if the
-                     sharded k=32 section is slower than per-task sequential
-                     admission, if any schedule diverged, or if a rerun of the
-                     sharded configuration changes the schedule fingerprint;
-                     then times a flowsim Taps round at 1 000 and 4 000 tasks and
-                     fails if seconds-per-1 000-tasks grows by more than 2x
+  bench-smoke        three regression gates: runs bench_admission once with a tiny
+                     config (k = 8, 16) in release mode and fails if the engine's
+                     full or delta pass is slower than the naive reference
+                     (speedup_p50 < 1.0) or any schedule diverged; times a flowsim
+                     Taps round at 1 000 and 4 000 tasks and fails if
+                     seconds-per-1 000-tasks grows by more than 2x; times one
+                     controller probe on a registry holding 0 and 20 000 retired
+                     flows and fails if the second costs more than 1.2x the first
   soak [--small]     deterministic live-service soak gate (DESIGN.md §15): two
                      seeds, paper-scale k=16 fat-tree, overload burst phase;
                      asserts zero invariant violations, byte-identical double
@@ -180,7 +182,7 @@ fn trace() -> ExitCode {
 
 fn bench_smoke() -> ExitCode {
     let root = workspace_root();
-    let (rows, sharded, mut failures) = xtask::bench_smoke::run(&root);
+    let (rows, mut failures) = xtask::bench_smoke::run(&root);
     let (linearity, nonlinear) = xtask::bench_smoke::run_linearity();
     failures.extend(nonlinear);
     let (history, aging) = xtask::bench_smoke::run_history();
@@ -189,13 +191,6 @@ fn bench_smoke() -> ExitCode {
         println!(
             "xtask bench-smoke: k={} fast {:.1}x, delta {:.1}x over legacy p50",
             r.k, r.speedup_p50, r.speedup_p50_delta
-        );
-    }
-    if let Some(s) = &sharded {
-        println!(
-            "xtask bench-smoke: k={} sharded batched {:.1}x, sharded {:.1}x over per-task \
-             sequential, {:.0} admissions/s",
-            s.k, s.speedup_batched, s.speedup_sharded, s.admissions_per_sec
         );
     }
     println!(
