@@ -12,6 +12,7 @@ use taps_core::{FlowDemand, SlotAllocator, Taps, TapsConfig};
 use taps_flowsim::{SimConfig, Simulation};
 use taps_timeline::IntervalSet;
 use taps_topology::build::{fat_tree, single_rooted, GBPS};
+use taps_topology::cache::PathCache;
 use taps_topology::paths::PathFinder;
 use taps_workload::WorkloadConfig;
 
@@ -157,6 +158,15 @@ fn bench_path_enumeration(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("ecmp_pick", k), &topo, |bch, _| {
             bch.iter(|| black_box(pf.ecmp(a, b, 42)));
+        });
+    }
+    // What the first flow between two racks pays: an empty cache, so both
+    // ToR walk tables, the join and the 16 kept candidates.
+    for k in [8usize, 16] {
+        let topo = fat_tree(k, GBPS);
+        let (a, b) = (topo.host(0), topo.host(topo.num_hosts() - 1));
+        g.bench_with_input(BenchmarkId::new("cold_lookup", k), &topo, |bch, topo| {
+            bch.iter(|| black_box(PathCache::new(16).paths(topo, a, b)));
         });
     }
     g.finish();

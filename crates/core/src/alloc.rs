@@ -102,11 +102,49 @@ pub(crate) fn slots_for(slot: f64, bytes: f64, bottleneck: f64) -> u64 {
     slots::from_f64_ceil((bytes / per_slot) - 1e-9).max(1)
 }
 
+/// One flow's slot demand `E` per candidate path. `E` depends on the
+/// path only through its bottleneck capacity, which on the paper's
+/// uniform-capacity fabrics is the same for every candidate, so the
+/// division is redone only when the bottleneck differs from the previous
+/// path's.
+pub(crate) struct SlotDemand {
+    slot: f64,
+    bytes: f64,
+    /// Bottleneck and `E` of the last path asked about.
+    last: Option<(f64, u64)>,
+}
+
+impl SlotDemand {
+    /// The demand of a flow with `bytes` left to send in `slot`-second
+    /// slots.
+    pub(crate) fn new(slot: f64, bytes: f64) -> Self {
+        SlotDemand {
+            slot,
+            bytes,
+            last: None,
+        }
+    }
+
+    /// `E` on `path`: [`slots_for`] at its bottleneck.
+    #[inline]
+    pub(crate) fn on(&mut self, topo: &Topology, path: &Path) -> u64 {
+        let bottleneck = path.bottleneck(topo);
+        match self.last {
+            Some((b, e)) if b.to_bits() == bottleneck.to_bits() => e,
+            _ => {
+                let e = slots_for(self.slot, self.bytes, bottleneck);
+                self.last = Some((bottleneck, e));
+                e
+            }
+        }
+    }
+}
+
 /// Calls `f` with the occupancy sets of a path's links — preceded by
 /// the pre-merged `shared` set when one is given — without heap
 /// allocation: the reference list lives on the stack (paths on the
 /// paper's topology families are at most 6 hops; a `Vec` fallback covers
-/// anything longer than 16).
+/// anything longer than 8).
 #[inline]
 fn with_path_sets<R>(
     shared: Option<&IntervalSet>,
@@ -114,7 +152,7 @@ fn with_path_sets<R>(
     links: &[LinkId],
     f: impl FnOnce(&[&IntervalSet]) -> R,
 ) -> R {
-    const MAX_HOPS: usize = 16;
+    const MAX_HOPS: usize = 8;
     let head = usize::from(shared.is_some());
     let n = head + links.len();
     if n <= MAX_HOPS {
@@ -143,21 +181,45 @@ pub(crate) fn union_path(occupancy: &[IntervalSet], links: &[LinkId], out: &mut 
     });
 }
 
+#[cfg(test)]
+thread_local! {
+    /// K-way sweeps run by [`first_fit_links`] on this thread.
+    static SWEEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Bounded first-fit completion over the union of a path's occupancy
-/// sets, swept directly across the per-link interval lists
+/// sets (and of `shared`, a set pre-merged from links every candidate
+/// crosses), swept directly across the per-link interval lists
 /// ([`IntervalSet::first_fit_bound_many`]). This is the innermost loop
 /// of Alg. 2: ranking a candidate needs only its completion slot, and
 /// the sweep abandons the candidate at the incumbent bound instead of
 /// paying a full union over the occupancy horizon.
+///
+/// Against an incumbent the sweep is not even started when the busy
+/// prefix rules the candidate out: the union is busy wherever one of its
+/// sets is, so its first idle slot at or after `from` is at least every
+/// set's, and `slots` slots from there complete no earlier than
+/// `max first idle + slots`. One set that puts this past `bound` is
+/// enough, and such a candidate is exactly one the sweep would have
+/// answered `None` for.
 #[inline]
 pub(crate) fn first_fit_links(
+    shared: Option<&IntervalSet>,
     occupancy: &[IntervalSet],
     links: &[LinkId],
     from: u64,
     slots: u64,
     bound: u64,
 ) -> Option<u64> {
-    with_path_sets(None, occupancy, links, |refs| {
+    let ruled_out = |s: &IntervalSet| s.first_idle_at_or_after(from).saturating_add(slots) > bound;
+    if bound != u64::MAX
+        && (shared.is_some_and(ruled_out) || links.iter().any(|l| ruled_out(&occupancy[l.idx()])))
+    {
+        return None;
+    }
+    #[cfg(test)]
+    SWEEPS.with(|n| n.set(n.get() + 1));
+    with_path_sets(shared, occupancy, links, |refs| {
         IntervalSet::first_fit_bound_many(refs, from, slots, bound)
     })
 }
@@ -248,9 +310,9 @@ impl AllocEngine {
 
     /// Pre-enumerates candidate paths for every ToR pair of `topo`
     /// ([`PathCache::warm`]): topology bring-up work an SDN controller
-    /// does before traffic arrives, so no admission pays the uncapped
-    /// path enumeration. Purely a cache warm-up — allocation results
-    /// are bit-identical with or without it.
+    /// does before traffic arrives, so no admission pays a first-time
+    /// lookup. Purely a cache warm-up — allocation results are
+    /// bit-identical with or without it.
     pub fn warm_paths(&mut self, topo: &Topology) {
         self.ensure_topology(topo);
         self.cache.warm(topo);
@@ -355,8 +417,7 @@ impl AllocEngine {
         if candidates.is_empty() {
             return Err(AllocError::Disconnected { flow: demand.id });
         }
-        let remaining = demand.remaining;
-        let slot = self.slot;
+        let mut demand_on = SlotDemand::new(self.slot, demand.remaining);
 
         // Every candidate for a host pair traverses the same two access
         // links, which also carry the densest occupancy (all of the
@@ -382,17 +443,14 @@ impl AllocEngine {
                 Some(_) => &p.links[1..p.links.len() - 1],
                 None => &p.links[..],
             };
-            with_path_sets(shared, occupancy, links, |refs| {
-                IntervalSet::first_fit_bound_many(refs, start_slot, e, bound)
-            })
+            first_fit_links(shared, occupancy, links, start_slot, e, bound)
         };
         // Rank candidates by completion slot; ties go to the lowest
         // candidate index (first-wins).
         let mut best: Option<(u64, usize)> = None;
         if let Some(si) = seed.filter(|&si| si < candidates.len()) {
             let p = &candidates[si];
-            let e = slots_for(slot, remaining, p.bottleneck(topo));
-            if let Some(c) = rank(p, e, u64::MAX) {
+            if let Some(c) = rank(p, demand_on.on(topo, p), u64::MAX) {
                 best = Some((c, si));
             }
         }
@@ -400,7 +458,6 @@ impl AllocEngine {
             if Some(i) == seed {
                 continue;
             }
-            let e = slots_for(slot, remaining, p.bottleneck(topo));
             // The bound preserves the exact (completion, index)
             // first-wins order: a candidate below the incumbent's index
             // may tie it, one above must strictly beat it. Unseeded, the
@@ -416,7 +473,7 @@ impl AllocEngine {
                     }
                 }
             };
-            if let Some(c) = rank(p, e, bound) {
+            if let Some(c) = rank(p, demand_on.on(topo, p), bound) {
                 best = Some((c, i));
             }
         }
@@ -429,7 +486,7 @@ impl AllocEngine {
         self.counters.paths_tried += candidates.len() as u64;
         self.counters.slots_scanned += completion_slot.saturating_sub(start_slot) + 1;
         let path = candidates[idx].clone();
-        let e = slots_for(slot, remaining, path.bottleneck(topo));
+        let e = demand_on.on(topo, &path);
         union_path(&self.occupancy, &path.links, &mut self.scratch);
         let slices = self
             .scratch
@@ -779,13 +836,99 @@ mod tests {
         let engine = SlotAllocator::new(&topo, 0.0001, 16)
             .allocate_batch(&demands, 3)
             .unwrap();
-        assert_eq!(naive.len(), engine.len());
+        assert_same_schedule(&naive, &engine);
         for (n, e) in naive.iter().zip(&engine) {
-            assert_eq!(n.path, e.path, "flow {}", n.id);
-            assert_eq!(n.slices, e.slices, "flow {}", n.id);
-            assert_eq!(n.completion_slot, e.completion_slot);
             assert_eq!(n.on_time, e.on_time);
         }
+    }
+
+    fn assert_same_schedule(naive: &[FlowAlloc], engine: &[FlowAlloc]) {
+        assert_eq!(naive.len(), engine.len());
+        for (n, e) in naive.iter().zip(engine) {
+            assert_eq!(n.path, e.path, "flow {}", n.id);
+            assert_eq!(n.slices, e.slices, "flow {}", n.id);
+            assert_eq!(n.completion_slot, e.completion_slot, "flow {}", n.id);
+        }
+    }
+
+    fn sweeps() -> u64 {
+        SWEEPS.with(|n| n.get())
+    }
+
+    /// Candidate 0 is idle and every other candidate has a middle link
+    /// busy past candidate 0's completion: the busy-prefix bound must
+    /// drop all three without sweeping them, and the schedule must still
+    /// be the naive reference's.
+    #[test]
+    fn busy_prefix_bound_skips_candidates_that_cannot_win() {
+        let topo = fat_tree(4, GBPS);
+        let long = 40.0 * 125_000.0;
+        // k = 4: hosts 0-1 and 2-3 are pod 0's two racks, 4.., 8.., 12..
+        // the other pods. Three long flows shape the occupancy (each
+        // lands on the first candidate still idle for it):
+        let shaping = [
+            // rack 0 -> rack 1 climbs rack 0's first uplink ...
+            demand(0, 1, 3, long, 1.0),
+            // ... pod 1 -> pod 3 takes the first core into pod 3 ...
+            demand(1, 4, 12, long, 1.0),
+            // ... so pod 0 rack 1 -> pod 3 climbs to the second core.
+            demand(2, 2, 14, long, 1.0),
+        ];
+        let target = demand(3, 0, 8, 125_000.0, 1.0);
+        let mut a = SlotAllocator::new(&topo, 0.001, 16);
+        let mut got = a.allocate_batch(&shaping, 5).unwrap();
+
+        // The shape the test needs, checked rather than assumed.
+        let cands = a
+            .engine_mut()
+            .candidate_paths(&topo, target.src, target.dst);
+        assert_eq!(cands.len(), 4);
+        let busy = |p: &Path| p.links.iter().any(|l| !a.occupancy(*l).is_empty());
+        assert!(!busy(&cands[0]), "candidate 0 must be idle");
+        for p in &cands[1..] {
+            let mid = &p.links[1..p.links.len() - 1];
+            assert!(
+                mid.iter().any(|l| a.occupancy(*l).contains(5)),
+                "every other candidate needs a busy middle link: {p:?}"
+            );
+        }
+
+        let before = sweeps();
+        got.extend(a.allocate_batch(std::slice::from_ref(&target), 5).unwrap());
+        assert_eq!(sweeps() - before, 1, "only candidate 0 is swept");
+        assert_eq!(got[3].path, cands[0]);
+        assert_eq!(got[3].completion_slot, 6);
+        let all: Vec<FlowDemand> = shaping.iter().chain([&target]).cloned().collect();
+        assert_same_schedule(&naive_batch(&topo, 0.001, 16, &all, 5).unwrap(), &got);
+    }
+
+    /// A seeded search meets a lower-index candidate whose busy prefix
+    /// puts it exactly *at* the incumbent: it may still tie and, being
+    /// first, win — so the bound for it is `c`, not `c - 1`, and it must
+    /// be swept.
+    #[test]
+    fn busy_prefix_bound_keeps_a_lower_index_candidate_that_can_tie() {
+        let topo = fat_tree(4, GBPS);
+        // Candidates 0 and 1 of the rack pair share the uplink this flow
+        // keeps busy for two slots; 2 and 3 stay idle.
+        let first = demand(0, 0, 8, 2.0 * 125_000.0, 1.0);
+        let second = demand(1, 1, 9, 3.0 * 125_000.0, 1.0);
+        let mut a = SlotAllocator::new(&topo, 0.001, 16);
+        let mut got = a.allocate_batch(std::slice::from_ref(&first), 5).unwrap();
+
+        let before = sweeps();
+        let (cands, winner, al) = a
+            .engine_mut()
+            .search_and_commit(&topo, &second, 5, None, Some(3))
+            .unwrap();
+        assert_eq!(cands.len(), 4);
+        // Seed 3 completes at 8; candidates 0 and 1 cannot start before
+        // slot 7 (skipped); candidate 2 can reach 8 and takes the tie.
+        assert_eq!((winner, al.completion_slot), (2, 8));
+        assert_eq!(sweeps() - before, 2, "the seed and candidate 2 are swept");
+        got.push(al);
+        let all = [first, second];
+        assert_same_schedule(&naive_batch(&topo, 0.001, 16, &all, 5).unwrap(), &got);
     }
 
     /// The engine can be re-bound to a different topology; occupancy and

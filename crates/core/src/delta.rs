@@ -42,7 +42,7 @@
 //!    sends just that flow through the ordinary search.
 
 use crate::alloc::{
-    first_fit_links, slots_for, union_path, AllocEngine, AllocError, FlowAlloc, FlowDemand,
+    first_fit_links, union_path, AllocEngine, AllocError, FlowAlloc, FlowDemand, SlotDemand,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -300,6 +300,7 @@ impl AllocEngine {
                         .iter()
                         .any(|l| free_dirt.is(l.idx()) || add_dirt.is(l.idx()));
                     let translated = e.completion + delta;
+                    let mut demand_on = SlotDemand::new(self.slot, d.remaining);
                     // Seed the incumbent with the winner's exact current
                     // completion: the translation when its links are clean,
                     // one bounded sweep when they are dirty. The incumbent
@@ -311,16 +312,12 @@ impl AllocEngine {
                     // pushed *past* its translated completion voids the
                     // argument, so that flow takes the full search.
                     let seed = if winner_dirty {
-                        let e_slots = slots_for(
-                            self.slot,
-                            d.remaining,
-                            e.candidates[e.winner].bottleneck(topo),
-                        );
                         first_fit_links(
+                            None,
                             &self.occupancy,
                             winner_links,
                             start_slot,
-                            e_slots,
+                            demand_on.on(topo, &e.candidates[e.winner]),
                             translated,
                         )
                         .map(|c| (c, e.winner))
@@ -334,7 +331,6 @@ impl AllocEngine {
                                 continue;
                             }
                             stats.probed_candidates += 1;
-                            let e_slots = slots_for(self.slot, d.remaining, p.bottleneck(topo));
                             // First-wins tie order: a lower-index probe may
                             // tie the incumbent, a higher-index one must
                             // strictly beat it.
@@ -344,10 +340,11 @@ impl AllocEngine {
                                 best.0.saturating_sub(1)
                             };
                             if let Some(c) = first_fit_links(
+                                None,
                                 &self.occupancy,
                                 &p.links,
                                 start_slot,
-                                e_slots,
+                                demand_on.on(topo, p),
                                 bound,
                             ) {
                                 best = (c, ci);
@@ -357,7 +354,7 @@ impl AllocEngine {
                         let (completion, widx) = best;
                         let path = e.candidates[widx].clone();
                         let slices = if moved {
-                            let e_slots = slots_for(self.slot, d.remaining, path.bottleneck(topo));
+                            let e_slots = demand_on.on(topo, &path);
                             union_path(&self.occupancy, &path.links, &mut self.scratch);
                             let s = self
                                 .scratch
@@ -382,7 +379,7 @@ impl AllocEngine {
                             // prove translation when frees and adds both
                             // landed below it (a swapped idle slot keeps the
                             // completion while shifting a slice).
-                            let e_slots = slots_for(self.slot, d.remaining, path.bottleneck(topo));
+                            let e_slots = demand_on.on(topo, &path);
                             union_path(&self.occupancy, &path.links, &mut self.scratch);
                             let s = self
                                 .scratch

@@ -77,6 +77,15 @@ impl fmt::Debug for Interval {
     }
 }
 
+/// Widest k-way sweep whose cursors live in the small stack arrays: a
+/// path's links (at most 6 hops on the paper's topology families) plus a
+/// pre-merged shared set. Clearing the arrays is a per-candidate cost of
+/// Alg. 2, so they are sized to what paths need.
+const SMALL_WAYS: usize = 8;
+/// Widest k-way merge or sweep done with stack cursors at all; wider
+/// inputs fold pairwise.
+const MAX_WAYS: usize = 64;
+
 /// A normalized set of slot indices, stored as sorted, disjoint,
 /// non-adjacent [`Interval`]s.
 ///
@@ -162,6 +171,20 @@ impl IntervalSet {
                 }
             })
             .is_ok()
+    }
+
+    /// Smallest slot at or after `from` that is not in the set.
+    ///
+    /// A first-fit allocation of `slots` slots from `from` cannot start
+    /// earlier, on this set or on any union it is part of, so this slot
+    /// plus `slots` is a lower bound on its completion: Alg. 2 uses it
+    /// to drop a candidate path before sweeping it.
+    #[inline]
+    pub fn first_idle_at_or_after(&self, from: u64) -> u64 {
+        match self.ivs.get(self.ivs.partition_point(|iv| iv.end <= from)) {
+            Some(iv) if iv.start <= from => iv.end,
+            _ => from,
+        }
     }
 
     /// Largest slot in the set plus one, or `None` if empty.
@@ -301,7 +324,6 @@ impl IntervalSet {
         }
         // Cursor per input set; paths never have anywhere near this many
         // links, but fall back to a pairwise fold if a caller does.
-        const MAX_WAYS: usize = 64;
         if sets.len() > MAX_WAYS {
             let mut acc = IntervalSet::new();
             for s in sets {
@@ -408,24 +430,38 @@ impl IntervalSet {
         if slots == 0 {
             return None;
         }
-        const MAX_WAYS: usize = 64;
-        if sets.len() > MAX_WAYS {
-            let mut tmp = IntervalSet::new();
-            Self::union_many(sets, &mut tmp);
-            return tmp.first_fit_bound(from, slots, bound);
+        match sets.len() {
+            0 => {
+                let c = from.saturating_add(slots);
+                (c <= bound).then_some(c)
+            }
+            1..=SMALL_WAYS => Self::sweep::<SMALL_WAYS>(sets, from, slots, bound),
+            k if k > MAX_WAYS => {
+                let mut tmp = IntervalSet::new();
+                Self::union_many(sets, &mut tmp);
+                tmp.first_fit_bound(from, slots, bound)
+            }
+            _ => Self::sweep::<MAX_WAYS>(sets, from, slots, bound),
         }
+    }
+
+    /// The k-way sweep of [`first_fit_bound_many`](Self::first_fit_bound_many)
+    /// with its cursors in `W`-entry stack arrays (`1 <= sets.len() <= W`,
+    /// `slots > 0`).
+    fn sweep<const W: usize>(
+        sets: &[&IntervalSet],
+        from: u64,
+        slots: u64,
+        bound: u64,
+    ) -> Option<u64> {
         // Cursor per input set, skipping intervals that end at or before
         // `from` (they cannot cover any slot the scan visits). `starts`
         // caches each cursor's next interval start (`u64::MAX` when the
         // input is exhausted) so the per-step argmin runs over a dense
         // local array instead of chasing the interval vectors.
         let k = sets.len();
-        if k == 0 {
-            let c = from.saturating_add(slots);
-            return (c <= bound).then_some(c);
-        }
-        let mut pos = [0usize; MAX_WAYS];
-        let mut starts = [u64::MAX; MAX_WAYS];
+        let mut pos = [0usize; W];
+        let mut starts = [u64::MAX; W];
         for i in 0..k {
             let p = sets[i].ivs.partition_point(|iv| iv.end <= from);
             pos[i] = p;

@@ -169,6 +169,40 @@ proptest! {
     }
 
     #[test]
+    fn first_idle_matches_bitset_model(ranges in arb_ranges(), from in 0u64..UNIVERSE + 8) {
+        let busy = build(&ranges);
+        let bits = to_bits(&busy);
+        // Everything at or past UNIVERSE is idle.
+        let want = (from..)
+            .find(|&s| bits.get(s as usize).is_none_or(|b| !b))
+            .unwrap();
+        prop_assert_eq!(busy.first_idle_at_or_after(from), want);
+    }
+
+    #[test]
+    fn first_fit_bound_many_agrees_with_union_then_scan(
+        // 0–9 inputs: both sides of the small cursor array's 8 ways.
+        sets in prop::collection::vec(arb_ranges(), 0..10),
+        from in 0u64..UNIVERSE,
+        slots in 1u64..64,
+        bound in 0u64..2 * UNIVERSE,
+    ) {
+        let built: Vec<IntervalSet> = sets.iter().map(|r| build(r)).collect();
+        let refs: Vec<&IntervalSet> = built.iter().collect();
+        let mut union = IntervalSet::new();
+        IntervalSet::union_many(&refs, &mut union);
+        let want = union.first_fit_bound(from, slots, bound);
+        prop_assert_eq!(IntervalSet::first_fit_bound_many(&refs, from, slots, bound), want);
+        // The busy-prefix bound Alg. 2 prunes with: no input's first idle
+        // slot can be later than the union's, so a candidate it rules
+        // out is one the sweep refuses.
+        let floor = built.iter().map(|s| s.first_idle_at_or_after(from)).max().unwrap_or(from);
+        if floor + slots > bound {
+            prop_assert_eq!(want, None);
+        }
+    }
+
+    #[test]
     fn total_slots_additive_for_disjoint(r1 in arb_ranges(), r2 in arb_ranges()) {
         let a = build(&r1);
         let mut b = build(&r2);

@@ -8,18 +8,41 @@
 //! On the paper's tree/fat-tree families the cache additionally exploits
 //! an equivalence: in [`RoutingMode::UpDown`], when both endpoints are
 //! leaf hosts (exactly one uplink each), every valley-free path is
-//! `src → ToR(src)` ++ *middle* ++ `ToR(dst) → dst`, and the set of
-//! middles — including the simplicity filter and the stable
-//! shortest-first ordering — depends only on the ToR pair. The cache
-//! therefore enumerates once per **ToR pair** and reconstitutes the
-//! per-host-pair lists by substituting the two end links, collapsing the
-//! `O(hosts²)` pair space onto the `O(racks²)` rack space (a 32-pod
-//! fat-tree has 8 192 hosts but only 256 racks).
+//! `src → ToR(src)` ++ *middle* ++ `ToR(dst) → dst`, and the middles are
+//! exactly the valley-free paths between the two ToRs. A leaf host's walk
+//! table is its trivial walk followed by its ToR's table behind the
+//! uplink; nothing climbs *to* a leaf host, so the trivial walks join with
+//! nothing, the remaining pairs are the ToR tables' pairs in the same
+//! order, the hosts add no revisit (simplicity is decided among the
+//! switches) and every path grows by the same two hops (the stable
+//! shortest-first order is unchanged). The cache therefore holds three
+//! things, all dropped together when the topology's fault epoch moves:
+//!
+//! * one [`WalkTable`] per **ToR switch**, built the first time a pair
+//!   under that ToR is looked up (a 32-pod fat-tree has 8 192 hosts but
+//!   only 512 ToRs);
+//! * per ordered **ToR pair**, the middles the budget keeps — at most
+//!   `max_paths` of them, joined from the two tables; the sampled
+//!   positions depend only on how many paths there are and on the budget,
+//!   so the (k/2)² − `max_paths` others are never written out;
+//! * per **host pair**, the finished candidate list: the pair's two
+//!   access links around each kept middle.
+//!
+//! A cold lookup is thus a join over two small tables plus `max_paths`
+//! short copies, which is why nothing needs to pre-warm the cache.
 
-use crate::paths::{sample_evenly, PathFinder};
+use crate::paths::{sampled, Join, PathFinder, WalkTable};
 use crate::{LinkId, NodeId, Path, RoutingMode, Topology};
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// The middles kept for one ToR pair, back to back.
+#[derive(Default)]
+struct Middles {
+    links: Vec<LinkId>,
+    /// End offset of each middle in `links`.
+    ends: Vec<usize>,
+}
 
 /// Memoizes [`PathFinder::paths`] results for a fixed candidate budget.
 ///
@@ -35,9 +58,11 @@ pub struct PathCache {
     max_paths: usize,
     /// Finished per-pair candidate lists (capped).
     by_pair: HashMap<(NodeId, NodeId), Arc<Vec<Path>>>,
-    /// Shared *uncapped* middles per (ToR(src), ToR(dst)) pair.
-    middles: HashMap<(NodeId, NodeId), Arc<Vec<Vec<LinkId>>>>,
-    /// How many times the underlying enumeration actually ran.
+    /// Shared capped middles per (ToR(src), ToR(dst)) pair.
+    middles: HashMap<(NodeId, NodeId), Middles>,
+    /// Ascending walks per ToR switch, the inputs of every middle join.
+    tables: HashMap<NodeId, WalkTable>,
+    /// How many times a candidate list was derived rather than shared.
     enumerations: u64,
     /// Fault-state epoch the cached entries were computed at.
     epoch: u64,
@@ -52,6 +77,7 @@ impl PathCache {
             max_paths,
             by_pair: HashMap::new(),
             middles: HashMap::new(),
+            tables: HashMap::new(),
             enumerations: 0,
             epoch: 0,
         }
@@ -63,9 +89,11 @@ impl PathCache {
         self.max_paths
     }
 
-    /// Number of full [`PathFinder::paths`] enumerations performed so far
-    /// (cache *misses* at the enumeration level). Tests use this to prove
-    /// that ToR-pair sharing avoids per-host-pair enumeration.
+    /// Number of enumerations performed so far (cache *misses* at the
+    /// enumeration level): one per ToR pair whose middles were joined,
+    /// plus one per pair without ToR-pair sharing that went through
+    /// [`PathFinder::paths`]. Tests use this to prove that ToR-pair
+    /// sharing avoids per-host-pair enumeration.
     #[inline]
     pub fn enumerations(&self) -> u64 {
         self.enumerations
@@ -75,6 +103,7 @@ impl PathCache {
     pub fn clear(&mut self) {
         self.by_pair.clear();
         self.middles.clear();
+        self.tables.clear();
     }
 
     /// Candidate paths from `src` to `dst`, identical to
@@ -90,7 +119,7 @@ impl PathCache {
             return Arc::clone(p);
         }
         let paths = match leaf_uplinks(topo, src, dst) {
-            Some((src_up, dst_up)) => self.paths_via_tor_pair(topo, src, dst, src_up, dst_up),
+            Some((src_up, dst_up)) => self.paths_via_tor_pair(topo, src_up, dst_up),
             None => {
                 self.enumerations += 1;
                 PathFinder::new(topo).paths(src, dst, self.max_paths)
@@ -101,10 +130,9 @@ impl PathCache {
         arc
     }
 
-    /// Pre-enumerates the shared middles for every ordered ToR pair, so
-    /// no admission-time lookup pays the uncapped enumeration. Intended
-    /// for topology bring-up — an SDN controller installs its path
-    /// tables before traffic arrives — and pure memoization: a warm
+    /// Pre-enumerates the shared middles for every ordered ToR pair.
+    /// Intended for topology bring-up — an SDN controller installs its
+    /// path tables before traffic arrives — and pure memoization: a warm
     /// cache returns lists bit-identical to a cold one. Topologies (or
     /// routing modes) without ToR-pair sharing warm nothing.
     pub fn warm(&mut self, topo: &Topology) {
@@ -136,67 +164,38 @@ impl PathCache {
         }
     }
 
-    /// The ToR-pair sharing branch: fetch (or enumerate once) the shared
-    /// middles, then rebuild this pair's list by substituting end links
-    /// and capping exactly as `PathFinder::paths` would.
-    fn paths_via_tor_pair(
-        &mut self,
-        topo: &Topology,
-        src: NodeId,
-        dst: NodeId,
-        src_up: LinkId,
-        dst_up: LinkId,
-    ) -> Vec<Path> {
+    /// The ToR-pair sharing branch: fetch (or join once) the pair's kept
+    /// middles and put this host pair's access links around each.
+    fn paths_via_tor_pair(&mut self, topo: &Topology, src_up: LinkId, dst_up: LinkId) -> Vec<Path> {
         let tor_src = topo.link(src_up).dst;
         let tor_dst = topo.link(dst_up).dst;
         let dst_down = topo.link(dst_up).reverse;
-        let middles = match self.middles.get(&(tor_src, tor_dst)) {
-            Some(m) => Arc::clone(m),
-            None => {
-                self.enumerations += 1;
-                // Uncapped enumeration for *this* pair; every valley-free
-                // path between distinct leaf hosts starts with the src
-                // uplink and ends with the dst downlink, so stripping
-                // both yields the host-independent middles in the same
-                // (stable, shortest-first) order.
-                let full = PathFinder::new(topo).paths(src, dst, usize::MAX);
-                let mids: Vec<Vec<LinkId>> = full
-                    .iter()
-                    .map(|p| {
-                        debug_assert!(p.links.len() >= 2);
-                        debug_assert_eq!(p.links.first(), Some(&src_up));
-                        debug_assert_eq!(p.links.last(), Some(&dst_down));
-                        p.links[1..p.links.len() - 1].to_vec()
-                    })
-                    .collect();
-                let mids = Arc::new(mids);
-                self.middles.insert((tor_src, tor_dst), Arc::clone(&mids));
-                mids
+        let max_paths = self.max_paths;
+        let (tables, enumerations) = (&mut self.tables, &mut self.enumerations);
+        let kept = self.middles.entry((tor_src, tor_dst)).or_insert_with(|| {
+            *enumerations += 1;
+            for tor in [tor_src, tor_dst] {
+                tables
+                    .entry(tor)
+                    .or_insert_with(|| WalkTable::new(topo, tor));
             }
-        };
-        // Same even sampling as the direct enumeration: the sampled
-        // indices depend only on the list length and the budget, so
-        // sampling the middles first and rebuilding only the survivors
-        // yields exactly `sample_evenly(rebuild(middles))` without
-        // allocating the paths that the cap would discard.
-        Self::assemble(src_up, dst_down, &middles, self.max_paths)
-    }
-
-    /// Substitutes the end links into the shared middles and caps,
-    /// exactly as the direct enumeration would.
-    fn assemble(
-        src_up: LinkId,
-        dst_down: LinkId,
-        middles: &[Vec<LinkId>],
-        max_paths: usize,
-    ) -> Vec<Path> {
-        let kept: Vec<&Vec<LinkId>> = sample_evenly(middles.iter().collect(), max_paths);
-        kept.into_iter()
-            .map(|m| {
-                let mut links = Vec::with_capacity(m.len() + 2);
+            let join = Join::new(&tables[&tor_src], &tables[&tor_dst]);
+            let mut kept = Middles::default();
+            for i in sampled(join.len(), max_paths) {
+                join.extend_links(i, &mut kept.links);
+                kept.ends.push(kept.links.len());
+            }
+            kept
+        });
+        let mut from = 0;
+        kept.ends
+            .iter()
+            .map(|&to| {
+                let mut links = Vec::with_capacity(to - from + 2);
                 links.push(src_up);
-                links.extend_from_slice(m);
+                links.extend_from_slice(&kept.links[from..to]);
                 links.push(dst_down);
+                from = to;
                 Path { links }
             })
             .collect()
@@ -274,16 +273,21 @@ mod tests {
     fn tor_pair_sharing_avoids_reenumeration() {
         // Hosts 0,1 hang off one ToR; hosts 8,9 off another (k=4 fat-tree,
         // 2 hosts per rack). Four host pairs, one ToR pair: exactly one
-        // enumeration.
+        // enumeration, whose kept middles (2 of the 4 inter-pod paths
+        // under this budget) all four lists are built around.
         let topo = fat_tree(4, GBPS);
-        let mut cache = PathCache::new(16);
+        let mut cache = PathCache::new(2);
         for a in [0usize, 1] {
             for b in [8usize, 9] {
                 let got = cache.paths(&topo, topo.host(a), topo.host(b));
-                assert_eq!(*got, direct(&topo, a, b, 16));
+                assert_eq!(*got, direct(&topo, a, b, 2));
             }
         }
         assert_eq!(cache.enumerations(), 1);
+        assert_eq!(cache.by_pair.len(), 4);
+        assert_eq!(cache.tables.len(), 2, "one walk table per ToR");
+        let kept: Vec<_> = cache.middles.values().map(|m| m.ends.len()).collect();
+        assert_eq!(kept, [2], "one ToR pair, only the sampled middles stored");
     }
 
     #[test]

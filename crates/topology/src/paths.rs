@@ -8,8 +8,34 @@
 //! deterministic, and both can be capped — when capped, the returned paths
 //! are an evenly-spaced sample of the full enumeration so that a capped
 //! TAPS still spreads load across the symmetric core of a fat-tree.
+//!
+//! # The valley-free enumeration
+//!
+//! A valley-free path climbs strictly from `src` to an *apex* and descends
+//! strictly to `dst`, so it is one ascending walk from `src` glued to the
+//! reverse of one ascending walk from `dst` that ends at the same node.
+//! The definition is therefore a join of two [`WalkTable`]s:
+//!
+//! 1. a node's table lists every strictly ascending walk from it, the
+//!    trivial one first, in depth-first order (a walk's extensions are
+//!    listed when the walk is expanded, the last-listed walk is expanded
+//!    next);
+//! 2. [`Join`] pairs every `src` walk, in table order, with every `dst`
+//!    walk that shares its apex, in table order, and drops the pairs whose
+//!    halves share a node below the apex (such a path would revisit it,
+//!    e.g. host-tor-agg-tor-host inside one rack);
+//! 3. the surviving pairs are stably sorted shortest-first — Alg. 2 breaks
+//!    completion-time ties by the first candidate, and a capped
+//!    enumeration should keep the direct paths;
+//! 4. a budget keeps the pairs at the [`sampled`] positions of that order.
+//!
+//! Pairs are two indices each; link sequences are written only for the
+//! pairs a caller asks for, so a capped enumeration of a (k/2)²-path
+//! fat-tree pair allocates `max_paths` paths, not (k/2)². [`PathFinder`]
+//! builds the two tables per call; the [`cache`](crate::cache) keeps one
+//! table per ToR switch and joins those.
 
-use crate::{NodeId, Path, RoutingMode, Topology};
+use crate::{LinkId, NodeId, Path, RoutingMode, Topology};
 
 /// SplitMix64 — a tiny, high-quality 64-bit mixer used for deterministic
 /// flow-level ECMP hashing.
@@ -20,6 +46,9 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
 }
+
+/// How many candidates flow-level ECMP hashes over.
+const ECMP_FANOUT: usize = 64;
 
 /// Path enumerator over a topology.
 ///
@@ -45,110 +74,47 @@ impl<'t> PathFinder<'t> {
     pub fn paths(&self, src: NodeId, dst: NodeId, max_paths: usize) -> Vec<Path> {
         assert_ne!(src, dst, "flow endpoints must differ");
         assert!(max_paths > 0);
-        let all = match self.topo.routing {
-            RoutingMode::UpDown => self.up_down_paths(src, dst),
-            RoutingMode::ShortestPath => self.shortest_paths(src, dst),
-        };
-        sample_evenly(all, max_paths)
+        match self.topo.routing {
+            RoutingMode::UpDown => self.up_down_paths(src, dst, |join| {
+                sampled(join.len(), max_paths)
+                    .map(|i| join.path(i))
+                    .collect()
+            }),
+            RoutingMode::ShortestPath => sample_evenly(self.shortest_paths(src, dst), max_paths),
+        }
     }
 
     /// Flow-level ECMP: deterministically picks one path among the
-    /// candidates using `hash` (e.g. a flow id). This is how §V-A extends
-    /// the single-path baselines to multi-rooted trees.
+    /// candidates using `hash` (e.g. a flow id) — the
+    /// `splitmix64(hash) % n`-th of the `n` paths [`paths`](Self::paths)
+    /// returns for a budget of 64. This is how §V-A extends the
+    /// single-path baselines to multi-rooted trees.
     pub fn ecmp(&self, src: NodeId, dst: NodeId, hash: u64) -> Option<Path> {
-        const ECMP_FANOUT: usize = 64;
-        let paths = self.paths(src, dst, ECMP_FANOUT);
-        if paths.is_empty() {
-            return None;
-        }
-        let i = (splitmix64(hash) % paths.len() as u64) as usize;
-        Some(paths[i].clone())
-    }
-
-    /// All valley-free simple paths: strictly ascending levels from `src`,
-    /// then strictly descending to `dst`. The apex may be at any level
-    /// (for two hosts in the same rack the apex is their shared ToR).
-    fn up_down_paths(&self, src: NodeId, dst: NodeId) -> Vec<Path> {
-        // All ascending walks from dst; for each endpoint (potential apex)
-        // keep the list of *down* link sequences apex -> dst.
-        let dst_up = self.ascending_walks(dst);
-        let mut by_apex: Vec<(NodeId, Vec<Vec<crate::LinkId>>)> = Vec::new();
-        for (apex, up_links) in &dst_up {
-            // Reverse the walk: each up link dst->...->apex becomes a down
-            // link apex->...->dst via the reverse link ids.
-            let down: Vec<crate::LinkId> = up_links
-                .iter()
-                .rev()
-                .map(|l| self.topo.link(*l).reverse)
-                .collect();
-            match by_apex.iter_mut().find(|(n, _)| *n == *apex) {
-                Some((_, v)) => v.push(down),
-                None => by_apex.push((*apex, vec![down])),
+        assert_ne!(src, dst, "flow endpoints must differ");
+        let pick = |n: usize| (splitmix64(hash) % n as u64) as usize;
+        match self.topo.routing {
+            // Count the candidates, write out only the chosen one.
+            RoutingMode::UpDown => self.up_down_paths(src, dst, |join| {
+                let n = join.len().min(ECMP_FANOUT);
+                (n > 0).then(|| join.path(sample_at(pick(n), join.len(), ECMP_FANOUT)))
+            }),
+            RoutingMode::ShortestPath => {
+                let mut paths = sample_evenly(self.shortest_paths(src, dst), ECMP_FANOUT);
+                (!paths.is_empty()).then(|| paths.swap_remove(pick(paths.len())))
             }
         }
-
-        let src_up = self.ascending_walks(src);
-        let mut out = Vec::new();
-        for (apex, up_links) in &src_up {
-            let Some((_, downs)) = by_apex.iter().find(|(n, _)| n == apex) else {
-                continue;
-            };
-            let up_nodes = self.walk_nodes(src, up_links);
-            for down in downs {
-                let down_nodes = self.down_nodes(*apex, down);
-                // Simplicity check: apart from the apex, the two halves
-                // must not share nodes (otherwise the path revisits a
-                // node, e.g. host-tor-agg-tor-host inside one rack).
-                if up_nodes
-                    .iter()
-                    .any(|n| *n != *apex && down_nodes.contains(n))
-                {
-                    continue;
-                }
-                let mut links = up_links.clone();
-                links.extend_from_slice(down);
-                out.push(Path { links });
-            }
-        }
-        // Prefer shorter paths first, then enumeration order: Alg. 2
-        // breaks completion-time ties by the first candidate, and a capped
-        // enumeration should keep the direct paths.
-        out.sort_by_key(|p| p.links.len());
-        out
     }
 
-    /// All strictly-ascending walks from `n`, *including* the trivial walk
-    /// `(n, [])`. Returned as `(endpoint, links-from-n)` pairs.
-    fn ascending_walks(&self, n: NodeId) -> Vec<(NodeId, Vec<crate::LinkId>)> {
-        let mut out = vec![(n, Vec::new())];
-        let mut frontier = vec![(n, Vec::new())];
-        while let Some((node, links)) = frontier.pop() {
-            let lvl = self.topo.node(node).level;
-            for (next, link) in self.topo.neighbors(node) {
-                if self.topo.is_link_up(*link) && self.topo.node(*next).level > lvl {
-                    let mut nl = links.clone();
-                    nl.push(*link);
-                    out.push((*next, nl.clone()));
-                    frontier.push((*next, nl));
-                }
-            }
-        }
-        out
-    }
-
-    /// Nodes visited by an ascending walk starting at `start`.
-    fn walk_nodes(&self, start: NodeId, links: &[crate::LinkId]) -> Vec<NodeId> {
-        let mut nodes = vec![start];
-        for l in links {
-            nodes.push(self.topo.link(*l).dst);
-        }
-        nodes
-    }
-
-    /// Nodes visited by a descending link sequence starting at `apex`,
-    /// excluding the apex itself.
-    fn down_nodes(&self, _apex: NodeId, links: &[crate::LinkId]) -> Vec<NodeId> {
-        links.iter().map(|l| self.topo.link(*l).dst).collect()
+    /// All valley-free simple paths — the join of the two endpoints' walk
+    /// tables (see the module docs), handed to `f` to count or write out.
+    /// The apex may be at any level (for two hosts in the same rack it is
+    /// their shared ToR).
+    fn up_down_paths<R>(&self, src: NodeId, dst: NodeId, f: impl FnOnce(&Join<'_>) -> R) -> R {
+        let (ws, wd) = (
+            WalkTable::new(self.topo, src),
+            WalkTable::new(self.topo, dst),
+        );
+        f(&Join::new(&ws, &wd))
     }
 
     /// All shortest paths from `src` to `dst` over the raw directed graph.
@@ -198,25 +164,164 @@ impl<'t> PathFinder<'t> {
     }
 }
 
-/// Takes at most `max` elements, evenly spaced across the input, always
-/// including the first element. Shared with the path cache so a cached
-/// enumeration caps identically to a direct one.
-pub(crate) fn sample_evenly<T>(mut v: Vec<T>, max: usize) -> Vec<T> {
+/// One strictly ascending walk of a [`WalkTable`], stored as its last
+/// step: the walk it extends plus the link climbed (and that link's
+/// reverse, for descending along it).
+#[derive(Clone, Copy)]
+struct Walk {
+    /// Node the walk ends at.
+    apex: NodeId,
+    /// Links climbed.
+    hops: u32,
+    /// `(walk extended, link up, link down)`; `None` for the trivial walk.
+    step: Option<(u32, LinkId, LinkId)>,
+}
+
+/// Every strictly ascending walk from one node over the live links, in
+/// the enumeration's depth-first order (module docs, step 1), with an
+/// index by apex. Valid for the fault epoch it was built at.
+pub(crate) struct WalkTable {
+    walks: Vec<Walk>,
+    /// `(apex, walk index)`, ascending.
+    by_apex: Vec<(NodeId, u32)>,
+}
+
+impl WalkTable {
+    /// Builds the table of `origin`.
+    pub(crate) fn new(topo: &Topology, origin: NodeId) -> WalkTable {
+        let mut walks = vec![Walk {
+            apex: origin,
+            hops: 0,
+            step: None,
+        }];
+        let mut frontier = vec![0u32];
+        while let Some(w) = frontier.pop() {
+            let Walk { apex, hops, .. } = walks[w as usize];
+            let lvl = topo.node(apex).level;
+            for &(next, up) in topo.neighbors(apex) {
+                if topo.node(next).level > lvl && topo.is_link_up(up) {
+                    frontier.push(walks.len() as u32);
+                    walks.push(Walk {
+                        apex: next,
+                        hops: hops + 1,
+                        step: Some((w, up, topo.link(up).reverse)),
+                    });
+                }
+            }
+        }
+        let mut by_apex: Vec<(NodeId, u32)> =
+            (0u32..).zip(&walks).map(|(w, x)| (x.apex, w)).collect();
+        by_apex.sort_unstable();
+        WalkTable { walks, by_apex }
+    }
+
+    /// The steps of walk `w`, last first: `(link up, link down, node the
+    /// step starts from)`.
+    fn steps(&self, w: u32) -> impl Iterator<Item = (LinkId, LinkId, NodeId)> + '_ {
+        std::iter::successors(self.walks[w as usize].step, |&(p, _, _)| {
+            self.walks[p as usize].step
+        })
+        .map(|(p, up, down)| (up, down, self.walks[p as usize].apex))
+    }
+}
+
+/// The simple valley-free paths between the origins of two walk tables,
+/// in the enumeration's order (module docs, steps 2–3), each held as the
+/// pair of walks it is glued from.
+pub(crate) struct Join<'a> {
+    src: &'a WalkTable,
+    dst: &'a WalkTable,
+    /// `(src walk, dst walk)`, shortest path first.
+    pairs: Vec<(u32, u32)>,
+}
+
+impl<'a> Join<'a> {
+    /// Joins the tables of a path's two endpoints.
+    pub(crate) fn new(src: &'a WalkTable, dst: &'a WalkTable) -> Join<'a> {
+        // For each src walk, the run of `dst.by_apex` ending at the same
+        // apex: one two-pointer pass over the two apex-ordered indexes.
+        let mut runs = vec![(0, 0); src.walks.len()];
+        let (mut lo, end) = (0, dst.by_apex.len());
+        for &(apex, i) in &src.by_apex {
+            while lo < end && dst.by_apex[lo].0 < apex {
+                lo += 1;
+            }
+            let mut hi = lo;
+            while hi < end && dst.by_apex[hi].0 == apex {
+                hi += 1;
+            }
+            runs[i as usize] = (lo, hi);
+        }
+        let mut pairs = Vec::with_capacity(dst.walks.len());
+        for (i, (lo, hi)) in (0u32..).zip(runs) {
+            for &(_, j) in &dst.by_apex[lo..hi] {
+                // Simple iff the halves share no node below the apex.
+                let revisits = src
+                    .steps(i)
+                    .any(|(_, _, n)| dst.steps(j).any(|(_, _, m)| m == n));
+                if !revisits {
+                    pairs.push((i, j));
+                }
+            }
+        }
+        let hops = |&(i, j): &(u32, u32)| src.walks[i as usize].hops + dst.walks[j as usize].hops;
+        pairs.sort_by_key(hops);
+        Join { src, dst, pairs }
+    }
+
+    /// Number of paths.
+    pub(crate) fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// Appends the links of the `idx`-th path to `out`.
+    pub(crate) fn extend_links(&self, idx: usize, out: &mut Vec<LinkId>) {
+        let (i, j) = self.pairs[idx];
+        let at = out.len();
+        out.extend(self.src.steps(i).map(|(up, _, _)| up));
+        out[at..].reverse();
+        out.extend(self.dst.steps(j).map(|(_, down, _)| down));
+    }
+
+    /// The `idx`-th path.
+    fn path(&self, idx: usize) -> Path {
+        let (i, j) = self.pairs[idx];
+        let hops = self.src.walks[i as usize].hops + self.dst.walks[j as usize].hops;
+        let mut links = Vec::with_capacity(hops as usize);
+        self.extend_links(idx, &mut links);
+        Path { links }
+    }
+}
+
+/// Position in an `n`-element enumeration of the `i`-th element a budget
+/// of `max` keeps: everything when it fits, else `max` evenly spaced
+/// positions starting with the first.
+#[inline]
+fn sample_at(i: usize, n: usize, max: usize) -> usize {
+    if n <= max {
+        i
+    } else {
+        i * n / max
+    }
+}
+
+/// The positions a budget of `max` keeps of an `n`-element enumeration,
+/// ascending. They depend on `n` and `max` alone, which is what lets the
+/// join and the path cache write out only the kept candidates.
+pub(crate) fn sampled(n: usize, max: usize) -> impl Iterator<Item = usize> {
+    (0..n.min(max)).map(move |i| sample_at(i, n, max))
+}
+
+/// Takes the [`sampled`] elements of `v`.
+fn sample_evenly<T>(v: Vec<T>, max: usize) -> Vec<T> {
     if v.len() <= max {
         return v;
     }
-    let n = v.len();
-    let mut keep = vec![false; n];
-    for i in 0..max {
-        keep[i * n / max] = true;
-    }
-    let mut idx = 0;
-    v.retain(|_| {
-        let k = keep[idx];
-        idx += 1;
-        k
-    });
-    v
+    let mut keep = sampled(v.len(), max).peekable();
+    (0..)
+        .zip(v)
+        .filter_map(|(i, x)| keep.next_if_eq(&i).map(|_| x))
+        .collect()
 }
 
 #[cfg(test)]

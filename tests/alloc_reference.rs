@@ -2,7 +2,9 @@
 //! arrivals, departures, transmission progress and an absorbed link
 //! fault, the engine's delta pass, its full pass and the paper-naive
 //! reference (`taps_core::oracle::naive_batch`) must produce the same
-//! schedule for every batch.
+//! schedule for every batch — once with a budget that holds every
+//! inter-pod path of the fabric, once with a budget that even sampling has
+//! to cut them down to.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -11,7 +13,6 @@ use taps_core::{DeltaCache, FlowAlloc, FlowDemand, SlotAllocator};
 use taps_topology::build::{fat_tree, GBPS};
 
 const SLOT: f64 = 1e-4;
-const MAX_PATHS: usize = 16;
 
 fn assert_same(batch: usize, pass: &str, want: &[FlowAlloc], got: &[FlowAlloc]) {
     assert_eq!(want.len(), got.len(), "batch {batch}: {pass} length");
@@ -25,13 +26,27 @@ fn assert_same(batch: usize, pass: &str, want: &[FlowAlloc], got: &[FlowAlloc]) 
     }
 }
 
+/// `fat_tree(8)` has (k/2)² = 16 paths between pods: a budget of 16 never
+/// samples.
 #[test]
 fn engine_matches_the_naive_reference_on_every_batch() {
+    replay_history(16);
+}
+
+/// A budget of 4 keeps every fourth inter-pod path (intra-pod pairs have
+/// exactly four): the engine's candidates are the path cache's sampled
+/// middles, the reference's come from `PathFinder::paths`.
+#[test]
+fn engine_matches_the_naive_reference_under_even_sampling() {
+    replay_history(4);
+}
+
+fn replay_history(max_paths: usize) {
     let topo = fat_tree(8, GBPS);
     let hosts = topo.num_hosts();
     let mut rng = StdRng::seed_from_u64(13);
-    let mut full = SlotAllocator::new(&topo, SLOT, MAX_PATHS);
-    let mut delta = SlotAllocator::new(&topo, SLOT, MAX_PATHS);
+    let mut full = SlotAllocator::new(&topo, SLOT, max_paths);
+    let mut delta = SlotAllocator::new(&topo, SLOT, max_paths);
     let mut cache = DeltaCache::new();
     // In-flight flows in priority order (arrival order, so survivors keep
     // their relative rank and the delta gate stays open).
@@ -62,7 +77,7 @@ fn engine_matches_the_naive_reference_on_every_batch() {
             topo.fail_link(dead.path.links[1]);
             assert!(delta.engine_mut().absorb_fault_epoch(&topo, &mut cache));
         }
-        want = naive_batch(&topo, SLOT, MAX_PATHS, &live, start).unwrap();
+        want = naive_batch(&topo, SLOT, max_paths, &live, start).unwrap();
         full.reset();
         let got = full.allocate_batch(&live, start).unwrap();
         assert_same(batch, "allocate_batch", &want, &got);

@@ -1,4 +1,4 @@
-//! `cargo xtask bench-smoke` — three performance-regression gates.
+//! `cargo xtask bench-smoke` — four performance-regression gates.
 //!
 //! First, the engine gate ([`run`]): runs `bench_admission` once with a
 //! tiny configuration (fat-tree k = 8 and 16) in release mode and fails
@@ -24,11 +24,23 @@
 //! in-flight index only, so the figure is 1.0x; when every pass walked
 //! the registry and sorted by looking each flow up in it, it was 2.6x
 //! (EXPERIMENTS.md, "Controller probe scaling").
+//!
+//! Fourth, the cold-lookup gate ([`run_cold`]): one `allocate_batch` of
+//! 256 one-slot flows between 256 distinct ToR pairs of `fat_tree(16)` is
+//! timed on an allocator whose path cache is empty and on one after
+//! `warm_paths()`, and the first may cost at most 8x the second. A cold
+//! candidate lookup joins two small walk tables and writes out the 16
+//! kept paths (≈3 us; the warm batch is ≈1.2 us a flow, because a
+//! one-slot flow on an idle fabric drops 15 of its 16 candidates on the
+//! busy-prefix bound), so the figure is ≈4x and nothing needs to pre-warm
+//! the cache; when a miss walked the graph and built all 64 paths of the
+//! ToR pair it was 20x (EXPERIMENTS.md, "Candidate lookup and ranking").
 
 use std::path::Path;
 use std::process::Command;
 use std::time::{Duration, Instant};
 
+use taps::core::{FlowDemand, SlotAllocator};
 use taps::prelude::*;
 use taps_bench::history::AgedController;
 
@@ -168,6 +180,83 @@ pub fn check_history(row: &HistoryRow, failures: &mut Vec<Failure>) {
                 HISTORY_RETIRED,
                 row.aged / row.fresh,
                 HISTORY_MAX_RATIO
+            ),
+        });
+    }
+}
+
+/// Best-of-five µs of the cold-lookup gate's batch on the two caches.
+pub struct ColdRow {
+    /// On an allocator that has never looked a path up.
+    pub cold: f64,
+    /// On one whose path cache `warm_paths()` filled.
+    pub warm: f64,
+}
+
+/// Flows (and distinct ToR pairs) in the cold-lookup gate's batch.
+pub const COLD_FLOWS: usize = 256;
+
+/// Largest allowed ratio of the cold batch time to the warm one.
+pub const COLD_MAX_RATIO: f64 = 8.0;
+
+/// Best-of-five µs of one `allocate_batch` of `demands` on a fresh
+/// allocator, after `warm_paths()` when `warm`.
+fn batch_us(topo: &Topology, demands: &[FlowDemand], warm: bool) -> f64 {
+    (0..5)
+        .map(|_| {
+            let mut alloc = SlotAllocator::new(topo, 1e-4, 16);
+            if warm {
+                alloc.warm_paths();
+            }
+            let start = Instant::now();
+            std::hint::black_box(alloc.allocate_batch(demands, 0)).ok();
+            start.elapsed().as_secs_f64() * 1e6
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Times the batch on both caches and checks the gate.
+pub fn run_cold() -> (ColdRow, Vec<Failure>) {
+    let topo = fat_tree(16, GBPS);
+    // k = 16: 128 ToRs of 8 hosts. Flow i leaves the first host of ToR
+    // i mod 128 (the host `warm_paths` looks pairs up by) for a ToR 17 or
+    // 57 racks on, so the 256 ordered ToR pairs are distinct.
+    let (tors, per_tor) = (128, 8);
+    let demands: Vec<FlowDemand> = (0..COLD_FLOWS)
+        .map(|i| {
+            let src = i % tors;
+            FlowDemand {
+                id: i,
+                src: src * per_tor,
+                dst: (src + 17 + 40 * (i / tors)) % tors * per_tor,
+                remaining: 1.0,
+                deadline: 1.0,
+            }
+        })
+        .collect();
+    let row = ColdRow {
+        cold: batch_us(&topo, &demands, false),
+        warm: batch_us(&topo, &demands, true),
+    };
+    let mut failures = Vec::new();
+    check_cold(&row, &mut failures);
+    (row, failures)
+}
+
+/// The cold-lookup gate itself, separated from the timing for unit
+/// testing.
+pub fn check_cold(row: &ColdRow, failures: &mut Vec<Failure>) {
+    if row.cold > COLD_MAX_RATIO * row.warm {
+        failures.push(Failure {
+            what: format!(
+                "path cache: {:.0} us for {} flows on a warm cache, {:.0} us on an empty one \
+                 ({:.1}x > {:.1}x): a first lookup between two racks costs more than ranking \
+                 its candidates",
+                row.warm,
+                COLD_FLOWS,
+                row.cold,
+                row.cold / row.warm,
+                COLD_MAX_RATIO
             ),
         });
     }
@@ -395,5 +484,30 @@ mod tests {
         );
         assert_eq!(failures.len(), 1);
         assert!(failures[0].what.contains("2.79x > 1.2x"));
+    }
+
+    #[test]
+    fn a_cheap_cold_lookup_passes_the_cold_gate() {
+        let mut failures = Vec::new();
+        for (warm, cold) in [(295.0, 1150.0), (540.0, 1420.0), (600.0, 580.0)] {
+            check_cold(&ColdRow { cold, warm }, &mut failures);
+        }
+        assert!(failures.is_empty(), "{}", failures[0].what);
+    }
+
+    #[test]
+    fn a_graph_walk_per_miss_fails_the_cold_gate() {
+        let mut failures = Vec::new();
+        // A ninefold batch; the per-ToR-pair graph walk read 12 300 us
+        // against 620 us warm (20x).
+        check_cold(
+            &ColdRow {
+                cold: 5_400.0,
+                warm: 600.0,
+            },
+            &mut failures,
+        );
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].what.contains("9.0x > 8.0x"));
     }
 }

@@ -11,9 +11,10 @@
 //! * `bench-smoke` — run `bench_admission` once with a tiny config in
 //!   release mode and fail on any admission hot-path regression
 //!   (DESIGN.md §12), time a flowsim round at 1 000 and 4 000 tasks and
-//!   fail if the cost per task grows with the round, and time a
+//!   fail if the cost per task grows with the round, time a
 //!   controller probe on a fresh and an aged registry and fail if it
-//!   grows with history.
+//!   grows with history, and time a batch of first-time rack pairs on an
+//!   empty and a warmed path cache and fail if a miss costs a graph walk.
 //! * `soak` — run the deterministic live-service soak gate: overload
 //!   burst, shedding audit, byte-identical double runs (DESIGN.md §15).
 //! * `scenarios` — replay the golden scenario matrix (weighted,
@@ -63,14 +64,17 @@ tasks:
   trace              golden-trace gate: runs the traced testbed + chaos scenarios,
                      asserts byte-identical re-runs, replays the event stream through
                      the invariant validator, writes results/TRACE_*.jsonl
-  bench-smoke        three regression gates: runs bench_admission once with a tiny
+  bench-smoke        four regression gates: runs bench_admission once with a tiny
                      config (k = 8, 16) in release mode and fails if the engine's
                      full or delta pass is slower than the naive reference
                      (speedup_p50 < 1.0) or any schedule diverged; times a flowsim
                      Taps round at 1 000 and 4 000 tasks and fails if
                      seconds-per-1 000-tasks grows by more than 2x; times one
                      controller probe on a registry holding 0 and 20 000 retired
-                     flows and fails if the second costs more than 1.2x the first
+                     flows and fails if the second costs more than 1.2x the first;
+                     times allocate_batch of 256 one-slot flows on 256 distinct
+                     ToR pairs of fat_tree(16) on an empty and on a warmed path
+                     cache and fails if the first costs more than 8x the second
   soak [--small]     deterministic live-service soak gate (DESIGN.md §15): two
                      seeds, paper-scale k=16 fat-tree, overload burst phase;
                      asserts zero invariant violations, byte-identical double
@@ -187,6 +191,8 @@ fn bench_smoke() -> ExitCode {
     failures.extend(nonlinear);
     let (history, aging) = xtask::bench_smoke::run_history();
     failures.extend(aging);
+    let (cold, chilled) = xtask::bench_smoke::run_cold();
+    failures.extend(chilled);
     for r in &rows {
         println!(
             "xtask bench-smoke: k={} fast {:.1}x, delta {:.1}x over legacy p50",
@@ -209,10 +215,17 @@ fn bench_smoke() -> ExitCode {
         xtask::bench_smoke::HISTORY_RETIRED,
         history.aged / history.fresh
     );
+    println!(
+        "xtask bench-smoke: path cache {:.0} us per {}-pair batch warm, {:.0} cold ({:.2}x)",
+        cold.warm,
+        xtask::bench_smoke::COLD_FLOWS,
+        cold.cold,
+        cold.cold / cold.warm
+    );
     if failures.is_empty() {
         println!(
             "xtask bench-smoke: clean (no admission hot-path regression, flowsim linear, \
-             controller probes history-independent)"
+             controller probes history-independent, cold path lookups cheap)"
         );
         ExitCode::SUCCESS
     } else {
