@@ -1,23 +1,18 @@
-//! The typed trace event vocabulary and its two codecs.
+//! The typed trace event vocabulary and its JSONL codec.
 //!
-//! Every event has a fixed tag and a fixed field list of `u64` / `f64` /
-//! `bool` scalars, which gives it two loss-free representations:
+//! Every event has a fixed name and a fixed field list of `u64` / `f64`
+//! / `bool` scalars. The recorder stores the typed value as is; the one
+//! serialized representation is **JSONL** — one object per line with
+//! the field names spelled out — used by the exporter and the
+//! golden-trace corpus.
 //!
-//! * a **word encoding** — up to [`MAX_FIELDS`] `u64` words (`f64` via
-//!   `to_bits`, `bool` as 0/1) — used by the lock-free ring recorder;
-//! * a **JSONL encoding** — one object per line with the field names
-//!   spelled out — used by the exporter and the golden-trace corpus.
-//!
-//! Both round-trip exactly: floats are rendered with Rust's shortest
-//! round-trip formatting (see `compat/serde_json`), so `decode(encode(e))
-//! == e` and `from_json(to_json(r)) == r` bit-for-bit. That exactness is
-//! what makes a trace a testable artifact: the replay validator
-//! re-derives schedule invariants from the decoded stream alone.
+//! It round-trips exactly: floats are rendered with Rust's shortest
+//! round-trip formatting (see `compat/serde_json`), so
+//! `from_json(to_json(r)) == r` bit-for-bit. That exactness is what
+//! makes a trace a testable artifact: the replay validator re-derives
+//! schedule invariants from the decoded stream alone.
 
 use serde_json::Value;
-
-/// Maximum number of payload words any event encodes to.
-pub const MAX_FIELDS: usize = 7;
 
 /// One recorded event: monotonic sequence number, simulation time stamp,
 /// and the typed payload.
@@ -31,21 +26,13 @@ pub struct TraceRecord {
     pub ev: TraceEvent,
 }
 
-/// Field scalar codec shared by the word and JSON encodings.
+/// Field scalar codec of the JSON encoding.
 trait Scalar: Sized + Copy {
-    fn to_word(self) -> u64;
-    fn from_word(w: u64) -> Self;
     fn to_json(self) -> Value;
     fn from_json(v: &Value) -> Option<Self>;
 }
 
 impl Scalar for u64 {
-    fn to_word(self) -> u64 {
-        self
-    }
-    fn from_word(w: u64) -> u64 {
-        w
-    }
     fn to_json(self) -> Value {
         Value::UInt(self)
     }
@@ -55,12 +42,6 @@ impl Scalar for u64 {
 }
 
 impl Scalar for f64 {
-    fn to_word(self) -> u64 {
-        self.to_bits()
-    }
-    fn from_word(w: u64) -> f64 {
-        f64::from_bits(w)
-    }
     fn to_json(self) -> Value {
         Value::Float(self)
     }
@@ -70,12 +51,6 @@ impl Scalar for f64 {
 }
 
 impl Scalar for bool {
-    fn to_word(self) -> u64 {
-        u64::from(self)
-    }
-    fn from_word(w: u64) -> bool {
-        w != 0
-    }
     fn to_json(self) -> Value {
         Value::Bool(self)
     }
@@ -84,10 +59,10 @@ impl Scalar for bool {
     }
 }
 
-/// Defines [`TraceEvent`] plus both codecs from one declaration, so the
-/// enum, the ring encoding, and the JSONL field names cannot drift apart.
+/// Defines [`TraceEvent`] plus its codec from one declaration, so the
+/// enum and the JSONL field names cannot drift apart.
 macro_rules! events {
-    ($( $(#[$doc:meta])* $tag:literal $name:ident { $( $(#[$fdoc:meta])* $field:ident : $ty:ty ),* $(,)? } ),* $(,)?) => {
+    ($( $(#[$doc:meta])* $name:ident { $( $(#[$fdoc:meta])* $field:ident : $ty:ty ),* $(,)? } ),* $(,)?) => {
         /// A typed scheduling/control-plane event (see DESIGN.md §11 for
         /// the taxonomy and the determinism contract).
         #[derive(Clone, Debug, PartialEq)]
@@ -95,42 +70,15 @@ macro_rules! events {
             $( $(#[$doc])* $name { $( $(#[$fdoc])* $field: $ty ),* } ),*
         }
 
-        impl TraceEvent {
-            /// Stable numeric tag of this event (ring encoding).
-            pub fn tag(&self) -> u64 {
-                match self {
-                    $( TraceEvent::$name { .. } => $tag ),*
-                }
-            }
+        /// Every event name, in declaration order.
+        #[cfg(test)]
+        const NAMES: &[&str] = &[ $( stringify!($name) ),* ];
 
+        impl TraceEvent {
             /// Stable event name (JSONL `"ev"` field).
             pub fn name(&self) -> &'static str {
                 match self {
                     $( TraceEvent::$name { .. } => stringify!($name) ),*
-                }
-            }
-
-            /// Word encoding: `(tag, payload, payload_len)`.
-            pub fn encode(&self) -> (u64, [u64; MAX_FIELDS], usize) {
-                let mut words = [0u64; MAX_FIELDS];
-                match self {
-                    $( TraceEvent::$name { $( $field ),* } => {
-                        let mut _n = 0usize;
-                        $( words[_n] = Scalar::to_word(*$field); _n += 1; )*
-                        ($tag, words, _n)
-                    } ),*
-                }
-            }
-
-            /// Inverse of [`TraceEvent::encode`]; `None` on unknown tag.
-            pub fn decode(tag: u64, words: &[u64; MAX_FIELDS]) -> Option<TraceEvent> {
-                match tag {
-                    $( $tag => {
-                        let mut _n = 0usize;
-                        $( let $field = Scalar::from_word(words[_n]); _n += 1; )*
-                        Some(TraceEvent::$name { $( $field ),* })
-                    } ),*
-                    _ => None,
                 }
             }
 
@@ -160,7 +108,7 @@ macro_rules! events {
 
 events! {
     /// Run preamble: topology shape and the scheduler slot length.
-    1 RunMeta {
+    RunMeta {
         /// Number of hosts in the topology.
         hosts: u64,
         /// Number of directed links in the topology.
@@ -169,7 +117,7 @@ events! {
         slot: f64,
     },
     /// A task entered the system.
-    2 TaskArrived {
+    TaskArrived {
         /// Task id.
         task: u64,
         /// Number of flows in the task.
@@ -178,7 +126,7 @@ events! {
         deadline: f64,
     },
     /// Static description of one flow of an arrived task.
-    3 FlowSpec {
+    FlowSpec {
         /// Flow id.
         flow: u64,
         /// Owning task id.
@@ -196,7 +144,7 @@ events! {
     /// re-allocation). `slots_scanned` is the slot depth of the chosen
     /// schedule past the batch start — a deterministic proxy for scan
     /// effort that is identical across allocator modes.
-    4 AllocAttempt {
+    AllocAttempt {
         /// Task whose admission triggered the attempt.
         task: u64,
         /// Candidate paths evaluated across the batch.
@@ -205,57 +153,57 @@ events! {
         slots_scanned: u64,
     },
     /// The reject rule admitted the task (Alg. 3 verdict).
-    5 Admit {
+    Admit {
         /// Admitted task id.
         task: u64,
     },
     /// The reject rule rejected the task; see [`crate::reason`].
-    6 Reject {
+    Reject {
         /// Rejected task id.
         task: u64,
         /// Machine-readable reason code ([`crate::reason`]).
         reason: u64,
     },
     /// Admission preempted a lower-priority task (Alg. 2 order).
-    7 Preempt {
+    Preempt {
         /// The admitted (preempting) task.
         task: u64,
         /// The preempted victim task.
         victim: u64,
     },
     /// A link changed state (fault injection or repair).
-    8 LinkFault {
+    LinkFault {
         /// Link id.
         link: u64,
         /// `true` when the link came back up, `false` when it failed.
         up: bool,
     },
     /// A reliable control message entered the channel.
-    9 ControlSend {
+    ControlSend {
         /// Reliable-sender message id.
         msg: u64,
         /// Copies produced by the lossy channel (duplication).
         copies: u64,
     },
     /// A reliable control message was acknowledged.
-    10 ControlAck {
+    ControlAck {
         /// Reliable-sender message id.
         msg: u64,
     },
     /// A reliable control message timed out and was re-sent.
-    11 ControlRetry {
+    ControlRetry {
         /// Reliable-sender message id.
         msg: u64,
         /// Retry attempt number (1 = first re-send).
         attempt: u64,
     },
     /// The active controller went down; failover begins.
-    12 FailoverBegin {
+    FailoverBegin {
         /// Epoch of the failed controller.
         epoch: u64,
     },
     /// A standby finished taking over from a checkpoint.
-    13 FailoverEnd {
+    FailoverEnd {
         /// Epoch of the recovered controller.
         epoch: u64,
         /// Outage duration (down to reconciled), seconds.
@@ -263,7 +211,7 @@ events! {
     },
     /// A schedule commit starts; grant bursts follow until
     /// [`TraceEvent::CommitEnd`].
-    14 CommitBegin {
+    CommitBegin {
         /// Commit generation number.
         gen: u64,
         /// Number of flows granted in this commit.
@@ -271,7 +219,7 @@ events! {
     },
     /// Header of one flow's grant; followed by `hops` × GrantHop and
     /// `slices` × GrantSlice. Replaces any earlier grant for the flow.
-    15 GrantIssued {
+    GrantIssued {
         /// Flow id.
         flow: u64,
         /// Controller epoch stamped on the grant.
@@ -287,7 +235,7 @@ events! {
         on_time: bool,
     },
     /// One link of a granted flow's path, in path order.
-    16 GrantHop {
+    GrantHop {
         /// Flow id.
         flow: u64,
         /// Hop index along the path (0 = source uplink).
@@ -296,7 +244,7 @@ events! {
         link: u64,
     },
     /// One allocated time slice of a granted flow.
-    17 GrantSlice {
+    GrantSlice {
         /// Flow id.
         flow: u64,
         /// Slice index.
@@ -308,12 +256,12 @@ events! {
     },
     /// A flow's grant was revoked (preemption, task failure, rejection
     /// after a degraded admission, or controller withdrawal).
-    18 GrantRevoked {
+    GrantRevoked {
         /// Flow id.
         flow: u64,
     },
     /// A forwarding entry was installed on a switch.
-    19 EntryInstalled {
+    EntryInstalled {
         /// Switch node id.
         node: u64,
         /// Flow id.
@@ -322,7 +270,7 @@ events! {
         link: u64,
     },
     /// A forwarding entry was withdrawn from a switch.
-    20 EntryWithdrawn {
+    EntryWithdrawn {
         /// Switch node id.
         node: u64,
         /// Flow id.
@@ -330,22 +278,22 @@ events! {
     },
     /// The commit that started with the matching
     /// [`TraceEvent::CommitBegin`] is fully described.
-    21 CommitEnd {
+    CommitEnd {
         /// Commit generation number.
         gen: u64,
     },
     /// A flow finished transferring all its bytes.
-    22 FlowCompleted {
+    FlowCompleted {
         /// Flow id.
         flow: u64,
     },
     /// A flow missed its deadline and was expired.
-    23 DeadlineExpired {
+    DeadlineExpired {
         /// Flow id.
         flow: u64,
     },
     /// A task submission was accepted into the service pending queue.
-    24 SubmitQueued {
+    SubmitQueued {
         /// Task id.
         task: u64,
         /// Pending-queue depth after the enqueue.
@@ -354,7 +302,7 @@ events! {
     /// A task submission was shed by the service layer before admission
     /// (backpressure, deadline-infeasibility, or drain); see
     /// [`crate::reason`] codes 4–6.
-    25 SubmitShed {
+    SubmitShed {
         /// Task id.
         task: u64,
         /// Machine-readable reason code ([`crate::reason`]).
@@ -364,7 +312,7 @@ events! {
     },
     /// The service event loop crossed a batching watermark and switched
     /// admission mode (hysteresis: enter and exit depths differ).
-    26 BatchMode {
+    BatchMode {
         /// `true` when burst batching was entered, `false` on exit.
         on: bool,
         /// Pending-queue depth at the switch.
@@ -372,20 +320,20 @@ events! {
     },
     /// A slow consumer's bounded outbound buffer overflowed; the
     /// notification was dropped and the client marked (drop-and-mark).
-    27 ClientMarked {
+    ClientMarked {
         /// Client id.
         client: u64,
         /// Notifications dropped for this client so far.
         dropped: u64,
     },
     /// Graceful drain started: the service stops accepting submissions.
-    28 DrainBegin {
+    DrainBegin {
         /// Submissions still pending when the drain began.
         pending: u64,
     },
     /// Graceful drain finished: pending work decided or shed, state
     /// checkpointed.
-    29 DrainEnd {
+    DrainEnd {
         /// Pending submissions decided (admitted or rejected) during the
         /// drain.
         decided: u64,
@@ -397,7 +345,7 @@ events! {
     /// [`TraceEvent::TaskArrived`], and only when the weight differs
     /// from 1.0 — unweighted workloads produce byte-identical traces
     /// with or without this event in the vocabulary.
-    30 TaskWeight {
+    TaskWeight {
         /// Task id.
         task: u64,
         /// The task's admission weight (finite, positive, ≠ 1.0).
@@ -506,15 +454,9 @@ mod tests {
     }
 
     #[test]
-    fn word_codec_round_trips_every_event() {
-        for ev in samples() {
-            let (tag, words, _n) = ev.encode();
-            assert_eq!(TraceEvent::decode(tag, &words), Some(ev));
-        }
-    }
-
-    #[test]
     fn json_codec_round_trips_every_event() {
+        let names: Vec<&str> = samples().iter().map(TraceEvent::name).collect();
+        assert_eq!(names, NAMES, "samples() must cover every variant");
         for ev in samples() {
             let obj = Value::Object(
                 ev.fields()
@@ -527,20 +469,7 @@ mod tests {
     }
 
     #[test]
-    fn tags_are_unique_and_payloads_fit() {
-        let evs = samples();
-        for (i, a) in evs.iter().enumerate() {
-            let (_, _, n) = a.encode();
-            assert!(n <= MAX_FIELDS);
-            for b in evs.iter().skip(i + 1) {
-                assert_ne!(a.tag(), b.tag());
-            }
-        }
-    }
-
-    #[test]
-    fn unknown_tag_decodes_to_none() {
-        assert_eq!(TraceEvent::decode(999, &[0; MAX_FIELDS]), None);
+    fn unknown_name_parses_to_none() {
         assert_eq!(TraceEvent::from_fields("Bogus", &Value::Null), None);
     }
 }

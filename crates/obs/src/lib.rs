@@ -4,7 +4,7 @@
 //!
 //! * **Tracing** — [`TraceSink`] receives typed [`TraceEvent`]s stamped
 //!   with simulation time; emitters assign monotonic sequence numbers.
-//!   [`RingRecorder`] is the lock-free bounded recorder; [`jsonl`]
+//!   [`RingRecorder`] is the bounded drop-newest recorder; [`jsonl`]
 //!   exports/imports traces as byte-stable JSONL, so a trace is itself
 //!   a testable artifact (the golden-trace suite diffs them as text).
 //! * **Metrics** — [`Metrics`] is a `BTreeMap`-backed registry of named
@@ -31,7 +31,7 @@ mod metrics;
 pub mod replay;
 mod ring;
 
-pub use event::{TraceEvent, TraceRecord, MAX_FIELDS};
+pub use event::{TraceEvent, TraceRecord};
 pub use metrics::{Histogram, Metrics, COUNT_BOUNDS, DEPTH_BOUNDS, LATENCY_US_BOUNDS};
 pub use ring::{RingRecorder, DEFAULT_CAPACITY};
 
@@ -73,10 +73,10 @@ pub mod reason {
     }
 }
 
-/// Receiver of trace events. Implementations must be cheap and
-/// wait-free on the emit path; emitters hold an
-/// `Option<std::sync::Arc<dyn TraceSink>>` and skip all work when it is
-/// `None`.
+/// Receiver of trace events. Implementations must be cheap on the emit
+/// path — non-blocking in practice, never allocating per event;
+/// emitters hold an `Option<std::sync::Arc<dyn TraceSink>>` and skip
+/// all work when it is `None`.
 pub trait TraceSink: Send + Sync {
     /// Records one event at simulation time `t`.
     fn emit(&self, t: f64, ev: &TraceEvent);

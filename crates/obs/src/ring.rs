@@ -1,42 +1,34 @@
-//! Lock-free bounded trace recorder.
+//! Bounded trace recorder.
 //!
-//! [`RingRecorder`] is a fixed-capacity array of event slots claimed with
-//! a single `fetch_add` — emission is wait-free, allocation-free, and
-//! safe to call from the parallel allocator threads. When the buffer is
-//! full, new events are **dropped** (drop-newest) and counted, never
-//! silently lost: the golden-trace suite and `cargo xtask trace` assert
+//! [`RingRecorder`] is a fixed-capacity `Vec` of typed records behind a
+//! `Mutex`. The system is single-threaded by construction (one
+//! controller decides one arrival at a time), so the lock is never
+//! contended on a request path; it exists because `crates/bench` runs
+//! independent schedulers on scoped worker threads and every caller
+//! holds the recorder as an `Arc<dyn TraceSink>`. The buffer is
+//! reserved up front, so emission never allocates. When it is full, new
+//! events are **dropped** (drop-newest) and counted, never silently
+//! lost: the golden-trace suite and `cargo xtask trace` assert
 //! `dropped() == 0`, so capacity problems surface as test failures
 //! instead of truncated artifacts.
-//!
-//! Each slot is `3 + MAX_FIELDS` plain `AtomicU64` words
-//! (`[marker, time_bits, tag, payload...]`); the marker (sequence + 1)
-//! is written last with `Release` ordering so a drain never observes a
-//! half-written slot. Everything is safe Rust — the workspace denies
-//! `unsafe_code`.
 
-use crate::event::{TraceEvent, TraceRecord, MAX_FIELDS};
+use crate::event::{TraceEvent, TraceRecord};
 use crate::TraceSink;
-
-// Under `--features loom` every atomic becomes a model-checked loom
-// atomic, and the `loom_ring` tests explore all emit/drain
-// interleavings of the marker handshake below.
-#[cfg(feature = "loom")]
-use loom::sync::atomic::{AtomicU64, Ordering};
-#[cfg(not(feature = "loom"))]
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Words per slot: marker, time bits, tag, payload.
-const SLOT_WORDS: usize = 3 + MAX_FIELDS;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Default capacity (events) of a recorder.
 pub const DEFAULT_CAPACITY: usize = 1 << 18;
 
-/// Fixed-capacity, wait-free trace recorder (see module docs).
+struct Inner {
+    /// Recorded events in emission order; `seq` is the index.
+    events: Vec<TraceRecord>,
+    dropped: u64,
+}
+
+/// Fixed-capacity, drop-newest trace recorder (see module docs).
 pub struct RingRecorder {
-    words: Vec<AtomicU64>,
-    head: AtomicU64,
-    dropped: AtomicU64,
-    capacity: u64,
+    inner: Mutex<Inner>,
+    capacity: usize,
 }
 
 impl RingRecorder {
@@ -44,12 +36,11 @@ impl RingRecorder {
     pub fn with_capacity(capacity: usize) -> RingRecorder {
         let capacity = capacity.max(1);
         RingRecorder {
-            words: (0..capacity * SLOT_WORDS)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            head: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            capacity: capacity as u64,
+            inner: Mutex::new(Inner {
+                events: Vec::with_capacity(capacity),
+                dropped: 0,
+            }),
+            capacity,
         }
     }
 
@@ -58,10 +49,16 @@ impl RingRecorder {
         RingRecorder::with_capacity(DEFAULT_CAPACITY)
     }
 
+    /// The state is two plain values that every critical section leaves
+    /// consistent, so a lock poisoned by a panicking emitter is still
+    /// good to use.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of events recorded (excluding dropped ones).
     pub fn len(&self) -> usize {
-        // lint: l9-ok(Acquire: pairs with emit's AcqRel claim so len observes every completed claim)
-        self.head.load(Ordering::Acquire).min(self.capacity) as usize
+        self.lock().events.len()
     }
 
     /// Whether no event has been recorded.
@@ -71,48 +68,21 @@ impl RingRecorder {
 
     /// Number of events dropped because the buffer was full.
     pub fn dropped(&self) -> u64 {
-        // lint: l9-ok(Acquire: pairs with the AcqRel counter bump so the dropped count is current once emission quiesces)
-        self.dropped.load(Ordering::Acquire)
+        self.lock().dropped
     }
 
     /// Drains all recorded events in sequence order and resets the
-    /// recorder (including the dropped counter) for reuse.
-    ///
-    /// Must be called after emission has quiesced (e.g. after a
-    /// simulation run returns); concurrent emitters during a drain may
-    /// have their events skipped.
+    /// recorder (sequence numbers and the dropped counter) for reuse.
     pub fn drain(&self) -> Vec<TraceRecord> {
-        // lint: l9-ok(AcqRel: acquires all prior claims and publishes the reset head to later emitters)
-        let n = self.head.swap(0, Ordering::AcqRel).min(self.capacity);
-        // lint: l9-ok(Release: publishes the counter reset together with the drained state)
-        self.dropped.store(0, Ordering::Release);
-        let mut out = Vec::with_capacity(n as usize);
-        for slot in 0..n as usize {
-            let base = slot * SLOT_WORDS;
-            // lint: l9-ok(Acquire: pairs with the emitter's Release marker store, so the slot words read below are fully written)
-            let marker = self.words[base].swap(0, Ordering::Acquire);
-            if marker == 0 {
-                // Emitter claimed the slot but had not finished writing.
-                continue;
-            }
-            // lint: l9-ok(Acquire: slot reads stay ordered after the marker Acquire handshake above)
-            let t = f64::from_bits(self.words[base + 1].load(Ordering::Acquire));
-            // lint: l9-ok(Acquire: slot reads stay ordered after the marker Acquire handshake above)
-            let tag = self.words[base + 2].load(Ordering::Acquire);
-            let mut payload = [0u64; MAX_FIELDS];
-            for (i, word) in payload.iter_mut().enumerate() {
-                // lint: l9-ok(Acquire: slot reads stay ordered after the marker Acquire handshake above)
-                *word = self.words[base + 3 + i].load(Ordering::Acquire);
-            }
-            if let Some(ev) = TraceEvent::decode(tag, &payload) {
-                out.push(TraceRecord {
-                    seq: marker - 1,
-                    t,
-                    ev,
-                });
-            }
-        }
-        out
+        self.take().0
+    }
+
+    /// The recorded events and the drop count, taken and reset in one
+    /// critical section so an emitter racing a drain is counted once.
+    fn take(&self) -> (Vec<TraceRecord>, u64) {
+        let mut inner = self.lock();
+        let dropped = std::mem::take(&mut inner.dropped);
+        (inner.events.drain(..).collect(), dropped)
     }
 }
 
@@ -124,26 +94,17 @@ impl Default for RingRecorder {
 
 impl TraceSink for RingRecorder {
     fn emit(&self, t: f64, ev: &TraceEvent) {
-        // lint: l9-ok(AcqRel: the claim hands out unique indices and orders this emitter's slot writes after it)
-        let claim = self.head.fetch_add(1, Ordering::AcqRel);
-        if claim >= self.capacity {
-            // lint: l9-ok(AcqRel: counter bump pairs with dropped's Acquire load)
-            self.dropped.fetch_add(1, Ordering::AcqRel);
+        let mut inner = self.lock();
+        if inner.events.len() >= self.capacity {
+            inner.dropped += 1;
             return;
         }
-        let base = claim as usize * SLOT_WORDS;
-        let (tag, payload, _) = ev.encode();
-        // lint: l9-ok(Release: slot words must be visible before the marker store publishes the slot)
-        self.words[base + 1].store(t.to_bits(), Ordering::Release);
-        // lint: l9-ok(Release: slot words must be visible before the marker store publishes the slot)
-        self.words[base + 2].store(tag, Ordering::Release);
-        for (i, word) in payload.iter().enumerate() {
-            // lint: l9-ok(Release: slot words must be visible before the marker store publishes the slot)
-            self.words[base + 3 + i].store(*word, Ordering::Release);
-        }
-        // Marker last: a drain only reads slots whose marker is set.
-        // lint: l9-ok(Release: the marker is written last, a drain only trusts slots whose marker is set)
-        self.words[base].store(claim + 1, Ordering::Release);
+        let seq = inner.events.len() as u64;
+        inner.events.push(TraceRecord {
+            seq,
+            t,
+            ev: ev.clone(),
+        });
     }
 }
 
@@ -212,5 +173,59 @@ mod tests {
         let mut seqs: Vec<u64> = recs.iter().map(|r| r.seq).collect();
         seqs.sort_unstable();
         assert_eq!(seqs, (0..1024).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn overflow_race_counts_every_drop() {
+        let ring = RingRecorder::with_capacity(100);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for thread in 0..4u64 {
+                let (ring, start) = (&ring, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..256u64 {
+                        ring.emit(
+                            0.0,
+                            &TraceEvent::Admit {
+                                task: thread * 1000 + i,
+                            },
+                        );
+                    }
+                });
+            }
+        });
+        assert_eq!(ring.len(), 100);
+        assert_eq!(ring.dropped(), 924);
+        let seqs: Vec<u64> = ring.drain().iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, (0..100).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn drain_while_emitting_accounts_for_every_event() {
+        const EMITTED: u64 = 100_000;
+        let ring = RingRecorder::with_capacity(64);
+        let start = std::sync::Barrier::new(2);
+        let (mut drained, mut dropped) = (0u64, 0u64);
+        std::thread::scope(|scope| {
+            let emitter = scope.spawn(|| {
+                start.wait();
+                for i in 0..EMITTED {
+                    ring.emit(0.0, &TraceEvent::Admit { task: i });
+                }
+            });
+            start.wait();
+            while !emitter.is_finished() {
+                let (recs, lost) = ring.take();
+                // Within one drain, `seq` is dense from 0: no duplicates.
+                for (i, r) in recs.iter().enumerate() {
+                    assert_eq!(r.seq, i as u64);
+                }
+                drained += recs.len() as u64;
+                dropped += lost;
+            }
+        });
+        let (recs, lost) = ring.take();
+        assert_eq!(drained + recs.len() as u64 + dropped + lost, EMITTED);
     }
 }

@@ -66,11 +66,12 @@ fn main() {
             let (ckpt, end) = svc.drain(now, &mut tr);
             eprintln!(
                 "taps-serviced: drained at t={end:.3}s — checkpoint epoch {} gen {} with {} flows, \
-                 {} trace events recorded",
+                 {} trace events recorded, {} dropped",
                 ckpt.epoch,
                 ckpt.gen,
                 ckpt.flows.len(),
-                recorder.len()
+                recorder.len(),
+                recorder.dropped()
             );
             break;
         }

@@ -203,11 +203,14 @@ pub struct Topology {
     /// Human-readable name, e.g. `"single-rooted(30,30,40)"`.
     pub name: String,
     /// Per-directed-link up/down state for fault injection. Interior
-    /// mutability (atomics) because the simulation engine, the controller
-    /// and the allocator all hold `&Topology` while faults are injected;
-    /// everything runs on one thread and faults are only applied between
-    /// simulation events, never during a path search, so `Relaxed`
-    /// ordering suffices.
+    /// mutability because the simulation engine, the controller and the
+    /// allocator all hold `&Topology` while faults are injected; atomics
+    /// rather than `Cell` because the figure binaries share one
+    /// fault-free `&Topology` across `taps_bench::run_jobs`' scoped
+    /// threads, so `Topology` must stay `Sync`. A run that injects
+    /// faults is single-threaded and applies them between simulation
+    /// events, never during a path search, so `Relaxed` ordering
+    /// suffices.
     link_up: Vec<AtomicBool>,
     /// Per-node up/down state; a dead switch implicitly downs every link
     /// incident to it (see [`Topology::is_link_up`]).

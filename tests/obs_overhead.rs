@@ -43,6 +43,39 @@ fn tracing_does_not_perturb_testbed_outcomes() {
     assert!(!ring.drain().is_empty(), "traced run recorded nothing");
 }
 
+/// The daemon's steady state: `taps-serviced` spends almost all of its
+/// life with the recorder full. A full recorder must change no outcome
+/// and must keep the *first* events (drop-newest, order preserved).
+#[test]
+fn a_full_recorder_does_not_perturb_outcomes() {
+    let topo = partial_fat_tree_testbed(GBPS);
+    let wl = testbed_workload(5, 20);
+    let horizon = wl.tasks.last().expect("non-empty workload").deadline + 0.05;
+    let run = |ring: &Arc<RingRecorder>| {
+        let report = run_testbed_traced(
+            &topo,
+            &wl,
+            ControllerConfig::default(),
+            horizon,
+            ring.clone(),
+        );
+        format!("{report:?}")
+    };
+    let plain = run_testbed(&topo, &wl, ControllerConfig::default(), horizon);
+    let unbounded = Arc::new(RingRecorder::new());
+    let full = Arc::new(RingRecorder::with_capacity(64));
+    assert_eq!(format!("{plain:?}"), run(&unbounded));
+    assert_eq!(
+        format!("{plain:?}"),
+        run(&full),
+        "a full trace recorder changed testbed outcomes"
+    );
+    assert_eq!(unbounded.dropped(), 0);
+    assert_eq!(full.len(), 64);
+    assert!(full.dropped() > 0, "the scenario must overflow 64 slots");
+    assert_eq!(full.drain(), unbounded.drain()[..64]);
+}
+
 #[test]
 fn tracing_does_not_perturb_chaos_digest() {
     let topo = partial_fat_tree_testbed(GBPS);

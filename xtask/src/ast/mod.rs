@@ -3,33 +3,28 @@
 //! Built on the `compat/syn` shim, this engine parses the workspace
 //! into a per-crate item model ([`model::Workspace`]) with real
 //! scoping — `use`-alias resolution, `#[cfg(test)]`/`#[test]`
-//! exclusion, and an intra-workspace call graph — and runs two kinds of
-//! rules over it:
+//! exclusion, and an intra-workspace call graph — and runs every lint
+//! rule over it:
 //!
-//! - [`parity`] re-derives the token rules L1–L6 from the token stream
-//!   (closing the scanner's import-rename blind spot along the way);
-//!   [`cross_check`] fails the lint when the two engines disagree on a
-//!   shared scope, so neither can rot silently.
-//! - [`l7`] (call-graph validator coverage), [`l8`] (float-ordering
-//!   hygiene), and [`l9`] (per-site atomics-ordering allowlist, paired
-//!   with the `loom` models) only exist here — they need item
-//!   structure a substring scanner cannot recover.
+//! - [`lexical`] matches L1–L6 and L10 on the token stream, resolving
+//!   identifiers through the file's imports so a renamed or
+//!   glob-imported banned API is still caught;
+//! - [`l7`] (call-graph validator coverage) and [`l8`] (float-ordering
+//!   hygiene) need item structure.
 //!
-//! Allowlist markers are shared with the token scanner through the
-//! common [`SourceModel`](crate::scan::SourceModel) instances, so a
-//! marker used by either engine is live for staleness accounting.
+//! Allowlist markers live in each file's
+//! [`SourceModel`](crate::scan::SourceModel), so staleness is accounted
+//! once, after every rule ran.
 
 pub mod callgraph;
 pub mod l7;
 pub mod l8;
-pub mod l9;
+pub mod lexical;
 pub mod model;
-pub mod parity;
 
 pub use model::Workspace;
 
 use crate::rules::Finding;
-use std::collections::BTreeSet;
 
 /// Runs every AST rule over the loaded workspace.
 pub fn analyze(ws: &Workspace) -> Vec<Finding> {
@@ -45,51 +40,11 @@ pub fn analyze(ws: &Workspace) -> Vec<Finding> {
     }
     for (rel, entry) in &ws.files {
         if let Some(scope) = crate::rules::scope_for(rel) {
-            parity::check(entry, scope, &mut out);
+            lexical::check(entry, scope, &mut out);
         }
     }
     let graph = callgraph::CallGraph::build(ws);
     l7::check(ws, &graph, &mut out);
     l8::check(ws, &mut out);
-    l9::check(ws, &mut out);
-    out
-}
-
-/// Cross-checks the token scanner against the AST engine: every L1–L6
-/// finding the scanner emits in a file the AST engine analyzed must be
-/// reproduced at the same (rule, path, line); a miss is an engine bug
-/// and fails the lint as an `xcheck` finding.
-pub fn cross_check(token: &[Finding], ast: &[Finding], ws: &Workspace) -> Vec<Finding> {
-    let ast_keys: BTreeSet<(&str, &str, usize)> = ast
-        .iter()
-        .map(|f| (f.rule, f.path.as_str(), f.line))
-        .collect();
-    let mut out = Vec::new();
-    for f in token {
-        if !matches!(f.rule, "L1" | "L2" | "L3" | "L4" | "L5" | "L6") {
-            continue;
-        }
-        let Some(entry) = ws.files.get(&f.path) else {
-            continue; // file outside the module tree: token scanner only
-        };
-        if entry.tokens.is_empty() {
-            continue; // tokenize failure already reported as `ast`
-        }
-        if ast_keys.contains(&(f.rule, f.path.as_str(), f.line)) {
-            continue;
-        }
-        out.push(Finding {
-            rule: "xcheck",
-            path: f.path.clone(),
-            line: f.line,
-            snippet: f.snippet.clone(),
-            message: format!(
-                "engine disagreement: the token scanner reports {} here but the \
-                 AST engine does not — fix whichever engine is wrong before \
-                 trusting either",
-                f.rule
-            ),
-        });
-    }
     out
 }

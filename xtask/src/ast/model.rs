@@ -5,9 +5,8 @@
 //! file tree, and flattens what it finds into:
 //!
 //! - a per-file [`FileEntry`] holding the whole-file token stream, the
-//!   flattened `use` bindings (with their alias maps), and a shared
-//!   [`SourceModel`] so allowlist-marker bookkeeping is common between
-//!   the token scanner and the AST engine;
+//!   flattened `use` bindings (with their alias maps), and the file's
+//!   [`SourceModel`] (allowlist markers, test-region map);
 //! - a workspace-wide function table ([`FnInfo`]) with crate, module
 //!   path, impl type, visibility, test status, signature, and body
 //!   tokens — the substrate for the call graph (L7) and the float
@@ -17,9 +16,12 @@
 //!   inference.
 //!
 //! `#[cfg(test)]`/`#[test]` items are loaded but flagged, so rules can
-//! skip them with the same semantics as the token scanner's
-//! brace-matched test regions. [`Workspace::from_sources`] builds the
-//! same model from in-memory fixtures for the engine's own tests.
+//! skip them with the same semantics as the source model's
+//! brace-matched test regions. In-scope files that no `mod` declaration
+//! reaches join through [`Workspace::add_orphan`]: tokens, `use`
+//! bindings and markers, but no functions. [`Workspace::from_sources`]
+//! builds the same model from in-memory fixtures for the engine's own
+//! tests.
 
 use crate::scan::SourceModel;
 use std::collections::{BTreeMap, BTreeSet};
@@ -30,9 +32,7 @@ use syn::{Item, ItemFn, TokenTree, UseBinding, Visibility};
 pub struct FileEntry {
     /// Workspace-relative path.
     pub rel: String,
-    /// Owning crate as an identifier (`taps`, `taps_core`, …).
-    pub crate_ident: String,
-    /// Shared parse shared with the token scanner (markers, test map).
+    /// Comment-blanked lines, allowlist markers, test-region map.
     pub source: SourceModel,
     /// Whole-file token stream (macro bodies and struct fields included).
     pub tokens: Vec<TokenTree>,
@@ -96,7 +96,8 @@ impl FnInfo {
 
 /// The parsed workspace.
 pub struct Workspace {
-    /// rel path → file entry, for every file reachable from a crate root.
+    /// rel path → file entry, for every file reachable from a crate root
+    /// plus the orphans added with [`Workspace::add_orphan`].
     pub files: BTreeMap<String, FileEntry>,
     pub fns: Vec<FnInfo>,
     /// Struct field names declared `f64` anywhere in the workspace.
@@ -146,7 +147,8 @@ impl Workspace {
     }
 
     /// Builds the model from in-memory `(rel, source)` fixtures; crate
-    /// roots are the `src/lib.rs` entries among the keys.
+    /// roots are the `src/lib.rs` entries among the keys, and in-scope
+    /// fixtures no root reaches are added as orphans.
     pub fn from_sources(files: &[(&str, &str)]) -> Workspace {
         let map: BTreeMap<&str, &str> = files.iter().copied().collect();
         let mut roots: Vec<String> = map
@@ -155,8 +157,24 @@ impl Workspace {
             .map(|k| k.to_string())
             .collect();
         roots.sort();
-        let provider = move |rel: &str| map.get(rel).map(|s| s.to_string());
-        Self::build(&roots, &provider)
+        let provider = |rel: &str| map.get(rel).map(|s| s.to_string());
+        let mut ws = Self::build(&roots, &provider);
+        for (rel, text) in &map {
+            ws.add_orphan(rel, text);
+        }
+        ws
+    }
+
+    /// Adds an in-scope file that no `mod` declaration reaches (a dead
+    /// file, a staged module), parsed on its own: the lexical rules and
+    /// marker hygiene see it, its functions join no call graph. A no-op
+    /// for files already loaded or out of lint scope.
+    pub fn add_orphan(&mut self, rel: &str, text: &str) {
+        if self.files.contains_key(rel) || crate::rules::scope_for(rel).is_none() {
+            return;
+        }
+        let (entry, _items) = parse_file(&mut self.errors, rel, text);
+        self.files.insert(rel.to_string(), entry);
     }
 
     fn build(roots: &[String], provider: &dyn Fn(&str) -> Option<String>) -> Workspace {
@@ -203,35 +221,8 @@ fn load_file(
             .push((rel.to_string(), "module file not found".to_string()));
         return;
     };
-    let source = SourceModel::parse(Path::new(rel), &text);
-    let tokens = match syn::lexer::tokenize(&text) {
-        Ok(t) => t,
-        Err(e) => {
-            ws.errors.push((rel.to_string(), e.to_string()));
-            ws.files.insert(
-                rel.to_string(),
-                FileEntry {
-                    rel: rel.to_string(),
-                    crate_ident: crate_ident.to_string(),
-                    source,
-                    tokens: Vec::new(),
-                    uses: Vec::new(),
-                },
-            );
-            return;
-        }
-    };
-    let items = syn::parse_items(&tokens);
-    ws.files.insert(
-        rel.to_string(),
-        FileEntry {
-            rel: rel.to_string(),
-            crate_ident: crate_ident.to_string(),
-            source,
-            tokens,
-            uses: Vec::new(),
-        },
-    );
+    let (entry, items) = parse_file(&mut ws.errors, rel, &text);
+    ws.files.insert(rel.to_string(), entry);
     let mut ctx = WalkCtx {
         rel,
         crate_ident,
@@ -241,6 +232,51 @@ fn load_file(
         provider,
     };
     walk_items(ws, &items, &mut ctx);
+}
+
+/// Tokenizes one file into its entry (with `use` bindings) and its
+/// top-level items. A tokenize failure is recorded in `errors` and
+/// leaves the entry with an empty stream.
+fn parse_file(errors: &mut Vec<(String, String)>, rel: &str, text: &str) -> (FileEntry, Vec<Item>) {
+    let mut entry = FileEntry {
+        rel: rel.to_string(),
+        source: SourceModel::parse(text),
+        tokens: Vec::new(),
+        uses: Vec::new(),
+    };
+    let items = match syn::lexer::tokenize(text) {
+        Ok(tokens) => {
+            let items = syn::parse_items(&tokens);
+            entry.tokens = tokens;
+            items
+        }
+        Err(e) => {
+            errors.push((rel.to_string(), e.to_string()));
+            Vec::new()
+        }
+    };
+    collect_uses(&items, false, &mut entry.uses);
+    (entry, items)
+}
+
+/// Flattens the `use` bindings of `items` and of every inline module
+/// below them, flagging the ones that sit in test-only code.
+fn collect_uses(items: &[Item], in_test: bool, out: &mut Vec<UseInfo>) {
+    for item in items {
+        match item {
+            Item::Use(u) => out.extend(u.bindings.iter().map(|b| UseInfo {
+                binding: b.clone(),
+                in_test,
+            })),
+            Item::Mod(m) => {
+                if let Some(inner) = &m.content {
+                    let test = in_test || m.attrs.iter().any(|a| a.is_cfg_test());
+                    collect_uses(inner, test, out);
+                }
+            }
+            _ => {}
+        }
+    }
 }
 
 struct WalkCtx<'a> {
@@ -299,15 +335,6 @@ fn walk_items(ws: &mut Workspace, items: &[Item], ctx: &mut WalkCtx<'_>) {
                     }
                 }
             }
-            Item::Use(u) => {
-                let in_test = ctx.in_test;
-                if let Some(entry) = ws.files.get_mut(ctx.rel) {
-                    entry.uses.extend(u.bindings.iter().map(|b| UseInfo {
-                        binding: b.clone(),
-                        in_test,
-                    }));
-                }
-            }
             Item::Impl(im) => {
                 let saved = ctx.impl_ty.take();
                 ctx.impl_ty = Some(im.self_ty.clone());
@@ -334,7 +361,7 @@ fn walk_items(ws: &mut Workspace, items: &[Item], ctx: &mut WalkCtx<'_>) {
                     ws.f64_consts.insert(c.ident.clone());
                 }
             }
-            Item::Enum(_) | Item::Macro(_) | Item::Verbatim(_) => {}
+            Item::Use(_) | Item::Enum(_) | Item::Macro(_) | Item::Verbatim(_) => {}
         }
     }
 }

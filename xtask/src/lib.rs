@@ -3,15 +3,13 @@
 //! chaos gate behind `cargo xtask chaos --seeds N`, and the golden-trace
 //! gate behind `cargo xtask trace` ([`trace`], DESIGN.md §11).
 //!
-//! The lint pass runs **two engines over shared source models**: the
-//! token scanner ([`rules`], L1–L6 and L10) and the `syn`-based AST engine
-//! ([`ast`], L1–L9 — parity for L1–L6 plus the call-graph, float, and
-//! atomics rules). Findings are cross-checked: any L1–L6 finding one
-//! engine sees in a shared scope that the other misses fails the lint
-//! (`xcheck`), so neither engine can rot silently. Allowlist-marker
-//! staleness is accounted once, after both engines ran.
+//! The lint pass is one engine: the workspace is parsed once into a
+//! `syn`-based item model ([`ast`]) and every rule — the lexical rules
+//! L1–L6 and L10, the call-graph rule L7, the float-ordering rule L8 —
+//! runs over it. Allowlist-marker staleness is accounted once, after
+//! every rule ran.
 //!
-//! See [`rules`] for the token rule table and DESIGN.md §"Scheduler
+//! See [`rules`] for the rule table and DESIGN.md §"Scheduler
 //! invariants & static analysis" + §13 for the rationale; [`chaos`]
 //! documents the chaos gate's contract (DESIGN.md §10).
 
@@ -24,7 +22,6 @@ pub mod scenarios;
 pub mod trace;
 
 use rules::Finding;
-use scan::SourceModel;
 use std::path::{Path, PathBuf};
 
 /// Recursively collects every `.rs` file under `dir`, workspace-relative,
@@ -54,77 +51,33 @@ pub fn collect_rust_files(root: &Path) -> std::io::Result<Vec<String>> {
     Ok(files)
 }
 
-/// Runs the full two-engine lint pass over the workspace rooted at `root`.
+/// Runs the lint pass over the workspace rooted at `root`.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let ws = ast::Workspace::load(root);
-    let mut extra: Vec<(String, SourceModel)> = Vec::new();
+    let mut ws = ast::Workspace::load(root);
     for rel in collect_rust_files(root)? {
-        // Scoped files outside the module tree (dead files, staged
-        // modules) still get the token pass and marker hygiene.
-        if rules::scope_for(&rel).is_some() && !ws.files.contains_key(&rel) {
-            let model = SourceModel::load(&root.join(&rel))?;
-            extra.push((rel, model));
+        // In-scope files outside the module tree (dead files, staged
+        // modules) still get the lexical rules and marker hygiene.
+        if !ws.files.contains_key(&rel) && rules::scope_for(&rel).is_some() {
+            ws.add_orphan(&rel, &std::fs::read_to_string(root.join(&rel))?);
         }
     }
-    Ok(lint_model(&ws, &extra))
+    Ok(lint_model(&ws))
 }
 
-/// Runs the same two-engine pass over in-memory `(rel, source)` fixtures
-/// (exposed for the engine's own mutation tests).
+/// Runs the same pass over in-memory `(rel, source)` fixtures (exposed
+/// for the engine's own mutation tests).
 pub fn lint_sources(files: &[(&str, &str)]) -> Vec<Finding> {
-    let ws = ast::Workspace::from_sources(files);
-    let extra: Vec<(String, SourceModel)> = files
-        .iter()
-        .filter(|(rel, _)| rules::scope_for(rel).is_some() && !ws.files.contains_key(*rel))
-        .map(|(rel, src)| (rel.to_string(), SourceModel::parse(Path::new(rel), src)))
-        .collect();
-    lint_model(&ws, &extra)
+    lint_model(&ast::Workspace::from_sources(files))
 }
 
-/// Token pass + AST pass + cross-check + one hygiene sweep, over shared
-/// source models so marker `used` flags accumulate across both engines.
-fn lint_model(ws: &ast::Workspace, extra: &[(String, SourceModel)]) -> Vec<Finding> {
-    let mut token = Vec::new();
-    for (rel, entry) in &ws.files {
-        if let Some(scope) = rules::scope_for(rel) {
-            rules::check_file(&entry.source, scope, rel, &mut token);
-        }
-    }
-    for (rel, model) in extra {
-        if let Some(scope) = rules::scope_for(rel) {
-            rules::check_file(model, scope, rel, &mut token);
-        }
-    }
-
-    let ast_findings = ast::analyze(ws);
-    let xcheck = ast::cross_check(&token, &ast_findings, ws);
-
-    let mut findings = token;
-    // AST findings the token engine already reported are duplicates of
-    // the same defect; keep the token engine's copy.
-    for f in ast_findings {
-        let dup = findings
-            .iter()
-            .any(|t| t.rule == f.rule && t.path == f.path && t.line == f.line);
-        if !dup {
-            findings.push(f);
-        }
-    }
-    findings.extend(xcheck);
-
-    // Hygiene once, after every rule of both engines marked its
-    // suppressions on the shared models.
+/// Every rule, then one hygiene sweep over the markers they used.
+fn lint_model(ws: &ast::Workspace) -> Vec<Finding> {
+    let mut findings = ast::analyze(ws);
     for (rel, entry) in &ws.files {
         if rules::scope_for(rel).is_some() {
             rules::check_marker_hygiene(&entry.source, rel, &mut findings);
         }
     }
-    for (rel, model) in extra {
-        if rules::scope_for(rel).is_some() {
-            rules::check_marker_hygiene(model, rel, &mut findings);
-        }
-    }
-
     findings.sort_by(|a, b| {
         (a.rule, &a.path, a.line, &a.message).cmp(&(b.rule, &b.path, b.line, &b.message))
     });

@@ -1,10 +1,10 @@
 //! `cargo xtask <task>` — workspace automation.
 //!
 //! Tasks:
-//! * `lint` — run the repo-specific determinism & safety lints over
-//!   every workspace crate with both the token scanner (L1–L6, L10) and
-//!   the AST engine (L1–L9), cross-checking the two. Exits non-zero on any
-//!   finding. `--format json` prints a stable sorted findings array.
+//! * `lint` — run the repo-specific determinism & safety lints (rules
+//!   L1–L8 and L10, one `syn`-based engine) over every workspace crate.
+//!   Exits non-zero on any finding. `--format json` prints a stable
+//!   sorted findings array.
 //! * `chaos --seeds N` — run the seeded control-plane chaos gate: lossy
 //!   channels + link outage + controller crash/failover per seed, with
 //!   safety and bit-identical-determinism assertions (DESIGN.md §10).
@@ -55,10 +55,10 @@ const USAGE: &str = "usage: cargo xtask <task>
 
 tasks:
   lint [--quiet] [--format json]
-                     repo-specific determinism & safety lints, run by two engines:
-                     the token scanner (L1-L6, L10) and the syn-based AST engine (L1-L9,
-                     cross-checked against the scanner); --format json emits a
-                     stable sorted findings array; see DESIGN.md §13
+                     repo-specific determinism & safety lints: rules L1-L8 and L10,
+                     run by one syn-based engine, plus allowlist-marker hygiene;
+                     --format json emits a stable sorted findings array; see
+                     DESIGN.md §13
   chaos --seeds N    seeded control-plane chaos gate (lossy channels, link outage,
                      controller crash/failover); asserts safety + determinism
   trace              golden-trace gate: runs the traced testbed + chaos scenarios,
@@ -288,10 +288,7 @@ fn lint(quiet: bool, json: bool) -> ExitCode {
     }
     if findings.is_empty() {
         if !quiet {
-            println!(
-                "xtask lint: clean (token + AST engines, rules L1-L10, cross-check, \
-                 allowlist hygiene)"
-            );
+            println!("xtask lint: clean (rules L1-L8 and L10, allowlist hygiene)");
         }
         ExitCode::SUCCESS
     } else {

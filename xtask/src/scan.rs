@@ -1,12 +1,12 @@
 //! Comment/string-aware Rust source model for the repo-specific lints.
 //!
-//! The workspace is built offline (path-only dependencies), so a full
-//! `syn` parse is not available; instead we build a light-weight *source
-//! model* that is exact about the three things the lint rules need:
+//! The rules match on the `compat/syn` token stream, which carries no
+//! comments; this light-weight *source model* is exact about the three
+//! things they need beside it:
 //!
 //! 1. **code vs. non-code** — string literals, char literals, raw
-//!    strings, and all comment forms are blanked out so rules never match
-//!    inside them;
+//!    strings, and all comment forms are blanked out so the test-region
+//!    scan below never matches inside them;
 //! 2. **test vs. library code** — `#[cfg(test)]` items (including whole
 //!    `mod tests { .. }` blocks) and `#[test]` functions are tracked by
 //!    brace matching so rules only fire on non-test library code;
@@ -16,7 +16,6 @@
 //!    reported as stale.
 
 use std::fmt;
-use std::path::{Path, PathBuf};
 
 /// Allowlist marker kinds, written as `// lint: <name>(reason)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,10 +41,6 @@ pub enum MarkerKind {
     /// code; completion/priority orderings go through `total_cmp` or the
     /// EPS helpers).
     L8Ok,
-    /// `l9-ok` — suppresses L9 (atomic memory-ordering use); the reason
-    /// must start with `<Ordering>:` naming the ordering at the site so
-    /// the justification goes stale if the ordering changes.
-    L9Ok,
     /// `l10-ok` — suppresses L10 (unbounded channel constructors or
     /// queue growth in service request paths); the reason must start
     /// with `bound:` naming the capacity that keeps the site finite.
@@ -62,7 +57,6 @@ impl MarkerKind {
             MarkerKind::L6Ok => "l6-ok",
             MarkerKind::L7Ok => "l7-ok",
             MarkerKind::L8Ok => "l8-ok",
-            MarkerKind::L9Ok => "l9-ok",
             MarkerKind::L10Ok => "l10-ok",
         }
     }
@@ -88,7 +82,6 @@ pub struct Marker {
 
 /// A parsed source file ready for rule matching.
 pub struct SourceModel {
-    pub path: PathBuf,
     /// Original text, split into lines (no trailing newline).
     pub raw_lines: Vec<String>,
     /// Same line structure with comments and literal contents blanked.
@@ -101,21 +94,14 @@ pub struct SourceModel {
 }
 
 impl SourceModel {
-    /// Parses a file from disk.
-    pub fn load(path: &Path) -> std::io::Result<SourceModel> {
-        let text = std::fs::read_to_string(path)?;
-        Ok(SourceModel::parse(path, &text))
-    }
-
-    /// Parses source text (exposed for the linter's own tests).
-    pub fn parse(path: &Path, text: &str) -> SourceModel {
+    /// Parses source text.
+    pub fn parse(text: &str) -> SourceModel {
         let (code, comments) = blank_non_code(text);
         let raw_lines: Vec<String> = text.lines().map(|l| l.to_string()).collect();
         let code_lines: Vec<String> = code.lines().map(|l| l.to_string()).collect();
         let is_test = mark_test_regions(&code_lines);
         let markers = parse_markers(&comments);
         SourceModel {
-            path: path.to_path_buf(),
             raw_lines,
             code_lines,
             is_test,
@@ -400,8 +386,6 @@ fn parse_markers(comments: &[String]) -> Vec<Marker> {
             MarkerKind::L8Ok
         } else if rest.starts_with("l10-ok") {
             MarkerKind::L10Ok
-        } else if rest.starts_with("l9-ok") {
-            MarkerKind::L9Ok
         } else {
             continue;
         };
@@ -428,10 +412,9 @@ fn parse_markers(comments: &[String]) -> Vec<Marker> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::Path;
 
     fn model(src: &str) -> SourceModel {
-        SourceModel::parse(Path::new("test.rs"), src)
+        SourceModel::parse(src)
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! End-to-end tests for the two-engine lint pass (`cargo xtask lint`):
-//! the token-scanner blind spot the AST engine closes, mutation tests
-//! that plant one synthetic violation per AST rule (L7–L9) and assert
-//! it is reported at exactly the right file and line, marker
-//! suppression + staleness round-trips, cross-engine disagreement
-//! reporting, and byte-stable `--format json` output.
+//! End-to-end tests for the lint pass (`cargo xtask lint`): a renamed
+//! import caught at the import and at the call, mutation tests that
+//! plant one synthetic violation per item-structure rule (L7, L8) and
+//! assert it is reported at exactly the right file and line (the
+//! lexical rules' fixtures sit beside them in `ast/lexical.rs`), marker
+//! suppression + staleness round-trips, an in-scope file no `mod`
+//! declaration reaches, and byte-stable `--format json` output.
 
 use std::path::Path;
-use xtask::rules::{self, Finding};
-use xtask::scan::SourceModel;
-use xtask::{ast, findings_to_json, lint_sources};
+use xtask::rules::Finding;
+use xtask::{findings_to_json, lint_sources};
 
 fn keys(findings: &[Finding], rule: &str) -> Vec<(String, usize)> {
     findings
@@ -18,12 +18,11 @@ fn keys(findings: &[Finding], rule: &str) -> Vec<(String, usize)> {
         .collect()
 }
 
-/// The exact evasion the token scanner cannot see: rename the banned
-/// import and call it under the new name. The substring needle is
-/// `Instant::now`, which never appears in the source; the AST engine
-/// resolves the alias and flags both the import and the call site.
+/// Rename the banned import and call it under the new name:
+/// `Instant::now` never appears in the source, yet the alias is
+/// resolved and both the import and the call site are flagged.
 #[test]
-fn alias_rename_evades_the_token_scanner_but_not_the_ast_engine() {
+fn a_renamed_import_is_flagged_at_the_import_and_at_the_call() {
     const EVASION: &str = "use std::time::Instant as T;\n\
                            pub fn f() -> u64 {\n\
                            \x20   let t = T::now();\n\
@@ -31,26 +30,31 @@ fn alias_rename_evades_the_token_scanner_but_not_the_ast_engine() {
                            \x20   0\n\
                            }\n";
     let rel = "crates/core/src/evade.rs";
-
-    // Token engine alone: blind.
-    let model = SourceModel::parse(Path::new(rel), EVASION);
-    let mut token = Vec::new();
-    rules::check_file(&model, rules::scope_for(rel).unwrap(), rel, &mut token);
-    assert!(
-        token.iter().all(|f| f.rule != "L4"),
-        "the token scanner is not supposed to see this evasion (if it \
-         does, move the regression to a new blind spot): {token:?}"
-    );
-
-    // Full two-engine pass: caught at the import and at the call.
     let out = lint_sources(&[("crates/core/src/lib.rs", "mod evade;\n"), (rel, EVASION)]);
     assert_eq!(
         keys(&out, "L4"),
         vec![(rel.to_string(), 1), (rel.to_string(), 3)],
         "{out:?}"
     );
-    // The extra AST findings are additions, not disagreements.
-    assert!(keys(&out, "xcheck").is_empty(), "{out:?}");
+}
+
+/// An in-scope file that no `mod` declaration reaches still gets the
+/// lexical rules and marker hygiene: its `unwrap()` and its stale
+/// marker are both reported.
+#[test]
+fn a_file_outside_the_module_tree_is_still_linted() {
+    let orphan = "pub fn f(o: Option<u64>) -> u64 {\n\
+                  \x20   // lint: l5-ok(no loop left here)\n\
+                  \x20   o.unwrap()\n\
+                  }\n";
+    let rel = "crates/core/src/orphan.rs";
+    let out = lint_sources(&[
+        ("crates/core/src/lib.rs", "pub fn ok() {}\n"),
+        (rel, orphan),
+    ]);
+    assert_eq!(keys(&out, "L3"), vec![(rel.to_string(), 3)], "{out:?}");
+    assert_eq!(keys(&out, "marker"), vec![(rel.to_string(), 2)], "{out:?}");
+    assert_eq!(out.len(), 2, "{out:?}");
 }
 
 /// L7 mutation: a public entry mutates occupancy with no validate gate
@@ -133,95 +137,6 @@ fn l8_marker_suppresses_and_goes_stale() {
     assert!(out[0].message.contains("stale"), "{out:?}");
 }
 
-/// L9 mutation: an undocumented `Ordering::Relaxed` on the lock-free
-/// ring path — flagged at the atomic-op line; a justification naming
-/// the ordering suppresses it; a leftover marker is stale.
-#[test]
-fn l9_mutation_marker_and_staleness() {
-    let ring = |body: &str| {
-        lint_sources(&[
-            ("crates/obs/src/lib.rs", "pub mod ring;\n"),
-            ("crates/obs/src/ring.rs", body),
-        ])
-    };
-
-    let bare = "use std::sync::atomic::{AtomicU64, Ordering};\n\
-                pub fn bump(a: &AtomicU64) {\n\
-                \x20   a.fetch_add(1, Ordering::Relaxed);\n\
-                }\n";
-    let out = ring(bare);
-    assert_eq!(
-        keys(&out, "L9"),
-        vec![("crates/obs/src/ring.rs".to_string(), 3)],
-        "{out:?}"
-    );
-
-    let documented = "use std::sync::atomic::{AtomicU64, Ordering};\n\
-                      pub fn bump(a: &AtomicU64) {\n\
-                      \x20   // lint: l9-ok(Relaxed: monotone hint, a stale read only wastes work)\n\
-                      \x20   a.fetch_add(1, Ordering::Relaxed);\n\
-                      }\n";
-    let out = ring(documented);
-    assert!(out.is_empty(), "{out:?}");
-
-    let stale = "use std::sync::atomic::{AtomicU64, Ordering};\n\
-                 pub fn bump(a: &AtomicU64) {\n\
-                 \x20   // lint: l9-ok(Relaxed: monotone hint, a stale read only wastes work)\n\
-                 \x20   a.fetch_add(1, Ordering::Relaxed);\n\
-                 \x20   // lint: l9-ok(Relaxed: leftover justification, the op moved above)\n\
-                 \x20   let _ = a;\n\
-                 }\n";
-    let out = ring(stale);
-    assert_eq!(
-        keys(&out, "marker"),
-        vec![("crates/obs/src/ring.rs".to_string(), 5)],
-        "{out:?}"
-    );
-}
-
-/// A token-scanner finding the AST engine fails to reproduce in a
-/// shared scope must surface as an `xcheck` engine-disagreement
-/// finding; rules outside L1–L6 and files outside the module tree are
-/// exempt from the cross-check.
-#[test]
-fn cross_check_reports_engine_disagreement() {
-    let ws = ast::Workspace::from_sources(&[("crates/core/src/lib.rs", "pub fn ok() {}\n")]);
-    let fabricated = vec![Finding {
-        rule: "L3",
-        path: "crates/core/src/lib.rs".to_string(),
-        line: 1,
-        snippet: "pub fn ok() {}".to_string(),
-        message: "synthetic token finding the AST engine never produced".to_string(),
-    }];
-    let out = ast::cross_check(&fabricated, &[], &ws);
-    assert_eq!(
-        keys(&out, "xcheck"),
-        vec![("crates/core/src/lib.rs".to_string(), 1)],
-        "{out:?}"
-    );
-    assert!(out[0].message.contains("disagreement"), "{out:?}");
-
-    // AST-only rules are not parity-checked …
-    let l9_only = vec![Finding {
-        rule: "L9",
-        path: "crates/core/src/lib.rs".to_string(),
-        line: 1,
-        snippet: String::new(),
-        message: String::new(),
-    }];
-    assert!(ast::cross_check(&l9_only, &[], &ws).is_empty());
-
-    // … and neither are files the AST engine never loaded.
-    let outside = vec![Finding {
-        rule: "L3",
-        path: "crates/core/src/orphan.rs".to_string(),
-        line: 1,
-        snippet: String::new(),
-        message: String::new(),
-    }];
-    assert!(ast::cross_check(&outside, &[], &ws).is_empty());
-}
-
 /// `--format json` output is sorted by (rule, path, line, message) and
 /// byte-identical across independent runs on identical sources.
 #[test]
@@ -254,11 +169,10 @@ fn json_output_is_sorted_and_byte_stable() {
     assert_eq!(findings_to_json(&[]), "[]\n");
 }
 
-/// The acceptance bar the CI `lint-ast` job enforces: the real
-/// workspace is clean under both engines — zero unsuppressed findings,
-/// zero stale markers, zero engine disagreements.
+/// The acceptance bar the CI `lint` job enforces: the real workspace
+/// is clean — zero unsuppressed findings, zero stale markers.
 #[test]
-fn real_workspace_is_clean_under_both_engines() {
+fn real_workspace_is_clean() {
     // Integration tests run with the package directory as CWD.
     let root = Path::new("..");
     assert!(
