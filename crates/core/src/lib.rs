@@ -2,19 +2,22 @@
 //! deadline-aware, **preemptive** flow scheduler running on an SDN
 //! controller.
 //!
-//! The controller reacts to task arrivals (Alg. 1): it tentatively
-//! re-allocates *all* in-flight flows plus the newcomer's flows in
-//! EDF-then-SJF order onto per-link slotted timelines — at most one flow
-//! occupies a link during a slot — choosing for each flow the candidate
-//! path that completes it earliest (Alg. 2, [`alloc::SlotAllocator`]), with
-//! slice placement by first-fit over the union of the path's occupancy
-//! sets (Alg. 3, `taps-timeline`). A **reject rule** then admits the task,
-//! rejects it, or *discards* (preempts) a worse-off in-flight task.
+//! The controller reacts to task arrivals (Alg. 1, [`arbiter`]): it
+//! tentatively re-allocates *all* in-flight flows plus the newcomer's
+//! flows in EDF-then-SJF order onto per-link slotted timelines — at most
+//! one flow occupies a link during a slot — choosing for each flow the
+//! candidate path that completes it earliest (Alg. 2,
+//! [`alloc::SlotAllocator`]), with slice placement by first-fit over the
+//! union of the path's occupancy sets (Alg. 3, `taps-timeline`). A
+//! **reject rule** ([`arbiter::decide`]) then admits the task, rejects
+//! it, or *discards* (preempts) a worse-off in-flight task.
 //!
 //! Accepted flows get pre-allocated transmission time slices and explicit
-//! routes; senders transmit at full line rate exactly during their slices
-//! ([`Taps`] drives this through the `taps-flowsim` engine the same way
-//! TAPS servers obey the controller's slice grants).
+//! routes; senders transmit at full line rate exactly during their slices.
+//! [`Arbiter`] is the one implementation of that loop; [`Taps`] adapts it
+//! to the `taps-flowsim` engine (driving transmission the same way TAPS
+//! servers obey the controller's slice grants) and `taps-sdn`'s
+//! controller adapts it to probes, grants and switch commands.
 //!
 //! The allocation problem itself is NP-hard (reduction from Hamiltonian
 //! Circuit, §IV-B) — reproduced and machine-checked in [`hardness`].
@@ -24,6 +27,7 @@
 
 pub mod alloc;
 pub mod analysis;
+pub mod arbiter;
 pub mod delta;
 pub mod hardness;
 mod obs;
@@ -33,7 +37,8 @@ pub mod validate;
 
 pub use alloc::{AllocCounters, AllocEngine, AllocError, FlowAlloc, FlowDemand, SlotAllocator};
 pub use analysis::{analyze, gantt_for_link, ScheduleAnalysis};
+pub use arbiter::{Arbiter, InFlight, RejectDecision, RejectPolicy, Standing};
 pub use delta::{DeltaCache, DeltaStats};
 pub use oracle::SingleLinkOracle;
-pub use scheduler::{RejectDecision, RejectPolicy, Taps, TapsConfig};
+pub use scheduler::{Taps, TapsConfig};
 pub use validate::{Violation, ViolationReport};

@@ -1,5 +1,8 @@
-//! Alg. 1 — the TAPS controller loop: batching, tentative re-allocation,
-//! the reject rule, preemption, and slice-driven transmission.
+//! The flowsim adapter of Alg. 1: [`Taps`] translates between the
+//! simulator's `SimCtx` and the [`Arbiter`](crate::arbiter::Arbiter),
+//! which owns the tentative pass, the reject rule and the re-pack. What
+//! lives here is what only a simulated controller needs: the batching
+//! window, the bounded pending queue, and slice-driven transmission.
 //!
 //! Admission is processed at the **next slot boundary** after a task
 //! arrives. This implements Alg. 1's "wait time T" batching window
@@ -9,48 +12,14 @@
 //! transmitting under the old schedule until the boundary, and the
 //! re-pack starts exactly there.
 
-use crate::alloc::{AllocEngine, AllocError, FlowAlloc, FlowDemand};
-use crate::delta::DeltaCache;
+use crate::alloc::FlowAlloc;
+use crate::arbiter::{Arbiter, Dropped, InFlight, RejectDecision, RejectPolicy, Standing};
 use crate::obs::obs_event;
 #[cfg(feature = "obs")]
 use crate::obs::obs_id;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use taps_flowsim::{DeadlineAction, FaultEvent, FlowId, FlowStatus, Scheduler, SimCtx, TaskId};
 use taps_timeline::slots;
-
-/// How the reject rule resolves the "one victim task" case (see
-/// DESIGN.md — the paper's wording for the completion-ratio comparison is
-/// ambiguous; `Paper` implements the reading that preserves the paper's
-/// Fig. 2 walk-through and makes preemption reachable).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RejectPolicy {
-    /// The paper's rule: compare the *schedulable completion ratios* under
-    /// the tentative allocation (fraction of each task's flows that would
-    /// still meet their deadline, counting already-completed flows). The
-    /// newcomer is whole (ratio 1) in this branch, so a victim with any
-    /// missing flow is preempted.
-    Paper,
-    /// Never discard an in-flight task; reject the newcomer instead.
-    /// Ablation: TAPS without preemption degenerates towards Varys-style
-    /// admission.
-    NeverPreempt,
-    /// Skip the reject rule entirely: admit every task and let flows miss
-    /// deadlines naturally. Ablation: shows how much of TAPS's win is the
-    /// rejection policy (bandwidth-waste control).
-    AlwaysAdmit,
-}
-
-/// Outcome of the reject rule for one arrival (exposed for tests and the
-/// SDN control plane).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RejectDecision {
-    /// Task admitted; no in-flight task was harmed.
-    Accept,
-    /// Task admitted after discarding the given victim task.
-    AcceptWithPreemption(TaskId),
-    /// Task rejected (in-flight schedule re-packed without it).
-    Reject,
-}
 
 /// TAPS configuration.
 #[derive(Clone, Debug)]
@@ -82,19 +51,13 @@ impl Default for TapsConfig {
     }
 }
 
-/// The TAPS scheduler (paper Alg. 1 + §IV-C controller behavior).
+/// The TAPS scheduler (the paper's §IV-C controller, simulated).
 pub struct Taps {
     cfg: TapsConfig,
-    /// Persistent Alg. 2/3 engine: occupancy buffers, path cache and
-    /// scratch sets survive across admissions instead of being rebuilt
-    /// per arrival.
-    engine: AllocEngine,
-    /// Cross-admission delta-reallocation cache: flows undisturbed since
-    /// the previous tentative allocation are translated instead of
-    /// re-searched (bit-identical results — see `delta` module docs).
-    delta: DeltaCache,
-    /// Reusable demand buffer for the tentative allocation.
-    demands: Vec<FlowDemand>,
+    /// Alg. 1. Its F_tmp is rebuilt from the simulator's live flows at
+    /// every admission: flowsim flows progress continuously, so every
+    /// transmitting flow would re-key between two arrivals anyway.
+    arbiter: Arbiter,
     /// Committed schedule per flow. Ordered map: `rebuild_timeline`
     /// iterates it, and decision-path iteration order must be
     /// deterministic (lint rule L1).
@@ -113,8 +76,8 @@ pub struct Taps {
     pending_shed: u64,
     /// Decisions log (task id → decision), for tests and reporting.
     decisions: Vec<(TaskId, RejectDecision)>,
-    /// Structured trace sink for decision and commit events; `None`
-    /// keeps the hooks dormant.
+    /// Structured trace sink for shed and commit events; `None` keeps the
+    /// hooks dormant.
     #[cfg(feature = "obs")]
     trace: Option<std::sync::Arc<dyn taps_obs::TraceSink>>,
     /// Monotonic generation stamped on `CommitBegin`/`CommitEnd` events.
@@ -131,12 +94,10 @@ impl Taps {
     /// TAPS with an explicit configuration.
     pub fn with_config(cfg: TapsConfig) -> Self {
         assert!(cfg.slot > 0.0);
-        let engine = AllocEngine::new(cfg.slot, cfg.max_candidate_paths);
+        let arbiter = Arbiter::new(cfg.slot, cfg.max_candidate_paths, cfg.policy);
         Taps {
             cfg,
-            engine,
-            delta: DeltaCache::new(),
-            demands: Vec::new(),
+            arbiter,
             schedules: BTreeMap::new(),
             timeline: Vec::new(),
             ptr: 0,
@@ -156,6 +117,7 @@ impl Taps {
     /// on. Only available with the `obs` feature (default).
     #[cfg(feature = "obs")]
     pub fn set_trace_sink(&mut self, sink: std::sync::Arc<dyn taps_obs::TraceSink>) {
+        self.arbiter.set_trace_sink(std::sync::Arc::clone(&sink));
         self.trace = Some(sink);
     }
 
@@ -185,120 +147,42 @@ impl Taps {
         slots::from_f64_floor((now / self.cfg.slot) + 1e-9)
     }
 
-    #[inline]
-    fn boundary_slot(&self, time: f64) -> u64 {
-        slots::from_f64_ceil((time / self.cfg.slot) - 1e-9)
-    }
-
-    /// EDF-then-SJF priority order over the given flows. Uses
-    /// `total_cmp`, so a NaN deadline or size cannot panic the sort (NaN
-    /// orders after every real number — i.e. lowest priority).
-    fn sort_by_priority(ctx: &SimCtx<'_>, flows: &mut [FlowId]) {
-        flows.sort_by(|&a, &b| {
-            let fa = ctx.flow(a);
-            let fb = ctx.flow(b);
-            fa.spec
-                .deadline
-                .total_cmp(&fb.spec.deadline)
-                .then_with(|| fa.remaining().total_cmp(&fb.remaining()))
-                .then_with(|| a.cmp(&b))
-        });
-    }
-
-    /// Runs the tentative allocation of Alg. 2 over `flows` (already
-    /// priority-sorted) on the persistent engine.
-    fn allocate(
-        &mut self,
-        ctx: &SimCtx<'_>,
-        flows: &[FlowId],
-        start_slot: u64,
-    ) -> Result<Vec<FlowAlloc>, AllocError> {
-        self.demands.clear();
-        self.demands.extend(flows.iter().map(|&fid| {
-            let f = ctx.flow(fid);
-            FlowDemand {
-                id: fid,
+    /// F_tmp = F_trans ∪ flows(new task): every live flow except those of
+    /// still-pending later tasks, which have no schedule yet (the task
+    /// being admitted has already left the queue).
+    fn load_ftmp(&mut self, ctx: &SimCtx<'_>) {
+        let pending = &self.pending;
+        self.arbiter.ftmp.load(ctx.live_flow_ids().filter_map(|id| {
+            let f = ctx.flow(id);
+            (!pending.contains(&f.spec.task)).then(|| InFlight {
+                id,
+                task: f.spec.task,
                 src: f.spec.src,
                 dst: f.spec.dst,
                 remaining: f.remaining(),
                 deadline: f.spec.deadline,
-            }
+            })
         }));
-        // Delta re-allocation: binds the topology and resets occupancy
-        // itself; flows undisturbed since the previous pass are
-        // translated, everything else re-searched — bit-identical to a
-        // full `allocate_batch` (cross-checked in debug builds).
-        self.engine
-            .allocate_batch_delta(ctx.topo(), &self.demands, start_slot, &mut self.delta)
     }
 
-    /// Tentative allocation with per-task degradation: when a flow's
-    /// endpoints have no surviving path ([`AllocError::Disconnected`],
-    /// possible under link/switch faults), its whole task is dropped —
-    /// the newcomer by rejection, an in-flight task by discard — and the
-    /// allocation re-runs over the remainder instead of failing globally.
-    /// This applies regardless of the reject policy: a task without a
-    /// path physically cannot transmit, so dropping it is a statement of
-    /// fact, not a preemption choice. Returns the surviving allocation
-    /// plus whether `newcomer` was rejected for disconnection. `ftmp` is
-    /// pruned in place.
-    fn allocate_degrading(
-        &mut self,
-        ctx: &mut SimCtx<'_>,
-        ftmp: &mut Vec<FlowId>,
-        start_slot: u64,
-        newcomer: Option<TaskId>,
-    ) -> (Vec<FlowAlloc>, bool) {
-        let mut newcomer_rejected = false;
-        loop {
-            match self.allocate(ctx, ftmp, start_slot) {
-                Ok(allocs) => return (allocs, newcomer_rejected),
-                Err(AllocError::Disconnected { flow }) => {
-                    let task = ctx.flow(flow).spec.task;
-                    if newcomer == Some(task) {
-                        ctx.reject_task(task);
-                        newcomer_rejected = true;
-                    } else {
-                        ctx.discard_task(task);
-                    }
-                    // Every flow of the dropped task just went non-live,
-                    // so the loop strictly shrinks and terminates.
-                    ftmp.retain(|&fid| ctx.flow(fid).status.is_live());
-                }
+    /// Applies the arbiter's drops to the simulation: the newcomer is
+    /// rejected (it never transmitted), any other task discarded.
+    fn apply_drops(ctx: &mut SimCtx<'_>, dropped: &[Dropped], newcomer: Option<TaskId>) {
+        for d in dropped {
+            if newcomer == Some(d.task) {
+                ctx.reject_task(d.task);
+            } else {
+                ctx.discard_task(d.task);
             }
         }
     }
 
     /// Commits allocations: stores schedules, installs routes, rebuilds
-    /// the boundary timeline.
-    ///
-    /// With the `validate` feature (default) in a debug/test build, every
-    /// commit — i.e. every admission, reject, and preemption outcome — is
-    /// checked against the schedule invariants first, and a violation
-    /// panics with the structured report.
+    /// the boundary timeline. `allocs` is what the arbiter's last pass
+    /// returned, so every commit — i.e. every admission, reject, and
+    /// preemption outcome — goes through its validator first.
     fn commit(&mut self, ctx: &mut SimCtx<'_>, allocs: Vec<FlowAlloc>) {
-        #[cfg(feature = "validate")]
-        if cfg!(debug_assertions) {
-            // `allocs` always comes from the immediately preceding
-            // `allocate()` call, so `self.demands` matches it by id.
-            let mut report = crate::validate::check_schedule(
-                ctx.topo(),
-                self.cfg.slot,
-                &self.demands,
-                &allocs,
-                "commit: schedule",
-            );
-            report.violations.extend(
-                crate::validate::check_occupancy(
-                    ctx.topo(),
-                    &self.engine,
-                    &allocs,
-                    "commit: occupancy",
-                )
-                .violations,
-            );
-            assert!(report.is_clean(), "{report}");
-        }
+        self.arbiter.check_commit(ctx.topo(), &allocs, false);
         #[cfg(feature = "obs")]
         self.emit_commit_trace(ctx, &allocs);
         self.schedules.clear();
@@ -340,41 +224,7 @@ impl Taps {
             }
         );
         for al in allocs {
-            obs_event!(
-                self.trace,
-                now,
-                GrantIssued {
-                    flow: obs_id(al.id),
-                    epoch: 0,
-                    gen,
-                    hops: obs_id(al.path.links.len()),
-                    slices: obs_id(al.slices.intervals().count()),
-                    on_time: al.on_time
-                }
-            );
-            for (i, l) in al.path.links.iter().enumerate() {
-                obs_event!(
-                    self.trace,
-                    now,
-                    GrantHop {
-                        flow: obs_id(al.id),
-                        idx: obs_id(i),
-                        link: obs_id(l.idx())
-                    }
-                );
-            }
-            for (i, iv) in al.slices.intervals().enumerate() {
-                obs_event!(
-                    self.trace,
-                    now,
-                    GrantSlice {
-                        flow: obs_id(al.id),
-                        idx: obs_id(i),
-                        start: slots::to_f64(iv.start) * self.cfg.slot,
-                        end: slots::to_f64(iv.end) * self.cfg.slot
-                    }
-                );
-            }
+            self.arbiter.trace_grant(now, al, 0, gen);
         }
         obs_event!(self.trace, now, CommitEnd { gen });
     }
@@ -412,85 +262,11 @@ impl Taps {
         }
     }
 
-    /// The reject rule of Alg. 1 applied to the tentative allocation.
-    fn decide(&self, ctx: &SimCtx<'_>, allocs: &[FlowAlloc], new_task: TaskId) -> RejectDecision {
-        if self.cfg.policy == RejectPolicy::AlwaysAdmit {
-            return RejectDecision::Accept;
-        }
-        // One pass over the tentative allocation: flow → on-time map (so
-        // the ratio computations below are O(1) per flow instead of a
-        // linear scan over `allocs`), plus the set of tasks with a
-        // deadline-missing flow.
-        let mut on_time: BTreeMap<FlowId, bool> = BTreeMap::new();
-        let mut missing_tasks: BTreeSet<TaskId> = BTreeSet::new();
-        for al in allocs {
-            on_time.insert(al.id, al.on_time);
-            if !al.on_time {
-                missing_tasks.insert(ctx.flow(al.id).spec.task);
-            }
-        }
-        match missing_tasks.len() {
-            0 => RejectDecision::Accept,
-            1 => {
-                // lint: panic-ok(guarded by the len() == 1 match arm)
-                let victim = *missing_tasks.first().expect("len == 1");
-                if victim == new_task {
-                    // Rule 2: the newcomer itself cannot finish whole.
-                    return RejectDecision::Reject;
-                }
-                if self.cfg.policy == RejectPolicy::NeverPreempt {
-                    return RejectDecision::Reject;
-                }
-                // Rule 3: compare completion ratios under the tentative
-                // schedule (fraction of each task's flows that make their
-                // deadline; completed flows count as made), scaled by the
-                // tasks' weights (DCoflow-style σ-order value). The ratio
-                // is already demand-normalized (per-flow fraction), so
-                // `weight × ratio` orders tasks by schedulable value per
-                // unit of demand — low weight-per-byte victims yield
-                // first. With both weights at 1.0 this is exactly the
-                // paper's unweighted comparison, ties still Reject.
-                let victim_value =
-                    ctx.task(victim).spec.weight * self.schedulable_ratio(ctx, &on_time, victim);
-                let new_value = ctx.task(new_task).spec.weight
-                    * self.schedulable_ratio(ctx, &on_time, new_task);
-                if victim_value.total_cmp(&new_value).is_ge() {
-                    RejectDecision::Reject
-                } else {
-                    RejectDecision::AcceptWithPreemption(victim)
-                }
-            }
-            _ => RejectDecision::Reject, // Rule 1: more than one task harmed
-        }
-    }
-
-    fn schedulable_ratio(
-        &self,
-        ctx: &SimCtx<'_>,
-        on_time: &BTreeMap<FlowId, bool>,
-        task: TaskId,
-    ) -> f64 {
-        let (mut total, mut ok) = (0usize, 0usize);
-        for fid in ctx.task_flows(task) {
-            total += 1;
-            match ctx.flow(fid).status {
-                FlowStatus::Completed => ok += 1,
-                FlowStatus::Admitted if on_time.get(&fid).copied().unwrap_or(false) => ok += 1,
-                _ => {}
-            }
-        }
-        if total == 0 {
-            1.0
-        } else {
-            ok as f64 / total as f64 // lint: cast-ok(per-task flow counts are tiny, far below 2^53)
-        }
-    }
-
     /// Admits every pending task whose boundary has been reached, in
-    /// arrival order (the body of Alg. 1).
+    /// arrival order.
     fn process_pending(&mut self, ctx: &mut SimCtx<'_>) {
         while let Some(&task) = self.pending.front() {
-            let boundary = self.boundary_slot(ctx.task(task).spec.arrival);
+            let boundary = self.arbiter.slot_at(ctx.task(task).spec.arrival);
             if slots::to_f64(boundary) * self.cfg.slot > ctx.now() + 1e-9 {
                 break;
             }
@@ -500,153 +276,47 @@ impl Taps {
         }
     }
 
+    /// One arrival through Alg. 1. Rule 3 weighs a task by its workload
+    /// weight and, beyond the flows in F_tmp, by its finished flows — of
+    /// which the completed ones count as made.
     fn admit(&mut self, ctx: &mut SimCtx<'_>, task: TaskId, start_slot: u64) {
-        // F_tmp = F_trans ∪ flows(new task). Flows of still-pending later
-        // tasks are excluded: they have no schedule yet.
-        let mut ftmp: Vec<FlowId> = ctx
-            .live_flow_ids()
-            .filter(|&fid| {
-                let t = ctx.flow(fid).spec.task;
-                t == task || !self.pending.contains(&t)
-            })
-            .collect();
-        Self::sort_by_priority(ctx, &mut ftmp);
-
-        // Zero the engine's work counters so the post-allocation delta
-        // covers exactly this admission's tentative allocation. Gated on
-        // an attached sink: without one the counters are never read, so
-        // the hot path skips both bookkeeping calls entirely.
-        #[cfg(feature = "obs")]
-        if self.trace.is_some() {
-            let _ = self.engine.take_counters();
-        }
-        let (tentative, newcomer_rejected) =
-            self.allocate_degrading(ctx, &mut ftmp, start_slot, Some(task));
-        #[cfg(feature = "obs")]
-        if self.trace.is_some() {
-            let c = self.engine.take_counters();
-            obs_event!(
-                self.trace,
-                ctx.now(),
-                AllocAttempt {
-                    task: obs_id(task),
-                    paths_tried: c.paths_tried,
-                    slots_scanned: c.slots_scanned
-                }
-            );
-        }
-        if newcomer_rejected {
-            // The reject rule treats a disconnected newcomer as an
-            // immediate rejection; the survivors' re-pack is committed.
-            obs_event!(
-                self.trace,
-                ctx.now(),
-                Reject {
-                    task: obs_id(task),
-                    reason: taps_obs::reason::DISCONNECTED
-                }
-            );
-            self.commit(ctx, tentative);
-            self.decisions.push((task, RejectDecision::Reject));
-            return;
-        }
-        let decision = self.decide(ctx, &tentative, task);
-        match &decision {
-            RejectDecision::Accept => {
-                obs_event!(self.trace, ctx.now(), Admit { task: obs_id(task) });
-                self.commit(ctx, tentative);
+        self.load_ftmp(ctx);
+        let view = &*ctx;
+        let settled = |t: TaskId| {
+            let status = |f: FlowId| view.flow(f).status;
+            Standing {
+                weight: view.task(t).spec.weight,
+                flows_total: view.task_flows(t).filter(|&f| !status(f).is_live()).count(),
+                flows_made: view
+                    .task_flows(t)
+                    .filter(|&f| status(f) == FlowStatus::Completed)
+                    .count(),
             }
-            RejectDecision::AcceptWithPreemption(victim) => {
-                obs_event!(
-                    self.trace,
-                    ctx.now(),
-                    Preempt {
-                        task: obs_id(task),
-                        victim: obs_id(*victim)
-                    }
-                );
-                ctx.discard_task(*victim);
-                ftmp.retain(|&fid| ctx.flow(fid).status.is_live());
-                let (re, _) = self.allocate_degrading(ctx, &mut ftmp, start_slot, None);
-                debug_assert!(
-                    re.iter().all(|al| al.on_time),
-                    "discarding the victim must clear all deadline misses"
-                );
-                obs_event!(self.trace, ctx.now(), Admit { task: obs_id(task) });
-                self.commit(ctx, re);
-            }
-            RejectDecision::Reject => {
-                #[cfg(feature = "obs")]
-                {
-                    let reason = if self.cfg.policy == RejectPolicy::NeverPreempt {
-                        taps_obs::reason::WOULD_PREEMPT
-                    } else {
-                        taps_obs::reason::INFEASIBLE
-                    };
-                    obs_event!(
-                        self.trace,
-                        ctx.now(),
-                        Reject {
-                            task: obs_id(task),
-                            reason
-                        }
-                    );
-                }
-                ctx.reject_task(task);
-                ftmp.retain(|&fid| ctx.flow(fid).status.is_live());
-                let (re, _) = self.allocate_degrading(ctx, &mut ftmp, start_slot, None);
-                self.commit(ctx, re);
-            }
-        }
-        self.decisions.push((task, decision));
+        };
+        let admission = self
+            .arbiter
+            .admit(ctx.topo(), ctx.now(), start_slot, task, settled);
+        debug_assert!(
+            !matches!(admission.decision, RejectDecision::AcceptWithPreemption(_))
+                || admission.allocs.iter().all(|al| al.on_time),
+            "discarding the victim must clear all deadline misses"
+        );
+        Self::apply_drops(ctx, &admission.dropped, Some(task));
+        self.commit(ctx, admission.allocs);
+        self.decisions.push((task, admission.decision));
     }
 
-    /// Controller recovery after a topology fault (link or switch state
-    /// change): re-runs the Alg. 1–3 re-allocation for every in-flight
-    /// flow over the *surviving* candidate paths, starting at the next
-    /// slot boundary. The dead link's slices are released back to the
-    /// timeline implicitly — the engine re-packs every slice from scratch
-    /// on each allocation, and the fresh occupancy only ever references
-    /// surviving paths. Degradation is per-task rather than global:
-    /// disconnected tasks are discarded outright, and under the `Paper`
-    /// policy tasks whose flows no longer fit before their deadline are
-    /// discarded too (the reject rule applied to the recovery re-pack),
-    /// freeing their slots for tasks that can still finish. Under
-    /// `NeverPreempt`/`AlwaysAdmit` late flows keep their (late) slices
-    /// and miss naturally. Also correct — and useful — after a *repair*:
-    /// restored capacity is folded into the very next re-pack.
+    /// Controller recovery after a topology fault or repair: re-packs
+    /// every in-flight flow over the *surviving* candidate paths from the
+    /// next slot boundary ([`Arbiter::repack`]). A dead link's slices are
+    /// released implicitly — every pass re-packs from scratch over paths
+    /// that survive — and restored capacity is folded in the same way.
     pub fn handle_link_failure(&mut self, ctx: &mut SimCtx<'_>) {
-        // Absorb the fault epoch into the delta cache before re-packing:
-        // the recovery pass then re-searches only the flows whose
-        // candidate lists the fault actually touched (their old slots
-        // enter the dirty set) and translates the rest, instead of
-        // paying a full-pass fallback for every fault.
-        self.engine.absorb_fault_epoch(ctx.topo(), &mut self.delta);
-        let start_slot = self.boundary_slot(ctx.now());
-        let mut ftmp: Vec<FlowId> = ctx
-            .live_flow_ids()
-            .filter(|&fid| !self.pending.contains(&ctx.flow(fid).spec.task))
-            .collect();
-        Self::sort_by_priority(ctx, &mut ftmp);
-        loop {
-            let (allocs, _) = self.allocate_degrading(ctx, &mut ftmp, start_slot, None);
-            if self.cfg.policy == RejectPolicy::Paper {
-                let doomed: BTreeSet<TaskId> = allocs
-                    .iter()
-                    .filter(|al| !al.on_time)
-                    .map(|al| ctx.flow(al.id).spec.task)
-                    .collect();
-                if !doomed.is_empty() {
-                    for t in &doomed {
-                        ctx.discard_task(*t);
-                    }
-                    ftmp.retain(|&fid| ctx.flow(fid).status.is_live());
-                    continue;
-                }
-            }
-            self.commit(ctx, allocs);
-            return;
-        }
+        self.load_ftmp(ctx);
+        let start_slot = self.arbiter.slot_at(ctx.now());
+        let (allocs, dropped) = self.arbiter.repack(ctx.topo(), start_slot);
+        Self::apply_drops(ctx, &dropped, None);
+        self.commit(ctx, allocs);
     }
 }
 

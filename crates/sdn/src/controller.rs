@@ -1,15 +1,18 @@
-//! The TAPS controller (§IV-C): runs the centralized algorithm on probe
-//! arrival, installs/withdraws forwarding entries, and hands out
-//! time-slice grants.
+//! The TAPS controller (§IV-C): on probe arrival it asks the shared
+//! Alg. 1 arbiter ([`taps_core::Arbiter`]) for a decision and a
+//! schedule, then installs/withdraws forwarding entries and hands out
+//! time-slice grants. What lives here is the SDN side of the loop: the
+//! durable flow registry, the decision cache, `(epoch, gen)` stamps,
+//! switch tables and the command diff.
 
 use crate::messages::{FlowGrant, LinkEvent, ProbeHeader, SwitchCmd};
 use crate::obs::obs_event;
 #[cfg(feature = "obs")]
 use crate::obs::obs_id;
 use crate::switch::{FlowEntry, FlowTable, TableError};
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use taps_core::{AllocEngine, AllocError, DeltaCache, FlowAlloc, FlowDemand, RejectPolicy};
+use taps_core::arbiter::{Arbiter, Dropped, InFlight, Standing};
+use taps_core::{FlowAlloc, RejectDecision, RejectPolicy};
 use taps_topology::Topology;
 
 /// Controller configuration.
@@ -74,6 +77,18 @@ pub enum TaskVerdict {
     Rejected,
 }
 
+impl From<RejectDecision> for TaskVerdict {
+    fn from(d: RejectDecision) -> Self {
+        match d {
+            RejectDecision::Accept => TaskVerdict::Accepted,
+            RejectDecision::AcceptWithPreemption(victim) => {
+                TaskVerdict::AcceptedWithPreemption(victim)
+            }
+            RejectDecision::Reject => TaskVerdict::Rejected,
+        }
+    }
+}
+
 /// Control-plane counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ControlStats {
@@ -131,102 +146,18 @@ impl FlowReg {
             done: false,
         }
     }
-}
 
-/// One in-flight (registered, not done) flow, as Alg. 1 orders it and
-/// Alg. 2/3 consume it.
-#[derive(Clone, Debug, PartialEq)]
-struct InFlight {
-    id: usize,
-    task: usize,
-    src: usize,
-    dst: usize,
-    /// `size - delivered`, unclamped: the SJF key (the demand handed to
-    /// Alg. 2/3 is this clamped to at least one byte).
-    remaining: f64,
-    deadline: f64,
-}
-
-impl InFlight {
-    fn of(id: usize, r: &FlowReg) -> InFlight {
+    /// The F_tmp entry of this record as flow `id`: what the in-flight
+    /// index holds for it, and the key it is found under.
+    fn entry(&self, id: usize) -> InFlight {
         InFlight {
             id,
-            task: r.task,
-            src: r.src,
-            dst: r.dst,
-            remaining: r.size - r.delivered,
-            deadline: r.deadline,
+            task: self.task,
+            src: self.src,
+            dst: self.dst,
+            remaining: self.size - self.delivered,
+            deadline: self.deadline,
         }
-    }
-
-    /// F_tmp's order: EDF, then SJF, then flow id (`total_cmp`: a NaN
-    /// deadline or size can neither panic nor unsort the index).
-    fn order(&self, other: &InFlight) -> Ordering {
-        self.deadline
-            .total_cmp(&other.deadline)
-            .then_with(|| self.remaining.total_cmp(&other.remaining))
-            .then_with(|| self.id.cmp(&other.id))
-    }
-}
-
-/// The in-flight index (DESIGN.md §7): every registered flow that is
-/// not done, kept sorted in F_tmp order. It is the only structure the
-/// probe, burst, repack and TERM paths iterate, so one probe costs what
-/// its in-flight set costs however many retired flows the registry
-/// remembers. Invariant: it equals the registry filtered by `!done` and
-/// sorted by [`InFlight::order`] — every registry mutation that inserts
-/// a flow, flips `done` or moves `delivered` updates it in the same
-/// breath.
-#[derive(Debug, Default)]
-struct InFlightIndex {
-    order: Vec<InFlight>,
-}
-
-impl InFlightIndex {
-    fn insert(&mut self, e: InFlight) {
-        let at = self
-            .order
-            .partition_point(|x| x.order(&e) == Ordering::Less);
-        self.order.insert(at, e);
-    }
-
-    /// Removes the entry equal to `key`, which is [`InFlight::of`] the
-    /// flow's current registry record.
-    fn remove(&mut self, key: &InFlight) {
-        match self.order.binary_search_by(|x| x.order(key)) {
-            Ok(at) => {
-                self.order.remove(at);
-            }
-            // lint: panic-ok(invariant: a not-done registry flow is indexed under the key its record yields)
-            Err(_) => unreachable!("in-flight index lost flow {}", key.id),
-        }
-    }
-
-    /// Moves the delivered count of flow `id`, whose registry record is
-    /// `r`, re-keying its entry when the flow is in flight (remaining
-    /// bytes are the SJF key).
-    fn set_delivered(&mut self, id: usize, r: &mut FlowReg, delivered: f64) {
-        if r.done {
-            r.delivered = delivered;
-        } else if delivered.to_bits() != r.delivered.to_bits() {
-            self.remove(&InFlight::of(id, r));
-            r.delivered = delivered;
-            self.insert(InFlight::of(id, r));
-        }
-    }
-
-    /// Removes every entry matching `gone`; returns the removed flow
-    /// ids in index order.
-    fn take_where(&mut self, gone: impl Fn(&InFlight) -> bool) -> Vec<usize> {
-        let mut taken = Vec::new();
-        self.order.retain(|e| {
-            let gone = gone(e);
-            if gone {
-                taken.push(e.id);
-            }
-            !gone
-        });
-        taken
     }
 }
 
@@ -275,24 +206,18 @@ pub struct ControllerCheckpoint {
 pub struct Controller<'t> {
     topo: &'t Topology,
     cfg: ControllerConfig,
-    /// Persistent Alg. 2/3 engine: occupancy buffers and the candidate-
-    /// path cache survive across probes instead of being rebuilt per
-    /// arrival (the controller handles every task arrival in the paper).
-    engine: AllocEngine,
-    /// Cross-probe delta-reallocation cache: flows undisturbed since the
-    /// previous allocation pass are translated instead of re-searched
-    /// (bit-identical results — see `taps_core::delta`).
-    delta: DeltaCache,
-    /// Reusable demand buffer for [`Controller::allocate_ftmp`].
-    demands: Vec<FlowDemand>,
+    /// Alg. 1: the allocation engine, the reject rule and F_tmp — the
+    /// in-flight index (DESIGN.md §7), which this controller keeps equal
+    /// to the registry filtered by `!done`: every registry mutation that
+    /// inserts a flow, flips `done` or moves `delivered` updates it in
+    /// the same breath.
+    arbiter: Arbiter,
     /// The durable record of every flow ever registered: what
     /// checkpoints carry, duplicate probes replay against and `resync`
     /// reconciles with. A `done` flow stays known, so a lossy resync
     /// cannot resurrect a preempted one. Only `checkpoint` iterates it;
     /// every other path touches it by key.
     registry: BTreeMap<usize, FlowReg>,
-    /// F_tmp, incrementally maintained.
-    inflight: InFlightIndex,
     /// Committed schedule per flow. An ordered map: `commit()` walks it
     /// and control-plane command order must be deterministic (lint rule
     /// L1).
@@ -320,16 +245,12 @@ impl<'t> Controller<'t> {
         let tables = (0..topo.num_nodes())
             .map(|_| FlowTable::new(cfg.table_capacity, cfg.table_budget))
             .collect();
-        let mut engine = AllocEngine::new(cfg.slot, cfg.max_candidate_paths);
-        engine.ensure_topology(topo);
+        let arbiter = Arbiter::new(cfg.slot, cfg.max_candidate_paths, cfg.policy);
         Controller {
             topo,
             cfg,
-            engine,
-            delta: DeltaCache::new(),
-            demands: Vec::new(),
+            arbiter,
             registry: BTreeMap::new(),
-            inflight: InFlightIndex::default(),
             schedule: BTreeMap::new(),
             tables,
             stats: ControlStats::default(),
@@ -344,6 +265,7 @@ impl<'t> Controller<'t> {
     /// Routes this controller's decision/commit/table events to `sink`.
     #[cfg(feature = "obs")]
     pub fn set_trace_sink(&mut self, sink: std::sync::Arc<dyn taps_obs::TraceSink>) {
+        self.arbiter.set_trace_sink(std::sync::Arc::clone(&sink));
         self.trace = crate::obs::TraceHandle(Some(sink));
     }
 
@@ -378,7 +300,18 @@ impl<'t> Controller<'t> {
     /// Number of flows in flight (registered, not done): the length of
     /// F_tmp, which is what one probe's cost follows.
     pub fn in_flight(&self) -> usize {
-        self.inflight.order.len()
+        self.arbiter.ftmp.entries().len()
+    }
+
+    /// The network this controller schedules over.
+    pub fn topology(&self) -> &'t Topology {
+        self.topo
+    }
+
+    /// The task that registered `flow`, in flight or finished; `None`
+    /// for a flow never heard of (or forgotten with its rejected task).
+    pub fn task_of(&self, flow: usize) -> Option<usize> {
+        self.registry.get(&flow).map(|r| r.task)
     }
 
     /// Current controller incarnation.
@@ -398,58 +331,65 @@ impl<'t> Controller<'t> {
     pub fn note_progress(&mut self, flow: usize, delivered: f64) {
         if let Some(r) = self.registry.get_mut(&flow) {
             let delivered = r.delivered.max(delivered.min(r.size));
-            self.inflight.set_delivered(flow, r, delivered);
+            Self::set_delivered(&mut self.arbiter, flow, r, delivered);
+        }
+    }
+
+    /// Moves the delivered count of flow `id`, whose registry record is
+    /// `r`, re-keying its index entry when the flow is in flight
+    /// (remaining bytes are the SJF key).
+    fn set_delivered(arbiter: &mut Arbiter, id: usize, r: &mut FlowReg, delivered: f64) {
+        if r.done {
+            r.delivered = delivered;
+        } else if delivered.to_bits() != r.delivered.to_bits() {
+            let old = r.entry(id);
+            r.delivered = delivered;
+            arbiter.ftmp.rekey(&old, r.entry(id));
         }
     }
 
     /// Records `reg` as flow `flow` (replacing any earlier record of
     /// that id) and indexes it when it is in flight.
     fn register(&mut self, flow: usize, reg: FlowReg) {
-        let live = (!reg.done).then(|| InFlight::of(flow, &reg));
+        let live = (!reg.done).then(|| reg.entry(flow));
         if let Some(old) = self.registry.insert(flow, reg) {
             if !old.done {
-                self.inflight.remove(&InFlight::of(flow, &old));
+                self.arbiter.ftmp.remove(&old.entry(flow));
             }
         }
         if let Some(e) = live {
-            self.inflight.insert(e);
+            self.arbiter.ftmp.insert(e);
         }
     }
 
-    /// Forgets a flow entirely (a rejected newcomer's, or a rolled-back
-    /// burst's).
+    /// Forgets a flow entirely (a rolled-back burst's).
     fn unregister(&mut self, flow: usize) {
         if let Some(r) = self.registry.remove(&flow) {
             if !r.done {
-                self.inflight.remove(&InFlight::of(flow, &r));
+                self.arbiter.ftmp.remove(&r.entry(flow));
             }
         }
     }
 
-    /// Marks every in-flight flow of `task` done (preemption, or a task
-    /// given up during recovery): its flows leave F_tmp but stay in the
-    /// registry.
-    fn give_up_task(&mut self, task: usize) {
-        for flow in self.inflight.take_where(|e| e.task == task) {
-            if let Some(r) = self.registry.get_mut(&flow) {
+    /// Marks the flows of a task the arbiter dropped from F_tmp done
+    /// (preemption, or a task given up during recovery): they stay in
+    /// the registry.
+    fn give_up(&mut self, dropped: &Dropped) {
+        for flow in &dropped.flows {
+            if let Some(r) = self.registry.get_mut(flow) {
                 r.done = true;
             }
         }
     }
 
-    /// The tasks owning a flow that `allocs` — one tentative pass over
-    /// the in-flight index, hence in its order — lands late, in first-
-    /// miss order.
-    fn late_tasks(&self, allocs: &[FlowAlloc]) -> Vec<usize> {
-        debug_assert_eq!(allocs.len(), self.inflight.order.len());
-        let mut late: Vec<usize> = Vec::new();
-        for (al, e) in allocs.iter().zip(&self.inflight.order) {
-            debug_assert_eq!(al.id, e.id);
-            if !al.on_time && !late.contains(&e.task) {
-                late.push(e.task);
-            }
-        }
-        late
+    /// The first slot a schedule decided at `now` may use. Nothing can be
+    /// (re)scheduled before the control round trip completes: servers
+    /// only learn their slices then. The grant fence additionally keeps
+    /// new slices clear of any lease issued under an older stamp
+    /// (DESIGN.md §10).
+    fn first_slot(&self, now: f64) -> u64 {
+        self.arbiter
+            .slot_at(now + self.cfg.control_rtt + self.cfg.grant_fence)
     }
 
     /// Handles a task probe (Fig. 4 steps 2–5): runs Alg. 1 and returns
@@ -473,14 +413,7 @@ impl<'t> Controller<'t> {
         if let Some(v) = self.decided.get(&task) {
             self.stats.duplicate_probes += 1;
             let verdict = v.clone();
-            let grants: Vec<FlowGrant> = if matches!(verdict, TaskVerdict::Rejected) {
-                Vec::new()
-            } else {
-                probes
-                    .iter()
-                    .filter_map(|p| self.grant_of(p.flow))
-                    .collect()
-            };
+            let grants = self.grants_for(&verdict, probes);
             return (verdict, grants, Vec::new());
         }
 
@@ -489,111 +422,58 @@ impl<'t> Controller<'t> {
             self.register(p.flow, FlowReg::fresh(p, 0.0));
         }
 
-        // Nothing can be (re)scheduled before the control round trip
-        // completes: servers only learn their slices then. The grant
-        // fence additionally keeps new slices clear of any lease issued
-        // under an older stamp (DESIGN.md §10).
-        let start_slot = self
-            .engine
-            .slot_at(now + self.cfg.control_rtt + self.cfg.grant_fence);
+        let start_slot = self.first_slot(now);
 
-        // Counter bookkeeping is gated on an attached sink: without one
-        // the counters are never read, so the hot path skips both calls.
-        #[cfg(feature = "obs")]
-        if self.trace.0.is_some() {
-            let _ = self.engine.take_counters();
-        }
-        let (tentative, newcomer_dead) = self.allocate_degrading(start_slot, Some(task));
-        #[cfg(feature = "obs")]
-        if self.trace.0.is_some() {
-            let c = self.engine.take_counters();
-            obs_event!(
-                &self.trace,
-                now,
-                AllocAttempt {
-                    task: obs_id(task),
-                    paths_tried: c.paths_tried,
-                    slots_scanned: c.slots_scanned
-                }
-            );
-        }
-
-        // Reject rule. A newcomer whose endpoints are disconnected (a
-        // link fault severed every candidate path) is rejected outright,
-        // whatever the policy — there is nothing to allocate.
-        let missing_tasks = self.late_tasks(&tentative);
-        let verdict = if newcomer_dead {
-            TaskVerdict::Rejected
-        } else if self.cfg.policy == RejectPolicy::AlwaysAdmit {
-            TaskVerdict::Accepted
-        } else {
-            match missing_tasks.len() {
-                0 => TaskVerdict::Accepted,
-                1 if missing_tasks[0] != task && self.cfg.policy == RejectPolicy::Paper => {
-                    TaskVerdict::AcceptedWithPreemption(missing_tasks[0])
-                }
-                _ => TaskVerdict::Rejected,
-            }
+        // Alg. 1. Rule 3 weighs a task by its in-flight flows alone, at
+        // weight 1.0: probes carry no weight yet and the registry keeps
+        // no per-task count of completed flows. Under-counting completed
+        // flows only lowers the victim's value, and at unit weights a
+        // victim (ratio < 1) always loses to the whole newcomer
+        // (ratio 1) — one harmed bystander is preempted, as ever.
+        let in_flight_only = |_| Standing {
+            weight: 1.0,
+            flows_total: 0,
+            flows_made: 0,
         };
-
-        let committed = match &verdict {
-            TaskVerdict::Accepted => {
-                obs_event!(&self.trace, now, Admit { task: obs_id(task) });
-                tentative
-            }
-            TaskVerdict::AcceptedWithPreemption(victim) => {
+        let admission = self
+            .arbiter
+            .admit(self.topo, now, start_slot, task, in_flight_only);
+        let verdict = TaskVerdict::from(admission.decision);
+        // (A rejected newcomer is among the dropped too; it is forgotten
+        // entirely below.)
+        for d in admission.dropped.iter().filter(|d| d.task != task) {
+            if verdict == TaskVerdict::AcceptedWithPreemption(d.task) {
                 self.stats.preempted_tasks += 1;
-                obs_event!(
-                    &self.trace,
-                    now,
-                    Preempt {
-                        task: obs_id(task),
-                        victim: obs_id(*victim)
-                    }
-                );
-                obs_event!(&self.trace, now, Admit { task: obs_id(task) });
-                self.give_up_task(*victim);
-                self.allocate_degrading(start_slot, None).0
+            } else {
+                // Disconnected by a fault.
+                self.stats.failed_tasks += 1;
             }
-            TaskVerdict::Rejected => {
-                self.stats.rejected_tasks += 1;
-                #[cfg(feature = "obs")]
-                {
-                    let reason = if newcomer_dead {
-                        taps_obs::reason::DISCONNECTED
-                    } else if self.cfg.policy == RejectPolicy::NeverPreempt {
-                        taps_obs::reason::WOULD_PREEMPT
-                    } else {
-                        taps_obs::reason::INFEASIBLE
-                    };
-                    obs_event!(
-                        &self.trace,
-                        now,
-                        Reject {
-                            task: obs_id(task),
-                            reason
-                        }
-                    );
-                }
-                for p in probes {
-                    self.unregister(p.flow);
-                }
-                self.allocate_degrading(start_slot, None).0
+            self.give_up(d);
+        }
+        if verdict == TaskVerdict::Rejected {
+            self.stats.rejected_tasks += 1;
+            for p in probes {
+                self.registry.remove(&p.flow);
             }
-        };
+        }
 
-        let cmds = self.commit(now, committed);
+        let cmds = self.commit(now, admission.allocs);
         self.decided.insert(task, verdict.clone());
-        let grants: Vec<FlowGrant> = if matches!(verdict, TaskVerdict::Rejected) {
-            Vec::new()
-        } else {
-            probes
-                .iter()
-                .filter_map(|p| self.grant_of(p.flow))
-                .collect()
-        };
+        let grants = self.grants_for(&verdict, probes);
         self.stats.grants += grants.len();
         (verdict, grants, cmds)
+    }
+
+    /// The current grants of a decided task's flows: none when it was
+    /// rejected.
+    fn grants_for(&self, verdict: &TaskVerdict, probes: &[ProbeHeader]) -> Vec<FlowGrant> {
+        if *verdict == TaskVerdict::Rejected {
+            return Vec::new();
+        }
+        probes
+            .iter()
+            .filter_map(|p| self.grant_of(p.flow))
+            .collect()
     }
 
     /// Handles a whole burst of task probes arriving in the same control
@@ -634,8 +514,7 @@ impl<'t> Controller<'t> {
                 let mut results = Vec::with_capacity(tasks.len());
                 for (i, group) in tasks.iter().enumerate() {
                     if fresh.contains(&i) {
-                        let grants: Vec<FlowGrant> =
-                            group.iter().filter_map(|p| self.grant_of(p.flow)).collect();
+                        let grants = self.grants_for(&TaskVerdict::Accepted, group);
                         self.stats.grants += grants.len();
                         results.push((TaskVerdict::Accepted, grants));
                     } else {
@@ -682,10 +561,10 @@ impl<'t> Controller<'t> {
                 self.register(p.flow, FlowReg::fresh(p, 0.0));
             }
         }
-        let start_slot = self
-            .engine
-            .slot_at(now + self.cfg.control_rtt + self.cfg.grant_fence);
-        match self.allocate_ftmp(start_slot) {
+        let start_slot = self.first_slot(now);
+        // The plain pass, no degradation: a disconnected flow voids the
+        // burst like a late one does.
+        match self.arbiter.tentative(self.topo, start_slot) {
             Ok(allocs) if allocs.iter().all(|al| al.on_time) => {
                 self.stats.probes += fresh.len();
                 for &i in fresh {
@@ -707,55 +586,6 @@ impl<'t> Controller<'t> {
                     }
                 }
                 None
-            }
-        }
-    }
-
-    /// One tentative Alg. 2/3 run over F_tmp — the in-flight index, in
-    /// its order — from a clean occupancy state. The allocations come
-    /// back in that same order.
-    fn allocate_ftmp(&mut self, start_slot: u64) -> Result<Vec<FlowAlloc>, AllocError> {
-        self.demands.clear();
-        self.demands
-            .extend(self.inflight.order.iter().map(|e| FlowDemand {
-                id: e.id,
-                src: e.src,
-                dst: e.dst,
-                remaining: e.remaining.max(1.0),
-                deadline: e.deadline,
-            }));
-        // Delta re-allocation: resets occupancy itself and translates
-        // flows undisturbed since the previous pass — bit-identical to a
-        // full `allocate_batch` (cross-checked in debug builds).
-        self.engine
-            .allocate_batch_delta(self.topo, &self.demands, start_slot, &mut self.delta)
-    }
-
-    /// Allocates F_tmp, degrading per task on disconnection: when a flow
-    /// has no surviving path, its whole task is given up (the newcomer is
-    /// flagged for rejection; an in-flight task counts as failed) and the
-    /// allocation is retried without it, rather than failing globally.
-    /// Returns the first complete allocation and whether the newcomer
-    /// was given up.
-    fn allocate_degrading(
-        &mut self,
-        start_slot: u64,
-        newcomer: Option<usize>,
-    ) -> (Vec<FlowAlloc>, bool) {
-        let mut newcomer_dead = false;
-        // lint: l5-ok(each iteration gives up one disconnected task, so at most one pass per registered task)
-        loop {
-            match self.allocate_ftmp(start_slot) {
-                Ok(allocs) => return (allocs, newcomer_dead),
-                Err(AllocError::Disconnected { flow }) => {
-                    let t = self.registry[&flow].task;
-                    if newcomer == Some(t) {
-                        newcomer_dead = true;
-                    } else {
-                        self.stats.failed_tasks += 1;
-                    }
-                    self.give_up_task(t);
-                }
             }
         }
     }
@@ -802,15 +632,7 @@ impl<'t> Controller<'t> {
                 self.topo.restore_link(link);
             }
         }
-        // Absorb the fault epoch into the delta cache before re-packing:
-        // recovery then re-searches only the flows whose candidate lists
-        // the fault touched and translates the rest, instead of paying a
-        // full-pass fallback for every fault.
-        self.engine.absorb_fault_epoch(self.topo, &mut self.delta);
-        let start_slot = self
-            .engine
-            .slot_at(now + self.cfg.recovery_latency + self.cfg.control_rtt + self.cfg.grant_fence);
-        self.repack(now, start_slot)
+        self.repack(now, self.first_slot(now + self.cfg.recovery_latency))
     }
 
     /// Re-runs Alg. 1–3 for every in-flight flow from the current
@@ -818,40 +640,26 @@ impl<'t> Controller<'t> {
     /// controller has absorbed the servers' resync reports. Returns the
     /// re-issued grants and the switch-command diff.
     pub fn reallocate_all(&mut self, now: f64) -> (Vec<FlowGrant>, Vec<SwitchCmd>) {
-        let start_slot = self
-            .engine
-            .slot_at(now + self.cfg.control_rtt + self.cfg.grant_fence);
-        self.repack(now, start_slot)
+        self.repack(now, self.first_slot(now))
     }
 
-    /// The repack loop shared by fault recovery and failover: allocate
-    /// all in-flight flows, preempting tasks that can no longer meet
-    /// their deadline (paper reject rule degraded to per-task
-    /// preemption) until the remainder fits, then commit.
+    /// Fault recovery and failover share [`Arbiter::repack`]: every task
+    /// it gave up (disconnected, or doomed under the paper policy) is
+    /// marked done, the rest is committed and re-granted.
     fn repack(&mut self, now: f64, start_slot: u64) -> (Vec<FlowGrant>, Vec<SwitchCmd>) {
-        // lint: l5-ok(each iteration preempts at least one doomed task; terminates once the remainder fits)
-        loop {
-            let (allocs, _) = self.allocate_degrading(start_slot, None);
-            if self.cfg.policy == RejectPolicy::Paper {
-                // Reject rule, degraded: every task that would miss its
-                // deadline on the surviving paths is preempted so the
-                // rest stay on time.
-                let doomed = self.late_tasks(&allocs);
-                if !doomed.is_empty() {
-                    for t in doomed {
-                        self.stats.failed_tasks += 1;
-                        self.give_up_task(t);
-                    }
-                    continue;
-                }
-            }
-            let cmds = self.commit(now, allocs);
-            let flows: Vec<usize> = self.schedule.keys().copied().collect();
-            let grants: Vec<FlowGrant> =
-                flows.into_iter().filter_map(|f| self.grant_of(f)).collect();
-            self.stats.grants += grants.len();
-            return (grants, cmds);
+        let (allocs, dropped) = self.arbiter.repack(self.topo, start_slot);
+        self.stats.failed_tasks += dropped.len();
+        for d in &dropped {
+            self.give_up(d);
         }
+        let cmds = self.commit(now, allocs);
+        let grants: Vec<FlowGrant> = self
+            .schedule
+            .keys()
+            .filter_map(|&f| self.grant_of(f))
+            .collect();
+        self.stats.grants += grants.len();
+        (grants, cmds)
     }
 
     /// Handles a TERM: marks the flow done and withdraws its entries
@@ -864,7 +672,7 @@ impl<'t> Controller<'t> {
         self.stats.terms += 1;
         if let Some(r) = self.registry.get_mut(&flow) {
             if !r.done {
-                self.inflight.remove(&InFlight::of(flow, r));
+                self.arbiter.ftmp.remove(&r.entry(flow));
                 r.done = true;
             }
             r.delivered = r.size;
@@ -967,7 +775,7 @@ impl<'t> Controller<'t> {
             if let Some(r) = self.registry.get_mut(&p.flow) {
                 if !r.done {
                     let delivered = r.delivered.max((r.size - remaining).max(0.0));
-                    self.inflight.set_delivered(p.flow, r, delivered);
+                    Self::set_delivered(&mut self.arbiter, p.flow, r, delivered);
                 }
             } else {
                 self.register(p.flow, FlowReg::fresh(p, (p.size - remaining).max(0.0)));
@@ -975,7 +783,8 @@ impl<'t> Controller<'t> {
             }
         }
         let finished = self
-            .inflight
+            .arbiter
+            .ftmp
             .take_where(|e| e.src == host && !listed.contains(&e.id));
         for flow in finished {
             if let Some(r) = self.registry.get_mut(&flow) {
@@ -1011,38 +820,9 @@ impl<'t> Controller<'t> {
         #[cfg(not(feature = "obs"))]
         let _ = now;
         self.gen += 1;
-        #[cfg(feature = "validate")]
-        if self.cfg.force_validate || cfg!(debug_assertions) {
-            let demands: Vec<FlowDemand> = allocs
-                .iter()
-                .filter_map(|al| {
-                    self.registry.get(&al.id).map(|r| FlowDemand {
-                        id: al.id,
-                        src: r.src,
-                        dst: r.dst,
-                        remaining: (r.size - r.delivered).max(1.0),
-                        deadline: r.deadline,
-                    })
-                })
-                .collect();
-            let mut report = taps_core::validate::check_schedule(
-                self.topo,
-                self.cfg.slot,
-                &demands,
-                &allocs,
-                "controller commit: schedule",
-            );
-            report.violations.extend(
-                taps_core::validate::check_occupancy(
-                    self.topo,
-                    &self.engine,
-                    &allocs,
-                    "controller commit: occupancy",
-                )
-                .violations,
-            );
-            assert!(report.is_clean(), "{report}");
-        }
+        // `allocs` is what the arbiter's last pass returned.
+        self.arbiter
+            .check_commit(self.topo, &allocs, self.cfg.force_validate);
         let mut cmds = Vec::new();
         // Withdraw entries of flows whose path changed or disappeared:
         // every committed flow that does not keep its path, ascending id.
@@ -1090,7 +870,7 @@ impl<'t> Controller<'t> {
         // Install entries for new/re-routed flows.
         for al in allocs {
             #[cfg(feature = "obs")]
-            self.emit_grant_burst(now, &al);
+            self.arbiter.trace_grant(now, &al, self.epoch, self.gen);
             if let std::collections::btree_map::Entry::Occupied(mut e) = self.schedule.entry(al.id)
             {
                 // Same path: update slices only (no data-plane change).
@@ -1137,47 +917,6 @@ impl<'t> Controller<'t> {
         }
         obs_event!(&self.trace, now, CommitEnd { gen: self.gen });
         cmds
-    }
-
-    /// Emits the `GrantIssued` + `GrantHop` + `GrantSlice` burst of one
-    /// committed allocation.
-    #[cfg(feature = "obs")]
-    fn emit_grant_burst(&self, now: f64, al: &FlowAlloc) {
-        obs_event!(
-            &self.trace,
-            now,
-            GrantIssued {
-                flow: obs_id(al.id),
-                epoch: self.epoch,
-                gen: self.gen,
-                hops: obs_id(al.path.links.len()),
-                slices: obs_id(al.slices.intervals().count()),
-                on_time: al.on_time
-            }
-        );
-        for (idx, l) in al.path.links.iter().enumerate() {
-            obs_event!(
-                &self.trace,
-                now,
-                GrantHop {
-                    flow: obs_id(al.id),
-                    idx: obs_id(idx),
-                    link: obs_id(l.idx())
-                }
-            );
-        }
-        for (idx, iv) in al.slices.intervals().enumerate() {
-            obs_event!(
-                &self.trace,
-                now,
-                GrantSlice {
-                    flow: obs_id(al.id),
-                    idx: obs_id(idx),
-                    start: taps_timeline::slots::to_f64(iv.start) * self.cfg.slot,
-                    end: taps_timeline::slots::to_f64(iv.end) * self.cfg.slot
-                }
-            );
-        }
     }
 }
 
@@ -1471,35 +1210,26 @@ mod tests {
         }
     }
 
-    /// What the in-flight index replaced, kept as its oracle: the
-    /// registry filtered by `!done`, sorted EDF → SJF → id with
-    /// `total_cmp` — the former `ftmp_ids()` walk and lookup-sort.
-    fn ftmp_by_definition(c: &Controller<'_>) -> Vec<InFlight> {
-        let mut v: Vec<InFlight> = c
+    /// The registry side of the index invariant (the index's own half —
+    /// that it keeps any sequence of updates sorted — is tested beside it
+    /// in `taps_core::arbiter`): the arbiter's F_tmp holds exactly the
+    /// registry's `!done` records, in F_tmp order, and the task
+    /// membership it carries equals a brute-force registry scan.
+    fn assert_index_follows_the_registry(c: &Controller<'_>, after: &str) {
+        let mut want: Vec<InFlight> = c
             .registry
             .iter()
             .filter(|(_, r)| !r.done)
-            .map(|(&id, r)| InFlight::of(id, r))
+            .map(|(&id, r)| r.entry(id))
             .collect();
-        v.sort_by(|a, b| {
-            a.deadline
-                .total_cmp(&b.deadline)
-                .then_with(|| a.remaining.total_cmp(&b.remaining))
-                .then_with(|| a.id.cmp(&b.id))
-        });
-        v
-    }
-
-    /// Asserts the index equals its definition, and that the task
-    /// membership it carries equals a brute-force registry scan.
-    fn assert_index_is_the_definition(c: &Controller<'_>, after: &str) {
+        want.sort_by(InFlight::order);
         assert_eq!(
-            c.inflight.order,
-            ftmp_by_definition(c),
+            c.arbiter.ftmp.entries(),
+            want,
             "in-flight index diverged from the registry after {after}"
         );
         let mut indexed: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for e in &c.inflight.order {
+        for e in c.arbiter.ftmp.entries() {
             indexed.entry(e.task).or_default().push(e.id);
         }
         indexed.values_mut().for_each(|flows| flows.sort_unstable());
@@ -1631,10 +1361,10 @@ mod tests {
                 }
                 65..=79 if next_flow > 0 => {
                     let flow = rng.gen_range(0..next_flow + 2);
-                    let before = c.inflight.order.clone();
+                    let before = c.arbiter.ftmp.entries().to_vec();
                     // Stale (lower) and overshooting reports included.
                     c.note_progress(flow, rng.gen_range(0.0..4.0) * GBPS);
-                    if c.inflight.order != before {
+                    if c.arbiter.ftmp.entries() != before {
                         reached.rekeyed += 1;
                     }
                     "note_progress"
@@ -1658,7 +1388,7 @@ mod tests {
                     // Failover: checkpoint → restore → resync → repack.
                     let ckpt = c.checkpoint();
                     c = Controller::restore(&topo, cfg_unit(), &ckpt);
-                    assert_index_is_the_definition(&c, "restore");
+                    assert_index_follows_the_registry(&c, "restore");
                     for host in 0..hosts {
                         // The server lists most of its live flows (a
                         // missing one finished there) with fresher
@@ -1682,7 +1412,7 @@ mod tests {
                             report.push((p, GBPS));
                         }
                         c.resync(host, &report);
-                        assert_index_is_the_definition(&c, "resync");
+                        assert_index_follows_the_registry(&c, "resync");
                         // The sweep the index took over from the registry
                         // walk: an unlisted live flow of this host is done.
                         assert!(c.registry.iter().all(|(flow, r)| r.done
@@ -1698,7 +1428,7 @@ mod tests {
                     "reallocate_all"
                 }
             };
-            assert_index_is_the_definition(&c, what);
+            assert_index_follows_the_registry(&c, what);
         }
     }
 
@@ -1730,10 +1460,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(24))]
 
-        /// After every operation of a random history the in-flight index
-        /// equals the registry filtered and sorted the old way.
+        /// After every operation of a random history the arbiter's F_tmp
+        /// equals the registry filtered by `!done` and sorted.
         #[test]
-        fn inflight_index_is_the_registry_filtered_and_sorted(seed in proptest::any::<u64>()) {
+        fn every_controller_operation_keeps_the_index_in_step_with_the_registry(seed in proptest::any::<u64>()) {
             random_history(seed, 60, &mut Reached::default());
         }
     }

@@ -350,16 +350,75 @@ impl<'t> ServiceController<'t> {
         );
     }
 
-    fn on_submit<T: Transport>(&mut self, tr: &mut T, now: f64, client: ClientId, s: Submit) {
+    /// Why submission `s` cannot be turned into probes, naming the
+    /// offending field. Outside input is checked here, at the door: the
+    /// controller and the topology assert these same conditions and a
+    /// panic would take the daemon down with every client's grants.
+    fn malformed(&self, s: &Submit) -> Option<String> {
+        let task = s.task;
         if s.flows.is_empty() {
-            self.notify(
-                tr,
-                now,
-                client,
-                Response::Error {
-                    msg: format!("task {} has no flows", s.task),
-                },
-            );
+            return Some(format!("task {task} has no flows"));
+        }
+        if !s.deadline.is_finite() {
+            return Some(format!(
+                "task {task}: deadline {} is not finite",
+                s.deadline
+            ));
+        }
+        let hosts = self.ctrl.topology().num_hosts() as u64;
+        for f in &s.flows {
+            let flow = f.flow;
+            for (field, host) in [("src", f.src), ("dst", f.dst)] {
+                if host >= hosts {
+                    return Some(format!(
+                        "task {task} flow {flow}: {field} {host} is not one of the {hosts} hosts"
+                    ));
+                }
+            }
+            if f.src == f.dst {
+                return Some(format!(
+                    "task {task} flow {flow}: src and dst are both {}",
+                    f.src
+                ));
+            }
+            if !(f.size.is_finite() && f.size > 0.0) {
+                return Some(format!(
+                    "task {task} flow {flow}: size {} is not a positive number of bytes",
+                    f.size
+                ));
+            }
+        }
+        None
+    }
+
+    /// A flow id of queued submission `s` that another task already
+    /// holds — in the controller's registry, or in `claimed` (the flows
+    /// of the tasks ahead of it in the same burst). Registering it would
+    /// silently replace that task's record and orphan its grant.
+    fn flow_conflict(&self, s: &Submit, claimed: &BTreeSet<u64>) -> Option<String> {
+        let task = usize::try_from(s.task).ok();
+        s.flows.iter().find_map(|f| {
+            let held = usize::try_from(f.flow)
+                .ok()
+                .and_then(|flow| self.ctrl.task_of(flow))
+                .filter(|&owner| Some(owner) != task);
+            match held {
+                Some(owner) => Some(format!(
+                    "task {} flow {}: flow id already belongs to task {owner}",
+                    s.task, f.flow
+                )),
+                None if claimed.contains(&f.flow) => Some(format!(
+                    "task {} flow {}: flow id already claimed in this burst",
+                    s.task, f.flow
+                )),
+                None => None,
+            }
+        })
+    }
+
+    fn on_submit<T: Transport>(&mut self, tr: &mut T, now: f64, client: ClientId, s: Submit) {
+        if let Some(msg) = self.malformed(&s) {
+            self.notify(tr, now, client, Response::Error { msg });
             return;
         }
         if let Some(&code) = self.outcomes.get(&s.task) {
@@ -610,12 +669,32 @@ impl<'t> ServiceController<'t> {
     /// Admits up to one task (normal mode) or one burst (batch mode).
     /// Returns the number of decisions made.
     fn admit<T: Transport>(&mut self, tr: &mut T, now: f64) -> usize {
-        if self.pending.is_empty() {
+        // Dequeue one task or one burst, refusing on the way any task
+        // whose flow ids collide with another task's: it gets an `Error`
+        // instead of a decision and may resubmit under fresh ids.
+        let n = if self.batch_mode {
+            self.cfg.max_batch
+        } else {
+            1
+        };
+        let mut batch: Vec<Pending> = Vec::new();
+        let mut claimed: BTreeSet<u64> = BTreeSet::new();
+        while batch.len() < n {
+            let Some(p) = self.pending.pop_front() else {
+                break;
+            };
+            if let Some(msg) = self.flow_conflict(&p.submit, &claimed) {
+                self.owners.remove(&p.submit.task);
+                self.notify(tr, now, p.client, Response::Error { msg });
+            } else {
+                claimed.extend(p.submit.flows.iter().map(|f| f.flow));
+                batch.push(p);
+            }
+        }
+        if batch.is_empty() {
             return 0;
         }
         if self.batch_mode {
-            let n = self.cfg.max_batch.min(self.pending.len());
-            let batch: Vec<Pending> = self.pending.drain(..n).collect();
             let groups: Vec<Vec<ProbeHeader>> = batch.iter().map(|p| p.submit.probes()).collect();
             let (results, _cmds) = self.ctrl.handle_probe_burst(now, &groups);
             for (p, (v, _grants)) in batch.iter().zip(&results) {
@@ -623,10 +702,10 @@ impl<'t> ServiceController<'t> {
             }
             batch.len()
         } else {
-            let p = self.pending.pop_front().expect("checked non-empty above"); // lint: panic-ok(is_empty checked above)
+            let p = &batch[0];
             let probes = p.submit.probes();
             let (v, _grants, _cmds) = self.ctrl.handle_probe(now, &probes);
-            self.finish_decision(tr, now, &p, &v);
+            self.finish_decision(tr, now, p, &v);
             1
         }
     }

@@ -363,6 +363,144 @@ fn duplicate_submit_replays_the_decision() {
     assert_eq!(svc.decided_total(), 1, "no double decision");
 }
 
+/// Outside input the controller or the topology would have panicked on
+/// (host indices out of range, `src == dst` — both asserts are live in
+/// release, one line from any UDS client took the daemon down), input
+/// that was quietly granted nonsense (a negative size got one slot), and
+/// a fresh task claiming a flow id another task holds (its record was
+/// replaced, the first task's grant orphaned): each is answered with one
+/// `Error` naming the field, registers nothing, and leaves every other
+/// task's grant alone.
+#[test]
+fn malformed_and_colliding_submissions_get_one_error_and_change_nothing() {
+    let topo = dumbbell(4, 4, GBPS);
+    let mut svc =
+        ServiceController::new(&topo, ControllerConfig::default(), ServiceConfig::default());
+    let mut tr = SimTransport::new();
+    // Task 3 holds flow 9.
+    tr.submit(0, submit(3, 9, 0, 4, 1e5, 10.0)).unwrap();
+    svc.step(0.0, &mut tr);
+    let dec = decisions_of(&tr.drain_client(0));
+    assert_eq!(dec, vec![(3, verdict::GRANTED, None, None)]);
+    let held = svc.controller().grant_of(9).expect("task 3 was granted");
+    let table_images =
+        |svc: &ServiceController<'_>| (svc.controller().sweep(), svc.controller().in_flight());
+    let before = table_images(&svc);
+
+    let bad: Vec<(&str, Request, &str)> = vec![
+        (
+            "dst out of range",
+            submit(10, 100, 0, 100_000, 1e5, 10.0),
+            "dst 100000",
+        ),
+        (
+            "src out of range",
+            submit(11, 101, 8, 4, 1e5, 10.0),
+            "src 8",
+        ),
+        (
+            "src == dst",
+            submit(12, 102, 2, 2, 1e5, 10.0),
+            "src and dst",
+        ),
+        ("negative size", submit(13, 103, 1, 5, -1e5, 10.0), "size"),
+        ("zero size", submit(14, 104, 1, 5, 0.0, 10.0), "size"),
+        ("NaN size", submit(15, 105, 1, 5, f64::NAN, 10.0), "size"),
+        (
+            "infinite deadline",
+            submit(16, 106, 1, 5, 1e5, f64::INFINITY),
+            "deadline",
+        ),
+        (
+            "flow id held by task 3",
+            submit(4, 9, 1, 5, 1e5, 10.0),
+            "already belongs to task 3",
+        ),
+    ];
+    let mut now = 0.0;
+    for (what, request, needle) in bad {
+        now += 1e-3;
+        tr.submit(0, request).unwrap();
+        assert_eq!(svc.step(now, &mut tr), 0, "{what}: no decision");
+        let responses = tr.drain_client(0);
+        match responses.as_slice() {
+            [Response::Error { msg }] => {
+                assert!(
+                    msg.contains(needle),
+                    "{what}: {msg:?} should name {needle:?}"
+                )
+            }
+            other => panic!("{what}: expected exactly one Error, got {other:?}"),
+        }
+        assert_eq!(svc.pending_depth(), 0, "{what}");
+        assert_eq!(table_images(&svc), before, "{what}: tables or F_tmp moved");
+        let grant = svc
+            .controller()
+            .grant_of(9)
+            .expect("task 3 keeps its grant");
+        assert_eq!(
+            (grant.slices, grant.path),
+            (held.slices.clone(), held.path.clone()),
+            "{what}"
+        );
+    }
+
+    // The daemon is still serving: the refused task may come back under
+    // a fresh flow id, and a retry of task 3 replays its verdict.
+    tr.submit(0, submit(4, 10, 1, 5, 1e5, 10.0)).unwrap();
+    svc.step(now + 1e-3, &mut tr);
+    tr.submit(0, submit(3, 9, 0, 4, 1e5, 10.0)).unwrap();
+    svc.step(now + 2e-3, &mut tr);
+    let dec = decisions_of(&tr.drain_client(0));
+    assert_eq!(
+        dec,
+        vec![
+            (4, verdict::GRANTED, None, None),
+            (3, verdict::GRANTED, None, None)
+        ]
+    );
+    assert_eq!(svc.controller().in_flight(), 2);
+}
+
+/// Two tasks of one burst claiming the same flow id: the registry holds
+/// neither yet, so the burst itself has to notice. The first keeps the
+/// id, the second gets the `Error`.
+#[test]
+fn a_burst_refuses_the_second_claim_on_a_flow_id() {
+    let topo = dumbbell(4, 4, GBPS);
+    let cfg = ServiceConfig {
+        batch_enter: 2,
+        batch_exit: 0,
+        ..ServiceConfig::default()
+    };
+    let mut svc = ServiceController::new(&topo, ControllerConfig::default(), cfg);
+    let mut tr = SimTransport::new();
+    tr.submit(0, submit(20, 50, 0, 4, 1e5, 10.0)).unwrap();
+    tr.submit(0, submit(21, 50, 1, 5, 1e5, 10.0)).unwrap();
+    tr.submit(0, submit(22, 51, 2, 6, 1e5, 10.0)).unwrap();
+    assert_eq!(svc.step(0.0, &mut tr), 2);
+    assert!(svc.is_batch_mode());
+    let responses = tr.drain_client(0);
+    assert_eq!(
+        decisions_of(&responses),
+        vec![
+            (20, verdict::GRANTED, None, None),
+            (22, verdict::GRANTED, None, None)
+        ]
+    );
+    let errors: Vec<&String> = responses
+        .iter()
+        .filter_map(|r| match r {
+            Response::Error { msg } => Some(msg),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(errors.len(), 1);
+    assert!(errors[0].contains("task 21"), "{errors:?}");
+    assert_eq!(svc.controller().task_of(50), Some(20));
+    assert_eq!(svc.controller().in_flight(), 2);
+}
+
 #[test]
 fn stats_snapshot_is_self_describing() {
     let topo = dumbbell(4, 4, GBPS);
