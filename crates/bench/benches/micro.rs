@@ -8,7 +8,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use taps_baselines::max_min_rates;
 use taps_bench::history::AgedController;
 use taps_core::oracle::naive_batch;
-use taps_core::{FlowDemand, SlotAllocator, Taps, TapsConfig};
+use taps_core::{DeltaCache, FlowDemand, SlotAllocator, Taps, TapsConfig};
 use taps_flowsim::{SimConfig, Simulation};
 use taps_timeline::IntervalSet;
 use taps_topology::build::{fat_tree, single_rooted, GBPS};
@@ -147,6 +147,51 @@ fn bench_admission(c: &mut Criterion) {
     g.finish();
 }
 
+/// One flow leaves a ≈200-flow `fat_tree(16)` batch and comes back, at
+/// the same start slot: two delta passes per iteration, with the flow at
+/// the first, middle or last rank. A departure is dirt only for the flows
+/// ranked after it, so the cost should fall as its rank gets later.
+fn bench_delta_departure(c: &mut Criterion) {
+    let mut g = c.benchmark_group("admission/delta_departure");
+    g.sample_size(10);
+    let topo = fat_tree(16, GBPS);
+    // Four pods' worth of hosts, so flows share ToR uplinks and cores.
+    let hosts = 256;
+    let demands: Vec<FlowDemand> = (0..200usize)
+        .map(|i| {
+            let src = (i * 37) % hosts;
+            let dst = (i * 101 + 64) % hosts;
+            let dst = if src == dst { (dst + 1) % hosts } else { dst };
+            FlowDemand {
+                id: i,
+                src,
+                dst,
+                remaining: 200_000.0,
+                deadline: 0.010 + i as f64 * 1e-5,
+            }
+        })
+        .collect();
+    let n = demands.len();
+    for (name, rank) in [("first", 0), ("middle", n / 2), ("last", n - 1)] {
+        let mut without = demands.clone();
+        without.remove(rank);
+        g.bench_with_input(BenchmarkId::from_parameter(name), &without, |b, without| {
+            let mut alloc = SlotAllocator::new(&topo, 0.0001, 16);
+            let mut cache = DeltaCache::new();
+            alloc
+                .allocate_batch_delta(&demands, 0, &mut cache)
+                .expect("fat_tree(16) is connected");
+            b.iter(|| {
+                for batch in [without, &demands] {
+                    black_box(alloc.allocate_batch_delta(batch, 0, &mut cache))
+                        .expect("fat_tree(16) is connected");
+                }
+            });
+        });
+    }
+    g.finish();
+}
+
 fn bench_path_enumeration(c: &mut Criterion) {
     let mut g = c.benchmark_group("path_enumeration");
     for k in [4usize, 8, 16] {
@@ -280,6 +325,7 @@ criterion_group!(
     bench_max_min,
     bench_taps_admission,
     bench_admission,
+    bench_delta_departure,
     bench_path_enumeration,
     bench_end_to_end_sim,
     bench_taps_full_run_slot_sensitivity,

@@ -486,17 +486,21 @@ impl AllocEngine {
         self.counters.paths_tried += candidates.len() as u64;
         self.counters.slots_scanned += completion_slot.saturating_sub(start_slot) + 1;
         let path = candidates[idx].clone();
-        let e = demand_on.on(topo, &path);
-        union_path(&self.occupancy, &path.links, &mut self.scratch);
-        let slices = self
-            .scratch
-            .allocate_first_free(start_slot, e)
-            // lint: panic-ok(invariant: the idle tail is infinite, so E >= 1 slots are always allocatable)
-            .expect("E >= 1 slots always allocatable");
+        let slices = self.first_free_on(&path.links, start_slot, demand_on.on(topo, &path));
         debug_assert_eq!(slices.max_end(), Some(completion_slot));
         self.commit_slices(&path.links, &slices);
         let al = self.finish(demand, path, slices, completion_slot);
         Ok((candidates, idx, al))
+    }
+
+    /// Materializes a winner's slices: the first `slots` idle slots at
+    /// or after `from` on the union of its links' occupancy (Alg. 3).
+    pub(crate) fn first_free_on(&mut self, links: &[LinkId], from: u64, slots: u64) -> IntervalSet {
+        union_path(&self.occupancy, links, &mut self.scratch);
+        self.scratch
+            .allocate_first_free(from, slots)
+            // lint: panic-ok(invariant: the idle tail is infinite, so E >= 1 slots are always allocatable)
+            .expect("E >= 1 slots always allocatable")
     }
 
     pub(crate) fn finish(

@@ -16,6 +16,11 @@
 //! * **add-dirt** — links that *gained* occupancy (new arrivals, flows
 //!   that moved in).
 //!
+//! Both are kept relative to the flow being placed: a flow only sees
+//! its predecessors' occupancy, so a departed flow's links are marked
+//! when the pass reaches the departed flow's old rank, not before the
+//! first flow (a flow ranked ahead of it never had it as a predecessor).
+//!
 //! A flow whose previous winning path touches no dirty link of either
 //! kind sees, on those links, exactly the translated occupancy of the
 //! previous pass, so its first-fit result is the previous result shifted
@@ -23,10 +28,11 @@
 //! complete earlier than before and provably cannot steal the argmin
 //! (monotonicity of first-fit under occupancy growth plus the
 //! first-wins tie order), so only candidates touching *freed* links are
-//! probed against the translated incumbent. Everything else falls back
-//! to the full per-flow search. The result is bit-identical to the full
-//! pass — same paths, slices, completion slots and work counters — which
-//! a `validate`-feature debug cross-check re-verifies on every batch.
+//! probed against the translated incumbent — none while nothing is
+//! freed. Everything else falls back to the full per-flow search. The
+//! result is bit-identical to the full pass — same paths, slices,
+//! completion slots and work counters — which a `validate`-feature debug
+//! cross-check re-verifies on every batch.
 //!
 //! The fallback ladder, coarse to fine:
 //!
@@ -41,13 +47,10 @@
 //! 3. **Per-flow fallback** — a dirty winner path or a changed demand
 //!    sends just that flow through the ordinary search.
 
-use crate::alloc::{
-    first_fit_links, union_path, AllocEngine, AllocError, FlowAlloc, FlowDemand, SlotDemand,
-};
-use std::collections::BTreeMap;
+use crate::alloc::{first_fit_links, AllocEngine, AllocError, FlowAlloc, FlowDemand, SlotDemand};
 use std::sync::Arc;
 use taps_timeline::IntervalSet;
-use taps_topology::{Path, Topology};
+use taps_topology::{LinkId, Path, Topology};
 
 /// Fraction of a batch (of at least 8 flows) allowed through the full
 /// search before the pass stops consulting the cache (fallback ladder
@@ -74,13 +77,56 @@ struct DeltaEntry {
     completion: u64,
 }
 
+impl DeltaEntry {
+    /// Links of the winning path.
+    fn winner_links(&self) -> &[LinkId] {
+        &self.candidates[self.winner].links
+    }
+}
+
+/// Writes rank `rank` of the pass being built into `next` — over the
+/// entry from the pass before last, whose slices buffer the caller then
+/// refills in place, or as a new entry one past the end — and returns
+/// the entry's slices to fill.
+fn put_entry<'a>(
+    next: &'a mut Vec<DeltaEntry>,
+    rank: usize,
+    d: &FlowDemand,
+    candidates: Arc<Vec<Path>>,
+    winner: usize,
+    completion: u64,
+) -> &'a mut IntervalSet {
+    debug_assert!(rank <= next.len(), "ranks are written in order");
+    let entry = DeltaEntry {
+        id: d.id,
+        src: d.src,
+        dst: d.dst,
+        remaining: d.remaining,
+        candidates,
+        winner,
+        slices: IntervalSet::new(),
+        completion,
+    };
+    if rank < next.len() {
+        let old = &mut next[rank];
+        let slices = std::mem::take(&mut old.slices);
+        *old = DeltaEntry { slices, ..entry };
+        &mut old.slices
+    } else {
+        next.push(entry);
+        &mut next[rank].slices
+    }
+}
+
 /// Stamped per-link dirty map: `begin` invalidates every mark in O(1) by
-/// bumping the stamp; `mark`/`is` are single indexed accesses. Sized to
-/// the topology's directed-link count.
+/// bumping the stamp; a mark or a lookup is a single indexed access.
+/// Sized to the topology's directed-link count.
 #[derive(Default)]
 struct LinkDirt {
     stamp: u64,
     marks: Vec<u64>,
+    /// Distinct links marked under the current stamp.
+    len: usize,
 }
 
 impl LinkDirt {
@@ -90,16 +136,29 @@ impl LinkDirt {
             self.stamp = 0;
         }
         self.stamp += 1;
+        self.len = 0;
     }
 
     #[inline]
-    fn mark(&mut self, link: usize) {
-        self.marks[link] = self.stamp;
+    fn mark(&mut self, links: &[LinkId]) {
+        for l in links {
+            let m = &mut self.marks[l.idx()];
+            if *m != self.stamp {
+                *m = self.stamp;
+                self.len += 1;
+            }
+        }
     }
 
     #[inline]
-    fn is(&self, link: usize) -> bool {
-        self.marks[link] == self.stamp
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Whether any of `links` is marked.
+    #[inline]
+    fn touches(&self, links: &[LinkId]) -> bool {
+        !self.is_empty() && links.iter().any(|l| self.marks[l.idx()] == self.stamp)
     }
 }
 
@@ -148,20 +207,22 @@ pub struct DeltaCache {
     epoch: u64,
     /// Topology the entries were computed for.
     topo_name: String,
-    /// Previous pass's decisions, in priority order.
+    /// Previous pass's decisions, in priority order: an entry's index is
+    /// its rank.
     entries: Vec<DeltaEntry>,
-    /// Flow id → index into `entries`.
-    index: BTreeMap<usize, usize>,
-    /// Link indices whose translated previous occupancy is known to be
-    /// vacated before the next pass runs (entries dropped by fault
-    /// absorption). Folded into `free_dirt` at the start of every delta
-    /// pass; cleared only when a pass *succeeds* (`install`) so an
-    /// errored pass cannot lose the marks.
-    pending_free: Vec<usize>,
+    /// `(flow id, rank)` of every entry a demand may match, sorted by id.
+    /// Entries fault absorption dropped are absent, so no demand matches
+    /// them and the next pass treats them as departed.
+    index: Vec<(usize, usize)>,
+    /// The entries the running pass writes; `install` swaps them with
+    /// `entries`. A pass that errors leaves `entries` (and `index`)
+    /// describing the last successful pass; one that succeeds reuses the
+    /// buffers of the pass before it.
+    next: Vec<DeltaEntry>,
+    /// Per demand of the running batch, the rank of its cached entry.
+    ranks: Vec<Option<usize>>,
     add_dirt: LinkDirt,
     free_dirt: LinkDirt,
-    /// Sorted demand ids of the current batch (departure detection).
-    ids_scratch: Vec<usize>,
     stats: DeltaStats,
 }
 
@@ -180,39 +241,53 @@ impl DeltaCache {
     /// Drops the cached pass; the next batch runs the full pass.
     pub fn invalidate(&mut self) {
         self.valid = false;
-        self.pending_free.clear();
     }
 
-    /// Replaces the cached pass.
-    fn install(&mut self, topo: &Topology, entries: Vec<DeltaEntry>, start_slot: u64) {
+    /// Makes the `len` entries the pass wrote into `next` the cached
+    /// pass.
+    fn install(&mut self, topo: &Topology, len: usize, start_slot: u64) {
+        self.next.truncate(len);
+        std::mem::swap(&mut self.entries, &mut self.next);
         self.index.clear();
-        for (i, e) in entries.iter().enumerate() {
-            self.index.insert(e.id, i);
-        }
-        self.entries = entries;
+        self.index.extend(
+            self.entries
+                .iter()
+                .enumerate()
+                .map(|(rank, e)| (e.id, rank)),
+        );
+        self.index.sort_unstable();
         self.prev_start = start_slot;
         self.epoch = topo.epoch();
         self.topo_name.clone_from(&topo.name);
         self.valid = true;
-        self.pending_free.clear();
     }
-}
 
-/// True when every flow id shared by the cache and the demand list
-/// appears in the same relative order in both. The translation argument
-/// needs this: a reused flow's predecessors must be exactly the
-/// (translated) predecessors of the previous pass.
-fn order_stable(cache: &DeltaCache, demands: &[FlowDemand]) -> bool {
-    let mut last: Option<usize> = None;
-    for d in demands {
-        if let Some(&i) = cache.index.get(&d.id) {
-            if last.is_some_and(|prev| prev >= i) {
-                return false;
+    /// Resolves every demand's cached rank into `ranks`, one binary
+    /// search each, and reports whether the matched ranks strictly
+    /// increase — every flow id shared by the cache and the demand list
+    /// appears in the same relative order in both. The translation
+    /// argument needs this: a reused flow's predecessors must be exactly
+    /// the (translated) predecessors of the previous pass, less the
+    /// departed ones.
+    fn resolve_ranks(&mut self, demands: &[FlowDemand]) -> bool {
+        self.ranks.clear();
+        let mut last: Option<usize> = None;
+        for d in demands {
+            let rank = self
+                .index
+                .binary_search_by_key(&d.id, |&(id, _)| id)
+                .ok()
+                .map(|i| self.index[i].1);
+            if let Some(r) = rank {
+                if last.is_some_and(|prev| prev >= r) {
+                    return false;
+                }
+                last = Some(r);
             }
-            last = Some(i);
+            self.ranks.push(rank);
         }
+        true
     }
-    true
 }
 
 impl AllocEngine {
@@ -237,7 +312,7 @@ impl AllocEngine {
             && cache.topo_name == topo.name
             && cache.epoch == topo.epoch()
             && start_slot >= cache.prev_start
-            && order_stable(cache, demands);
+            && cache.resolve_ranks(demands);
         if !usable {
             cache.stats.full_fallbacks += 1;
             return self.full_rebuild(topo, demands, start_slot, cache);
@@ -248,45 +323,38 @@ impl AllocEngine {
 
         let DeltaCache {
             ref entries,
-            ref index,
-            ref pending_free,
+            ref ranks,
+            ref mut next,
             ref mut add_dirt,
             ref mut free_dirt,
-            ref mut ids_scratch,
             ref mut stats,
             ..
         } = *cache;
         add_dirt.begin(topo.num_links());
         free_dirt.begin(topo.num_links());
 
-        // Links vacated by fault absorption: the dropped entries' old
-        // winner contributions are gone from this pass's baseline. Not
-        // drained — `install` clears the list once the pass succeeds, so
-        // an error in the middle of the batch cannot lose the marks.
-        for &l in pending_free {
-            free_dirt.mark(l);
-        }
-
-        // Departed flows: their previous contribution is absent from this
-        // pass, so every link of their old winning path is freed.
-        ids_scratch.clear();
-        ids_scratch.extend(demands.iter().map(|d| d.id));
-        ids_scratch.sort_unstable();
-        for e in entries {
-            if ids_scratch.binary_search(&e.id).is_err() {
-                for l in &e.candidates[e.winner].links {
-                    free_dirt.mark(l.idx());
-                }
-            }
-        }
-
         let total = demands.len();
         let mut searched = 0usize;
         let mut reuse_enabled = true;
-        let mut new_entries: Vec<DeltaEntry> = Vec::with_capacity(total);
+        // The lowest rank the pass has not yet reached.
+        let mut cursor = 0usize;
         let mut out: Vec<FlowAlloc> = Vec::with_capacity(total);
-        for d in demands {
-            let entry = index.get(&d.id).map(|&i| &entries[i]);
+        for (i, (d, &rank)) in demands.iter().zip(ranks).enumerate() {
+            if let Some(r) = rank {
+                // Departures, at their rank: matched ranks strictly
+                // increase, so the ranks the cursor skips are entries no
+                // demand matched — flows that left the batch or that fault
+                // absorption dropped. Their contribution is gone from
+                // this flow's predecessors, and only from those of flows
+                // ranked after them.
+                if reuse_enabled {
+                    for gone in &entries[cursor..r] {
+                        free_dirt.mark(gone.winner_links());
+                    }
+                }
+                cursor = r + 1;
+            }
+            let entry = rank.map(|r| &entries[r]);
             // Translatable: same endpoints and bit-equal remaining bytes,
             // so the slot demand E of every candidate is unchanged.
             let translatable = entry.filter(|e| {
@@ -295,10 +363,9 @@ impl AllocEngine {
             let mut handled = false;
             if reuse_enabled {
                 if let Some(e) = translatable {
-                    let winner_links = &e.candidates[e.winner].links;
-                    let winner_dirty = winner_links
-                        .iter()
-                        .any(|l| free_dirt.is(l.idx()) || add_dirt.is(l.idx()));
+                    let winner_links = e.winner_links();
+                    let winner_dirty =
+                        free_dirt.touches(winner_links) || add_dirt.touches(winner_links);
                     let translated = e.completion + delta;
                     let mut demand_on = SlotDemand::new(self.slot, d.remaining);
                     // Seed the incumbent with the winner's exact current
@@ -326,8 +393,16 @@ impl AllocEngine {
                     };
                     if let Some(mut best) = seed {
                         let mut moved = false;
-                        for (ci, p) in e.candidates.iter().enumerate() {
-                            if ci == e.winner || !p.links.iter().any(|l| free_dirt.is(l.idx())) {
+                        // Only a candidate that crosses a freed link can
+                        // beat the incumbent, so while nothing is freed
+                        // there is nothing to probe.
+                        let probes = if free_dirt.is_empty() {
+                            &e.candidates[..0]
+                        } else {
+                            &e.candidates[..]
+                        };
+                        for (ci, p) in probes.iter().enumerate() {
+                            if ci == e.winner || !free_dirt.touches(&p.links) {
                                 continue;
                             }
                             stats.probed_candidates += 1;
@@ -353,60 +428,48 @@ impl AllocEngine {
                         }
                         let (completion, widx) = best;
                         let path = e.candidates[widx].clone();
-                        let slices = if moved {
-                            let e_slots = demand_on.on(topo, &path);
-                            union_path(&self.occupancy, &path.links, &mut self.scratch);
-                            let s = self
-                                .scratch
-                                .allocate_first_free(start_slot, e_slots)
-                                // lint: panic-ok(invariant: the idle tail is infinite, so E >= 1 slots are always allocatable)
-                                .expect("E >= 1 slots always allocatable");
+                        let cached =
+                            put_entry(next, i, d, Arc::clone(&e.candidates), widx, completion);
+                        let slices = if moved || winner_dirty {
+                            let s = self.first_free_on(
+                                &path.links,
+                                start_slot,
+                                demand_on.on(topo, &path),
+                            );
                             debug_assert_eq!(s.max_end(), Some(completion));
-                            // The flow moved: its old links lose the
-                            // translated contribution, the new ones gain.
-                            for l in winner_links {
-                                free_dirt.mark(l.idx());
-                            }
-                            for l in &path.links {
-                                add_dirt.mark(l.idx());
-                            }
-                            stats.moved_flows += 1;
-                            s
-                        } else if winner_dirty {
-                            // The winner kept the argmin but its links
-                            // changed, so the slices must be re-derived
-                            // exactly: an unchanged completion alone cannot
-                            // prove translation when frees and adds both
-                            // landed below it (a swapped idle slot keeps the
-                            // completion while shifting a slice).
-                            let e_slots = demand_on.on(topo, &path);
-                            union_path(&self.occupancy, &path.links, &mut self.scratch);
-                            let s = self
-                                .scratch
-                                .allocate_first_free(start_slot, e_slots)
-                                // lint: panic-ok(invariant: the idle tail is infinite, so E >= 1 slots are always allocatable)
-                                .expect("E >= 1 slots always allocatable");
-                            debug_assert_eq!(s.max_end(), Some(completion));
-                            if s.eq_shifted(&e.slices, delta) {
+                            if moved {
+                                // The flow moved: its old links lose the
+                                // translated contribution, the new ones gain.
+                                free_dirt.mark(winner_links);
+                                add_dirt.mark(&path.links);
+                                stats.moved_flows += 1;
+                            } else if s.eq_shifted(&e.slices, delta) {
+                                // The winner kept the argmin but its links
+                                // changed, so the slices had to be re-derived
+                                // exactly: an unchanged completion alone cannot
+                                // prove translation when frees and adds both
+                                // landed below it (a swapped idle slot keeps the
+                                // completion while shifting a slice).
                                 stats.reused_flows += 1;
                             } else {
                                 // Re-timed in place: the old translated
                                 // contribution is vacated and the new slices
                                 // land elsewhere, so the links are dirty
                                 // both ways.
-                                for l in &path.links {
-                                    free_dirt.mark(l.idx());
-                                    add_dirt.mark(l.idx());
-                                }
+                                free_dirt.mark(&path.links);
+                                add_dirt.mark(&path.links);
                                 stats.retimed_flows += 1;
                             }
+                            cached.clone_from(&s);
                             s
                         } else {
                             // A fully clean winner that kept the argmin: the
                             // idle set below its completion translates, so
                             // the slices are exactly the translation.
                             stats.reused_flows += 1;
-                            e.slices.shifted(delta)
+                            cached.clone_from(&e.slices);
+                            cached.shift_in_place(delta);
+                            cached.clone()
                         };
                         self.commit_slices(&path.links, &slices);
                         // Counters exactly as the full pass books them
@@ -415,16 +478,6 @@ impl AllocEngine {
                         // lint: cast-ok(candidate counts are bounded by max_paths, far below 2^64)
                         self.counters.paths_tried += e.candidates.len() as u64;
                         self.counters.slots_scanned += completion.saturating_sub(start_slot) + 1;
-                        new_entries.push(DeltaEntry {
-                            id: d.id,
-                            src: d.src,
-                            dst: d.dst,
-                            remaining: d.remaining,
-                            candidates: Arc::clone(&e.candidates),
-                            winner: widx,
-                            slices: slices.clone(),
-                            completion,
-                        });
                         out.push(self.finish(d, path, slices, completion));
                         handled = true;
                     }
@@ -447,26 +500,19 @@ impl AllocEngine {
                     known.map(|e| e.winner),
                 )?;
                 if reuse_enabled {
+                    let links = candidates[widx].links.as_slice();
                     match entry {
                         // A re-searched flow that landed exactly on its
                         // translated previous allocation disturbed nothing
                         // — marking it dirty would needlessly cascade.
                         Some(e)
-                            if e.candidates[e.winner].links == candidates[widx].links
+                            if e.winner_links() == links
                                 && al.slices.eq_shifted(&e.slices, delta) => {}
                         Some(e) => {
-                            for l in &e.candidates[e.winner].links {
-                                free_dirt.mark(l.idx());
-                            }
-                            for l in &candidates[widx].links {
-                                add_dirt.mark(l.idx());
-                            }
+                            free_dirt.mark(e.winner_links());
+                            add_dirt.mark(links);
                         }
-                        None => {
-                            for l in &candidates[widx].links {
-                                add_dirt.mark(l.idx());
-                            }
-                        }
+                        None => add_dirt.mark(links),
                     }
                     // lint: cast-ok(batch sizes are far below 2^52; exact as f64)
                     if total >= 8 && (searched as f64) > SEARCH_FALLBACK_FRACTION * (total as f64) {
@@ -477,16 +523,7 @@ impl AllocEngine {
                         stats.threshold_degrades += 1;
                     }
                 }
-                new_entries.push(DeltaEntry {
-                    id: d.id,
-                    src: d.src,
-                    dst: d.dst,
-                    remaining: d.remaining,
-                    candidates,
-                    winner: widx,
-                    slices: al.slices.clone(),
-                    completion: al.completion_slot,
-                });
+                put_entry(next, i, d, candidates, widx, al.completion_slot).clone_from(&al.slices);
                 out.push(al);
             }
         }
@@ -534,7 +571,7 @@ impl AllocEngine {
         #[cfg(not(feature = "validate"))]
         let _ = counters_before;
 
-        cache.install(topo, new_entries, start_slot);
+        cache.install(topo, total, start_slot);
         Ok(out)
     }
 
@@ -554,9 +591,12 @@ impl AllocEngine {
     /// * **changed** (a candidate died, or a restored link resurfaced
     ///   one) — the entry is dropped from the index. The flow re-enters
     ///   through the ordinary search branch exactly as a brand-new
-    ///   arrival would, and its old winner links are queued as
-    ///   *free-dirt* for the next pass ([`DeltaCache::pending_free`]) so
-    ///   flows translated over the vacated capacity stay sound.
+    ///   arrival would, and since no demand matches the dropped entry any
+    ///   more, the next pass marks its old winner links free-dirt when it
+    ///   reaches the entry's rank, as for any departure, so flows
+    ///   translated over the vacated capacity stay sound. A pass that
+    ///   errors leaves the index as it found it, so its retry marks them
+    ///   again.
     ///
     /// Finally the cache is re-stamped to the current epoch. Returns
     /// `false` when there was nothing to absorb into (invalid cache or
@@ -573,26 +613,16 @@ impl AllocEngine {
         if cache.epoch == epoch {
             return true;
         }
-        let mut dropped = 0u64;
-        let ids: Vec<usize> = cache.index.keys().copied().collect();
-        for id in ids {
-            let i = cache.index[&id];
-            let e = &cache.entries[i];
-            let fresh = self.candidate_paths(topo, e.src, e.dst);
-            if *fresh != *e.candidates {
-                let vacated: Vec<usize> = e.candidates[e.winner]
-                    .links
-                    .iter()
-                    .map(|l| l.idx())
-                    .collect();
-                cache.pending_free.extend(vacated);
-                cache.index.remove(&id);
-                dropped += 1;
-            }
-        }
+        let before = cache.index.len();
+        let entries = &cache.entries;
+        cache.index.retain(|&(_, rank)| {
+            let e = &entries[rank];
+            *self.candidate_paths(topo, e.src, e.dst) == *e.candidates
+        });
         cache.epoch = epoch;
         cache.stats.absorbed_epochs += 1;
-        cache.stats.absorbed_dropped += dropped;
+        // lint: cast-ok(entry counts are far below 2^64)
+        cache.stats.absorbed_dropped += (before - cache.index.len()) as u64;
         true
     }
 
@@ -606,23 +636,16 @@ impl AllocEngine {
         cache: &mut DeltaCache,
     ) -> Result<Vec<FlowAlloc>, AllocError> {
         self.reset();
-        let mut entries = Vec::with_capacity(demands.len());
         // On error the cache keeps its previous entries: they still
         // describe the last *successful* pass, and every call
         // re-validates before trusting them.
+        let next = &mut cache.next;
+        let mut rank = 0;
         let out = self.full_pass(topo, demands, start_slot, |d, candidates, winner, al| {
-            entries.push(DeltaEntry {
-                id: d.id,
-                src: d.src,
-                dst: d.dst,
-                remaining: d.remaining,
-                candidates,
-                winner,
-                slices: al.slices.clone(),
-                completion: al.completion_slot,
-            });
+            put_entry(next, rank, d, candidates, winner, al.completion_slot).clone_from(&al.slices);
+            rank += 1;
         })?;
-        cache.install(topo, entries, start_slot);
+        cache.install(topo, out.len(), start_slot);
         Ok(out)
     }
 }
@@ -730,6 +753,91 @@ mod tests {
             let got = a.allocate_batch_delta(demands, *start, &mut cache).unwrap();
             assert_allocs_eq(want, &got);
         }
+    }
+
+    /// Departures are dirt at their own rank. The flow at rank `r` leaves
+    /// and every flow after it changes size, so those take the search,
+    /// which probes nothing: any probe the pass books comes from a flow
+    /// ahead of `r`, and none may — they never had the departed flow as a
+    /// predecessor, so all of them translate. Marking the departed links
+    /// before the first flow would have them probe wherever one of their
+    /// other candidates crosses those links (the witnesses below).
+    #[test]
+    fn departure_dirt_waits_for_its_rank() {
+        let topo = fat_tree(4, GBPS);
+        let base = mix(31, 16, 11);
+        let mut witnesses = Vec::new();
+        for r in 0..base.len() {
+            let mut a = SlotAllocator::new(&topo, 0.0001, 16);
+            let mut cache = DeltaCache::new();
+            a.allocate_batch_delta(&base, 4, &mut cache).unwrap();
+            let gone = cache.entries[r].winner_links();
+            if cache.entries[..r].iter().any(|e| {
+                let crosses = |p: &Path| p.links.iter().any(|l| gone.contains(l));
+                e.candidates
+                    .iter()
+                    .enumerate()
+                    .any(|(ci, p)| ci != e.winner && crosses(p))
+            }) {
+                witnesses.push(r);
+            }
+            let rest: Vec<FlowDemand> = base
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i != r)
+                .map(|(i, d)| FlowDemand {
+                    remaining: d.remaining + if i > r { 1_000.0 } else { 0.0 },
+                    ..d.clone()
+                })
+                .collect();
+            let mut reference = SlotAllocator::new(&topo, 0.0001, 16);
+            let want = reference.allocate_batch(&rest, 4).unwrap();
+            let got = a.allocate_batch_delta(&rest, 4, &mut cache).unwrap();
+            assert_allocs_eq(&want, &got);
+            let s = cache.stats();
+            assert_eq!(
+                s.full_fallbacks, 1,
+                "rank {r}: the second pass is a delta pass"
+            );
+            assert_eq!(
+                s.reused_flows, r as u64,
+                "rank {r}: every flow ahead translates"
+            );
+            assert_eq!(
+                s.probed_candidates, 0,
+                "rank {r}: a flow ahead of it probed"
+            );
+        }
+        let last = base.len() - 1;
+        assert!(
+            witnesses.contains(&last) && witnesses.iter().any(|&r| r < last),
+            "too few ranks where eager marking would probe: {witnesses:?}"
+        );
+    }
+
+    /// Arrivals behind the cached flows at a later start free nothing:
+    /// every incumbent translates, the newcomers are searched, free-dirt
+    /// stays empty and no candidate is probed.
+    #[test]
+    fn a_pass_that_frees_nothing_probes_nothing() {
+        let topo = fat_tree(4, GBPS);
+        let all = mix(20, 16, 12);
+        let mut a = SlotAllocator::new(&topo, 0.0001, 16);
+        let mut cache = DeltaCache::new();
+        a.allocate_batch_delta(&all[..14], 0, &mut cache).unwrap();
+
+        let mut reference = SlotAllocator::new(&topo, 0.0001, 16);
+        let want = reference.allocate_batch(&all, 3).unwrap();
+        let got = a.allocate_batch_delta(&all, 3, &mut cache).unwrap();
+        assert_allocs_eq(&want, &got);
+        assert!(cache.free_dirt.is_empty(), "nothing was freed");
+        assert!(!cache.add_dirt.is_empty(), "the newcomers added occupancy");
+        let s = cache.stats();
+        assert_eq!(
+            (s.reused_flows, s.searched_flows, s.probed_candidates),
+            (14, 6, 0),
+            "{s:?}"
+        );
     }
 
     /// Transmission progress: remaining bytes shrink between passes, so

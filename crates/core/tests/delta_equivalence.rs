@@ -26,10 +26,13 @@ struct Step {
 }
 
 /// Derives a sliding-window admission history from a seed: each round
-/// retires a few head flows (completions), occasionally shrinks the
-/// remaining bytes of survivors (transmission progress), admits fresh
-/// arrivals at the tail, and advances the start slot monotonically —
-/// the same shape the scheduler feeds the allocator on every arrival.
+/// retires a few head flows (completions), sometimes drops the flow at
+/// the last rank and one at a random rank (preemptions, rejected
+/// newcomers — the delta pass marks a departure's links at its rank, so
+/// every rank must be covered), occasionally shrinks the remaining bytes
+/// of survivors (transmission progress), admits fresh arrivals at the
+/// tail, and advances the start slot monotonically — the same shape the
+/// scheduler feeds the allocator on every arrival.
 fn sliding_window(seed: u64, hosts: usize, rounds: usize) -> Vec<Step> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut window: Vec<FlowDemand> = Vec::new();
@@ -39,6 +42,12 @@ fn sliding_window(seed: u64, hosts: usize, rounds: usize) -> Vec<Step> {
     for _ in 0..rounds {
         let retire = rng.gen_range(0..=window.len().min(3));
         window.drain(..retire);
+        if rng.gen_bool(0.3) {
+            window.pop();
+        }
+        if !window.is_empty() && rng.gen_bool(0.5) {
+            window.remove(rng.gen_range(0..window.len()));
+        }
         if rng.gen_bool(0.3) {
             for d in &mut window {
                 d.remaining = (d.remaining - 30_000.0).max(1.0);

@@ -27,8 +27,8 @@ use crate::load::{run_load, LoadConfig, LoadReport};
 /// Soak scenario shape. The defaults are the CI gate.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SoakConfig {
-    /// The two seeds to run (each runs twice for the identity check).
-    pub seeds: [u64; 2],
+    /// The seeds to run (each runs twice for the identity check).
+    pub seeds: &'static [u64],
     /// Fat-tree arity (paper-scale gate: 16 → 1024 hosts).
     pub k: usize,
     /// Tasks per run.
@@ -51,7 +51,7 @@ pub struct SoakConfig {
 impl Default for SoakConfig {
     fn default() -> Self {
         SoakConfig {
-            seeds: [11, 23],
+            seeds: &[11, 23],
             k: 16,
             num_tasks: 1_200,
             mean_flows_per_task: 2.0,
@@ -193,7 +193,7 @@ pub fn run_soak(cfg: &SoakConfig) -> (Vec<String>, Vec<SoakFailure>) {
     let mut lines = Vec::new();
     let mut failures = Vec::new();
     let mut digests = Vec::new();
-    for &seed in &cfg.seeds {
+    for &seed in cfg.seeds {
         let a = run_once(cfg, seed);
         let b = run_once(cfg, seed);
         lines.push(format!(

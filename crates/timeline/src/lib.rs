@@ -91,9 +91,22 @@ const MAX_WAYS: usize = 64;
 ///
 /// This is the `O_x` (occupied-time set of link `x`) of the paper, and also
 /// the `A_j^i` (allocated time slices of flow `j` of task `i`).
-#[derive(Clone, Default, PartialEq, Eq)]
+#[derive(Default, PartialEq, Eq)]
 pub struct IntervalSet {
     ivs: Vec<Interval>,
+}
+
+impl Clone for IntervalSet {
+    fn clone(&self) -> Self {
+        IntervalSet {
+            ivs: self.ivs.clone(),
+        }
+    }
+
+    /// Copies into the buffer `self` already owns.
+    fn clone_from(&mut self, source: &Self) {
+        self.ivs.clone_from(&source.ivs);
+    }
 }
 
 impl fmt::Debug for IntervalSet {
@@ -249,7 +262,9 @@ impl IntervalSet {
     /// Inserts every interval of `other` into `self`.
     pub fn insert_set(&mut self, other: &IntervalSet) {
         if self.is_empty() {
-            self.ivs = other.ivs.clone();
+            // A link's set is cleared on every re-allocation and refilled
+            // here: keep its buffer.
+            self.clone_from(other);
             return;
         }
         for iv in &other.ivs {
@@ -611,6 +626,21 @@ impl IntervalSet {
         }
     }
 
+    /// Translates the set `delta` slots later in place, keeping its
+    /// buffer: [`shifted`](Self::shifted) without the new allocation.
+    pub fn shift_in_place(&mut self, delta: u64) {
+        debug_assert!(
+            self.ivs
+                .last()
+                .is_none_or(|iv| iv.end.checked_add(delta).is_some()),
+            "shift overflows u64"
+        );
+        for iv in &mut self.ivs {
+            iv.start += delta;
+            iv.end += delta;
+        }
+    }
+
     /// Whether `self` equals `other` translated `delta` slots later,
     /// without allocating the shifted copy. Equivalent to
     /// `*self == other.shifted(delta)`.
@@ -879,6 +909,17 @@ mod tests {
         assert_eq!(s, set(&[(0, 5), (6, 8)]));
         s.remove_set(&set(&[(1, 2), (6, 7)]));
         assert_eq!(s, set(&[(0, 1), (2, 5), (7, 8)]));
+    }
+
+    #[test]
+    fn insert_set_into_an_empty_set_keeps_its_buffer() {
+        let mut s = set(&[(0, 2), (4, 6), (8, 10), (12, 14)]);
+        s.clear();
+        let (ptr, cap) = (s.ivs.as_ptr(), s.ivs.capacity());
+        s.insert_set(&set(&[(1, 3), (5, 7)]));
+        assert_eq!(s, set(&[(1, 3), (5, 7)]));
+        assert_eq!(s.ivs.capacity(), cap);
+        assert_eq!(s.ivs.as_ptr(), ptr);
     }
 
     #[test]

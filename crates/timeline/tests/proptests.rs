@@ -203,6 +203,16 @@ proptest! {
     }
 
     #[test]
+    fn shift_in_place_equals_shifted(ranges in arb_ranges(), delta in 0u64..1 << 40) {
+        let s = build(&ranges);
+        let mut t = s.clone();
+        t.shift_in_place(delta);
+        prop_assert!(t.is_normalized());
+        prop_assert!(t.eq_shifted(&s, delta));
+        prop_assert_eq!(t, s.shifted(delta));
+    }
+
+    #[test]
     fn total_slots_additive_for_disjoint(r1 in arb_ranges(), r2 in arb_ranges()) {
         let a = build(&r1);
         let mut b = build(&r2);

@@ -237,8 +237,13 @@ fn bench_smoke() -> ExitCode {
     }
 }
 
+/// Outcome digests of the default soak, per seed. Tier-1
+/// (`tests/service_soak.rs`) pins the first seed; this gate pins both.
+const SOAK_DIGESTS: [(u64, &str); 2] = [(11, "b4ae16e9536366c4"), (23, "3a638172e9d12986")];
+
 fn soak(args: &[String]) -> ExitCode {
-    let cfg = if args.iter().any(|a| a == "--small") {
+    let small = args.iter().any(|a| a == "--small");
+    let cfg = if small {
         taps_service::SoakConfig::small()
     } else {
         taps_service::SoakConfig::default()
@@ -248,9 +253,19 @@ fn soak(args: &[String]) -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     }
-    let (lines, failures) = taps_service::run_soak(&cfg);
+    let (lines, mut failures) = taps_service::run_soak(&cfg);
     for l in &lines {
         println!("xtask soak: {l}");
+    }
+    if !small {
+        for (line, (seed, digest)) in lines.iter().zip(SOAK_DIGESTS) {
+            if !line.ends_with(&format!("digest {digest}")) {
+                failures.push(taps_service::SoakFailure {
+                    seed,
+                    what: format!("digest moved from the pinned {digest}: {line}"),
+                });
+            }
+        }
     }
     if failures.is_empty() {
         println!(
