@@ -305,7 +305,9 @@ fn bench_flowsim_round(c: &mut Criterion) {
 /// of a registry that remembers 0, 5 000 or 20 000 retired flows (an
 /// iteration is the probe plus the TERMs that restore the in-flight
 /// set): time must stay flat, since the probe path iterates the
-/// in-flight index only.
+/// in-flight index only. `reallocate_all` re-packs the same in-flight
+/// set with nothing changed: a pure-translation pass whose commit keeps
+/// every flow, so it isolates what a kept flow costs.
 fn bench_sdn_handle_probe(c: &mut Criterion) {
     let mut g = c.benchmark_group("sdn/handle_probe");
     g.sample_size(10);
@@ -316,6 +318,10 @@ fn bench_sdn_handle_probe(c: &mut Criterion) {
             b.iter(|| black_box(aged.probe_and_retire()));
         });
     }
+    g.bench_with_input(BenchmarkId::new("reallocate_all", 0), &0, |b, &n| {
+        let mut aged = AgedController::new(&topo, n);
+        b.iter(|| black_box(aged.reallocate_all()));
+    });
     g.finish();
 }
 

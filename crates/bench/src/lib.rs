@@ -60,17 +60,21 @@ pub enum Scale {
     Paper,
 }
 
-impl Scale {
+impl std::str::FromStr for Scale {
+    type Err = ();
+
     /// Parses `tiny` / `small` / `paper`.
-    pub fn parse(s: &str) -> Scale {
+    fn from_str(s: &str) -> Result<Scale, ()> {
         match s {
-            "tiny" => Scale::Tiny,
-            "small" => Scale::Small,
-            "paper" => Scale::Paper,
-            other => panic!("unknown scale {other} (tiny|small|paper)"),
+            "tiny" => Ok(Scale::Tiny),
+            "small" => Ok(Scale::Small),
+            "paper" => Ok(Scale::Paper),
+            _ => Err(()),
         }
     }
+}
 
+impl Scale {
     /// The single-rooted tree of Fig. 5 at this scale.
     pub fn single_rooted_topo(self) -> Topology {
         match self {
@@ -349,6 +353,17 @@ pub fn maybe_write_json(args: &Args, rows: &[Row]) {
     }
 }
 
+/// Prints a one-line usage error and exits with status 2, as
+/// `taps-serviced` and `taps-load` do for a malformed flag.
+fn usage_error(msg: &str) -> ! {
+    let bin = std::env::args().next().unwrap_or_default();
+    let bin = std::path::Path::new(&bin)
+        .file_name()
+        .map_or_else(String::new, |n| n.to_string_lossy().into_owned());
+    eprintln!("{bin}: {msg}");
+    std::process::exit(2)
+}
+
 /// Minimal `--key value` / `--key=value` / `--flag` argument parser (the
 /// workspace avoids a CLI dependency).
 #[derive(Clone, Debug, Default)]
@@ -358,18 +373,20 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses `std::env::args()`.
+    /// Parses `std::env::args()`; a malformed command line exits 2 with
+    /// a one-line message.
     pub fn parse() -> Args {
-        Self::parse_from(std::env::args().skip(1))
+        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|e| usage_error(&e))
     }
 
-    /// Parses an explicit iterator (tests).
-    pub fn parse_from<I: IntoIterator<Item = String>>(iter: I) -> Args {
+    /// Parses an explicit iterator; a positional argument is an error
+    /// naming it.
+    pub fn parse_from<I: IntoIterator<Item = String>>(iter: I) -> Result<Args, String> {
         let mut args = Args::default();
         let mut it = iter.into_iter().peekable();
         while let Some(a) = it.next() {
             let Some(key) = a.strip_prefix("--") else {
-                panic!("unexpected positional argument {a}");
+                return Err(format!("unexpected positional argument {a:?}"));
             };
             if let Some((k, v)) = key.split_once('=') {
                 args.kv.push((k.to_string(), v.to_string()));
@@ -379,7 +396,7 @@ impl Args {
                 args.flags.push(key.to_string());
             }
         }
-        args
+        Ok(args)
     }
 
     /// String value of `--key`.
@@ -391,23 +408,28 @@ impl Args {
             .map(|(_, v)| v.clone())
     }
 
-    /// `f64` value of `--key`, or `default`.
-    pub fn get_f64(&self, key: &str, default: f64) -> f64 {
+    /// The value of `--key` parsed as `T`, `None` when absent; a value
+    /// that does not parse is an error naming the flag and the value.
+    pub(crate) fn value<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
         self.get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} wants a number"))
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|_| format!("invalid value for --{key}: {raw:?}"))
             })
+            .transpose()
+    }
+
+    /// `f64` value of `--key`, or `default`; a malformed one exits 2.
+    pub fn get_f64(&self, key: &str, default: f64) -> f64 {
+        self.value(key)
+            .unwrap_or_else(|e| usage_error(&e))
             .unwrap_or(default)
     }
 
-    /// `usize` value of `--key`, or `default`.
+    /// `usize` value of `--key`, or `default`; a malformed one exits 2.
     pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} wants an integer"))
-            })
+        self.value(key)
+            .unwrap_or_else(|e| usage_error(&e))
             .unwrap_or(default)
     }
 
@@ -416,9 +438,12 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
-    /// The scale preset (`--scale tiny|small|paper`, default small).
+    /// The scale preset (`--scale tiny|small|paper`, default small); an
+    /// unknown one exits 2.
     pub fn scale(&self) -> Scale {
-        Scale::parse(&self.get("scale").unwrap_or_else(|| "small".into()))
+        self.value("scale")
+            .unwrap_or_else(|e| usage_error(&format!("{e} (tiny|small|paper)")))
+            .unwrap_or(Scale::Small)
     }
 
     /// Seeds per point (`--seeds N`, default 3).
@@ -444,12 +469,33 @@ mod tests {
             ]
             .iter()
             .map(|s| s.to_string()),
-        );
+        )
+        .unwrap();
         assert_eq!(a.scale(), Scale::Tiny);
         assert_eq!(a.seeds(), 5);
         assert!(a.has_flag("verbose"));
         assert_eq!(a.get("json").as_deref(), Some("out.json"));
         assert_eq!(a.get_f64("missing", 1.5), 1.5);
+    }
+
+    #[test]
+    fn a_malformed_flag_is_an_error_naming_it() {
+        let args = |v: &[&str]| Args::parse_from(v.iter().map(|s| s.to_string()));
+        assert_eq!(
+            args(&["--seeds", "2", "tiny"]).unwrap_err(),
+            "unexpected positional argument \"tiny\""
+        );
+        let a = args(&["--seeds", "two", "--load=0.5"]).unwrap();
+        assert_eq!(
+            a.value::<usize>("seeds"),
+            Err("invalid value for --seeds: \"two\"".to_string())
+        );
+        assert_eq!(a.value::<f64>("load"), Ok(Some(0.5)));
+        assert_eq!(a.value::<usize>("missing"), Ok(None));
+        assert!(args(&["--scale", "huge"])
+            .unwrap()
+            .value::<Scale>("scale")
+            .is_err());
     }
 
     #[test]

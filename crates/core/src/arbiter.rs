@@ -6,10 +6,10 @@
 //! module is that loop and everything it owns: F_tmp, the allocation
 //! engine with its delta cache and demand buffer, per-task degradation
 //! on disconnection, the pure rule [`decide`], the recovery re-pack, the
-//! commit-time validator and the decision / grant trace events. The
-//! flowsim scheduler ([`crate::Taps`]) and the SDN controller are
-//! adapters: neither has a rule, a degradation loop or a validator call
-//! of its own.
+//! commit — validator, committed pass and its diff against the one
+//! before — and the decision / grant trace events. The flowsim scheduler
+//! ([`crate::Taps`]) and the SDN controller are adapters: neither has a
+//! rule, a degradation loop, a validator call or a schedule of its own.
 
 use crate::alloc::{AllocEngine, AllocError, FlowAlloc, FlowDemand};
 use crate::delta::DeltaCache;
@@ -225,6 +225,34 @@ pub struct Dropped {
     pub flows: Vec<usize>,
 }
 
+/// A committed flow whose route goes away: its rank in
+/// [`ChangeSet::prev`], and whether the flow left the schedule or stays
+/// in it on another path.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Withdrawal {
+    /// Rank of the flow's allocation in [`ChangeSet::prev`].
+    pub rank: usize,
+    /// The flow is not in the new pass (finished, dropped, or the
+    /// newcomer of a rejected task); otherwise it was re-routed.
+    pub departed: bool,
+}
+
+/// What [`Arbiter::commit`] changed: one id-ordered merge of the
+/// previous committed pass with the new one. A flow in both on the same
+/// path is *kept* and appears in neither list.
+#[derive(Debug)]
+pub struct ChangeSet {
+    /// The previously committed pass, in its F_tmp order.
+    pub prev: Vec<FlowAlloc>,
+    /// Re-routed and departed flows, ascending id: the routes to
+    /// withdraw.
+    pub withdrawn: Vec<Withdrawal>,
+    /// Ranks into the new pass ([`Arbiter::committed_pass`]) of the new
+    /// and re-routed flows, ascending — priority order: the routes to
+    /// install.
+    pub fresh: Vec<usize>,
+}
+
 /// The result of [`Arbiter::admit`].
 #[derive(Debug)]
 pub struct Admission {
@@ -248,8 +276,13 @@ pub struct Arbiter {
     engine: AllocEngine,
     delta: DeltaCache,
     /// The demands of the most recent pass, in F_tmp order: what
-    /// [`Self::check_commit`] validates that pass's allocation against.
+    /// [`Self::commit`] validates that pass's allocation against.
     demands: Vec<FlowDemand>,
+    /// The committed pass, in F_tmp order as of its commit.
+    committed: Vec<FlowAlloc>,
+    /// `(flow id, rank in committed)` of every committed flow not
+    /// forgotten since, sorted by id.
+    committed_index: Vec<(usize, usize)>,
     #[cfg(feature = "obs")]
     trace: Option<std::sync::Arc<dyn taps_obs::TraceSink>>,
 }
@@ -263,6 +296,8 @@ impl Arbiter {
             engine: AllocEngine::new(slot, max_candidate_paths),
             delta: DeltaCache::new(),
             demands: Vec::new(),
+            committed: Vec::new(),
+            committed_index: Vec::new(),
             #[cfg(feature = "obs")]
             trace: None,
         }
@@ -283,7 +318,7 @@ impl Arbiter {
     /// One tentative Alg. 2/3 run over F_tmp, in its order, from a clean
     /// occupancy state; the allocations come back in that same order.
     /// No degradation: a disconnected flow fails the pass.
-    // lint: l7-ok(allocation-layer primitive below the validation boundary: both callers pass the batch through Arbiter::check_commit in their commit before exposing it)
+    // lint: l7-ok(allocation-layer primitive below the validation boundary: both callers commit the batch through Arbiter::commit, which validates it, before exposing it)
     pub fn tentative(
         &mut self,
         topo: &Topology,
@@ -368,7 +403,7 @@ impl Arbiter {
     /// Trace order: `AllocAttempt` for the first degrading pass, then
     /// `Admit`, `Preempt` + `Admit`, or `Reject` with its reason; the
     /// second pass is silent.
-    // lint: l7-ok(allocation-layer primitive below the validation boundary: both callers pass the returned batch through Arbiter::check_commit in their commit before exposing it)
+    // lint: l7-ok(allocation-layer primitive below the validation boundary: both callers commit the returned batch through Arbiter::commit, which validates it, before exposing it)
     pub fn admit(
         &mut self,
         topo: &Topology,
@@ -487,7 +522,7 @@ impl Arbiter {
     /// deadline (the reject rule applied to the re-pack), freeing their
     /// slots for tasks that can still finish; under `NeverPreempt` /
     /// `AlwaysAdmit` late flows keep their slices and miss naturally.
-    // lint: l7-ok(allocation-layer primitive below the validation boundary: both callers pass the returned batch through Arbiter::check_commit in their commit before exposing it)
+    // lint: l7-ok(allocation-layer primitive below the validation boundary: both callers commit the returned batch through Arbiter::commit, which validates it, before exposing it)
     pub fn repack(&mut self, topo: &Topology, start_slot: u64) -> (Vec<FlowAlloc>, Vec<Dropped>) {
         // Absorb a fault epoch into the delta cache first (a no-op when
         // it did not move): the re-pack then re-searches only the flows
@@ -511,30 +546,127 @@ impl Arbiter {
         }
     }
 
-    /// The commit-time validator: checks `allocs` — the allocation the
-    /// most recent pass returned — against the schedule invariants
-    /// (link-exclusivity, demand-conservation, deadline consistency, full
-    /// slot release) and panics with the structured report on a
-    /// violation. Runs with the `validate` feature (default) in
-    /// debug/test builds, or in any build when `force` is set.
-    pub fn check_commit(&self, topo: &Topology, allocs: &[FlowAlloc], force: bool) {
+    /// Commits `allocs` — the allocation the most recent pass returned —
+    /// as the committed pass and returns what changed against the one
+    /// before.
+    ///
+    /// First the commit-time validator checks the whole schedule against
+    /// its invariants (link-exclusivity, demand-conservation, deadline
+    /// consistency, full slot release) and panics with the structured
+    /// report on a violation; it runs with the `validate` feature
+    /// (default) in debug/test builds, or in any build when `force` is
+    /// set. Then one merge of the old and new `(id, rank)` indexes, in id
+    /// order, sorts every flow into kept (same path), re-routed, departed
+    /// or new; kept flows cost one path comparison. The new index is the
+    /// delta cache's, which sorted it for the pass it just installed.
+    pub fn commit(&mut self, topo: &Topology, allocs: Vec<FlowAlloc>, force: bool) -> ChangeSet {
         #[cfg(not(feature = "validate"))]
-        let _ = (topo, allocs, force);
+        let _ = (topo, force);
         #[cfg(feature = "validate")]
         if force || cfg!(debug_assertions) {
             let mut report = crate::validate::check_schedule(
                 topo,
                 self.engine.slot_duration(),
                 &self.demands,
-                allocs,
+                &allocs,
                 "commit: schedule",
             );
             report.violations.extend(
-                crate::validate::check_occupancy(topo, &self.engine, allocs, "commit: occupancy")
+                crate::validate::check_occupancy(topo, &self.engine, &allocs, "commit: occupancy")
                     .violations,
             );
             assert!(report.is_clean(), "{report}");
         }
+        let index = self.delta.index();
+        debug_assert!(
+            index.len() == allocs.len()
+                && index.windows(2).all(|w| w[0].0 < w[1].0)
+                && index.iter().all(|&(id, rank)| allocs[rank].id == id),
+            "the delta cache indexes the pass being committed"
+        );
+        let (old, prev) = (&self.committed_index, &self.committed);
+        let mut withdrawn = Vec::new();
+        let mut fresh = Vec::new();
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() || j < index.len() {
+            let order = match (old.get(i), index.get(j)) {
+                (Some(o), Some(n)) => o.0.cmp(&n.0),
+                (Some(_), None) => Ordering::Less,
+                _ => Ordering::Greater,
+            };
+            match order {
+                // Only in the old pass: departed.
+                Ordering::Less => {
+                    withdrawn.push(Withdrawal {
+                        rank: old[i].1,
+                        departed: true,
+                    });
+                    i += 1;
+                }
+                // Only in the new pass: new.
+                Ordering::Greater => {
+                    fresh.push(index[j].1);
+                    j += 1;
+                }
+                // In both: kept, unless its path moved.
+                Ordering::Equal => {
+                    let (orank, nrank) = (old[i].1, index[j].1);
+                    if prev[orank].path != allocs[nrank].path {
+                        withdrawn.push(Withdrawal {
+                            rank: orank,
+                            departed: false,
+                        });
+                        fresh.push(nrank);
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        fresh.sort_unstable();
+        self.committed_index.clear();
+        self.committed_index.extend_from_slice(index);
+        ChangeSet {
+            prev: std::mem::replace(&mut self.committed, allocs),
+            withdrawn,
+            fresh,
+        }
+    }
+
+    /// The committed pass, in F_tmp order, as it was committed: a flow
+    /// [forgotten](Self::forget_committed) since is still in it.
+    pub fn committed_pass(&self) -> &[FlowAlloc] {
+        &self.committed
+    }
+
+    /// Where `flow` sits in the committed index, unless it was
+    /// forgotten.
+    fn committed_at(&self, flow: usize) -> Option<usize> {
+        self.committed_index
+            .binary_search_by_key(&flow, |&(id, _)| id)
+            .ok()
+    }
+
+    /// The committed allocation of `flow`, unless it was forgotten.
+    pub fn committed(&self, flow: usize) -> Option<&FlowAlloc> {
+        let at = self.committed_at(flow)?;
+        Some(&self.committed[self.committed_index[at].1])
+    }
+
+    /// Every committed flow not forgotten, in ascending id.
+    pub fn committed_by_id(&self) -> impl Iterator<Item = &FlowAlloc> + '_ {
+        self.committed_index
+            .iter()
+            .map(|&(_, rank)| &self.committed[rank])
+    }
+
+    /// Drops `flow` from the committed index (it finished) and returns
+    /// its allocation; the next commit then neither keeps nor withdraws
+    /// it.
+    pub fn forget_committed(&mut self, flow: usize) -> Option<&FlowAlloc> {
+        let at = self.committed_at(flow)?;
+        let (_, rank) = self.committed_index.remove(at);
+        Some(&self.committed[rank])
     }
 
     /// Emits the `GrantIssued` + `GrantHop` + `GrantSlice` burst of one
@@ -775,6 +907,230 @@ mod tests {
                 decide(&late, newcomer, RejectPolicy::AlwaysAdmit, standing),
                 RejectDecision::Accept
             );
+        }
+    }
+
+    /// One step of a commit history, drawn blind; [`run_commits`] maps it
+    /// onto whatever is in flight at that point.
+    #[derive(Clone, Debug)]
+    enum CommitOp {
+        /// A task of `flows` flows arrives; a pass is committed.
+        Arrive { flows: u8, size: u8, deadline: u8 },
+        /// The `n`-th in-flight flow finishes: it leaves F_tmp and the
+        /// committed index, and no pass runs (a TERM).
+        Term(usize),
+        /// The `n`-th in-flight flow reports progress; a pass is
+        /// committed.
+        Progress(usize, u8),
+        /// The task of the `n`-th in-flight flow leaves F_tmp but not
+        /// the committed index (preempted, say); a pass is committed.
+        DropTask(usize),
+        /// A pass over an unchanged F_tmp, `0..3` slots later.
+        Pass(u8),
+    }
+
+    fn commit_op() -> impl Strategy<Value = CommitOp> {
+        (0u8..11, any::<usize>(), 1u8..4, 2u8..8).prop_map(|(kind, n, a, b)| match kind {
+            0..=3 => CommitOp::Arrive {
+                flows: a,
+                size: a,
+                deadline: b,
+            },
+            4..=5 => CommitOp::Term(n),
+            6..=7 => CommitOp::Progress(n, a),
+            8 => CommitOp::DropTask(n),
+            _ => CommitOp::Pass(a - 1),
+        })
+    }
+
+    /// How often each class of [`Arbiter::commit`]'s diff came up.
+    #[derive(Debug, Default)]
+    struct DiffsSeen {
+        kept: usize,
+        rerouted: usize,
+        departed: usize,
+        new: usize,
+    }
+
+    /// Drives an arbiter on `fat_tree(4)` through `ops`, committing every
+    /// pass, and checks each change set against a brute-force diff of a
+    /// model schedule (flow id → committed path, less TERMed flows).
+    fn run_commits(ops: &[CommitOp], seen: &mut DiffsSeen) {
+        use taps_topology::build::{fat_tree, GBPS};
+        use taps_topology::Path;
+
+        let topo = fat_tree(4, GBPS);
+        let hosts = topo.num_hosts();
+        let mut arb = Arbiter::new(1.0, 8, RejectPolicy::Paper);
+        let mut model: BTreeMap<usize, Path> = BTreeMap::new();
+        let (mut slot, mut next_id, mut next_task) = (0u64, 0usize, 0usize);
+        for op in ops {
+            let pick = |arb: &Arbiter, n: usize| {
+                let live = arb.ftmp.entries();
+                (!live.is_empty()).then(|| live[n % live.len()].clone())
+            };
+            match *op {
+                CommitOp::Arrive {
+                    flows,
+                    size,
+                    deadline,
+                } => {
+                    for _ in 0..flows {
+                        let src = (next_id * 7) % hosts;
+                        arb.ftmp.insert(InFlight {
+                            id: next_id,
+                            task: next_task,
+                            src,
+                            dst: (src + 1 + next_id % (hosts - 1)) % hosts,
+                            remaining: f64::from(size) * GBPS,
+                            deadline: (slot + u64::from(deadline)) as f64,
+                        });
+                        next_id += 1;
+                    }
+                    next_task += 1;
+                }
+                CommitOp::Term(n) => {
+                    if let Some(e) = pick(&arb, n) {
+                        arb.ftmp.remove(&e);
+                        let al = arb.forget_committed(e.id);
+                        assert_eq!(al.map(|al| &al.path), model.get(&e.id));
+                        model.remove(&e.id);
+                        assert!(arb.committed(e.id).is_none());
+                    }
+                    continue;
+                }
+                CommitOp::Progress(n, left) => {
+                    if let Some(e) = pick(&arb, n) {
+                        let moved = InFlight {
+                            remaining: f64::from(left) * GBPS / 2.0,
+                            ..e.clone()
+                        };
+                        arb.ftmp.rekey(&e, moved);
+                    }
+                }
+                CommitOp::DropTask(n) => {
+                    if let Some(e) = pick(&arb, n) {
+                        arb.take_task(e.task);
+                    }
+                }
+                CommitOp::Pass(later) => slot += u64::from(later),
+            }
+            let allocs = arb
+                .tentative(&topo, slot)
+                .expect("no faults, no disconnection");
+            let pass: BTreeMap<usize, Path> =
+                allocs.iter().map(|al| (al.id, al.path.clone())).collect();
+            let changes = arb.commit(&topo, allocs, true);
+
+            // The brute-force diff of the model against the new pass.
+            let (mut kept, mut rerouted, mut departed, mut new) =
+                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            for (&id, path) in &model {
+                match pass.get(&id) {
+                    Some(p) if p == path => kept.push(id),
+                    Some(_) => rerouted.push(id),
+                    None => departed.push(id),
+                }
+            }
+            new.extend(pass.keys().filter(|id| !model.contains_key(id)));
+
+            let committed = arb.committed_pass();
+            let withdrawn: Vec<usize> = changes
+                .withdrawn
+                .iter()
+                .map(|w| changes.prev[w.rank].id)
+                .collect();
+            assert!(
+                withdrawn.windows(2).all(|w| w[0] < w[1]),
+                "withdrawals not in ascending id: {withdrawn:?}"
+            );
+            assert!(
+                changes.fresh.windows(2).all(|w| w[0] < w[1]),
+                "installs not in priority order: {:?}",
+                changes.fresh
+            );
+            let of = |departed: bool| -> Vec<usize> {
+                let mut ids: Vec<usize> = changes
+                    .withdrawn
+                    .iter()
+                    .filter(|w| w.departed == departed)
+                    .map(|w| changes.prev[w.rank].id)
+                    .collect();
+                ids.sort_unstable();
+                ids
+            };
+            assert_eq!(of(true), departed, "departed");
+            assert_eq!(of(false), rerouted, "re-routed");
+            let mut fresh: Vec<usize> = changes.fresh.iter().map(|&r| committed[r].id).collect();
+            fresh.sort_unstable();
+            let mut want: Vec<usize> = rerouted.iter().chain(&new).copied().collect();
+            want.sort_unstable();
+            assert_eq!(fresh, want, "installs are the re-routed and new flows");
+            let mut unchanged: Vec<usize> = committed
+                .iter()
+                .map(|al| al.id)
+                .filter(|id| fresh.binary_search(id).is_err())
+                .collect();
+            unchanged.sort_unstable();
+            assert_eq!(unchanged, kept, "kept");
+
+            // The index covers exactly the committed flows, in id order.
+            let indexed: Vec<usize> = arb.committed_by_id().map(|al| al.id).collect();
+            assert_eq!(indexed, pass.keys().copied().collect::<Vec<_>>());
+            for al in committed {
+                assert_eq!(arb.committed(al.id).map(|c| c.id), Some(al.id));
+            }
+            seen.kept += kept.len();
+            seen.rerouted += rerouted.len();
+            seen.departed += departed.len();
+            seen.new += new.len();
+            model = pass;
+        }
+    }
+
+    /// The histories are only a witness if every class of the diff
+    /// comes up.
+    #[test]
+    fn random_commit_histories_reach_every_diff_class() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut seen = DiffsSeen::default();
+        for seed in 0..4 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let ops: Vec<CommitOp> = (0..60)
+                .map(|_| {
+                    let (a, b) = (rng.gen_range(1u8..4), rng.gen_range(2u8..8));
+                    let n = rng.gen_range(0..usize::MAX);
+                    match rng.gen_range(0u8..11) {
+                        0..=3 => CommitOp::Arrive {
+                            flows: a,
+                            size: a,
+                            deadline: b,
+                        },
+                        4..=5 => CommitOp::Term(n),
+                        6..=7 => CommitOp::Progress(n, a),
+                        8 => CommitOp::DropTask(n),
+                        _ => CommitOp::Pass(a - 1),
+                    }
+                })
+                .collect();
+            run_commits(&ops, &mut seen);
+        }
+        assert!(
+            seen.kept > 0 && seen.rerouted > 0 && seen.departed > 0 && seen.new > 0,
+            "{seen:?}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Every change set equals the brute-force diff of the previous
+        /// committed schedule (less TERMed flows) against the new pass.
+        #[test]
+        fn a_commit_diffs_like_the_brute_force_oracle(ops in prop::collection::vec(commit_op(), 1..40)) {
+            run_commits(&ops, &mut DiffsSeen::default());
         }
     }
 

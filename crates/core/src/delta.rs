@@ -243,6 +243,13 @@ impl DeltaCache {
         self.valid = false;
     }
 
+    /// `(flow id, rank)` of the last successful pass, sorted by id — the
+    /// index [`crate::arbiter::Arbiter::commit`] keeps of the pass it
+    /// commits (until a fault is absorbed, which drops entries).
+    pub(crate) fn index(&self) -> &[(usize, usize)] {
+        &self.index
+    }
+
     /// Makes the `len` entries the pass wrote into `next` the cached
     /// pass.
     fn install(&mut self, topo: &Topology, len: usize, start_slot: u64) {

@@ -13,11 +13,13 @@
 //! re-pack starts exactly there.
 
 use crate::alloc::FlowAlloc;
+#[cfg(feature = "obs")]
+use crate::arbiter::ChangeSet;
 use crate::arbiter::{Arbiter, Dropped, InFlight, RejectDecision, RejectPolicy, Standing};
 use crate::obs::obs_event;
 #[cfg(feature = "obs")]
 use crate::obs::obs_id;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use taps_flowsim::{DeadlineAction, FaultEvent, FlowId, FlowStatus, Scheduler, SimCtx, TaskId};
 use taps_timeline::slots;
 
@@ -54,14 +56,11 @@ impl Default for TapsConfig {
 /// The TAPS scheduler (the paper's §IV-C controller, simulated).
 pub struct Taps {
     cfg: TapsConfig,
-    /// Alg. 1. Its F_tmp is rebuilt from the simulator's live flows at
-    /// every admission: flowsim flows progress continuously, so every
-    /// transmitting flow would re-key between two arrivals anyway.
+    /// Alg. 1 and the committed schedule. Its F_tmp is rebuilt from the
+    /// simulator's live flows at every admission: flowsim flows progress
+    /// continuously, so every transmitting flow would re-key between two
+    /// arrivals anyway.
     arbiter: Arbiter,
-    /// Committed schedule per flow. Ordered map: `rebuild_timeline`
-    /// iterates it, and decision-path iteration order must be
-    /// deterministic (lint rule L1).
-    schedules: BTreeMap<FlowId, FlowAlloc>,
     /// Flattened slice boundaries of the committed schedule:
     /// `(slot, flow, on)`, sorted; `ptr` advances with time.
     timeline: Vec<(u64, FlowId, bool)>,
@@ -98,7 +97,6 @@ impl Taps {
         Taps {
             cfg,
             arbiter,
-            schedules: BTreeMap::new(),
             timeline: Vec::new(),
             ptr: 0,
             on: Vec::new(),
@@ -139,7 +137,7 @@ impl Taps {
 
     /// The committed slice schedule of a flow, if any.
     pub fn schedule_of(&self, flow: FlowId) -> Option<&FlowAlloc> {
-        self.schedules.get(&flow)
+        self.arbiter.committed(flow)
     }
 
     #[inline]
@@ -177,53 +175,51 @@ impl Taps {
         }
     }
 
-    /// Commits allocations: stores schedules, installs routes, rebuilds
-    /// the boundary timeline. `allocs` is what the arbiter's last pass
-    /// returned, so every commit — i.e. every admission, reject, and
-    /// preemption outcome — goes through its validator first.
+    /// Commits allocations through the arbiter, which validates them
+    /// first — every admission, reject and preemption outcome — then
+    /// routes the new and re-routed flows and rebuilds the boundary
+    /// timeline. `allocs` is what the arbiter's last pass returned. A
+    /// kept flow's route is already the one it was routed on: routes are
+    /// only cleared when a flow retires, and a retired flow is never in
+    /// a pass again.
     fn commit(&mut self, ctx: &mut SimCtx<'_>, allocs: Vec<FlowAlloc>) {
-        self.arbiter.check_commit(ctx.topo(), &allocs, false);
+        let changes = self.arbiter.commit(ctx.topo(), allocs, false);
         #[cfg(feature = "obs")]
-        self.emit_commit_trace(ctx, &allocs);
-        self.schedules.clear();
-        for al in allocs {
-            ctx.set_route(al.id, al.path.clone());
-            self.schedules.insert(al.id, al);
+        self.emit_commit_trace(ctx.now(), &changes);
+        let pass = self.arbiter.committed_pass();
+        for &rank in &changes.fresh {
+            ctx.set_route(pass[rank].id, pass[rank].path.clone());
         }
         self.rebuild_timeline(ctx.now());
     }
 
     /// Emits the trace burst for one commit: `GrantRevoked` for every
-    /// flow whose previous schedule does not survive into `allocs`
-    /// (preemption victims, doomed/disconnected discards), then a full
-    /// grant snapshot — `GrantIssued` plus its `GrantHop`/`GrantSlice`
-    /// details per flow — bracketed by `CommitBegin`/`CommitEnd`.
+    /// flow whose previous schedule does not survive into the new pass
+    /// (preemption victims, doomed/disconnected discards, finished
+    /// flows), then a full grant snapshot — `GrantIssued` plus its
+    /// `GrantHop`/`GrantSlice` details per flow — bracketed by
+    /// `CommitBegin`/`CommitEnd`.
     #[cfg(feature = "obs")]
-    fn emit_commit_trace(&mut self, ctx: &SimCtx<'_>, allocs: &[FlowAlloc]) {
+    fn emit_commit_trace(&mut self, now: f64, changes: &ChangeSet) {
         if self.trace.is_none() {
             return;
         }
-        let now = ctx.now();
         let gen = self.commit_gen;
         self.commit_gen += 1;
-        // Sorted id list + binary search instead of a per-commit tree
-        // allocation: this runs on every admission (hot path).
-        let mut kept: Vec<FlowId> = allocs.iter().map(|al| al.id).collect();
-        kept.sort_unstable();
-        for &fid in self.schedules.keys() {
-            if kept.binary_search(&fid).is_err() {
-                obs_event!(self.trace, now, GrantRevoked { flow: obs_id(fid) });
-            }
+        for w in changes.withdrawn.iter().filter(|w| w.departed) {
+            let fid = changes.prev[w.rank].id;
+            obs_event!(self.trace, now, GrantRevoked { flow: obs_id(fid) });
         }
+        let pass = self.arbiter.committed_pass();
         obs_event!(
             self.trace,
             now,
             CommitBegin {
                 gen,
-                flows: obs_id(allocs.len())
+                flows: obs_id(pass.len())
             }
         );
-        for al in allocs {
+        for al in pass {
             self.arbiter.trace_grant(now, al, 0, gen);
         }
         obs_event!(self.trace, now, CommitEnd { gen });
@@ -231,14 +227,16 @@ impl Taps {
 
     fn rebuild_timeline(&mut self, now: f64) {
         self.timeline.clear();
-        for (&fid, al) in &self.schedules {
+        for al in self.arbiter.committed_pass() {
             for iv in al.slices.intervals() {
-                self.timeline.push((iv.start, fid, true));
-                self.timeline.push((iv.end, fid, false));
+                self.timeline.push((iv.start, al.id, true));
+                self.timeline.push((iv.end, al.id, false));
             }
         }
         // Sort by slot; "off" (false) before "on" so back-to-back slices
-        // of different flows hand over cleanly at the boundary.
+        // of different flows hand over cleanly at the boundary. The key
+        // is the whole entry, so the order the pass lists flows in does
+        // not matter.
         self.timeline.sort_unstable_by_key(|&(s, f, on)| (s, on, f));
         self.ptr = 0;
         self.on.clear();

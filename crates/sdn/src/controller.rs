@@ -3,7 +3,7 @@
 //! schedule, then installs/withdraws forwarding entries and hands out
 //! time-slice grants. What lives here is the SDN side of the loop: the
 //! durable flow registry, the decision cache, `(epoch, gen)` stamps,
-//! switch tables and the command diff.
+//! switch tables and the commands that realize each commit's change set.
 
 use crate::messages::{FlowGrant, LinkEvent, ProbeHeader, SwitchCmd};
 use crate::obs::obs_event;
@@ -206,11 +206,11 @@ pub struct ControllerCheckpoint {
 pub struct Controller<'t> {
     topo: &'t Topology,
     cfg: ControllerConfig,
-    /// Alg. 1: the allocation engine, the reject rule and F_tmp — the
-    /// in-flight index (DESIGN.md §7), which this controller keeps equal
-    /// to the registry filtered by `!done`: every registry mutation that
-    /// inserts a flow, flips `done` or moves `delivered` updates it in
-    /// the same breath.
+    /// Alg. 1: the allocation engine, the reject rule, the committed
+    /// schedule and F_tmp — the in-flight index (DESIGN.md §7), which this
+    /// controller keeps equal to the registry filtered by `!done`: every
+    /// registry mutation that inserts a flow, flips `done` or moves
+    /// `delivered` updates it in the same breath.
     arbiter: Arbiter,
     /// The durable record of every flow ever registered: what
     /// checkpoints carry, duplicate probes replay against and `resync`
@@ -218,10 +218,6 @@ pub struct Controller<'t> {
     /// cannot resurrect a preempted one. Only `checkpoint` iterates it;
     /// every other path touches it by key.
     registry: BTreeMap<usize, FlowReg>,
-    /// Committed schedule per flow. An ordered map: `commit()` walks it
-    /// and control-plane command order must be deterministic (lint rule
-    /// L1).
-    schedule: BTreeMap<usize, FlowAlloc>,
     tables: Vec<FlowTable>,
     stats: ControlStats,
     /// Controller incarnation; bumped by [`Controller::restore`] so every
@@ -237,6 +233,10 @@ pub struct Controller<'t> {
     /// Trace sink for admission/commit/table events.
     #[cfg(feature = "obs")]
     trace: crate::obs::TraceHandle,
+    /// The former id → allocation schedule and its kept / stale diff,
+    /// replayed beside every commit and TERM when a test sets it.
+    #[cfg(test)]
+    oracle: Option<tests::CommitOracle>,
 }
 
 impl<'t> Controller<'t> {
@@ -251,7 +251,6 @@ impl<'t> Controller<'t> {
             cfg,
             arbiter,
             registry: BTreeMap::new(),
-            schedule: BTreeMap::new(),
             tables,
             stats: ControlStats::default(),
             epoch: 0,
@@ -259,6 +258,8 @@ impl<'t> Controller<'t> {
             decided: BTreeMap::new(),
             #[cfg(feature = "obs")]
             trace: crate::obs::TraceHandle::default(),
+            #[cfg(test)]
+            oracle: None,
         }
     }
 
@@ -282,19 +283,26 @@ impl<'t> Controller<'t> {
     /// The committed grant of a flow, if any, stamped with the current
     /// `(epoch, gen)`.
     pub fn grant_of(&self, flow: usize) -> Option<FlowGrant> {
-        self.schedule.get(&flow).map(|al| FlowGrant {
-            flow,
+        self.arbiter.committed(flow).map(|al| self.grant(al))
+    }
+
+    /// `al` as a grant stamped with the current `(epoch, gen)`.
+    fn grant(&self, al: &FlowAlloc) -> FlowGrant {
+        FlowGrant {
+            flow: al.id,
             slices: al.slices.clone(),
             path: al.path.clone(),
             epoch: self.epoch,
             gen: self.gen,
-        })
+        }
     }
 
     /// Total slots of a flow's committed grant, if any — what a reply
     /// summarises, without cloning the grant as [`Self::grant_of`] does.
     pub fn granted_slots(&self, flow: usize) -> Option<u64> {
-        self.schedule.get(&flow).map(|al| al.slices.total_slots())
+        self.arbiter
+            .committed(flow)
+            .map(|al| al.slices.total_slots())
     }
 
     /// Number of flows in flight (registered, not done): the length of
@@ -654,9 +662,9 @@ impl<'t> Controller<'t> {
         }
         let cmds = self.commit(now, allocs);
         let grants: Vec<FlowGrant> = self
-            .schedule
-            .keys()
-            .filter_map(|&f| self.grant_of(f))
+            .arbiter
+            .committed_by_id()
+            .map(|al| self.grant(al))
             .collect();
         self.stats.grants += grants.len();
         (grants, cmds)
@@ -678,7 +686,7 @@ impl<'t> Controller<'t> {
             r.delivered = r.size;
         }
         let mut cmds = Vec::new();
-        if let Some(al) = self.schedule.remove(&flow) {
+        if let Some(al) = self.arbiter.forget_committed(flow) {
             obs_event!(&self.trace, now, GrantRevoked { flow: obs_id(flow) });
             // The withdrawals must outrank the install that created the
             // entries (equal stamps resolve install-wins).
@@ -699,6 +707,10 @@ impl<'t> Controller<'t> {
                     cmds.push(SwitchCmd::Withdraw { node, flow });
                 }
             }
+        }
+        #[cfg(test)]
+        if let Some(oracle) = &mut self.oracle {
+            assert_eq!(cmds, oracle.term(self.topo, flow), "TERM of flow {flow}");
         }
         cmds
     }
@@ -806,56 +818,50 @@ impl<'t> Controller<'t> {
             .collect()
     }
 
-    /// Commits a new schedule: updates tables to match, emitting the diff
-    /// as switch commands.
+    /// Commits a new schedule through the arbiter and realizes its
+    /// change set: withdraws the routes of re-routed and departed flows
+    /// (ascending id), then installs those of new and re-routed flows
+    /// (priority order). A flow that keeps its path costs nothing here;
+    /// its new slices reach the senders as grants.
     ///
-    /// With the `validate` feature (default), the committed schedule is
-    /// first checked against the invariants (link-exclusivity,
-    /// demand-conservation, deadline consistency, full slot release) in
-    /// debug/test builds — or in any build when
-    /// [`ControllerConfig::force_validate`] is set (the chaos harness
-    /// runs release-mode with validation on); a violation panics with the
-    /// structured report.
+    /// The arbiter first validates the committed schedule against the
+    /// invariants (link-exclusivity, demand-conservation, deadline
+    /// consistency, full slot release) in debug/test builds — or in any
+    /// build when [`ControllerConfig::force_validate`] is set (the chaos
+    /// harness runs release-mode with validation on); a violation panics
+    /// with the structured report.
     fn commit(&mut self, now: f64, allocs: Vec<FlowAlloc>) -> Vec<SwitchCmd> {
         #[cfg(not(feature = "obs"))]
         let _ = now;
         self.gen += 1;
         // `allocs` is what the arbiter's last pass returned.
-        self.arbiter
-            .check_commit(self.topo, &allocs, self.cfg.force_validate);
+        let changes = self
+            .arbiter
+            .commit(self.topo, allocs, self.cfg.force_validate);
         let mut cmds = Vec::new();
-        // Withdraw entries of flows whose path changed or disappeared:
-        // every committed flow that does not keep its path, ascending id.
-        let schedule = &self.schedule;
-        let mut kept: Vec<usize> = allocs
-            .iter()
-            .filter(|al| schedule.get(&al.id).is_some_and(|old| old.path == al.path))
-            .map(|al| al.id)
-            .collect();
-        kept.sort_unstable();
-        let stale: Vec<usize> = schedule
-            .keys()
-            .filter(|id| kept.binary_search(id).is_err())
-            .copied()
-            .collect();
-        for id in stale {
-            // lint: panic-ok(invariant: `stale` ids were just drawn from `schedule.keys()`)
-            let al = self.schedule.remove(&id).expect("stale id came from keys");
-            obs_event!(&self.trace, now, GrantRevoked { flow: obs_id(id) });
+        for w in &changes.withdrawn {
+            let al = &changes.prev[w.rank];
+            obs_event!(
+                &self.trace,
+                now,
+                GrantRevoked {
+                    flow: obs_id(al.id)
+                }
+            );
             for l in &al.path.links {
                 let node = self.topo.link(*l).src;
                 if self.topo.node(node).kind.is_switch() {
-                    self.tables[node.idx()].withdraw(id);
+                    self.tables[node.idx()].withdraw(al.id);
                     self.stats.withdrawals += 1;
                     obs_event!(
                         &self.trace,
                         now,
                         EntryWithdrawn {
                             node: obs_id(node.idx()),
-                            flow: obs_id(id)
+                            flow: obs_id(al.id)
                         }
                     );
-                    cmds.push(SwitchCmd::Withdraw { node, flow: id });
+                    cmds.push(SwitchCmd::Withdraw { node, flow: al.id });
                 }
             }
         }
@@ -864,59 +870,73 @@ impl<'t> Controller<'t> {
             now,
             CommitBegin {
                 gen: self.gen,
-                flows: obs_id(allocs.len())
+                flows: obs_id(self.arbiter.committed_pass().len())
             }
         );
-        // Install entries for new/re-routed flows.
-        for al in allocs {
+        // Every committed flow's grant goes out in priority order (a no-op
+        // without a trace sink), each right before its own installs; kept
+        // flows install nothing.
+        let mut fresh = changes.fresh.iter().peekable();
+        for rank in 0..self.arbiter.committed_pass().len() {
             #[cfg(feature = "obs")]
-            self.arbiter.trace_grant(now, &al, self.epoch, self.gen);
-            if let std::collections::btree_map::Entry::Occupied(mut e) = self.schedule.entry(al.id)
-            {
-                // Same path: update slices only (no data-plane change).
-                e.insert(al);
+            self.arbiter.trace_grant(
+                now,
+                &self.arbiter.committed_pass()[rank],
+                self.epoch,
+                self.gen,
+            );
+            if fresh.next_if_eq(&&rank).is_some() {
+                self.install(now, rank, &mut cmds);
+            }
+        }
+        debug_assert!(fresh.next().is_none(), "fresh ranks not ascending");
+        obs_event!(&self.trace, now, CommitEnd { gen: self.gen });
+        #[cfg(test)]
+        if let Some(oracle) = &mut self.oracle {
+            let pass = self.arbiter.committed_pass();
+            assert_eq!(cmds, oracle.commit(self.topo, pass), "commit {}", self.gen);
+        }
+        cmds
+    }
+
+    /// Installs the route of the committed pass's flow at `rank` at every
+    /// switch on its path. A switch whose TAPS budget is full is skipped
+    /// and counted: the flow falls back to default routing there.
+    fn install(&mut self, now: f64, rank: usize, cmds: &mut Vec<SwitchCmd>) {
+        #[cfg(not(feature = "obs"))]
+        let _ = now;
+        let al = &self.arbiter.committed_pass()[rank];
+        for l in &al.path.links {
+            let node = self.topo.link(*l).src;
+            if !self.topo.node(node).kind.is_switch() {
                 continue;
             }
-            let mut ok = true;
-            for l in &al.path.links {
-                let node = self.topo.link(*l).src;
-                if !self.topo.node(node).kind.is_switch() {
-                    continue;
+            match self.tables[node.idx()].install(FlowEntry {
+                flow: al.id,
+                out_link: *l,
+            }) {
+                Ok(()) => {
+                    self.stats.installs += 1;
+                    obs_event!(
+                        &self.trace,
+                        now,
+                        EntryInstalled {
+                            node: obs_id(node.idx()),
+                            flow: obs_id(al.id),
+                            link: obs_id(l.idx())
+                        }
+                    );
+                    cmds.push(SwitchCmd::Install {
+                        node,
+                        flow: al.id,
+                        out_link: *l,
+                    });
                 }
-                match self.tables[node.idx()].install(FlowEntry {
-                    flow: al.id,
-                    out_link: *l,
-                }) {
-                    Ok(()) => {
-                        self.stats.installs += 1;
-                        obs_event!(
-                            &self.trace,
-                            now,
-                            EntryInstalled {
-                                node: obs_id(node.idx()),
-                                flow: obs_id(al.id),
-                                link: obs_id(l.idx())
-                            }
-                        );
-                        cmds.push(SwitchCmd::Install {
-                            node,
-                            flow: al.id,
-                            out_link: *l,
-                        });
-                    }
-                    Err(TableError::BudgetExhausted) => {
-                        self.stats.budget_drops += 1;
-                        ok = false;
-                    }
-                    // lint: panic-ok(invariant: conflicting entries were withdrawn in the stale pass above)
-                    Err(TableError::Conflict) => unreachable!("entry was withdrawn above"),
-                }
+                Err(TableError::BudgetExhausted) => self.stats.budget_drops += 1,
+                // lint: panic-ok(invariant: a re-routed flow's old entries were withdrawn before any install)
+                Err(TableError::Conflict) => unreachable!("entry was withdrawn above"),
             }
-            let _ = ok; // budget-dropped flows fall back to default routes
-            self.schedule.insert(al.id, al);
         }
-        obs_event!(&self.trace, now, CommitEnd { gen: self.gen });
-        cmds
     }
 }
 
@@ -1240,6 +1260,98 @@ mod tests {
         assert_eq!(indexed, scanned, "task membership diverged after {after}");
     }
 
+    /// What `Controller::commit` replaced, kept as its oracle: the
+    /// committed schedule as an id → allocation map and its own switch
+    /// tables. A commit collects the flows that keep their path, sorts
+    /// them by id, withdraws every other mapped flow in ascending id, then
+    /// installs in priority order every flow the map does not hold.
+    pub(super) struct CommitOracle {
+        schedule: BTreeMap<usize, FlowAlloc>,
+        tables: Vec<FlowTable>,
+        /// Commits replayed.
+        commits: usize,
+        /// Flows withdrawn and re-installed on another path by one commit.
+        rerouted: usize,
+    }
+
+    impl CommitOracle {
+        fn new(topo: &Topology, cfg: &ControllerConfig) -> Self {
+            CommitOracle {
+                schedule: BTreeMap::new(),
+                tables: (0..topo.num_nodes())
+                    .map(|_| FlowTable::new(cfg.table_capacity, cfg.table_budget))
+                    .collect(),
+                commits: 0,
+                rerouted: 0,
+            }
+        }
+
+        fn withdraw(&mut self, topo: &Topology, al: &FlowAlloc, cmds: &mut Vec<SwitchCmd>) {
+            for l in &al.path.links {
+                let node = topo.link(*l).src;
+                if topo.node(node).kind.is_switch() {
+                    self.tables[node.idx()].withdraw(al.id);
+                    cmds.push(SwitchCmd::Withdraw { node, flow: al.id });
+                }
+            }
+        }
+
+        pub(super) fn commit(&mut self, topo: &Topology, allocs: &[FlowAlloc]) -> Vec<SwitchCmd> {
+            self.commits += 1;
+            let schedule = &self.schedule;
+            let mut kept: Vec<usize> = allocs
+                .iter()
+                .filter(|al| schedule.get(&al.id).is_some_and(|old| old.path == al.path))
+                .map(|al| al.id)
+                .collect();
+            kept.sort_unstable();
+            let stale: Vec<usize> = schedule
+                .keys()
+                .filter(|id| kept.binary_search(id).is_err())
+                .copied()
+                .collect();
+            let mut cmds = Vec::new();
+            for id in stale {
+                let al = self.schedule.remove(&id).unwrap();
+                self.rerouted += usize::from(allocs.iter().any(|a| a.id == id));
+                self.withdraw(topo, &al, &mut cmds);
+            }
+            for al in allocs {
+                if let Some(old) = self.schedule.get_mut(&al.id) {
+                    old.clone_from(al);
+                    continue;
+                }
+                for l in &al.path.links {
+                    let node = topo.link(*l).src;
+                    if !topo.node(node).kind.is_switch() {
+                        continue;
+                    }
+                    let entry = FlowEntry {
+                        flow: al.id,
+                        out_link: *l,
+                    };
+                    if self.tables[node.idx()].install(entry).is_ok() {
+                        cmds.push(SwitchCmd::Install {
+                            node,
+                            flow: al.id,
+                            out_link: *l,
+                        });
+                    }
+                }
+                self.schedule.insert(al.id, al.clone());
+            }
+            cmds
+        }
+
+        pub(super) fn term(&mut self, topo: &Topology, flow: usize) -> Vec<SwitchCmd> {
+            let mut cmds = Vec::new();
+            if let Some(al) = self.schedule.remove(&flow) {
+                self.withdraw(topo, &al, &mut cmds);
+            }
+            cmds
+        }
+    }
+
     /// Which outcomes a random history reached (the coverage witness of
     /// [`random_history`]).
     #[derive(Debug, Default)]
@@ -1255,12 +1367,15 @@ mod tests {
         failovers: usize,
         resync_finished: usize,
         reused_flow_ids: usize,
+        commits_checked: usize,
+        rerouted_flows: usize,
     }
 
     /// Drives one controller through a seeded random history of every
     /// operation that can change the in-flight set, checking the index
-    /// against its definition after each; what it reached is added to
-    /// `reached`.
+    /// against its definition after each and every commit's and TERM's
+    /// switch commands against [`CommitOracle`]; what it reached is added
+    /// to `reached`.
     fn random_history(seed: u64, ops: usize, reached: &mut Reached) {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -1281,6 +1396,13 @@ mod tests {
             .collect();
         let mut down: Vec<taps_topology::LinkId> = Vec::new();
         let mut c = Controller::new(&topo, cfg_unit());
+        c.oracle = Some(CommitOracle::new(&topo, &cfg_unit()));
+        let tally = |c: &Controller<'_>, reached: &mut Reached| {
+            if let Some(o) = &c.oracle {
+                reached.commits_checked += o.commits;
+                reached.rerouted_flows += o.rerouted;
+            }
+        };
         let (mut next_task, mut next_flow) = (0usize, 0usize);
         let mut now = 0.0f64;
 
@@ -1387,7 +1509,9 @@ mod tests {
                 90..=94 => {
                     // Failover: checkpoint → restore → resync → repack.
                     let ckpt = c.checkpoint();
+                    tally(&c, reached);
                     c = Controller::restore(&topo, cfg_unit(), &ckpt);
+                    c.oracle = Some(CommitOracle::new(&topo, &cfg_unit()));
                     assert_index_follows_the_registry(&c, "restore");
                     for host in 0..hosts {
                         // The server lists most of its live flows (a
@@ -1430,6 +1554,7 @@ mod tests {
             };
             assert_index_follows_the_registry(&c, what);
         }
+        tally(&c, reached);
     }
 
     /// The histories above are only a witness if they reach every way a
@@ -1452,6 +1577,8 @@ mod tests {
             ("failovers", total.failovers),
             ("flows finished per resync", total.resync_finished),
             ("reused flow ids", total.reused_flow_ids),
+            ("commits checked against the oracle", total.commits_checked),
+            ("re-routed flows", total.rerouted_flows),
         ] {
             assert!(n > 0, "no history reached: {what}");
         }

@@ -5,6 +5,7 @@
 
 use crate::messages::SwitchCmd;
 use std::collections::HashMap; // lint: nondeterministic-ok(lookup-only flow table; never iterated)
+use std::hash::{BuildHasherDefault, Hasher};
 use taps_topology::LinkId;
 
 /// Capacity of a commodity SDN switch's TCAM per the paper.
@@ -31,11 +32,44 @@ pub enum TableError {
     Conflict,
 }
 
+/// Hashes a flow id with one multiply and a fold instead of SipHash: a
+/// commit makes one table lookup per switch on every withdrawn or
+/// installed route, and SipHash was most of each. Flow ids come from
+/// clients, so a crafted set could collide; the table holds at most its
+/// TAPS budget of entries, so the worst case is a probe over that many,
+/// not an unbounded chain. The hash is the same on every run. The
+/// multiply by an odd constant is a bijection on the low bits; folding
+/// the high half down lets every bit of the id reach the bucket bits, so
+/// ids with a common stride still spread.
+#[derive(Clone, Copy, Debug, Default)]
+struct FlowIdHasher(u64);
+
+impl Hasher for FlowIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let h = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A bounded flow table.
 #[derive(Clone, Debug)]
 pub struct FlowTable {
     // lint: nondeterministic-ok(entries are only probed by flow id, never iterated)
-    entries: HashMap<usize, LinkId>,
+    entries: HashMap<usize, LinkId, BuildHasherDefault<FlowIdHasher>>,
     capacity: usize,
     budget: usize,
     /// High-water mark of occupancy, for reporting.
@@ -53,7 +87,7 @@ impl FlowTable {
     pub fn new(capacity: usize, budget: usize) -> Self {
         assert!(budget <= capacity);
         FlowTable {
-            entries: HashMap::new(), // lint: nondeterministic-ok(lookup-only flow table; never iterated)
+            entries: HashMap::default(), // lint: nondeterministic-ok(lookup-only flow table; never iterated)
             capacity,
             budget,
             peak: 0,

@@ -35,6 +35,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod scenario_matrix;
 pub mod trace_scenarios;
 
 pub use taps_baselines as baselines;

@@ -11,8 +11,10 @@
 use std::collections::BTreeMap;
 
 use taps::prelude::*;
+use taps::scenario_matrix::Fnv;
 use taps::sdn::{
-    CheckpointFlow, ControlStats, Controller, ControllerCheckpoint, ControllerConfig, TaskVerdict,
+    CheckpointFlow, ControlStats, Controller, ControllerCheckpoint, ControllerConfig, SwitchCmd,
+    TaskVerdict,
 };
 use taps_service::load::submit_for_task;
 use taps_service::{run_load, LoadConfig, ServiceConfig, ServiceController};
@@ -133,6 +135,7 @@ fn retired_flows_in_the_registry_change_no_verdict_grant_or_command() {
     // of granted tasks whose deadline has passed, then probe.
     let mut granted: BTreeMap<usize, (f64, Vec<usize>)> = BTreeMap::new();
     let mut verdicts = [0usize; 3];
+    let mut cmds = CmdDigest::default();
     for ev in &plan.events {
         let due: Vec<usize> = granted
             .iter()
@@ -140,10 +143,9 @@ fn retired_flows_in_the_registry_change_no_verdict_grant_or_command() {
             .map(|(&task, _)| task)
             .collect();
         for flow in due.iter().flat_map(|t| granted.remove(t)).flat_map(|g| g.1) {
-            assert_eq!(
-                fresh.handle_term(ev.at, flow),
-                aged.handle_term(ev.at, flow)
-            );
+            let withdrawn = fresh.handle_term(ev.at, flow);
+            assert_eq!(withdrawn, aged.handle_term(ev.at, flow));
+            cmds.eat(&withdrawn);
         }
         // (verdict, grants, switch commands)
         let probes = submit_for_task(&wl, ev.task, ev.deadline).probes();
@@ -155,6 +157,7 @@ fn retired_flows_in_the_registry_change_no_verdict_grant_or_command() {
             ev.task
         );
         assert_eq!(fresh.in_flight(), aged.in_flight());
+        cmds.eat(&a.2);
         match a.0 {
             TaskVerdict::Accepted => verdicts[0] += 1,
             TaskVerdict::AcceptedWithPreemption(victim) => {
@@ -177,4 +180,42 @@ fn retired_flows_in_the_registry_change_no_verdict_grant_or_command() {
         aged.checkpoint().flows.len(),
         RETIRED + fresh.checkpoint().flows.len()
     );
+    assert_eq!(
+        (cmds.count, cmds.hash.0),
+        PINNED_COMMAND_STREAM,
+        "switch-command stream {:#018x} ({} commands)",
+        cmds.hash.0,
+        cmds.count
+    );
 }
+
+/// FNV-1a over an ordered switch-command stream: per command its kind,
+/// switch, flow and output link (a withdrawal has none).
+#[derive(Default)]
+struct CmdDigest {
+    hash: Fnv,
+    count: usize,
+}
+
+impl CmdDigest {
+    fn eat(&mut self, cmds: &[SwitchCmd]) {
+        for c in cmds {
+            let words = match *c {
+                SwitchCmd::Install {
+                    node,
+                    flow,
+                    out_link,
+                } => [0, node.idx() as u64, flow as u64, out_link.idx() as u64],
+                SwitchCmd::Withdraw { node, flow } => [1, node.idx() as u64, flow as u64, u64::MAX],
+            };
+            for w in words {
+                self.hash.mix(w);
+            }
+            self.count += 1;
+        }
+    }
+}
+
+// Taken on the parent of the commit that moved the committed schedule
+// into the arbiter: the commands, and their order, may not move.
+const PINNED_COMMAND_STREAM: (usize, u64) = (72_858, 0xc9a7_10a4_0263_2654);

@@ -85,3 +85,29 @@ fn cosmos_tasks_complete_mostly_everywhere_at_light_load() {
         );
     }
 }
+
+/// One cell of the scenario matrix in the root suite: the
+/// close-to-deadline family at the first pinned seed under TAPS must
+/// reproduce the outcome digest `tests/goldens/scenario_matrix.json`
+/// pins for it — the digest `cargo xtask scenarios` checks, computed by
+/// the same function.
+#[test]
+fn a_scenario_matrix_cell_reproduces_its_pinned_digest() {
+    use taps::scenario_matrix::{outcome_digest, presets, topology, SEEDS};
+
+    let (family, cfg) = presets(SEEDS[0])
+        .into_iter()
+        .find(|(family, _)| *family == "close_to_deadline")
+        .expect("the family is in the matrix");
+    let cell = format!("\"{family}/{}/taps\": \"0x", SEEDS[0]);
+    let pinned = include_str!("goldens/scenario_matrix.json")
+        .lines()
+        .find_map(|line| line.trim().strip_prefix(cell.as_str()))
+        .and_then(|rest| rest.split('"').next())
+        .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+        .expect("the cell is pinned");
+    let wl = cfg.generate().expect("the preset generates");
+    let rep = Simulation::new(&topology(), &wl, SimConfig::default()).run(&mut Taps::new());
+    let got = outcome_digest(&rep);
+    assert_eq!(got, pinned, "got {got:#018x}, pinned {pinned:#018x}");
+}

@@ -25,6 +25,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use taps::prelude::*;
+use taps::scenario_matrix::{self, presets, Fnv, SEEDS};
 use taps_flowsim::Scheduler;
 use taps_sdn::{run_chaos, ChannelConfig, ChaosConfig, ControllerConfig};
 use taps_topology::build::partial_fat_tree_testbed;
@@ -35,28 +36,6 @@ pub struct ScenarioFailure {
     /// `family/seed[/scheduler]` cell label.
     pub cell: String,
     pub what: String,
-}
-
-/// The matrix's two pinned seeds.
-const SEEDS: [u64; 2] = [3, 11];
-
-/// All scenario families at a fixed seed, sized for gate latency.
-fn presets(seed: u64) -> Vec<(&'static str, ScenarioConfig)> {
-    vec![
-        ("weighted", ScenarioConfig::weighted(16, 24, seed)),
-        (
-            "close_to_deadline",
-            ScenarioConfig::close_to_deadline(16, 20, seed),
-        ),
-        ("websearch", ScenarioConfig::websearch_sizes(16, 20, seed)),
-        (
-            "data_mining",
-            ScenarioConfig::data_mining_sizes(16, 16, seed),
-        ),
-        ("incast", ScenarioConfig::incast(16, 20, seed)),
-        ("straggler", ScenarioConfig::straggler(16, 16, seed)),
-        ("diurnal_ramp", ScenarioConfig::diurnal_ramp(16, 24, seed)),
-    ]
 }
 
 type SchedulerFactory = fn() -> Box<dyn Scheduler>;
@@ -74,42 +53,12 @@ fn schedulers() -> [(&'static str, SchedulerFactory); 7] {
     ]
 }
 
-/// FNV-1a over a word stream.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn mix(&mut self, w: u64) {
-        self.0 ^= w;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
-/// Runs one scheduler over one workload and digests the full outcome:
-/// per-flow terminal status, finish time, delivered bytes, plus the
-/// task-success vector and the weighted aggregates.
+/// Runs one scheduler over one workload and digests the full outcome.
 fn outcome_digest(topo: &Topology, wl: &Workload, mk: SchedulerFactory) -> u64 {
     let mut s = mk();
-    let rep = Simulation::new(topo, wl, SimConfig::default()).run(s.as_mut());
-    let mut h = Fnv::new();
-    h.mix(rep.tasks_completed as u64);
-    h.mix(rep.flows_on_time as u64);
-    h.mix(rep.bytes_on_time_tasks.to_bits());
-    h.mix(rep.bytes_wasted_flow.to_bits());
-    h.mix(rep.wbytes_total.to_bits());
-    h.mix(rep.wbytes_on_time_tasks.to_bits());
-    for ok in &rep.task_success {
-        h.mix(u64::from(*ok));
-    }
-    for f in &rep.flow_outcomes {
-        h.mix(f.status as u64);
-        h.mix(f.finish.unwrap_or(-1.0).to_bits());
-        h.mix(f.delivered.to_bits());
-        h.mix(u64::from(f.on_time));
-    }
-    h.0
+    scenario_matrix::outcome_digest(
+        &Simulation::new(topo, wl, SimConfig::default()).run(s.as_mut()),
+    )
 }
 
 /// The weighted family with every weight forced to 1.0 must be
@@ -217,7 +166,7 @@ fn chaos_check(seed: u64, failures: &mut Vec<ScenarioFailure>) -> String {
 /// Prints the EXPERIMENTS.md markdown table: per family (seed 3), each
 /// scheduler's task miss ratio and weighted goodput.
 pub fn print_table() {
-    let topo = single_rooted(2, 2, 4, GBPS);
+    let topo = scenario_matrix::topology();
     let mut header = String::from("| scenario |");
     let mut rule = String::from("|---|");
     for (name, _) in schedulers() {
@@ -283,7 +232,7 @@ fn write_manifest(root: &Path, digests: &BTreeMap<String, String>) -> std::io::R
 /// Entry point for `cargo xtask scenarios [--update]`. Returns progress
 /// lines and failures (empty failures = gate passes).
 pub fn run(root: &Path, update: bool) -> (Vec<String>, Vec<ScenarioFailure>) {
-    let topo = single_rooted(2, 2, 4, GBPS);
+    let topo = scenario_matrix::topology();
     let mut lines = Vec::new();
     let mut failures = Vec::new();
     let mut digests: BTreeMap<String, String> = BTreeMap::new();
