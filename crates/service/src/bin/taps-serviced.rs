@@ -17,6 +17,10 @@ use taps_service::cli::flag_value;
 use taps_service::{ServiceConfig, ServiceController, ServiceState, UdsTransport};
 use taps_topology::build::{fat_tree, GBPS};
 
+/// How long an idle iteration waits for a request, and the loop's
+/// cadence while a backlog is queued.
+const LOOP_PERIOD: Duration = Duration::from_millis(1);
+
 /// [`flag_value`], or a one-line message and exit status 2.
 fn arg<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
     flag_value(args, flag, default).unwrap_or_else(|e| {
@@ -75,7 +79,14 @@ fn main() {
             );
             break;
         }
-        // The loop is single-threaded and nonblocking; idle politely.
-        std::thread::sleep(Duration::from_millis(1));
+        if svc.pending_depth() == 0 {
+            // Idle: park on a lone client until it sends.
+            tr.wait(LOOP_PERIOD);
+        } else {
+            // A backlog keeps the cadence, so the queue can reach burst
+            // mode and deadline shedding (DESIGN.md §15, "The step
+            // contract").
+            std::thread::sleep(LOOP_PERIOD);
+        }
     }
 }

@@ -10,12 +10,16 @@
 //! socket takes them. A client whose buffer is full gets
 //! [`PushError::Full`] — exactly the drop-and-mark contract the service
 //! loop expects. Malformed lines are answered with
-//! [`Response::Error`] rather than killing the connection.
+//! [`Response::Error`] rather than killing the connection. Between
+//! iterations an idle loop calls [`UdsTransport::wait`], which parks on
+//! a lone client until it sends or a time limit passes; `poll()` itself
+//! never blocks.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
+use std::time::Duration;
 
 use crate::messages::{decode_line, encode_line, ClientId, Request, Response};
 use crate::transport::{PushError, Transport, DEFAULT_OUTBOX_CAP};
@@ -28,6 +32,51 @@ struct Conn {
     /// Bounded by `outbox_cap`: `push()` rejects beyond it.
     wrq: VecDeque<String>,
     gone: bool,
+}
+
+impl Conn {
+    /// One `read` into `rdbuf` under the `MAX_LINE` rule. True when it
+    /// read bytes, so more may be waiting. EOF, an error or an
+    /// oversized frame marks the connection gone; a drained nonblocking
+    /// socket, a timed-out blocking read or a signal reads nothing.
+    fn read_some(&mut self, buf: &mut [u8]) -> bool {
+        match self.stream.read(buf) {
+            Ok(0) => self.gone = true,
+            Ok(n) => {
+                // lint: l10-ok(bound: MAX_LINE — oversized frames disconnect the client)
+                self.rdbuf.extend_from_slice(&buf[..n]);
+                if self.rdbuf.len() > MAX_LINE {
+                    self.gone = true;
+                }
+                return !self.gone;
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) => {}
+            Err(_) => self.gone = true,
+        }
+        false
+    }
+
+    /// One blocking `read` bounded by `limit`, the socket back to
+    /// nonblocking after it. False when the socket could not be made
+    /// to block for a bounded time, so nothing was read.
+    fn park(&mut self, limit: Duration) -> bool {
+        // Also refuses a zero `limit`, which would mean "no timeout".
+        if self.stream.set_read_timeout(Some(limit)).is_err()
+            || self.stream.set_nonblocking(false).is_err()
+        {
+            return false;
+        }
+        self.read_some(&mut [0u8; 4096]);
+        // Left blocking, the socket would stall the next `poll()`.
+        if self.stream.set_nonblocking(true).is_err() {
+            self.gone = true;
+        }
+        true
+    }
 }
 
 /// Max accepted request-line length, bytes.
@@ -66,6 +115,26 @@ impl UdsTransport {
     /// Number of live connections.
     pub fn num_clients(&self) -> usize {
         self.conns.len()
+    }
+
+    /// Idles between loop iterations. With exactly one connection it
+    /// parks on it: a blocking `read` bounded by `limit`, which ends
+    /// early when that client sends; what it reads waits in the
+    /// connection's line buffer for the next `poll()` to frame. The
+    /// kernel rounds the read timeout up to whole scheduler ticks and
+    /// fires it on a tick after that, so a park with nothing arriving
+    /// lasts longer than `limit` (1 ms parks 8 ms at HZ = 250), and so
+    /// does the wait of a client that connects meanwhile. With no
+    /// connection, or several, it sleeps exactly `limit`.
+    pub fn wait(&mut self, limit: Duration) {
+        let lone = self.conns.len() == 1;
+        let parked = match self.conns.values_mut().next() {
+            Some(conn) if lone => !conn.gone && conn.park(limit),
+            _ => false,
+        };
+        if !parked {
+            std::thread::sleep(limit);
+        }
     }
 
     fn accept_new(&mut self) {
@@ -122,28 +191,9 @@ impl UdsTransport {
         let mut out = Vec::new();
         let mut buf = [0u8; 4096];
         for (&id, conn) in self.conns.iter_mut() {
-            // lint: l5-ok(terminates: a nonblocking read returns WouldBlock, EOF, or an error once the buffer drains)
-            loop {
-                match conn.stream.read(&mut buf) {
-                    Ok(0) => {
-                        conn.gone = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        // lint: l10-ok(bound: MAX_LINE — oversized frames disconnect the client)
-                        conn.rdbuf.extend_from_slice(&buf[..n]);
-                        if conn.rdbuf.len() > MAX_LINE {
-                            conn.gone = true;
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(_) => {
-                        conn.gone = true;
-                        break;
-                    }
-                }
-            }
+            // Terminates: a nonblocking read returns WouldBlock, EOF, or
+            // an error once the socket drains.
+            while conn.read_some(&mut buf) {}
             while let Some(pos) = conn.rdbuf.iter().position(|&b| b == b'\n') {
                 let line: Vec<u8> = conn.rdbuf.drain(..=pos).collect();
                 let text = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();

@@ -625,3 +625,174 @@ fn uds_reply_is_written_by_the_step_that_decided_it() {
     ));
     let _ = std::fs::remove_file(&path);
 }
+
+/// A bound `UdsTransport` with one accepted, blocking client stream.
+#[cfg(unix)]
+fn uds_with_client(
+    name: &str,
+) -> (
+    taps_service::UdsTransport,
+    std::os::unix::net::UnixStream,
+    std::path::PathBuf,
+) {
+    use taps_service::{Transport, UdsTransport};
+    let path = std::env::temp_dir().join(format!("taps-wait-{name}-{}.sock", std::process::id()));
+    let mut tr = UdsTransport::bind(&path).expect("bind test socket");
+    let client = std::os::unix::net::UnixStream::connect(&path).expect("connect");
+    assert!(tr.poll().is_empty());
+    assert_eq!(tr.num_clients(), 1);
+    (tr, client, path)
+}
+
+/// A request written while the loop is parked ends the wait at once,
+/// long before its limit, and the next `poll()` returns it.
+#[cfg(unix)]
+#[test]
+fn uds_wait_wakes_on_the_parked_clients_request() {
+    use std::io::Write;
+    use std::time::{Duration, Instant};
+    use taps_service::Transport;
+
+    let (mut tr, mut client, path) = uds_with_client("wake");
+    let req = submit(1, 1, 0, 4, 1e5, 10.0);
+    let line = taps_service::encode_line(&req);
+    let writer = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(20));
+        client.write_all(line.as_bytes()).expect("client write");
+        client
+    });
+    let t = Instant::now();
+    tr.wait(Duration::from_secs(5));
+    let waited = t.elapsed();
+    let _client = writer.join().expect("writer thread");
+    assert!(
+        waited < Duration::from_millis(2_500),
+        "the request ended the wait ({waited:?})"
+    );
+    assert_eq!(tr.poll(), vec![(0, req)]);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// With nothing sent, `wait` times out and leaves nothing behind: the
+/// next `poll()` is empty and the client stays connected. (No lower
+/// bound: the kernel rounds the read timeout to scheduler ticks.)
+#[cfg(unix)]
+#[test]
+fn uds_wait_without_data_times_out_and_consumes_nothing() {
+    use std::io::Write;
+    use std::time::{Duration, Instant};
+    use taps_service::Transport;
+
+    let (mut tr, mut client, path) = uds_with_client("idle");
+    let t = Instant::now();
+    tr.wait(Duration::from_millis(20));
+    let waited = t.elapsed();
+    assert!(
+        waited < Duration::from_secs(2),
+        "waited {waited:?} for a 20 ms limit"
+    );
+    assert!(tr.poll().is_empty());
+    assert_eq!(tr.num_clients(), 1);
+    client
+        .write_all(taps_service::encode_line(&Request::Stats).as_bytes())
+        .unwrap();
+    assert_eq!(tr.poll(), vec![(0, Request::Stats)]);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A request line whose head `wait` reads and whose tail arrives later
+/// reaches `poll()` intact.
+#[cfg(unix)]
+#[test]
+fn uds_wait_keeps_a_split_line_for_poll_to_frame() {
+    use std::io::Write;
+    use std::time::Duration;
+    use taps_service::Transport;
+
+    let (mut tr, mut client, path) = uds_with_client("split");
+    let req = submit(7, 70, 1, 5, 2e5, 10.0);
+    let line = taps_service::encode_line(&req);
+    let (head, tail) = line.split_at(line.len() / 2);
+    client.write_all(head.as_bytes()).unwrap();
+    tr.wait(Duration::from_secs(5));
+    // The socket is nonblocking again: with nothing more sent, `poll()`
+    // returns instead of sitting out the 5 s read timeout.
+    let t = std::time::Instant::now();
+    assert!(tr.poll().is_empty(), "half a line is not a request");
+    assert!(t.elapsed() < Duration::from_millis(2_500));
+    client.write_all(tail.as_bytes()).unwrap();
+    tr.wait(Duration::from_secs(5));
+    assert_eq!(tr.poll(), vec![(0, req)]);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A peer that hangs up while the loop is parked on it ends the wait,
+/// and the next `poll()` reaps the connection.
+#[cfg(unix)]
+#[test]
+fn uds_wait_sees_a_parked_peer_close_and_poll_reaps_it() {
+    use std::time::{Duration, Instant};
+    use taps_service::Transport;
+
+    let (mut tr, client, path) = uds_with_client("close");
+    let closer = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(20));
+        drop(client);
+    });
+    let t = Instant::now();
+    tr.wait(Duration::from_secs(5));
+    let waited = t.elapsed();
+    closer.join().expect("closer thread");
+    assert!(
+        waited < Duration::from_millis(2_500),
+        "EOF ended the wait ({waited:?})"
+    );
+    assert!(tr.poll().is_empty());
+    assert_eq!(tr.num_clients(), 0);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// With two connections `wait` parks on neither: a request already
+/// waiting on one of them does not end it, and both are served by the
+/// next `poll()`.
+#[cfg(unix)]
+#[test]
+fn uds_wait_with_two_clients_sleeps_its_limit() {
+    use std::io::Write;
+    use std::time::{Duration, Instant};
+    use taps_service::Transport;
+
+    let (mut tr, mut a, path) = uds_with_client("two");
+    let mut b = std::os::unix::net::UnixStream::connect(&path).expect("connect");
+    assert!(tr.poll().is_empty());
+    assert_eq!(tr.num_clients(), 2);
+    a.write_all(taps_service::encode_line(&Request::Stats).as_bytes())
+        .unwrap();
+    b.write_all(taps_service::encode_line(&Request::Stats).as_bytes())
+        .unwrap();
+    let t = Instant::now();
+    tr.wait(Duration::from_millis(50));
+    assert!(t.elapsed() >= Duration::from_millis(50), "wait slept");
+    assert_eq!(tr.poll(), vec![(0, Request::Stats), (1, Request::Stats)]);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// With no accepted connection `wait` sleeps its limit — it accepts
+/// nothing — and the next `poll()` accepts the waiting client.
+#[cfg(unix)]
+#[test]
+fn uds_wait_without_clients_sleeps_and_poll_accepts() {
+    use std::time::{Duration, Instant};
+    use taps_service::{Transport, UdsTransport};
+
+    let path = std::env::temp_dir().join(format!("taps-wait-none-{}.sock", std::process::id()));
+    let mut tr = UdsTransport::bind(&path).expect("bind test socket");
+    let _client = std::os::unix::net::UnixStream::connect(&path).expect("connect");
+    let t = Instant::now();
+    tr.wait(Duration::from_millis(20));
+    assert!(t.elapsed() >= Duration::from_millis(15));
+    assert_eq!(tr.num_clients(), 0, "wait accepts nothing");
+    assert!(tr.poll().is_empty());
+    assert_eq!(tr.num_clients(), 1);
+    let _ = std::fs::remove_file(&path);
+}
