@@ -318,8 +318,7 @@ impl Arbiter {
     /// One tentative Alg. 2/3 run over F_tmp, in its order, from a clean
     /// occupancy state; the allocations come back in that same order.
     /// No degradation: a disconnected flow fails the pass.
-    // lint: l7-ok(allocation-layer primitive below the validation boundary: both callers commit the batch through Arbiter::commit, which validates it, before exposing it)
-    pub fn tentative(
+    fn tentative(
         &mut self,
         topo: &Topology,
         start_slot: u64,

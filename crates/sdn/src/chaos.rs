@@ -40,6 +40,7 @@ use crate::obs::obs_event;
 use crate::obs::obs_id;
 use crate::server::ServerAgent;
 use crate::switch::SwitchAgent;
+use crate::testbed::header_for;
 use std::collections::{BTreeMap, BTreeSet};
 use taps_flowsim::{FaultEvent, FaultKind, Workload};
 use taps_topology::{NodeId, Topology};
@@ -863,20 +864,6 @@ fn send_cmds(
             (node.0, SwitchMsg::Cmd { epoch, gen, cmd }),
             c2sw,
         );
-    }
-}
-
-/// Rebuilds the scheduling header of a workload flow (the server knows
-/// its local flows' specs from the application layer).
-fn header_for(wl: &Workload, fid: usize) -> ProbeHeader {
-    let f = &wl.flows[fid];
-    ProbeHeader {
-        task: f.task,
-        flow: fid,
-        src: f.src,
-        dst: f.dst,
-        size: f.size,
-        deadline: f.deadline,
     }
 }
 

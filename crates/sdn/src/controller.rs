@@ -370,15 +370,6 @@ impl<'t> Controller<'t> {
         }
     }
 
-    /// Forgets a flow entirely (a rolled-back burst's).
-    fn unregister(&mut self, flow: usize) {
-        if let Some(r) = self.registry.remove(&flow) {
-            if !r.done {
-                self.arbiter.ftmp.remove(&r.entry(flow));
-            }
-        }
-    }
-
     /// Marks the flows of a task the arbiter dropped from F_tmp done
     /// (preemption, or a task given up during recovery): they stay in
     /// the registry.
@@ -484,57 +475,18 @@ impl<'t> Controller<'t> {
             .collect()
     }
 
-    /// Handles a whole burst of task probes arriving in the same control
-    /// window (e.g. one Poisson arrival batch) with **one** re-allocation
-    /// pass and one commit when the entire burst fits on time.
+    /// Handles a burst of task probes arriving in the same control
+    /// window: each inner slice is one task's probes, decided through
+    /// [`Controller::handle_probe`] in input order. Returns the per-task
+    /// `(verdict, grants)` plus every task's switch commands, in order.
     ///
-    /// Exact by first-fit monotonicity: removing flows from a pass only
-    /// frees capacity, so if the pass over incumbents plus the whole
-    /// burst is all on-time, every sequential prefix pass is all on-time
-    /// too — each per-task [`Controller::handle_probe`] would return
-    /// `Accepted`, and its final pass equals the burst pass. Any miss or
-    /// disconnection voids that argument, so the burst is replayed
-    /// through `handle_probe` task by task, in input order. Either way
-    /// verdicts, grants, the committed schedule, and the final switch
-    /// tables are identical to sequential handling; only the command
-    /// *diff* granularity differs (one commit instead of one per task).
-    ///
-    /// Each inner slice is one task's probes; fresh task ids must be
-    /// distinct (already-decided tasks replay their cached verdict, as
-    /// in `handle_probe`). Returns the per-task `(verdict, grants)` in
-    /// input order plus the combined switch-command diff.
+    /// Burst admission is sequential admission; this entry point stays
+    /// only because the benchmark's probe API pins its name.
     pub fn handle_probe_burst(
         &mut self,
         now: f64,
         tasks: &[Vec<ProbeHeader>],
     ) -> (Vec<(TaskVerdict, Vec<FlowGrant>)>, Vec<SwitchCmd>) {
-        let fresh: Vec<usize> = tasks
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| {
-                assert!(!g.is_empty());
-                !self.decided.contains_key(&g[0].task)
-            })
-            .map(|(i, _)| i)
-            .collect();
-        if fresh.len() > 1 {
-            if let Some(cmds) = self.burst_fast_path(now, tasks, &fresh) {
-                let mut results = Vec::with_capacity(tasks.len());
-                for (i, group) in tasks.iter().enumerate() {
-                    if fresh.contains(&i) {
-                        let grants = self.grants_for(&TaskVerdict::Accepted, group);
-                        self.stats.grants += grants.len();
-                        results.push((TaskVerdict::Accepted, grants));
-                    } else {
-                        // Decided before this call: cached-verdict replay.
-                        let (v, g, _) = self.handle_probe(now, group);
-                        results.push((v, g));
-                    }
-                }
-                return (results, cmds);
-            }
-        }
-        // Exact fallback: canonical sequential admission.
         let mut results = Vec::with_capacity(tasks.len());
         let mut cmds = Vec::new();
         for group in tasks {
@@ -543,59 +495,6 @@ impl<'t> Controller<'t> {
             cmds.extend(c);
         }
         (results, cmds)
-    }
-
-    /// The burst fast path: registers every fresh task, runs one
-    /// allocation pass, and commits iff everything lands on time.
-    /// Returns `None` — with the registrations rolled back and no other
-    /// state touched — when the burst must be replayed sequentially.
-    fn burst_fast_path(
-        &mut self,
-        now: f64,
-        tasks: &[Vec<ProbeHeader>],
-        fresh: &[usize],
-    ) -> Option<Vec<SwitchCmd>> {
-        for (n, &i) in fresh.iter().enumerate() {
-            let task = tasks[i][0].task;
-            assert!(
-                tasks[i].iter().all(|p| p.task == task),
-                "one task per probe group"
-            );
-            assert!(
-                fresh[..n].iter().all(|&j| tasks[j][0].task != task),
-                "burst task ids must be distinct"
-            );
-            for p in &tasks[i] {
-                self.register(p.flow, FlowReg::fresh(p, 0.0));
-            }
-        }
-        let start_slot = self.first_slot(now);
-        // The plain pass, no degradation: a disconnected flow voids the
-        // burst like a late one does.
-        match self.arbiter.tentative(self.topo, start_slot) {
-            Ok(allocs) if allocs.iter().all(|al| al.on_time) => {
-                self.stats.probes += fresh.len();
-                for &i in fresh {
-                    let task = tasks[i][0].task;
-                    obs_event!(&self.trace, now, Admit { task: obs_id(task) });
-                    self.decided.insert(task, TaskVerdict::Accepted);
-                }
-                Some(self.commit(now, allocs))
-            }
-            _ => {
-                // Roll back so the sequential replay observes the
-                // pre-burst registry. The tentative pass committed
-                // nothing; the delta cache's contents may differ from a
-                // never-tried burst, but delta passes are bit-identical
-                // to full passes regardless of cache state.
-                for &i in fresh {
-                    for p in &tasks[i] {
-                        self.unregister(p.flow);
-                    }
-                }
-                None
-            }
-        }
     }
 
     /// Handles a link fault notification: applies the state change to the
@@ -1163,70 +1062,48 @@ mod tests {
         assert!(c.stats().budget_drops > 0);
     }
 
-    /// A same-window probe burst admitted in one pass matches sequential
-    /// handling: verdicts, grants, and the final switch tables.
+    /// A probe burst is a `handle_probe` loop: on a fresh controller it
+    /// returns the same verdicts, grants, switch commands and stats, for
+    /// an all-accept burst and for one with a reject.
     #[test]
-    fn probe_burst_matches_sequential() {
-        let topo = dumbbell(4, 4, GBPS);
-        let bursts: Vec<Vec<ProbeHeader>> = vec![
-            vec![probe(0, 0, 0, 4, GBPS, 8.0), probe(0, 1, 1, 5, GBPS, 8.0)],
-            vec![probe(1, 2, 2, 6, GBPS, 8.0)],
-            vec![probe(2, 3, 3, 7, GBPS, 8.0)],
+    fn probe_burst_equals_a_handle_probe_loop() {
+        use TaskVerdict::{Accepted, Rejected};
+        let cases = [
+            (
+                dumbbell(4, 4, GBPS),
+                vec![
+                    vec![probe(0, 0, 0, 4, GBPS, 8.0), probe(0, 1, 1, 5, GBPS, 8.0)],
+                    vec![probe(1, 2, 2, 6, GBPS, 8.0)],
+                    vec![probe(2, 3, 3, 7, GBPS, 8.0)],
+                ],
+                vec![Accepted, Accepted, Accepted],
+            ),
+            (
+                dumbbell(2, 2, GBPS),
+                vec![
+                    vec![probe(0, 0, 0, 2, 4.0 * GBPS, 4.0)],
+                    // Lower priority; the bottleneck only frees at t=4.
+                    vec![probe(1, 1, 1, 3, 2.0 * GBPS, 5.0)],
+                ],
+                vec![Accepted, Rejected],
+            ),
         ];
-        let mut seq = Controller::new(&topo, cfg_unit());
-        let mut seq_results = Vec::new();
-        for g in &bursts {
-            let (v, gr, _) = seq.handle_probe(0.0, g);
-            seq_results.push((v, gr));
-        }
-        let mut bat = Controller::new(&topo, cfg_unit());
-        let (bat_results, _cmds) = bat.handle_probe_burst(0.0, &bursts);
-        for ((va, ga), (vb, gb)) in seq_results.iter().zip(&bat_results) {
-            assert_eq!(va, vb);
-            assert_eq!(ga.len(), gb.len());
-            for (a, b) in ga.iter().zip(gb) {
-                assert_eq!(a.flow, b.flow);
-                assert_eq!(a.path, b.path);
-                assert_eq!(a.slices, b.slices);
+        for (topo, burst, verdicts) in &cases {
+            let mut seq = Controller::new(topo, cfg_unit());
+            let mut seq_results = Vec::new();
+            let mut seq_cmds = Vec::new();
+            for g in burst {
+                let (v, gr, c) = seq.handle_probe(0.0, g);
+                seq_results.push((v, gr));
+                seq_cmds.extend(c);
             }
-        }
-        assert_eq!(seq.stats().probes, bat.stats().probes);
-        for n in 0..topo.num_nodes() {
-            let n = taps_topology::NodeId::from_idx(n);
-            assert_eq!(seq.table(n).entries_sorted(), bat.table(n).entries_sorted());
-        }
-    }
-
-    /// An infeasible member makes the burst fall back to the canonical
-    /// sequential path: verdicts and stats match per-task handling, and
-    /// the roll-back leaves no trace of the failed one-pass attempt.
-    #[test]
-    fn probe_burst_falls_back_exactly() {
-        let topo = dumbbell(2, 2, GBPS);
-        let bursts: Vec<Vec<ProbeHeader>> = vec![
-            vec![probe(0, 0, 0, 2, 4.0 * GBPS, 4.0)],
-            // Lower priority; the bottleneck only frees at t=4.
-            vec![probe(1, 1, 1, 3, 2.0 * GBPS, 5.0)],
-        ];
-        let mut seq = Controller::new(&topo, cfg_unit());
-        let mut seq_results = Vec::new();
-        for g in &bursts {
-            let (v, gr, _) = seq.handle_probe(0.0, g);
-            seq_results.push((v, gr));
-        }
-        let mut bat = Controller::new(&topo, cfg_unit());
-        let (bat_results, _cmds) = bat.handle_probe_burst(0.0, &bursts);
-        assert_eq!(bat_results[0].0, TaskVerdict::Accepted);
-        assert_eq!(bat_results[1].0, TaskVerdict::Rejected);
-        for ((va, ga), (vb, gb)) in seq_results.iter().zip(&bat_results) {
-            assert_eq!(va, vb);
-            assert_eq!(ga.len(), gb.len());
-        }
-        assert_eq!(seq.stats().rejected_tasks, bat.stats().rejected_tasks);
-        assert_eq!(seq.stats().probes, bat.stats().probes);
-        for n in 0..topo.num_nodes() {
-            let n = taps_topology::NodeId::from_idx(n);
-            assert_eq!(seq.table(n).entries_sorted(), bat.table(n).entries_sorted());
+            let mut bat = Controller::new(topo, cfg_unit());
+            let (bat_results, bat_cmds) = bat.handle_probe_burst(0.0, burst);
+            let got: Vec<TaskVerdict> = bat_results.iter().map(|(v, _)| v.clone()).collect();
+            assert_eq!(&got, verdicts);
+            assert_eq!(seq_results, bat_results);
+            assert_eq!(seq_cmds, bat_cmds);
+            assert_eq!(seq.stats(), bat.stats());
         }
     }
 
@@ -1360,7 +1237,7 @@ mod tests {
         rejected: usize,
         preempted: usize,
         clean_bursts: usize,
-        fallback_bursts: usize,
+        mixed_bursts: usize,
         terms_of_live_flows: usize,
         rekeyed: usize,
         given_up: usize,
@@ -1468,7 +1345,7 @@ mod tests {
                     if results.iter().all(|(v, _)| *v == TaskVerdict::Accepted) {
                         reached.clean_bursts += 1;
                     } else {
-                        reached.fallback_bursts += 1;
+                        reached.mixed_bursts += 1;
                     }
                     "handle_probe_burst"
                 }
@@ -1569,8 +1446,8 @@ mod tests {
             ("accepted", total.accepted),
             ("rejected", total.rejected),
             ("preempted", total.preempted),
-            ("clean bursts", total.clean_bursts),
-            ("fallback bursts", total.fallback_bursts),
+            ("all-accept bursts", total.clean_bursts),
+            ("bursts with a reject or preemption", total.mixed_bursts),
             ("TERMs of live flows", total.terms_of_live_flows),
             ("re-keying progress reports", total.rekeyed),
             ("tasks given up in recovery", total.given_up),

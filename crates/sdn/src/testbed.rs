@@ -128,21 +128,7 @@ fn run_inner(
             for (fid, agent_delivered) in progress(&agents, wl) {
                 controller.note_progress(fid, agent_delivered);
             }
-            let probes: Vec<ProbeHeader> = t
-                .flows
-                .clone()
-                .map(|fid| {
-                    let f = &wl.flows[fid];
-                    ProbeHeader {
-                        task: t.id,
-                        flow: fid,
-                        src: f.src,
-                        dst: f.dst,
-                        size: f.size,
-                        deadline: f.deadline,
-                    }
-                })
-                .collect();
+            let probes: Vec<ProbeHeader> = t.flows.clone().map(|fid| header_for(wl, fid)).collect();
             obs_event!(
                 &trace,
                 now,
@@ -295,9 +281,10 @@ fn run_inner(
     }
 }
 
-/// Rebuilds the scheduling header of a workload flow (what its sender's
-/// probe carried).
-fn header_for(wl: &Workload, fid: usize) -> ProbeHeader {
+/// Rebuilds the scheduling header of a workload flow: what its sender's
+/// probe carried (the server knows its local flows' specs from the
+/// application layer).
+pub(crate) fn header_for(wl: &Workload, fid: usize) -> ProbeHeader {
     let f = &wl.flows[fid];
     ProbeHeader {
         task: f.task,

@@ -3,14 +3,14 @@
 //!
 //! One `step(now)` call is one loop iteration: drain the transport,
 //! apply backpressure and deadline-aware shedding to the bounded
-//! pending queue, then admit work — one task at a time in the normal
-//! regime, whole bursts via [`Controller::handle_probe_burst`] once the
-//! overload watermark trips (with hysteresis, so the mode does not
-//! flap) — and flush the replies, so a decision leaves in the iteration
-//! that made it. Everything is a pure function of the submitted requests and
-//! the `now` values passed in: no wall clock, no RNG, no threads —
-//! identical inputs produce byte-identical decisions, trace events and
-//! metrics.
+//! pending queue, then admit work — one task per iteration in the
+//! normal regime, up to `max_batch` once the overload watermark trips
+//! (with hysteresis, so the mode does not flap), each decided by
+//! [`Controller::handle_probe`] — and flush the replies, so a decision
+//! leaves in the iteration that made it. Everything is a pure function
+//! of the submitted requests and the `now` values passed in: no wall
+//! clock, no RNG, no threads — identical inputs produce byte-identical
+//! decisions, trace events and metrics.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -33,8 +33,8 @@ pub struct ServiceConfig {
     /// that cannot meet their deadline given the projected queue delay
     /// are rejected immediately instead of wasting a decision slot.
     pub shed_watermark: usize,
-    /// Depth at which the loop switches to burst admission
-    /// ([`Controller::handle_probe_burst`]).
+    /// Depth at which the loop switches to burst admission: up to
+    /// `max_batch` tasks decided per iteration instead of one.
     pub batch_enter: usize,
     /// Depth at which the loop switches back to per-task admission.
     /// Must be strictly below `batch_enter` (hysteresis).
@@ -666,7 +666,8 @@ impl<'t> ServiceController<'t> {
         }
     }
 
-    /// Admits up to one task (normal mode) or one burst (batch mode).
+    /// Admits up to one task (normal mode) or `max_batch` tasks (batch
+    /// mode), each through [`Controller::handle_probe`] in queue order.
     /// Returns the number of decisions made.
     fn admit<T: Transport>(&mut self, tr: &mut T, now: f64) -> usize {
         // Dequeue one task or one burst, refusing on the way any task
@@ -691,23 +692,11 @@ impl<'t> ServiceController<'t> {
                 batch.push(p);
             }
         }
-        if batch.is_empty() {
-            return 0;
-        }
-        if self.batch_mode {
-            let groups: Vec<Vec<ProbeHeader>> = batch.iter().map(|p| p.submit.probes()).collect();
-            let (results, _cmds) = self.ctrl.handle_probe_burst(now, &groups);
-            for (p, (v, _grants)) in batch.iter().zip(&results) {
-                self.finish_decision(tr, now, p, v);
-            }
-            batch.len()
-        } else {
-            let p = &batch[0];
-            let probes = p.submit.probes();
-            let (v, _grants, _cmds) = self.ctrl.handle_probe(now, &probes);
+        for p in &batch {
+            let (v, _grants, _cmds) = self.ctrl.handle_probe(now, &p.submit.probes());
             self.finish_decision(tr, now, p, &v);
-            1
         }
+        batch.len()
     }
 
     /// Retires granted tasks whose deadline has passed: the reject rule
@@ -762,6 +751,12 @@ impl<'t> ServiceController<'t> {
                 }
             }
         }
+        self.decide(tr, now)
+    }
+
+    /// One decision round: shed, update the admission mode, admit, flush
+    /// the replies. Returns the number of terminal decisions made.
+    fn decide<T: Transport>(&mut self, tr: &mut T, now: f64) -> usize {
         self.shed_infeasible(tr, now);
         self.update_batch_mode(now);
         let decided = self.admit(tr, now);
@@ -796,10 +791,7 @@ impl<'t> ServiceController<'t> {
         self.begin_drain(now);
         while !self.pending.is_empty() {
             self.retire_completed(now);
-            self.shed_infeasible(tr, now);
-            self.update_batch_mode(now);
-            let n = self.admit(tr, now);
-            tr.flush();
+            let n = self.decide(tr, now);
             now += n.max(1) as f64 * self.cfg.decision_cost;
         }
         self.state = ServiceState::Drained;

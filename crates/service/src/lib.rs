@@ -16,9 +16,9 @@
 //! * **Slow consumers** — per-client outbound buffers are bounded;
 //!   a full buffer drops the notification and marks the client, never
 //!   blocking the loop.
-//! * **Overload batching** — past a watermark the loop switches to
-//!   [`taps_sdn::Controller::handle_probe_burst`] (one allocation pass
-//!   per burst), and back below a lower watermark (hysteresis).
+//! * **Overload batching** — past a watermark the loop decides up to
+//!   `max_batch` queued tasks per iteration instead of one, and goes
+//!   back below a lower watermark (hysteresis).
 //! * **Graceful drain** — stop accepting, decide the backlog with
 //!   terminal statuses, checkpoint via the controller's §10 machinery
 //!   so a restarted daemon resyncs exactly like a standby takeover.

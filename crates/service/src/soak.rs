@@ -8,6 +8,8 @@
 //! * sheds carry valid reasons, and every deadline-infeasible shed
 //!   really was infeasible (`at + projected ≥ deadline` re-checked from
 //!   the audit log);
+//! * the overload phase enters batch mode, so burst admission is
+//!   covered;
 //! * double runs with the same seed are byte-identical: digests, shed
 //!   lists and metrics snapshots all match;
 //! * sustained throughput stays above the floor (in simulation time).
@@ -146,6 +148,16 @@ fn audit(seed: u64, rep: &LoadReport, cfg: &SoakConfig, failures: &mut Vec<SoakF
     }
     if rep.shed == 0 {
         fail("overload phase produced no sheds (burst too weak to gate on)".into());
+    }
+    let batch_enters = rep
+        .metrics
+        .get("service")
+        .and_then(|m| m.get("counters"))
+        .and_then(|c| c.get("batch_mode_enters"))
+        .and_then(|n| n.as_u64())
+        .unwrap_or(0);
+    if batch_enters == 0 {
+        fail("overload phase never entered batch mode (burst admission not covered)".into());
     }
     let svc = service_cfg();
     for s in &rep.shed_log {

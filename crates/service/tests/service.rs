@@ -501,6 +501,43 @@ fn a_burst_refuses_the_second_claim_on_a_flow_id() {
     assert_eq!(svc.controller().in_flight(), 2);
 }
 
+/// A task granted and then preempted by a later task of the same burst
+/// is answered with its grant summaries as they stood when it was
+/// decided, then told it was preempted.
+#[test]
+fn a_task_preempted_inside_its_own_burst_still_gets_its_grants() {
+    let topo = dumbbell(2, 2, GBPS);
+    let ctrl_cfg = ControllerConfig {
+        slot: 1.0,
+        ..ControllerConfig::default()
+    };
+    let cfg = ServiceConfig {
+        batch_enter: 2,
+        batch_exit: 0,
+        ..ServiceConfig::default()
+    };
+    let mut svc = ServiceController::new(&topo, ctrl_cfg, cfg);
+    let mut tr = SimTransport::new();
+    // Task 0 barely fits (4 units due 4.5); task 1 (1 unit due 3.0)
+    // goes first under EDF and pushes it past its deadline.
+    tr.submit(0, submit(0, 0, 0, 2, 4.0 * GBPS, 4.5)).unwrap();
+    tr.submit(0, submit(1, 1, 1, 3, GBPS, 3.0)).unwrap();
+    assert_eq!(svc.step(0.0, &mut tr), 2);
+    assert!(svc.is_batch_mode());
+    let responses = tr.drain_client(0);
+    let decision_of_0 = responses.iter().position(|r| {
+        matches!(r, Response::Decision { task: 0, verdict: v, grants, .. }
+            if *v == verdict::GRANTED && grants.len() == 1)
+    });
+    let preempted_0 = responses
+        .iter()
+        .position(|r| matches!(r, Response::Preempted { task: 0 }));
+    assert!(
+        matches!((decision_of_0, preempted_0), (Some(d), Some(p)) if d < p),
+        "{responses:?}"
+    );
+}
+
 #[test]
 fn stats_snapshot_is_self_describing() {
     let topo = dumbbell(4, 4, GBPS);

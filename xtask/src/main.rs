@@ -270,7 +270,7 @@ fn soak(args: &[String]) -> ExitCode {
     if failures.is_empty() {
         println!(
             "xtask soak: clean ({} seed(s): invariants, byte-identical double runs, \
-             honest sheds, throughput floor {:.0}/s)",
+             honest sheds, batch mode entered, throughput floor {:.0}/s)",
             cfg.seeds.len(),
             cfg.min_throughput
         );
