@@ -23,9 +23,8 @@
 //! the crate (and the benches) use.
 
 use std::fmt;
-use std::sync::Arc;
 use taps_timeline::{slots, IntervalSet};
-use taps_topology::cache::PathCache;
+use taps_topology::cache::{Candidates, PathCache};
 use taps_topology::{LinkId, Path, Topology};
 
 /// Why an allocation could not be produced.
@@ -106,7 +105,7 @@ pub(crate) fn slots_for(slot: f64, bytes: f64, bottleneck: f64) -> u64 {
 /// path only through its bottleneck capacity, which on the paper's
 /// uniform-capacity fabrics is the same for every candidate, so the
 /// division is redone only when the bottleneck differs from the previous
-/// path's.
+/// candidate's.
 pub(crate) struct SlotDemand {
     slot: f64,
     bytes: f64,
@@ -125,10 +124,9 @@ impl SlotDemand {
         }
     }
 
-    /// `E` on `path`: [`slots_for`] at its bottleneck.
+    /// `E` on a path of the given bottleneck capacity: [`slots_for`].
     #[inline]
-    pub(crate) fn on(&mut self, topo: &Topology, path: &Path) -> u64 {
-        let bottleneck = path.bottleneck(topo);
+    pub(crate) fn at(&mut self, bottleneck: f64) -> u64 {
         match self.last {
             Some((b, e)) if b.to_bits() == bottleneck.to_bits() => e,
             _ => {
@@ -237,9 +235,9 @@ pub struct AllocEngine {
     pub(crate) slot: f64,
     /// `O_x` per directed link, in slot indices.
     pub(crate) occupancy: Vec<IntervalSet>,
-    /// Candidate paths per host pair, capped at the Alg. 2 budget (paper:
-    /// "all the possible paths"; evenly sampled at fat-tree scale — see
-    /// DESIGN.md).
+    /// Candidate paths per host pair as views over per-ToR-pair middles,
+    /// capped at the Alg. 2 budget (paper: "all the possible paths";
+    /// evenly sampled at fat-tree scale — see DESIGN.md).
     cache: PathCache,
     /// Scratch `T_ocp` reused across candidates and admissions.
     pub(crate) scratch: IntervalSet,
@@ -322,13 +320,31 @@ impl AllocEngine {
     /// path cache (which self-refreshes on fault-epoch changes). The
     /// delta engine's fault absorption compares a cached entry's list
     /// against this — exactly what a post-fault full pass would fetch.
-    pub(crate) fn candidate_paths(
-        &mut self,
-        topo: &Topology,
-        src: usize,
-        dst: usize,
-    ) -> Arc<Vec<Path>> {
-        self.cache.paths(topo, topo.host(src), topo.host(dst))
+    pub(crate) fn candidates(&mut self, topo: &Topology, src: usize, dst: usize) -> Candidates {
+        self.cache.candidates(topo, topo.host(src), topo.host(dst))
+    }
+
+    /// Merges the occupancy of `c`'s access links into `scratch`, the
+    /// shared set [`rank`](Self::rank) sweeps each middle against.
+    pub(crate) fn merge_access(&mut self, c: &Candidates) {
+        union_path(&self.occupancy, c.access(), &mut self.scratch);
+    }
+
+    /// Candidate `i` of `c` through [`first_fit_links`]: its middle's
+    /// occupancy plus, when it has access links, their merged set, which
+    /// [`merge_access`](Self::merge_access) must have left in `scratch`.
+    /// Union is associative, so this is the sweep over the whole path.
+    #[inline]
+    pub(crate) fn rank(
+        &self,
+        c: &Candidates,
+        i: usize,
+        from: u64,
+        slots: u64,
+        bound: u64,
+    ) -> Option<u64> {
+        let shared = (!c.access().is_empty()).then_some(&self.scratch);
+        first_fit_links(shared, &self.occupancy, c.middle(i), from, slots, bound)
     }
 
     /// Binds the engine to `topo`: sizes the occupancy table and, if this
@@ -409,11 +425,11 @@ impl AllocEngine {
         topo: &Topology,
         demand: &FlowDemand,
         start_slot: u64,
-        candidates: Option<Arc<Vec<Path>>>,
+        candidates: Option<Candidates>,
         seed: Option<usize>,
-    ) -> Result<(Arc<Vec<Path>>, usize, FlowAlloc), AllocError> {
+    ) -> Result<(Candidates, usize, FlowAlloc), AllocError> {
         let candidates =
-            candidates.unwrap_or_else(|| self.candidate_paths(topo, demand.src, demand.dst));
+            candidates.unwrap_or_else(|| self.candidates(topo, demand.src, demand.dst));
         if candidates.is_empty() {
             return Err(AllocError::Disconnected { flow: demand.id });
         }
@@ -423,38 +439,19 @@ impl AllocEngine {
         // links, which also carry the densest occupancy (all of the
         // pair's flows cross them). Merge those once per search so each
         // per-candidate sweep walks the access intervals a single time
-        // instead of once per candidate. Union is associative, so the
-        // result is identical to a sweep over the full link list.
-        let shared_access = candidates.len() > 1 && {
-            let f = &candidates[0].links;
-            f.len() >= 2
-                && candidates[1..]
-                    .iter()
-                    .all(|p| p.links.len() >= 2 && p.links[0] == f[0] && p.links.last() == f.last())
-        };
-        if shared_access {
-            let f = &candidates[0].links;
-            union_path(&self.occupancy, &[f[0], f[f.len() - 1]], &mut self.scratch);
-        }
-        let shared = shared_access.then_some(&self.scratch);
-        let occupancy = &self.occupancy;
-        let rank = |p: &Path, e: u64, bound: u64| -> Option<u64> {
-            let links = match shared {
-                Some(_) => &p.links[1..p.links.len() - 1],
-                None => &p.links[..],
-            };
-            first_fit_links(shared, occupancy, links, start_slot, e, bound)
+        // instead of once per candidate.
+        self.merge_access(&candidates);
+        let mut rank = |i: usize, bound: u64| {
+            let e = demand_on.at(candidates.bottleneck(i));
+            self.rank(&candidates, i, start_slot, e, bound)
         };
         // Rank candidates by completion slot; ties go to the lowest
         // candidate index (first-wins).
         let mut best: Option<(u64, usize)> = None;
         if let Some(si) = seed.filter(|&si| si < candidates.len()) {
-            let p = &candidates[si];
-            if let Some(c) = rank(p, demand_on.on(topo, p), u64::MAX) {
-                best = Some((c, si));
-            }
+            best = rank(si, u64::MAX).map(|c| (c, si));
         }
-        for (i, p) in candidates.iter().enumerate() {
+        for i in 0..candidates.len() {
             if Some(i) == seed {
                 continue;
             }
@@ -473,7 +470,7 @@ impl AllocEngine {
                     }
                 }
             };
-            if let Some(c) = rank(p, demand_on.on(topo, p), bound) {
+            if let Some(c) = rank(i, bound) {
                 best = Some((c, i));
             }
         }
@@ -481,12 +478,16 @@ impl AllocEngine {
             // lint: panic-ok(invariant: every candidate finds a fit in the infinite idle tail)
             best.expect("at least one candidate completes (idle tail is infinite)");
 
-        // Materialize the slices for the winner only.
+        // Materialize the path and slices for the winner only.
         // lint: cast-ok(candidate counts are bounded by max_paths, far below 2^64)
         self.counters.paths_tried += candidates.len() as u64;
         self.counters.slots_scanned += completion_slot.saturating_sub(start_slot) + 1;
-        let path = candidates[idx].clone();
-        let slices = self.first_free_on(&path.links, start_slot, demand_on.on(topo, &path));
+        let path = candidates.path(idx);
+        let slices = self.first_free_on(
+            &path.links,
+            start_slot,
+            demand_on.at(candidates.bottleneck(idx)),
+        );
         debug_assert_eq!(slices.max_end(), Some(completion_slot));
         self.commit_slices(&path.links, &slices);
         let al = self.finish(demand, path, slices, completion_slot);
@@ -532,7 +533,7 @@ impl AllocEngine {
         topo: &Topology,
         demands: &[FlowDemand],
         start_slot: u64,
-        mut record: impl FnMut(&FlowDemand, Arc<Vec<Path>>, usize, &FlowAlloc),
+        mut record: impl FnMut(&FlowDemand, Candidates, usize, &FlowAlloc),
     ) -> Result<Vec<FlowAlloc>, AllocError> {
         let mut out = Vec::with_capacity(demands.len());
         for d in demands {
@@ -885,7 +886,8 @@ mod tests {
         // The shape the test needs, checked rather than assumed.
         let cands = a
             .engine_mut()
-            .candidate_paths(&topo, target.src, target.dst);
+            .candidates(&topo, target.src, target.dst)
+            .to_paths();
         assert_eq!(cands.len(), 4);
         let busy = |p: &Path| p.links.iter().any(|l| !a.occupancy(*l).is_empty());
         assert!(!busy(&cands[0]), "candidate 0 must be idle");

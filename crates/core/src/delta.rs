@@ -47,10 +47,10 @@
 //! 3. **Per-flow fallback** — a dirty winner path or a changed demand
 //!    sends just that flow through the ordinary search.
 
-use crate::alloc::{first_fit_links, AllocEngine, AllocError, FlowAlloc, FlowDemand, SlotDemand};
-use std::sync::Arc;
+use crate::alloc::{AllocEngine, AllocError, FlowAlloc, FlowDemand, SlotDemand};
 use taps_timeline::IntervalSet;
-use taps_topology::{LinkId, Path, Topology};
+use taps_topology::cache::Candidates;
+use taps_topology::{LinkId, Topology};
 
 /// Fraction of a batch (of at least 8 flows) allowed through the full
 /// search before the pass stops consulting the cache (fallback ladder
@@ -67,21 +67,14 @@ struct DeltaEntry {
     dst: usize,
     /// Remaining bytes the entry was computed for (compared bit-exactly).
     remaining: f64,
-    /// Candidate list used (shared with the engine's path cache).
-    candidates: Arc<Vec<Path>>,
+    /// Candidate list used (a view sharing the engine's path cache).
+    candidates: Candidates,
     /// Index of the winning candidate in `candidates`.
     winner: usize,
     /// Committed slices, absolute slot indices of the previous pass.
     slices: IntervalSet,
     /// Completion slot of the previous pass.
     completion: u64,
-}
-
-impl DeltaEntry {
-    /// Links of the winning path.
-    fn winner_links(&self) -> &[LinkId] {
-        &self.candidates[self.winner].links
-    }
 }
 
 /// Writes rank `rank` of the pass being built into `next` — over the
@@ -92,7 +85,7 @@ fn put_entry<'a>(
     next: &'a mut Vec<DeltaEntry>,
     rank: usize,
     d: &FlowDemand,
-    candidates: Arc<Vec<Path>>,
+    candidates: Candidates,
     winner: usize,
     completion: u64,
 ) -> &'a mut IntervalSet {
@@ -148,6 +141,13 @@ impl LinkDirt {
                 self.len += 1;
             }
         }
+    }
+
+    /// Marks candidate `i` of `c`: its access links and its middle.
+    #[inline]
+    fn mark_candidate(&mut self, c: &Candidates, i: usize) {
+        self.mark(c.access());
+        self.mark(c.middle(i));
     }
 
     #[inline]
@@ -356,7 +356,7 @@ impl AllocEngine {
                 // ranked after them.
                 if reuse_enabled {
                     for gone in &entries[cursor..r] {
-                        free_dirt.mark(gone.winner_links());
+                        free_dirt.mark_candidate(&gone.candidates, gone.winner);
                     }
                 }
                 cursor = r + 1;
@@ -370,11 +370,28 @@ impl AllocEngine {
             let mut handled = false;
             if reuse_enabled {
                 if let Some(e) = translatable {
-                    let winner_links = e.winner_links();
-                    let winner_dirty =
-                        free_dirt.touches(winner_links) || add_dirt.touches(winner_links);
+                    let c = &e.candidates;
+                    let (access, winner_middle) = (c.access(), c.middle(e.winner));
+                    // The access links are every candidate's: test them
+                    // once, and only the middles per candidate.
+                    let access_freed = free_dirt.touches(access);
+                    let winner_dirty = access_freed
+                        || free_dirt.touches(winner_middle)
+                        || add_dirt.touches(access)
+                        || add_dirt.touches(winner_middle);
                     let translated = e.completion + delta;
                     let mut demand_on = SlotDemand::new(self.slot, d.remaining);
+                    // Sweeps rank middles against the access links' merged
+                    // occupancy, built by the first sweep that needs it.
+                    let mut merged = false;
+                    let mut rank = |engine: &mut AllocEngine, ci: usize, bound: u64| {
+                        if !merged {
+                            engine.merge_access(c);
+                            merged = true;
+                        }
+                        let slots = demand_on.at(c.bottleneck(ci));
+                        engine.rank(c, ci, start_slot, slots, bound)
+                    };
                     // Seed the incumbent with the winner's exact current
                     // completion: the translation when its links are clean,
                     // one bounded sweep when they are dirty. The incumbent
@@ -386,15 +403,7 @@ impl AllocEngine {
                     // pushed *past* its translated completion voids the
                     // argument, so that flow takes the full search.
                     let seed = if winner_dirty {
-                        first_fit_links(
-                            None,
-                            &self.occupancy,
-                            winner_links,
-                            start_slot,
-                            demand_on.on(topo, &e.candidates[e.winner]),
-                            translated,
-                        )
-                        .map(|c| (c, e.winner))
+                        rank(self, e.winner, translated).map(|t| (t, e.winner))
                     } else {
                         Some((translated, e.winner))
                     };
@@ -403,13 +412,10 @@ impl AllocEngine {
                         // Only a candidate that crosses a freed link can
                         // beat the incumbent, so while nothing is freed
                         // there is nothing to probe.
-                        let probes = if free_dirt.is_empty() {
-                            &e.candidates[..0]
-                        } else {
-                            &e.candidates[..]
-                        };
-                        for (ci, p) in probes.iter().enumerate() {
-                            if ci == e.winner || !free_dirt.touches(&p.links) {
+                        let probes = if free_dirt.is_empty() { 0 } else { c.len() };
+                        for ci in 0..probes {
+                            if ci == e.winner || !(access_freed || free_dirt.touches(c.middle(ci)))
+                            {
                                 continue;
                             }
                             stats.probed_candidates += 1;
@@ -421,33 +427,25 @@ impl AllocEngine {
                             } else {
                                 best.0.saturating_sub(1)
                             };
-                            if let Some(c) = first_fit_links(
-                                None,
-                                &self.occupancy,
-                                &p.links,
-                                start_slot,
-                                demand_on.on(topo, p),
-                                bound,
-                            ) {
-                                best = (c, ci);
+                            if let Some(t) = rank(self, ci, bound) {
+                                best = (t, ci);
                                 moved = true;
                             }
                         }
                         let (completion, widx) = best;
-                        let path = e.candidates[widx].clone();
-                        let cached =
-                            put_entry(next, i, d, Arc::clone(&e.candidates), widx, completion);
+                        let path = c.path(widx);
+                        let cached = put_entry(next, i, d, c.clone(), widx, completion);
                         let slices = if moved || winner_dirty {
                             let s = self.first_free_on(
                                 &path.links,
                                 start_slot,
-                                demand_on.on(topo, &path),
+                                demand_on.at(c.bottleneck(widx)),
                             );
                             debug_assert_eq!(s.max_end(), Some(completion));
                             if moved {
                                 // The flow moved: its old links lose the
                                 // translated contribution, the new ones gain.
-                                free_dirt.mark(winner_links);
+                                free_dirt.mark_candidate(c, e.winner);
                                 add_dirt.mark(&path.links);
                                 stats.moved_flows += 1;
                             } else if s.eq_shifted(&e.slices, delta) {
@@ -483,7 +481,7 @@ impl AllocEngine {
                         // (trace byte-identity): all candidates ranked,
                         // winner depth scanned.
                         // lint: cast-ok(candidate counts are bounded by max_paths, far below 2^64)
-                        self.counters.paths_tried += e.candidates.len() as u64;
+                        self.counters.paths_tried += c.len() as u64;
                         self.counters.slots_scanned += completion.saturating_sub(start_slot) + 1;
                         out.push(self.finish(d, path, slices, completion));
                         handled = true;
@@ -503,20 +501,24 @@ impl AllocEngine {
                     topo,
                     d,
                     start_slot,
-                    known.map(|e| Arc::clone(&e.candidates)),
+                    known.map(|e| e.candidates.clone()),
                     known.map(|e| e.winner),
                 )?;
                 if reuse_enabled {
-                    let links = candidates[widx].links.as_slice();
+                    let links = al.path.links.as_slice();
                     match entry {
                         // A re-searched flow that landed exactly on its
                         // translated previous allocation disturbed nothing
-                        // — marking it dirty would needlessly cascade.
+                        // — marking it dirty would needlessly cascade. Its
+                        // path is unchanged exactly when it searched its own
+                        // list (a list holds distinct paths) and kept the
+                        // winner; other endpoints give other access links.
                         Some(e)
-                            if e.winner_links() == links
+                            if known.is_some()
+                                && widx == e.winner
                                 && al.slices.eq_shifted(&e.slices, delta) => {}
                         Some(e) => {
-                            free_dirt.mark(e.winner_links());
+                            free_dirt.mark_candidate(&e.candidates, e.winner);
                             add_dirt.mark(links);
                         }
                         None => add_dirt.mark(links),
@@ -624,7 +626,7 @@ impl AllocEngine {
         let entries = &cache.entries;
         cache.index.retain(|&(_, rank)| {
             let e = &entries[rank];
-            *self.candidate_paths(topo, e.src, e.dst) == *e.candidates
+            self.candidates(topo, e.src, e.dst) == e.candidates
         });
         cache.epoch = epoch;
         cache.stats.absorbed_epochs += 1;
@@ -778,13 +780,11 @@ mod tests {
             let mut a = SlotAllocator::new(&topo, 0.0001, 16);
             let mut cache = DeltaCache::new();
             a.allocate_batch_delta(&base, 4, &mut cache).unwrap();
-            let gone = cache.entries[r].winner_links();
+            let departed = &cache.entries[r];
+            let gone: Vec<LinkId> = departed.candidates.links(departed.winner).collect();
             if cache.entries[..r].iter().any(|e| {
-                let crosses = |p: &Path| p.links.iter().any(|l| gone.contains(l));
-                e.candidates
-                    .iter()
-                    .enumerate()
-                    .any(|(ci, p)| ci != e.winner && crosses(p))
+                (0..e.candidates.len())
+                    .any(|ci| ci != e.winner && e.candidates.links(ci).any(|l| gone.contains(&l)))
             }) {
                 witnesses.push(r);
             }

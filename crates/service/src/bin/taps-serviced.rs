@@ -9,7 +9,6 @@
 //! `"Stats"` returns the metrics snapshot, `"Drain"` begins a graceful
 //! shutdown (the daemon finishes the backlog, checkpoints, and exits).
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use taps_sdn::ControllerConfig;
@@ -46,8 +45,6 @@ fn main() {
 
     let topo = fat_tree(k, GBPS);
     let mut svc = ServiceController::new(&topo, ControllerConfig::default(), svc_cfg);
-    let recorder = Arc::new(taps_obs::RingRecorder::new());
-    svc.set_trace_sink(recorder.clone());
 
     let mut tr = match UdsTransport::bind(&socket) {
         Ok(t) => t,
@@ -69,13 +66,10 @@ fn main() {
         if svc.state() == ServiceState::Draining && svc.pending_depth() == 0 {
             let (ckpt, end) = svc.drain(now, &mut tr);
             eprintln!(
-                "taps-serviced: drained at t={end:.3}s — checkpoint epoch {} gen {} with {} flows, \
-                 {} trace events recorded, {} dropped",
+                "taps-serviced: drained at t={end:.3}s — checkpoint epoch {} gen {} with {} flows",
                 ckpt.epoch,
                 ckpt.gen,
-                ckpt.flows.len(),
-                recorder.len(),
-                recorder.dropped()
+                ckpt.flows.len()
             );
             break;
         }

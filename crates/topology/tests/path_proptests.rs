@@ -1,17 +1,18 @@
 //! Property tests over randomized topology parameters: every enumerated
 //! path must be a simple, connected, valley-free walk; ECMP must stay
 //! within the candidate set and be deterministic; and the walk-table join
-//! behind `PathFinder` and `PathCache` must return, element for element,
-//! what the [`reference`] enumeration returns — on every topology family,
-//! budget and fault set.
+//! behind `PathFinder` and `PathCache` — both its written-out lists and
+//! its `Candidates` views — must return, element for element, what the
+//! [`reference`] enumeration returns, on every topology family, budget
+//! and fault set.
 
 use proptest::prelude::*;
 use taps_topology::build::{
     bcube, dumbbell, fat_tree, fig3_star, partial_fat_tree_testbed, single_rooted, GBPS,
 };
-use taps_topology::cache::PathCache;
+use taps_topology::cache::{Candidates, PathCache};
 use taps_topology::paths::{splitmix64, PathFinder};
-use taps_topology::{LinkId, NodeId, NodeKind, Topology};
+use taps_topology::{LinkId, NodeId, NodeKind, Path, Topology};
 
 /// The candidate enumeration as it was first written, kept as the
 /// definition the production code is compared against: two depth-first
@@ -163,6 +164,32 @@ fn inject(topo: &Topology, src: NodeId, faults: &[(usize, usize)]) -> Vec<LinkId
     cables
 }
 
+/// `view` written out is `want`, and each candidate's links and
+/// bottleneck are the written-out path's.
+fn assert_view_is(topo: &Topology, view: &Candidates, want: &[Path], ctx: &str) {
+    assert_eq!(view.to_paths(), want, "view, {ctx}");
+    for (i, p) in want.iter().enumerate() {
+        assert!(
+            view.links(i).eq(p.links.iter().copied()),
+            "links {i}, {ctx}"
+        );
+        let (access, middle) = (view.access(), view.middle(i));
+        assert_eq!(access.len() + middle.len(), p.len(), "split {i}, {ctx}");
+        if let [up, down] = access {
+            assert_eq!(
+                (p.links[0], p.links[p.len() - 1]),
+                (*up, *down),
+                "access {i}, {ctx}"
+            );
+        }
+        assert_eq!(
+            view.bottleneck(i).to_bits(),
+            p.bottleneck(topo).to_bits(),
+            "bottleneck {i}, {ctx}"
+        );
+    }
+}
+
 fn check_path_validity(topo: &Topology, src: NodeId, dst: NodeId, max: usize) {
     let pf = PathFinder::new(topo);
     let paths = pf.paths(src, dst, max);
@@ -301,6 +328,7 @@ proptest! {
         prop_assert_eq!(cache.paths(&topo, src, dst).as_slice(), &direct[..]);
         // Second query answers from the cache and stays identical.
         prop_assert_eq!(cache.paths(&topo, src, dst).as_slice(), &direct[..]);
+        assert_view_is(&topo, &cache.candidates(&topo, src, dst), &direct, "warm view");
     }
 
     #[test]
@@ -359,11 +387,17 @@ proptest! {
             let ctx = format!("{} {src:?}->{dst:?} budget {budget}, {state}", topo.name);
             assert_eq!(PathFinder::new(&topo).paths(src, dst, budget), want, "direct, {ctx}");
             assert_eq!(*PathCache::new(budget).paths(&topo, src, dst), want, "cold, {ctx}");
+            let cold = PathCache::new(budget).candidates(&topo, src, dst);
+            assert_view_is(&topo, &cold, &want, &format!("cold, {ctx}"));
             assert_eq!(*cache.paths(&topo, src, dst), want, "long-lived, {ctx}");
             assert_eq!(*cache.paths(&topo, src, dst), want, "warm, {ctx}");
+            let warm = cache.candidates(&topo, src, dst);
+            assert_view_is(&topo, &warm, &want, &format!("warm, {ctx}"));
             let mut warmed = PathCache::new(budget);
             warmed.warm(&topo);
             assert_eq!(*warmed.paths(&topo, src, dst), want, "pre-warmed, {ctx}");
+            let pre = warmed.candidates(&topo, src, dst);
+            assert_view_is(&topo, &pre, &want, &format!("pre-warmed, {ctx}"));
         };
         check(&mut cache, "healthy");
         let cables = inject(&topo, src, &faults);

@@ -43,9 +43,9 @@ fn tracing_does_not_perturb_testbed_outcomes() {
     assert!(!ring.drain().is_empty(), "traced run recorded nothing");
 }
 
-/// The daemon's steady state: `taps-serviced` spends almost all of its
-/// life with the recorder full. A full recorder must change no outcome
-/// and must keep the *first* events (drop-newest, order preserved).
+/// A long-lived traced service fills any bounded recorder, and from then
+/// on every event is dropped. A full recorder must change no outcome and
+/// must keep the *first* events (drop-newest, order preserved).
 #[test]
 fn a_full_recorder_does_not_perturb_outcomes() {
     let topo = partial_fat_tree_testbed(GBPS);
