@@ -13,10 +13,8 @@
 
 use crate::alloc::{AllocEngine, AllocError, FlowAlloc, FlowDemand};
 use crate::delta::DeltaCache;
-use crate::obs::obs_event;
-#[cfg(feature = "obs")]
-use crate::obs::obs_id;
 use std::cmp::Ordering;
+use taps_obs::{obs_event, obs_id};
 use taps_topology::Topology;
 
 /// How the reject rule resolves the "one victim task" case (see
@@ -283,7 +281,6 @@ pub struct Arbiter {
     /// `(flow id, rank in committed)` of every committed flow not
     /// forgotten since, sorted by id.
     committed_index: Vec<(usize, usize)>,
-    #[cfg(feature = "obs")]
     trace: Option<std::sync::Arc<dyn taps_obs::TraceSink>>,
 }
 
@@ -298,14 +295,12 @@ impl Arbiter {
             demands: Vec::new(),
             committed: Vec::new(),
             committed_index: Vec::new(),
-            #[cfg(feature = "obs")]
             trace: None,
         }
     }
 
     /// Routes `AllocAttempt` / `Admit` / `Preempt` / `Reject` and grant
     /// events to `sink`.
-    #[cfg(feature = "obs")]
     pub fn set_trace_sink(&mut self, sink: std::sync::Arc<dyn taps_obs::TraceSink>) {
         self.trace = Some(sink);
     }
@@ -411,20 +406,16 @@ impl Arbiter {
         newcomer: usize,
         settled: impl Fn(usize) -> Standing,
     ) -> Admission {
-        #[cfg(not(feature = "obs"))]
-        let _ = now;
         let mut dropped = Vec::new();
         // Zero the engine's work counters so the post-pass reading covers
         // exactly this admission's tentative allocation. Gated on an
         // attached sink: without one the counters are never read, so the
         // hot path skips both bookkeeping calls.
-        #[cfg(feature = "obs")]
         if self.trace.is_some() {
             let _ = self.engine.take_counters();
         }
         let (tentative, newcomer_cut) =
             self.allocate_degrading(topo, start_slot, Some(newcomer), &mut dropped);
-        #[cfg(feature = "obs")]
         if self.trace.is_some() {
             let c = self.engine.take_counters();
             obs_event!(
@@ -468,24 +459,21 @@ impl Arbiter {
                 Some(victim)
             }
             RejectDecision::Reject => {
-                #[cfg(feature = "obs")]
-                {
-                    let reason = if newcomer_cut {
-                        taps_obs::reason::DISCONNECTED
-                    } else if self.policy == RejectPolicy::NeverPreempt {
-                        taps_obs::reason::WOULD_PREEMPT
-                    } else {
-                        taps_obs::reason::INFEASIBLE
-                    };
-                    obs_event!(
-                        self.trace,
-                        now,
-                        Reject {
-                            task: obs_id(newcomer),
-                            reason
-                        }
-                    );
-                }
+                let reason = if newcomer_cut {
+                    taps_obs::reason::DISCONNECTED
+                } else if self.policy == RejectPolicy::NeverPreempt {
+                    taps_obs::reason::WOULD_PREEMPT
+                } else {
+                    taps_obs::reason::INFEASIBLE
+                };
+                obs_event!(
+                    self.trace,
+                    now,
+                    Reject {
+                        task: obs_id(newcomer),
+                        reason
+                    }
+                );
                 (!newcomer_cut).then_some(newcomer)
             }
         };
@@ -552,16 +540,13 @@ impl Arbiter {
     /// First the commit-time validator checks the whole schedule against
     /// its invariants (link-exclusivity, demand-conservation, deadline
     /// consistency, full slot release) and panics with the structured
-    /// report on a violation; it runs with the `validate` feature
-    /// (default) in debug/test builds, or in any build when `force` is
-    /// set. Then one merge of the old and new `(id, rank)` indexes, in id
-    /// order, sorts every flow into kept (same path), re-routed, departed
-    /// or new; kept flows cost one path comparison. The new index is the
-    /// delta cache's, which sorted it for the pass it just installed.
+    /// report on a violation; it runs in debug/test builds, or in any
+    /// build when `force` is set. Then one merge of the old and new
+    /// `(id, rank)` indexes, in id order, sorts every flow into kept (same
+    /// path), re-routed, departed or new; kept flows cost one path
+    /// comparison. The new index is the delta cache's, which sorted it
+    /// for the pass it just installed.
     pub fn commit(&mut self, topo: &Topology, allocs: Vec<FlowAlloc>, force: bool) -> ChangeSet {
-        #[cfg(not(feature = "validate"))]
-        let _ = (topo, force);
-        #[cfg(feature = "validate")]
         if force || cfg!(debug_assertions) {
             let mut report = crate::validate::check_schedule(
                 topo,
@@ -660,17 +645,15 @@ impl Arbiter {
     }
 
     /// Drops `flow` from the committed index (it finished) and returns
-    /// its allocation; the next commit then neither keeps nor withdraws
-    /// it.
-    pub fn forget_committed(&mut self, flow: usize) -> Option<&FlowAlloc> {
+    /// its allocation's rank in [`Self::committed_pass`]; the next commit
+    /// then neither keeps nor withdraws it.
+    pub fn forget_committed(&mut self, flow: usize) -> Option<usize> {
         let at = self.committed_at(flow)?;
-        let (_, rank) = self.committed_index.remove(at);
-        Some(&self.committed[rank])
+        Some(self.committed_index.remove(at).1)
     }
 
     /// Emits the `GrantIssued` + `GrantHop` + `GrantSlice` burst of one
     /// committed allocation, stamped `(epoch, gen)`.
-    #[cfg(feature = "obs")]
     pub fn trace_grant(&self, now: f64, al: &FlowAlloc, epoch: u64, gen: u64) {
         use taps_timeline::slots;
         if self.trace.is_none() {
@@ -991,8 +974,9 @@ mod tests {
                 CommitOp::Term(n) => {
                     if let Some(e) = pick(&arb, n) {
                         arb.ftmp.remove(&e);
-                        let al = arb.forget_committed(e.id);
-                        assert_eq!(al.map(|al| &al.path), model.get(&e.id));
+                        let rank = arb.forget_committed(e.id);
+                        let path = rank.map(|r| &arb.committed_pass()[r].path);
+                        assert_eq!(path, model.get(&e.id));
                         model.remove(&e.id);
                         assert!(arb.committed(e.id).is_none());
                     }

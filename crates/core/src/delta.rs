@@ -31,8 +31,8 @@
 //! probed against the translated incumbent — none while nothing is
 //! freed. Everything else falls back to the full per-flow search. The
 //! result is bit-identical to the full pass — same paths, slices,
-//! completion slots and work counters — which a `validate`-feature debug
-//! cross-check re-verifies on every batch.
+//! completion slots and work counters — which a debug-build cross-check
+//! re-verifies on every batch.
 //!
 //! The fallback ladder, coarse to fine:
 //!
@@ -538,11 +538,9 @@ impl AllocEngine {
         }
         stats.delta_batches += 1;
 
-        // Debug/validate cross-check: the delta pass must be
-        // indistinguishable from the full pass — allocations *and* work
-        // counters (the counters feed trace events, which must stay
-        // byte-identical).
-        #[cfg(feature = "validate")]
+        // Debug cross-check: the delta pass must be indistinguishable
+        // from the full pass — allocations *and* work counters (the
+        // counters feed trace events, which must stay byte-identical).
         if cfg!(debug_assertions) {
             let after_delta = self.counters;
             self.reset();
@@ -577,8 +575,6 @@ impl AllocEngine {
             );
             self.counters = after_delta;
         }
-        #[cfg(not(feature = "validate"))]
-        let _ = counters_before;
 
         cache.install(topo, total, start_slot);
         Ok(out)
@@ -610,9 +606,8 @@ impl AllocEngine {
     /// Finally the cache is re-stamped to the current epoch. Returns
     /// `false` when there was nothing to absorb into (invalid cache or
     /// different topology) — the next batch then falls back as before.
-    /// Bit-identity with the full pass is unchanged (the
-    /// `validate`-feature debug cross-check still re-verifies every
-    /// subsequent batch).
+    /// Bit-identity with the full pass is unchanged (the debug-build
+    /// cross-check still re-verifies every subsequent batch).
     pub fn absorb_fault_epoch(&mut self, topo: &Topology, cache: &mut DeltaCache) -> bool {
         self.ensure_topology(topo);
         if !cache.valid || cache.topo_name != topo.name {

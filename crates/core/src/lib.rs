@@ -30,7 +30,6 @@ pub mod analysis;
 pub mod arbiter;
 pub mod delta;
 pub mod hardness;
-mod obs;
 pub mod oracle;
 mod scheduler;
 pub mod validate;

@@ -13,14 +13,12 @@
 //! re-pack starts exactly there.
 
 use crate::alloc::FlowAlloc;
-#[cfg(feature = "obs")]
-use crate::arbiter::ChangeSet;
-use crate::arbiter::{Arbiter, Dropped, InFlight, RejectDecision, RejectPolicy, Standing};
-use crate::obs::obs_event;
-#[cfg(feature = "obs")]
-use crate::obs::obs_id;
+use crate::arbiter::{
+    Arbiter, ChangeSet, Dropped, InFlight, RejectDecision, RejectPolicy, Standing,
+};
 use std::collections::VecDeque;
 use taps_flowsim::{DeadlineAction, FaultEvent, FlowId, FlowStatus, Scheduler, SimCtx, TaskId};
+use taps_obs::{obs_event, obs_id};
 use taps_timeline::slots;
 
 /// TAPS configuration.
@@ -77,10 +75,8 @@ pub struct Taps {
     decisions: Vec<(TaskId, RejectDecision)>,
     /// Structured trace sink for shed and commit events; `None` keeps the
     /// hooks dormant.
-    #[cfg(feature = "obs")]
     trace: Option<std::sync::Arc<dyn taps_obs::TraceSink>>,
     /// Monotonic generation stamped on `CommitBegin`/`CommitEnd` events.
-    #[cfg(feature = "obs")]
     commit_gen: u64,
 }
 
@@ -103,17 +99,14 @@ impl Taps {
             pending: VecDeque::new(),
             pending_shed: 0,
             decisions: Vec::new(),
-            #[cfg(feature = "obs")]
             trace: None,
-            #[cfg(feature = "obs")]
             commit_gen: 0,
         }
     }
 
     /// Installs a structured trace sink: admission decisions, allocation
     /// work counters, and full commit bursts are emitted to it from now
-    /// on. Only available with the `obs` feature (default).
-    #[cfg(feature = "obs")]
+    /// on.
     pub fn set_trace_sink(&mut self, sink: std::sync::Arc<dyn taps_obs::TraceSink>) {
         self.arbiter.set_trace_sink(std::sync::Arc::clone(&sink));
         self.trace = Some(sink);
@@ -184,7 +177,6 @@ impl Taps {
     /// a pass again.
     fn commit(&mut self, ctx: &mut SimCtx<'_>, allocs: Vec<FlowAlloc>) {
         let changes = self.arbiter.commit(ctx.topo(), allocs, false);
-        #[cfg(feature = "obs")]
         self.emit_commit_trace(ctx.now(), &changes);
         let pass = self.arbiter.committed_pass();
         for &rank in &changes.fresh {
@@ -199,7 +191,6 @@ impl Taps {
     /// flows), then a full grant snapshot — `GrantIssued` plus its
     /// `GrantHop`/`GrantSlice` details per flow — bracketed by
     /// `CommitBegin`/`CommitEnd`.
-    #[cfg(feature = "obs")]
     fn emit_commit_trace(&mut self, now: f64, changes: &ChangeSet) {
         if self.trace.is_none() {
             return;

@@ -9,9 +9,8 @@
 //! produced schedules themselves.
 //!
 //! [`Taps`](crate::Taps) runs these checks automatically after every
-//! admission, reject, and preemption when the `validate` feature is on
-//! (the default) and the build has debug assertions (debug/test builds) —
-//! release benchmarks pay nothing. The checks are also plain public
+//! admission, reject, and preemption when the build has debug assertions
+//! (debug/test builds) — release benchmarks pay nothing. The checks are also plain public
 //! functions so tests can feed in corrupted schedules and assert the
 //! violations are caught.
 

@@ -2,7 +2,7 @@
 //! flowsim engine under deterministic link/switch fault plans.
 //!
 //! Every `Taps::commit` in these debug-build runs is checked against the
-//! schedule invariants (`validate` feature), so each test doubles as an
+//! schedule invariants (`Arbiter::commit`), so each test doubles as an
 //! assertion that every post-recovery schedule is validator-clean.
 
 use proptest::prelude::*;

@@ -111,8 +111,8 @@ fn protecting_the_heavy_victim_maximizes_weighted_goodput() {
 
 /// Commit-time validator check: a fully weighted scenario workload runs
 /// under the armed capacity validator (`validate_capacity`) and the
-/// `validate` feature's automatic schedule checks (active in debug/test
-/// builds). Any weight-induced corruption of link exclusivity or
+/// commit-time schedule checks (active in debug/test builds). Any
+/// weight-induced corruption of link exclusivity or
 /// slice-within-deadline placement panics here.
 #[test]
 fn weighted_workload_passes_schedule_invariants() {

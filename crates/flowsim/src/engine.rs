@@ -14,11 +14,11 @@
 use crate::ctx::{SimCtx, SimState};
 use crate::fault::{sort_fault_plan, FaultEvent, FaultKind};
 use crate::metrics::{RateSegment, SimReport};
-use crate::obs::obs_event;
 use crate::scheduler::{DeadlineAction, Scheduler};
 use crate::spec::Workload;
 use crate::state::{FlowRt, FlowStatus, TaskRt, TaskStatus};
 use crate::EPS_TIME;
+use taps_obs::obs_event;
 use taps_topology::Topology;
 
 /// Engine configuration.
@@ -56,7 +56,6 @@ pub struct Simulation<'a> {
     topo: &'a Topology,
     workload: &'a Workload,
     cfg: SimConfig,
-    #[cfg(feature = "obs")]
     trace: Option<std::sync::Arc<dyn taps_obs::TraceSink>>,
 }
 
@@ -82,7 +81,6 @@ impl<'a> Simulation<'a> {
             topo,
             workload,
             cfg,
-            #[cfg(feature = "obs")]
             trace: None,
         }
     }
@@ -90,7 +88,6 @@ impl<'a> Simulation<'a> {
     /// Attaches a trace sink. The engine then emits the simulation
     /// facts — task arrivals, flow specs, completions, deadline
     /// expiries, link faults — as typed events (DESIGN.md §11).
-    #[cfg(feature = "obs")]
     pub fn with_trace_sink(mut self, sink: std::sync::Arc<dyn taps_obs::TraceSink>) -> Self {
         self.trace = Some(sink);
         self
@@ -266,24 +263,22 @@ impl<'a> Simulation<'a> {
                 fault_ptr += 1;
                 ev.apply(self.topo);
                 match ev.kind {
-                    // `_l` so the feature-off build (empty macro
-                    // expansion) stays warning-free.
-                    FaultKind::LinkDown(_l) => {
+                    FaultKind::LinkDown(l) => {
                         obs_event!(
                             self.trace,
                             st.now,
                             LinkFault {
-                                link: _l.idx() as u64,
+                                link: l.idx() as u64,
                                 up: false
                             }
                         );
                     }
-                    FaultKind::LinkUp(_l) => {
+                    FaultKind::LinkUp(l) => {
                         obs_event!(
                             self.trace,
                             st.now,
                             LinkFault {
-                                link: _l.idx() as u64,
+                                link: l.idx() as u64,
                                 up: true
                             }
                         );

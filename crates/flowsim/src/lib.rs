@@ -26,7 +26,6 @@ mod ctx;
 mod engine;
 pub mod fault;
 mod metrics;
-mod obs;
 mod scheduler;
 mod spec;
 mod state;

@@ -15,11 +15,10 @@
 //!   exclusivity, slice-within-deadline, and grant/forwarding agreement
 //!   from the event stream alone (`cargo xtask trace` drives it).
 //!
-//! The scheduler/simulator/control-plane crates depend on this crate
-//! only through their default-on `obs` cargo feature; with the feature
-//! disabled none of their code references a sink and schedules are
-//! bit-identical (the overhead guard test asserts the runtime half of
-//! that, CI's `--no-default-features` builds the compile-time half).
+//! The scheduler/simulator/control-plane crates emit through
+//! [`obs_event!`] into an `Option<Arc<dyn TraceSink>>`: a sink decides
+//! at run time, and with `None` the hooks stay dormant and schedules are
+//! bit-identical (the overhead guard test asserts it).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -80,6 +79,28 @@ pub mod reason {
 pub trait TraceSink: Send + Sync {
     /// Records one event at simulation time `t`.
     fn emit(&self, t: f64, ev: &TraceEvent);
+}
+
+/// Emits a [`TraceEvent`] variant to `$sink` (an
+/// `Option<std::sync::Arc<dyn TraceSink>>`, or anything with a matching
+/// `as_deref`) at simulation time `$t`; a no-op when `$sink` is `None`.
+///
+/// Lint L6 requires all trace output in lib code to go through this
+/// macro (no ad-hoc prints).
+#[macro_export]
+macro_rules! obs_event {
+    ($sink:expr, $t:expr, $variant:ident { $($body:tt)* }) => {
+        if let Some(sink) = ($sink).as_deref() {
+            $crate::TraceSink::emit(sink, $t, &$crate::TraceEvent::$variant { $($body)* });
+        }
+    };
+}
+
+/// Widens a dense `usize` id or count to the `u64` of a trace event
+/// field.
+#[inline]
+pub fn obs_id(x: usize) -> u64 {
+    x as u64
 }
 
 /// A sink that discards everything (useful as a benchmark control).

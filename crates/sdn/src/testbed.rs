@@ -5,18 +5,17 @@
 //! the controller; grants are pushed to the server agents (including
 //! re-issued grants for in-flight flows the re-allocation moved);
 //! agents transmit exactly inside their slices; TERMs flow back and the
-//! controller withdraws forwarding entries. At every slot the harness
-//! *audits the data plane*: each transmitting flow's packets are walked
-//! hop by hop through the installed flow tables, and per-link exclusive
-//! occupancy is asserted.
+//! controller withdraws forwarding entries; a preempted task's senders
+//! discard its flows (Fig. 4 step 5). At every slot the harness *audits
+//! the data plane*: each transmitting flow's packets are walked hop by
+//! hop, along the grant its sender holds, through the installed flow
+//! tables, and per-link exclusive occupancy is asserted.
 
 use crate::controller::{Controller, ControllerConfig, TaskVerdict};
 use crate::messages::{ProbeHeader, ServerMsg};
-use crate::obs::obs_event;
-#[cfg(feature = "obs")]
-use crate::obs::obs_id;
 use crate::server::ServerAgent;
 use taps_flowsim::Workload;
+use taps_obs::{obs_event, obs_id};
 use taps_topology::Topology;
 
 /// Result of a testbed run.
@@ -48,19 +47,11 @@ pub fn run_testbed(
     cfg: ControllerConfig,
     horizon: f64,
 ) -> TestbedReport {
-    run_inner(
-        topo,
-        wl,
-        cfg,
-        horizon,
-        #[cfg(feature = "obs")]
-        None,
-    )
+    run_inner(topo, wl, cfg, horizon, None)
 }
 
 /// [`run_testbed`] with every control-plane decision, commit, and flow
 /// lifecycle event recorded into `sink` (DESIGN.md §11).
-#[cfg(feature = "obs")]
 pub fn run_testbed_traced(
     topo: &Topology,
     wl: &Workload,
@@ -76,7 +67,7 @@ fn run_inner(
     wl: &Workload,
     cfg: ControllerConfig,
     horizon: f64,
-    #[cfg(feature = "obs")] trace: Option<std::sync::Arc<dyn taps_obs::TraceSink>>,
+    trace: Option<std::sync::Arc<dyn taps_obs::TraceSink>>,
 ) -> TestbedReport {
     let slot = cfg.slot;
     let line_rate = topo
@@ -84,7 +75,6 @@ fn run_inner(
         // lint: panic-ok(harness precondition: the testbed topologies are built with uniform capacity)
         .expect("testbed wants uniform links");
     let mut controller = Controller::new(topo, cfg);
-    #[cfg(feature = "obs")]
     if let Some(s) = &trace {
         controller.set_trace_sink(s.clone());
     }
@@ -138,7 +128,6 @@ fn run_inner(
                     deadline: t.deadline
                 }
             );
-            #[cfg(feature = "obs")]
             for p in &probes {
                 obs_event!(
                     &trace,
@@ -154,6 +143,11 @@ fn run_inner(
                 );
             }
             let (verdict, grants, _cmds) = controller.handle_probe(now, &probes);
+            if let TaskVerdict::AcceptedWithPreemption(victim) = verdict {
+                for fid in wl.tasks[victim].flows.clone() {
+                    agents[wl.flows[fid].src].drop_flow(fid);
+                }
+            }
             if matches!(verdict, TaskVerdict::Rejected) {
                 for fid in t.flows.clone() {
                     rejected_flows[fid] = true;
@@ -188,7 +182,7 @@ fn run_inner(
             if agents[f.src].rate_at(fid, now + slot / 2.0) <= 0.0 {
                 continue;
             }
-            let Some(grant) = controller.grant_of(fid) else {
+            let Some(grant) = agents[f.src].grant_of(fid) else {
                 continue;
             };
             // Exclusive per-link occupancy within the slot.

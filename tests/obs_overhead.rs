@@ -4,10 +4,7 @@
 //! slow the admission path beyond a configurable latency budget (the
 //! PR 5 class of regression, where default-on obs hooks multiplied
 //! admission p50, must fail loudly here instead of surfacing in a
-//! bench report months later). The complementary guarantee — that
-//! `--no-default-features` builds compile the hooks away entirely and
-//! never reference the sink — is enforced by the CI `obs` job's
-//! feature-off builds of core/flowsim/sdn.
+//! bench report months later).
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -18,7 +18,7 @@
 //!   no-fault configuration reproduces the legacy testbed harness
 //!   outcome exactly.
 
-use taps_sdn::{run_chaos, ChannelConfig, ChaosConfig, ControllerConfig, TaskVerdict};
+use taps_sdn::{run_chaos, ChannelConfig, ChaosConfig, ControllerConfig};
 use taps_topology::build::{partial_fat_tree_testbed, GBPS};
 use taps_topology::Topology;
 use taps_workload::{FaultPlan, SizeDist, WorkloadConfig};
@@ -66,20 +66,6 @@ fn baseline_check(topo: &Topology, failures: &mut Vec<ChaosFailure>) {
         None => return,
     };
     let tb = taps_sdn::run_testbed(topo, &wl, ControllerConfig::default(), horizon);
-    if tb
-        .verdicts
-        .iter()
-        .any(|(_, v)| matches!(v, TaskVerdict::AcceptedWithPreemption(_)))
-    {
-        // Preempted victims diverge by design (the chaos plane revokes
-        // them, the legacy harness drains them); the fixed baseline
-        // workload is chosen to decide without preemptions.
-        failures.push(ChaosFailure {
-            seed: 0,
-            what: "baseline workload unexpectedly preempts; pick another seed".into(),
-        });
-        return;
-    }
     let ch = run_chaos(
         topo,
         &wl,
