@@ -115,9 +115,15 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Adds `n` to counter `key` (creating it at zero).
+    /// Adds `n` to counter `key` (creating it at zero). Only a new key
+    /// allocates.
     pub fn add(&mut self, key: &str, n: u64) {
-        *self.counters.entry(key.to_string()).or_insert(0) += n;
+        match self.counters.get_mut(key) {
+            Some(c) => *c += n,
+            None => {
+                self.counters.insert(key.to_string(), n);
+            }
+        }
     }
 
     /// Increments counter `key` by one.
@@ -139,12 +145,15 @@ impl Metrics {
     }
 
     /// Records an observation into histogram `key`, registering it with
-    /// `bounds` on first use.
+    /// `bounds` on first use. Only a new key allocates.
     pub fn observe(&mut self, key: &str, bounds: &[u64], value: u64) {
-        self.hists
-            .entry(key.to_string())
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(value);
+        if let Some(h) = self.hists.get_mut(key) {
+            h.observe(value);
+            return;
+        }
+        let mut h = Histogram::new(bounds);
+        h.observe(value);
+        self.hists.insert(key.to_string(), h);
     }
 
     /// Reads a histogram, if registered.
@@ -348,6 +357,16 @@ mod tests {
         assert_eq!(keys, vec!["alpha", "zeta"]);
         assert_eq!(m.counter("alpha"), 3);
         assert_eq!(m.counter("missing"), 0);
+    }
+
+    #[test]
+    fn a_histogram_keeps_the_bounds_of_its_first_observation() {
+        let mut m = Metrics::new();
+        m.observe("lat", &[10, 100], 5);
+        m.observe("lat", &[1], 50);
+        let h = m.hist("lat").expect("registered");
+        assert_eq!(h.buckets(), vec![(10, 1), (100, 1), (u64::MAX, 0)]);
+        assert_eq!(h.sum(), 55);
     }
 
     #[test]

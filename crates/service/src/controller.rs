@@ -6,11 +6,13 @@
 //! pending queue, then admit work — one task per iteration in the
 //! normal regime, up to `max_batch` once the overload watermark trips
 //! (with hysteresis, so the mode does not flap), each decided by
-//! [`Controller::handle_probe`] — and flush the replies, so a decision
-//! leaves in the iteration that made it. Everything is a pure function
-//! of the submitted requests and the `now` values passed in: no wall
-//! clock, no RNG, no threads — identical inputs produce byte-identical
-//! decisions, trace events and metrics.
+//! [`Controller::handle_probe`]. Every reply is pushed as soon as its
+//! decision is made, and [`Transport::push`] delivers, so a burst's
+//! first decision does not wait for its last; there is no flush step.
+//! Everything is a pure function of the submitted requests and the
+//! `now` values passed in: no wall clock, no RNG, no threads —
+//! identical inputs produce byte-identical decisions, trace events and
+//! metrics.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -519,39 +521,38 @@ impl<'t> ServiceController<'t> {
         if self.pending.len() <= self.cfg.shed_watermark {
             return;
         }
-        let mut doomed: Vec<(u64, usize, f64)> = Vec::new(); // (task, idx, projected)
-        for (i, p) in self.pending.iter().enumerate() {
-            let projected = (i + 1) as f64 * self.cfg.decision_cost + self.cfg.control_rtt;
-            if now + projected >= p.min_deadline {
-                doomed.push((p.submit.task, i, projected));
+        let (cost, rtt) = (self.cfg.decision_cost, self.cfg.control_rtt);
+        // One pass takes the doomed out and keeps the rest in order.
+        // Each is (bytes, deadline, task, client, projected delay).
+        let mut doomed: Vec<(f64, f64, u64, ClientId, f64)> = Vec::new();
+        let mut position = 0usize;
+        self.pending.retain(|p| {
+            position += 1;
+            let projected = position as f64 * cost + rtt;
+            let infeasible = now + projected >= p.min_deadline;
+            if infeasible {
+                doomed.push((p.bytes, p.min_deadline, p.submit.task, p.client, projected));
             }
-        }
-        if doomed.is_empty() {
-            return;
-        }
-        doomed.sort_by(|a, b| {
-            let pa = &self.pending[a.1];
-            let pb = &self.pending[b.1];
-            pa.bytes
-                .total_cmp(&pb.bytes)
-                .then(pa.min_deadline.total_cmp(&pb.min_deadline))
-                .then(a.0.cmp(&b.0))
+            !infeasible
         });
-        let victims: Vec<(u64, f64)> = doomed.iter().map(|&(t, _, pr)| (t, pr)).collect();
-        for (task, projected) in victims {
-            let Some(pos) = self.pending.iter().position(|p| p.submit.task == task) else {
-                continue;
-            };
-            let p = self.pending.remove(pos).expect("position() just found it"); // lint: panic-ok(index from position on the same deque)
-            let depth = self.pending.len() as u64;
+        doomed.sort_by(|a, b| {
+            a.0.total_cmp(&b.0)
+                .then(a.1.total_cmp(&b.1))
+                .then(a.2.cmp(&b.2))
+        });
+        // Each shed reports the depth left after it, as if the doomed
+        // were removed one at a time in shed order.
+        let mut depth = (self.pending.len() + doomed.len()) as u64;
+        for (_, deadline, task, client, projected) in doomed {
+            depth -= 1;
             self.record_shed(
                 tr,
                 now,
-                p.client,
+                client,
                 task,
                 reason::SHED_INFEASIBLE,
                 projected,
-                p.min_deadline,
+                deadline,
                 depth,
             );
         }
@@ -720,8 +721,7 @@ impl<'t> ServiceController<'t> {
 
     /// One event-loop iteration at simulation time `now`: retire
     /// elapsed grants, poll the transport, shed, update the admission
-    /// mode, admit, flush the replies. Returns the number of terminal
-    /// decisions made.
+    /// mode, admit. Returns the number of terminal decisions made.
     pub fn step<T: Transport>(&mut self, now: f64, tr: &mut T) -> usize {
         self.last_now = now;
         self.retire_completed(now);
@@ -754,14 +754,12 @@ impl<'t> ServiceController<'t> {
         self.decide(tr, now)
     }
 
-    /// One decision round: shed, update the admission mode, admit, flush
-    /// the replies. Returns the number of terminal decisions made.
+    /// One decision round: shed, update the admission mode, admit.
+    /// Returns the number of terminal decisions made.
     fn decide<T: Transport>(&mut self, tr: &mut T, now: f64) -> usize {
         self.shed_infeasible(tr, now);
         self.update_batch_mode(now);
-        let decided = self.admit(tr, now);
-        tr.flush();
-        decided
+        self.admit(tr, now)
     }
 
     /// Marks the service as draining: no new submissions are accepted

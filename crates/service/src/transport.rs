@@ -1,13 +1,15 @@
 //! Transport abstraction between clients and the service event loop.
 //!
 //! The loop is transport-agnostic: it drains inbound requests with
-//! [`Transport::poll`] and queues outbound responses with
-//! [`Transport::push`]. Every buffer on both directions is **bounded**;
-//! a full outbound buffer surfaces as [`PushError::Full`] so the loop
-//! can drop-and-mark a slow consumer instead of blocking (DESIGN.md
-//! §15). [`SimTransport`] is the deterministic in-process
-//! implementation used by the simulator, the soak gate and the tests;
-//! the Unix-domain-socket JSONL transport lives in [`crate::uds`].
+//! [`Transport::poll`] and delivers outbound responses with
+//! [`Transport::push`]; there is no separate flush step, so a response
+//! is on its way the moment it is pushed. Every buffer on both
+//! directions is **bounded**; a full outbound buffer surfaces as
+//! [`PushError::Full`] so the loop can drop-and-mark a slow consumer
+//! instead of blocking (DESIGN.md §15). [`SimTransport`] is the
+//! deterministic in-process implementation used by the simulator, the
+//! soak gate and the tests; the Unix-domain-socket JSONL transport
+//! lives in [`crate::uds`].
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -27,16 +29,12 @@ pub trait Transport {
     /// Drains all inbound requests in deterministic arrival order.
     fn poll(&mut self) -> Vec<(ClientId, Request)>;
 
-    /// Queues `resp` toward `client`. Must never block: a slow consumer
-    /// shows up as [`PushError::Full`] and the caller decides what to
-    /// drop.
+    /// Delivers `resp` toward `client`: by the time it returns `Ok`,
+    /// the response is in the client's hands or, where the wire is
+    /// momentarily full, queued behind earlier ones for the transport
+    /// to finish on its own. Must never block: a slow consumer shows up
+    /// as [`PushError::Full`] and the caller decides what to drop.
     fn push(&mut self, client: ClientId, resp: Response) -> Result<(), PushError>;
-
-    /// Hands whatever `push` queued to the wire, as far as it goes
-    /// without blocking. The loop calls it once per iteration, after
-    /// admitting, so a reply leaves in the iteration that decided it.
-    /// Transports whose `push` already delivers need not override it.
-    fn flush(&mut self) {}
 }
 
 /// Default bound on [`SimTransport`] inbound queues.

@@ -4,16 +4,17 @@
 //!
 //! The event loop stays single-threaded: `poll()` accepts pending
 //! connections, reads whatever bytes are available, frames them into
-//! lines and decodes requests; `push()` queues an encoded line onto the
-//! client's bounded write buffer, which `flush()` — called by the loop
-//! at the end of every iteration — and `poll()` write out as far as the
-//! socket takes them. A client whose buffer is full gets
-//! [`PushError::Full`] — exactly the drop-and-mark contract the service
-//! loop expects. Malformed lines are answered with
-//! [`Response::Error`] rather than killing the connection. Between
-//! iterations an idle loop calls [`UdsTransport::wait`], which parks on
-//! a lone client until it sends or a time limit passes; `poll()` itself
-//! never blocks.
+//! lines and decodes requests; `push()` delivers: it appends the
+//! encoded line to the client's bounded write queue and writes the
+//! queue out at once, in order, as far as the nonblocking socket takes
+//! it. Whatever a full socket refused stays queued, and every later
+//! `push()` or `poll()` to that client retries it first. A client whose
+//! queue is full gets [`PushError::Full`] — exactly the drop-and-mark
+//! contract the service loop expects. There is no flush step. Malformed
+//! lines are answered with [`Response::Error`] rather than killing the
+//! connection. Between iterations an idle loop calls
+//! [`UdsTransport::wait`], which parks on a lone client until it sends
+//! or a time limit passes; `poll()` and `push()` never block.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -29,12 +30,37 @@ struct Conn {
     /// Unframed bytes read so far (bounded: a line longer than
     /// `MAX_LINE` drops the connection as a protocol violation).
     rdbuf: Vec<u8>,
-    /// Bounded by `outbox_cap`: `push()` rejects beyond it.
-    wrq: VecDeque<String>,
+    /// Encoded lines the socket has not taken yet, the front one
+    /// possibly cut after a partial write. Bounded by `outbox_cap`:
+    /// `push()` rejects beyond it.
+    wrq: VecDeque<Vec<u8>>,
     gone: bool,
 }
 
 impl Conn {
+    /// Writes the queue out in order, one line per `write`, until it is
+    /// empty or the socket refuses more. A partial write leaves the
+    /// line's unwritten tail at the front; an error marks the
+    /// connection gone.
+    fn write_queued(&mut self) {
+        while let Some(line) = self.wrq.front_mut() {
+            match self.stream.write(line) {
+                Ok(n) if n == line.len() => {
+                    self.wrq.pop_front();
+                }
+                Ok(n) => {
+                    line.drain(..n);
+                    break;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(_) => {
+                    self.gone = true;
+                    break;
+                }
+            }
+        }
+    }
+
     /// One `read` into `rdbuf` under the `MAX_LINE` rule. True when it
     /// read bytes, so more may be waiting. EOF, an error or an
     /// oversized frame marks the connection gone; a drained nonblocking
@@ -164,29 +190,6 @@ impl UdsTransport {
         }
     }
 
-    fn flush_writes(&mut self) {
-        for conn in self.conns.values_mut() {
-            while let Some(line) = conn.wrq.front() {
-                match conn.stream.write(line.as_bytes()) {
-                    Ok(n) if n == line.len() => {
-                        conn.wrq.pop_front();
-                    }
-                    Ok(n) => {
-                        // Partial write: keep the tail for the next pass.
-                        let rest = line[n..].to_string();
-                        *conn.wrq.front_mut().expect("front() just succeeded") = rest; // lint: panic-ok(front checked by the while let)
-                        break;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(_) => {
-                        conn.gone = true;
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
     fn read_requests(&mut self) -> Vec<(ClientId, Request)> {
         let mut out = Vec::new();
         let mut buf = [0u8; 4096];
@@ -194,9 +197,12 @@ impl UdsTransport {
             // Terminates: a nonblocking read returns WouldBlock, EOF, or
             // an error once the socket drains.
             while conn.read_some(&mut buf) {}
-            while let Some(pos) = conn.rdbuf.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = conn.rdbuf.drain(..=pos).collect();
-                let text = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
+            // Frame every complete line in place, then drop the consumed
+            // prefix once; a trailing partial line stays for next time.
+            let mut start = 0;
+            while let Some(len) = conn.rdbuf[start..].iter().position(|&b| b == b'\n') {
+                let text = String::from_utf8_lossy(&conn.rdbuf[start..start + len]);
+                start += len + 1;
                 if text.trim().is_empty() {
                     continue;
                 }
@@ -205,14 +211,16 @@ impl UdsTransport {
                     Err(e) => {
                         // Answer in-band; the service loop never sees it.
                         if conn.wrq.len() < self.outbox_cap {
-                            // lint: l10-ok(bound: outbox_cap — checked above)
-                            conn.wrq.push_back(encode_line(&Response::Error {
+                            let resp = Response::Error {
                                 msg: format!("bad request: {e}"),
-                            }));
+                            };
+                            // lint: l10-ok(bound: outbox_cap — checked above)
+                            conn.wrq.push_back(encode_line(&resp).into_bytes());
                         }
                     }
                 }
             }
+            conn.rdbuf.drain(..start);
         }
         out
     }
@@ -226,7 +234,9 @@ impl Transport for UdsTransport {
     fn poll(&mut self) -> Vec<(ClientId, Request)> {
         self.accept_new();
         let reqs = self.read_requests();
-        self.flush_writes();
+        for conn in self.conns.values_mut() {
+            conn.write_queued();
+        }
         self.reap();
         reqs
     }
@@ -242,11 +252,8 @@ impl Transport for UdsTransport {
             return Err(PushError::Full);
         }
         // lint: l10-ok(bound: outbox_cap — checked above)
-        conn.wrq.push_back(encode_line(&resp));
+        conn.wrq.push_back(encode_line(&resp).into_bytes());
+        conn.write_queued();
         Ok(())
-    }
-
-    fn flush(&mut self) {
-        self.flush_writes();
     }
 }

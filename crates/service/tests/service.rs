@@ -89,24 +89,38 @@ fn infeasible_sheds_cheapest_first_above_watermark() {
         ..ServiceConfig::default()
     };
     let mut svc = ServiceController::new(&topo, ControllerConfig::default(), cfg);
+    let rec = std::sync::Arc::new(taps_obs::RingRecorder::new());
+    svc.set_trace_sink(rec.clone());
     let mut tr = SimTransport::new();
-    // Three feasible tasks, then two that cannot survive the queue
-    // delay: 11 is smaller than 10, so it is shed first
+    // Three feasible tasks with two between them that cannot survive
+    // the queue delay: 11 is smaller than 10, so it is shed first
     // (cheapest-to-lose).
     tr.submit(0, submit(0, 0, 0, 4, 1e5, 100.0)).unwrap();
-    tr.submit(0, submit(1, 1, 1, 5, 1e5, 100.0)).unwrap();
-    tr.submit(0, submit(2, 2, 2, 6, 1e5, 100.0)).unwrap();
     tr.submit(0, submit(10, 10, 3, 7, 2e5, 0.001)).unwrap();
+    tr.submit(0, submit(1, 1, 1, 5, 1e5, 100.0)).unwrap();
     tr.submit(0, submit(11, 11, 0, 5, 1e5, 0.001)).unwrap();
+    tr.submit(0, submit(2, 2, 2, 6, 1e5, 100.0)).unwrap();
     svc.step(0.0, &mut tr);
     let shed: Vec<_> = svc.shed_log().to_vec();
     assert_eq!(shed.len(), 2);
     assert!(shed.iter().all(|s| s.reason == reason::SHED_INFEASIBLE));
     assert_eq!(shed[0].task, 11, "fewest bytes is shed first");
     assert_eq!(shed[1].task, 10);
+    // Projected from each task's queue position: 11 was fourth, 10 second.
+    assert_eq!((shed[0].projected, shed[1].projected), (0.04, 0.02));
     for s in &shed {
         assert!(s.at + s.projected >= s.deadline, "audit record is honest");
     }
+    // Each shed reports the depth left after it.
+    let depths: Vec<(u64, u64)> = rec
+        .drain()
+        .into_iter()
+        .filter_map(|r| match r.ev {
+            taps_obs::TraceEvent::SubmitShed { task, depth, .. } => Some((task, depth)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(depths, vec![(11, 4), (10, 3)]);
     let dec = decisions_of(&tr.drain_client(0));
     assert!(dec
         .iter()
@@ -114,7 +128,8 @@ fn infeasible_sheds_cheapest_first_above_watermark() {
         .all(|(_, v, r, retry)| {
             *v == verdict::REJECTED && *r == Some(reason::SHED_INFEASIBLE) && retry.is_none()
         }));
-    // The feasible tasks are decided normally over the next steps.
+    // The feasible tasks keep their queue order and are decided
+    // normally over the next steps.
     let mut now = 0.0;
     while svc.pending_depth() > 0 {
         now += 0.01;
@@ -122,6 +137,8 @@ fn infeasible_sheds_cheapest_first_above_watermark() {
     }
     let dec = decisions_of(&tr.drain_client(0));
     assert!(dec.iter().all(|(_, v, ..)| *v == verdict::GRANTED));
+    let decided: Vec<u64> = svc.decision_log().iter().map(|&(t, _)| t).collect();
+    assert_eq!(decided, vec![0, 1, 2]);
 }
 
 #[test]
@@ -596,7 +613,7 @@ fn uds_transport_serves_the_jsonl_protocol() {
     let mut now = 0.0;
     for _ in 0..200 {
         svc.step(now, &mut tr);
-        tr.poll(); // flush pending writes even with no new requests
+        tr.poll(); // retries whatever a full socket refused
         now += 1e-3;
         match client.read(&mut tmp) {
             Ok(n) => buf.extend_from_slice(&tmp[..n]),
@@ -636,7 +653,7 @@ fn uds_reply_is_written_by_the_step_that_decided_it() {
     use std::os::unix::net::UnixStream;
     use taps_service::UdsTransport;
 
-    let path = std::env::temp_dir().join(format!("taps-svc-flush-{}.sock", std::process::id()));
+    let path = std::env::temp_dir().join(format!("taps-svc-reply-{}.sock", std::process::id()));
     let topo = dumbbell(4, 4, GBPS);
     let mut svc =
         ServiceController::new(&topo, ControllerConfig::default(), ServiceConfig::default());
@@ -831,5 +848,101 @@ fn uds_wait_without_clients_sleeps_and_poll_accepts() {
     assert_eq!(tr.num_clients(), 0, "wait accepts nothing");
     assert!(tr.poll().is_empty());
     assert_eq!(tr.num_clients(), 1);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Requests that arrive together are framed in one pass: 500 submits
+/// written at once come back from one `poll()` in order, and a trailing
+/// half line waits for its tail and completes on the next `poll()`.
+#[cfg(unix)]
+#[test]
+fn uds_poll_frames_a_backlog_in_order_and_keeps_a_trailing_half_line() {
+    use std::io::Write;
+    use taps_service::Transport;
+
+    let (mut tr, mut client, path) = uds_with_client("frame");
+    let reqs: Vec<Request> = (0..500u64)
+        .map(|i| submit(i, i, i % 4, 4 + i % 4, 1e5 + i as f64, 10.0))
+        .collect();
+    let last = submit(500, 500, 1, 5, 2e5, 10.0);
+    let last_line = taps_service::encode_line(&last);
+    let (head, tail) = last_line.split_at(last_line.len() / 2);
+    let mut bytes: String = reqs.iter().map(taps_service::encode_line).collect();
+    bytes.push_str(head);
+    client.write_all(bytes.as_bytes()).unwrap();
+
+    let got: Vec<Request> = tr.poll().into_iter().map(|(_, r)| r).collect();
+    assert_eq!(got, reqs);
+    client.write_all(tail.as_bytes()).unwrap();
+    assert_eq!(tr.poll(), vec![(0, last)]);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A client that stops reading fills its socket and then its outbox,
+/// and `push` refuses at the outbox cap. Once the client reads again,
+/// `poll()` writes out what the socket refused: every line `push`
+/// accepted arrives whole, in push order, and none of them twice — a
+/// line the socket took only in part included.
+#[cfg(unix)]
+#[test]
+fn uds_full_socket_delivers_every_accepted_line_whole_once_and_in_order() {
+    use std::io::{ErrorKind, Read};
+    use std::time::{Duration, Instant};
+    use taps_service::{PushError, Transport};
+
+    const CAP: usize = 8;
+    let (mut tr, mut client, path) = uds_with_client("full");
+    tr.set_outbox_cap(CAP);
+    // A Unix stream socket takes a short write whole or not at all; a
+    // line longer than half the send buffer (≈208 KiB by default on
+    // Linux) is taken in parts, so the socket fills mid-line.
+    let pad = "x".repeat(256 * 1024 + 7);
+    let line_of = |i: u64| Response::Error {
+        msg: format!("{i} {pad}"),
+    };
+    let mut accepted = 0u64;
+    let refused = loop {
+        match tr.push(0, line_of(accepted)) {
+            Ok(()) => accepted += 1,
+            Err(e) => break e,
+        }
+        assert!(accepted < 100_000, "push never reported a full outbox");
+    };
+    assert_eq!(refused, PushError::Full);
+    assert!(accepted >= CAP as u64, "{accepted} accepted");
+
+    client.set_nonblocking(true).unwrap();
+    // Reads whatever the socket holds.
+    let read_some = |client: &mut std::os::unix::net::UnixStream, got: &mut Vec<u8>| {
+        let mut buf = [0u8; 4096];
+        loop {
+            match client.read(&mut buf) {
+                Ok(0) => panic!("the transport closed the connection"),
+                Ok(n) => got.extend_from_slice(&buf[..n]),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(e) => panic!("client read: {e}"),
+            }
+        }
+    };
+    let mut got = Vec::new();
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while got.iter().filter(|&&b| b == b'\n').count() < accepted as usize {
+        assert!(Instant::now() < give_up, "accepted lines never arrived");
+        read_some(&mut client, &mut got);
+        assert!(tr.poll().is_empty());
+    }
+    // Nothing more is on its way.
+    assert!(tr.poll().is_empty());
+    read_some(&mut client, &mut got);
+
+    let text = String::from_utf8(got).expect("whole UTF-8 lines");
+    let lines: Vec<Response> = text
+        .lines()
+        .map(|l| taps_service::decode_line(l).expect("a whole line"))
+        .collect();
+    let want: Vec<Response> = (0..accepted).map(line_of).collect();
+    assert_eq!(lines, want);
+    // The queue is empty again, so pushes succeed.
+    assert_eq!(tr.push(0, line_of(accepted)), Ok(()));
     let _ = std::fs::remove_file(&path);
 }
