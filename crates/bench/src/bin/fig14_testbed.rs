@@ -6,10 +6,12 @@
 //! The physical testbed (Desktops + H3C switches + Iperf) is substituted
 //! by the same fluid simulator the rest of the evaluation uses, driven
 //! through the SDN control-plane model: the controller of `taps-sdn`
-//! replays the probe/grant/install message exchange for every task and
-//! its verdicts are asserted against the in-simulator TAPS decisions.
+//! replays every task's probe/grant/install exchange, and the binary
+//! reports its control-plane message counts. The replay sends no TERM
+//! or progress report, so its verdicts are not comparable with the
+//! in-simulator TAPS decisions and nothing checks them.
 //!
-//! Usage: `fig14_testbed [--seeds N] [--flows N] [--bin-ms B]`
+//! Usage: `fig14_testbed [--seed S] [--flows N] [--bin-ms B]`
 
 use taps_baselines::FairSharing;
 use taps_bench::Args;

@@ -1,5 +1,4 @@
-//! Shared experiment harness for the figure-regeneration binaries and
-//! the Criterion micro-benchmarks.
+//! Shared experiment harness for the figure-regeneration binaries.
 //!
 //! Every binary in `src/bin/` regenerates one figure of the paper's
 //! evaluation (§V–§VI); this library provides the pieces they share:
@@ -9,8 +8,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod history;
 
 use taps_baselines::{Baraat, D2tcp, FairSharing, Pdq, Varys, D3};
 use taps_core::{RejectPolicy, Taps, TapsConfig};

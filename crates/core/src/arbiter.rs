@@ -154,6 +154,7 @@ impl InFlight {
 #[derive(Debug, Default)]
 pub struct InFlightIndex {
     order: Vec<InFlight>,
+    writes: usize,
 }
 
 impl InFlightIndex {
@@ -162,11 +163,20 @@ impl InFlightIndex {
         &self.order
     }
 
+    /// Entries written since the index was made: one per flow
+    /// [`load`](Self::load)ed, [`insert`](Self::insert)ed or
+    /// [`rekey`](Self::rekey)ed. No decision reads it; it lets a test see
+    /// what one call costs the index without a clock.
+    pub fn writes(&self) -> usize {
+        self.writes
+    }
+
     /// Replaces the whole index with `flows`, sorted.
     pub fn load(&mut self, flows: impl IntoIterator<Item = InFlight>) {
         self.order.clear();
         self.order.extend(flows);
         self.order.sort_unstable_by(InFlight::order);
+        self.writes += self.order.len();
     }
 
     /// Adds one flow at its place in the order.
@@ -175,6 +185,7 @@ impl InFlightIndex {
             .order
             .partition_point(|x| x.order(&e) == Ordering::Less);
         self.order.insert(at, e);
+        self.writes += 1;
     }
 
     /// Removes the entry equal to `key` (the flow's current id, remaining

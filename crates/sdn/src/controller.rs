@@ -307,6 +307,14 @@ impl<'t> Controller<'t> {
         self.arbiter.ftmp.entries().len()
     }
 
+    /// F_tmp entries written since this controller was made
+    /// ([`InFlightIndex::writes`](taps_core::arbiter::InFlightIndex::writes)):
+    /// a probe that keeps the index incrementally writes its own flows
+    /// and nothing else. No decision reads it.
+    pub fn ftmp_writes(&self) -> usize {
+        self.arbiter.ftmp.writes()
+    }
+
     /// The network this controller schedules over.
     pub fn topology(&self) -> &'t Topology {
         self.topo

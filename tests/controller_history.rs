@@ -6,15 +6,17 @@
 //! without the `in_flight()` lines, which that commit cannot compile)
 //! and watches the index follow the live flows while the registry only
 //! grows; the second probes one in-flight set on top of 0 and of 20 000
-//! retired flows and compares every output.
+//! retired flows and compares every output; the third counts what one
+//! probe writes into F_tmp (its own flows, however many are in flight or
+//! retired).
 
 use std::collections::BTreeMap;
 
 use taps::prelude::*;
 use taps::scenario_matrix::Fnv;
 use taps::sdn::{
-    CheckpointFlow, ControlStats, Controller, ControllerCheckpoint, ControllerConfig, SwitchCmd,
-    TaskVerdict,
+    CheckpointFlow, ControlStats, Controller, ControllerCheckpoint, ControllerConfig, ProbeHeader,
+    SwitchCmd, TaskVerdict,
 };
 use taps_service::load::submit_for_task;
 use taps_service::{run_load, LoadConfig, ServiceConfig, ServiceController};
@@ -187,6 +189,58 @@ fn retired_flows_in_the_registry_change_no_verdict_grant_or_command() {
         cmds.hash.0,
         cmds.count
     );
+}
+
+/// `fat_tree(16)` task `task` of 16 × 100 KB flows due at 50 ms, on
+/// endpoints that follow `shape` only.
+fn spread_task(topo: &Topology, task: usize, shape: usize) -> Vec<ProbeHeader> {
+    let hosts = topo.num_hosts();
+    (0..16)
+        .map(|j| {
+            let src = (shape * 61 + j * 17) % hosts;
+            ProbeHeader {
+                task,
+                flow: task * 16 + j,
+                src,
+                dst: (src + 1 + (shape * 7 + j * 29) % (hosts - 1)) % hosts,
+                size: 1e5,
+                deadline: 0.05,
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn a_probe_writes_its_own_flows_into_ftmp_however_long_the_history() {
+    // With the probed task, ≈ the 200 flows `inproc_admit_k16` keeps in
+    // flight.
+    const IN_FLIGHT_TASKS: usize = 12;
+    let topo = fat_tree(16, GBPS);
+    for retired in [0, 20_000] {
+        let mut ctrl = controller_with_history(&topo, retired);
+        assert_eq!(ctrl.ftmp_writes(), 0, "retired flows are not in flight");
+        for t in 0..IN_FLIGHT_TASKS {
+            let (verdict, _, _) = ctrl.handle_probe(0.0, &spread_task(&topo, t, t));
+            assert_eq!(verdict, TaskVerdict::Accepted, "uncontended");
+        }
+        assert_eq!(ctrl.in_flight(), IN_FLIGHT_TASKS * 16);
+        for t in IN_FLIGHT_TASKS..IN_FLIGHT_TASKS + 3 {
+            let probes = spread_task(&topo, t, IN_FLIGHT_TASKS);
+            let before = ctrl.ftmp_writes();
+            let (verdict, _, _) = ctrl.handle_probe(0.0, &probes);
+            assert_eq!(verdict, TaskVerdict::Accepted);
+            assert_eq!(
+                ctrl.ftmp_writes() - before,
+                probes.len(),
+                "one probe of {} flows, {} in flight, {retired} retired",
+                probes.len(),
+                ctrl.in_flight()
+            );
+            for p in &probes {
+                ctrl.handle_term(0.0, p.flow);
+            }
+        }
+    }
 }
 
 /// FNV-1a over an ordered switch-command stream: per command its kind,

@@ -10,10 +10,7 @@
 //!   safety and bit-identical-determinism assertions (DESIGN.md §10).
 //! * `bench-smoke` — run `bench_admission` once with a tiny config in
 //!   release mode and fail on any admission hot-path regression
-//!   (DESIGN.md §12), time a flowsim round at 1 000 and 4 000 tasks and
-//!   fail if the cost per task grows with the round, time a
-//!   controller probe on a fresh and an aged registry and fail if it
-//!   grows with history, and time a batch of first-time rack pairs on an
+//!   (DESIGN.md §12), and time a batch of first-time rack pairs on an
 //!   empty and a warmed path cache and fail if a miss costs a graph walk.
 //! * `soak` — run the deterministic live-service soak gate: overload
 //!   burst, shedding audit, byte-identical double runs (DESIGN.md §15).
@@ -64,15 +61,12 @@ tasks:
   trace              golden-trace gate: runs the traced testbed + chaos scenarios,
                      asserts byte-identical re-runs, replays the event stream through
                      the invariant validator, writes results/TRACE_*.jsonl
-  bench-smoke        four regression gates: runs bench_admission once with a tiny
-                     config (k = 8, 16) in release mode and fails if the engine's
+  bench-smoke        two wall-clock regression gates: runs bench_admission once
+                     with a tiny config (k = 8, 16) in release mode and fails
+                     unless it reports exactly one row per size, if the engine's
                      full or delta pass is slower than the naive reference
-                     (speedup_p50 < 1.0) or any schedule diverged; times a flowsim
-                     Taps round at 1 000 and 4 000 tasks and fails if
-                     seconds-per-1 000-tasks grows by more than 2x; times one
-                     controller probe on a registry holding 0 and 20 000 retired
-                     flows and fails if the second costs more than 1.2x the first;
-                     times allocate_batch of 256 one-slot flows on 256 distinct
+                     (speedup_p50 < 1.0) or if any schedule diverged; times
+                     allocate_batch of 256 one-slot flows on 256 distinct
                      ToR pairs of fat_tree(16) on an empty and on a warmed path
                      cache and fails if the first costs more than 8x the second
   soak [--small]     deterministic live-service soak gate (DESIGN.md §15): two
@@ -187,10 +181,6 @@ fn trace() -> ExitCode {
 fn bench_smoke() -> ExitCode {
     let root = workspace_root();
     let (rows, mut failures) = xtask::bench_smoke::run(&root);
-    let (linearity, nonlinear) = xtask::bench_smoke::run_linearity();
-    failures.extend(nonlinear);
-    let (history, aging) = xtask::bench_smoke::run_history();
-    failures.extend(aging);
     let (cold, chilled) = xtask::bench_smoke::run_cold();
     failures.extend(chilled);
     for r in &rows {
@@ -200,22 +190,6 @@ fn bench_smoke() -> ExitCode {
         );
     }
     println!(
-        "xtask bench-smoke: flowsim {:.3} s per 1 000 tasks at {} tasks, {:.3} at {} ({:.1}x)",
-        linearity.short,
-        xtask::bench_smoke::LINEARITY_TASKS.0,
-        linearity.long,
-        xtask::bench_smoke::LINEARITY_TASKS.1,
-        linearity.long / linearity.short
-    );
-    println!(
-        "xtask bench-smoke: controller {:.0} us per probe on a fresh registry, {:.0} with {} \
-         retired flows ({:.2}x)",
-        history.fresh,
-        history.aged,
-        xtask::bench_smoke::HISTORY_RETIRED,
-        history.aged / history.fresh
-    );
-    println!(
         "xtask bench-smoke: path cache {:.0} us per {}-pair batch warm, {:.0} cold ({:.2}x)",
         cold.warm,
         xtask::bench_smoke::COLD_FLOWS,
@@ -224,8 +198,7 @@ fn bench_smoke() -> ExitCode {
     );
     if failures.is_empty() {
         println!(
-            "xtask bench-smoke: clean (no admission hot-path regression, flowsim linear, \
-             controller probes history-independent, cold path lookups cheap)"
+            "xtask bench-smoke: clean (no admission hot-path regression, cold path lookups cheap)"
         );
         ExitCode::SUCCESS
     } else {
