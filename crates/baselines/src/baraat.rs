@@ -66,11 +66,14 @@ impl Scheduler for Baraat {
         self.link_busy.resize(ctx.topo().num_links(), 0);
 
         for fid in live {
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: on_task_arrival routes every flow before it becomes live"
+            )]
             let route = ctx
                 .flow(fid)
                 .route
                 .as_ref()
-                // lint: panic-ok(invariant: on_task_arrival routes every flow before it becomes live)
                 .expect("routed at arrival")
                 .clone();
             let free = route

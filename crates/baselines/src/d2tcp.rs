@@ -71,7 +71,7 @@ impl Scheduler for D2tcp {
                 .iter()
                 .map(|&fid| {
                     let f = ctx.flow(fid);
-                    // lint: panic-ok(invariant: on_task_arrival routes every flow before it becomes live)
+                    #[expect(clippy::expect_used, reason = "invariant: on_task_arrival routes every flow before it becomes live")]
                     let route = f.route.as_ref().expect("routed at arrival");
                     let t_left = (f.spec.deadline - now).max(1e-6);
                     // Time needed at line rate vs time left: the urgency

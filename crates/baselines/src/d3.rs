@@ -60,7 +60,10 @@ impl Scheduler for D3 {
                 continue; // will be stopped by the deadline event
             }
             let request = f.remaining() / t_left;
-            // lint: panic-ok(invariant: on_task_arrival routes every flow before it becomes live)
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: on_task_arrival routes every flow before it becomes live"
+            )]
             let route = f.route.as_ref().expect("routed at arrival");
             let avail = route
                 .links
@@ -79,7 +82,10 @@ impl Scheduler for D3 {
         // earlier flows can finish ahead of their request schedule.
         for (i, &fid) in live.iter().enumerate() {
             let f = ctx.flow(fid);
-            // lint: panic-ok(invariant: on_task_arrival routes every flow before it becomes live)
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: on_task_arrival routes every flow before it becomes live"
+            )]
             let route = f.route.as_ref().expect("routed at arrival");
             let avail = route
                 .links

@@ -41,12 +41,15 @@ impl Scheduler for FairSharing {
             return;
         }
         let rates = {
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: on_task_arrival routes every flow before it becomes live"
+            )]
             let flows: Vec<(FlowId, &taps_topology::Path)> = live
                 .iter()
                 .map(|&fid| {
                     (
                         fid,
-                        // lint: panic-ok(invariant: on_task_arrival routes every flow before it becomes live)
                         ctx.flow(fid).route.as_ref().expect("routed at arrival"),
                     )
                 })

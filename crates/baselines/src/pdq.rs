@@ -116,7 +116,10 @@ impl Scheduler for Pdq {
 
         for fid in live {
             let f = ctx.flow(fid);
-            // lint: panic-ok(invariant: on_task_arrival routes every flow before it becomes live)
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: on_task_arrival routes every flow before it becomes live"
+            )]
             let route = f.route.as_ref().expect("routed at arrival").clone();
             let bottleneck = route.bottleneck(ctx.topo());
 

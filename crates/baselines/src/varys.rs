@@ -53,7 +53,10 @@ impl Scheduler for Varys {
             }
             let r = self.reserved[fid];
             if r > 0.0 {
-                // lint: panic-ok(invariant: on_task_arrival routes every flow before it becomes live)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: on_task_arrival routes every flow before it becomes live"
+                )]
                 let route = ctx.flow(fid).route.as_ref().expect("routed at arrival");
                 for l in &route.links {
                     self.link_reserved[l.idx()] += r;
@@ -67,7 +70,10 @@ impl Scheduler for Varys {
         'check: for fid in flows.clone() {
             let f = ctx.flow(fid);
             let r = f.spec.size / f.spec.rel_deadline();
-            // lint: panic-ok(invariant: on_task_arrival routes every flow before it becomes live)
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: on_task_arrival routes every flow before it becomes live"
+            )]
             let route = f.route.as_ref().expect("routed at arrival");
             for l in &route.links {
                 let cap = ctx.topo().link(*l).capacity;

@@ -235,7 +235,7 @@ fn main() {
             speedup_p50_delta,
             delta.arrivals_per_sec
         );
-        // lint: panic-ok(bench harness: RunMode::Delta always records stats)
+        // RunMode::Delta always records stats.
         let ds = delta.delta_stats.expect("delta replay records stats");
         results.push(serde_json::Value::Object(vec![
             ("k".into(), serde_json::Value::UInt(k as u64)),

@@ -420,6 +420,10 @@ impl AllocEngine {
     /// seed — evaluation order only changes the work done, because the
     /// adaptive bound preserves the exact `(completion, index)` first-wins
     /// order.
+    #[expect(
+        clippy::as_conversions,
+        reason = "candidate counts are bounded by max_paths, far below 2^64"
+    )]
     pub(crate) fn search_and_commit(
         &mut self,
         topo: &Topology,
@@ -474,12 +478,14 @@ impl AllocEngine {
                 best = Some((c, i));
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: every candidate finds a fit in the infinite idle tail"
+        )]
         let (completion_slot, idx) =
-            // lint: panic-ok(invariant: every candidate finds a fit in the infinite idle tail)
             best.expect("at least one candidate completes (idle tail is infinite)");
 
         // Materialize the path and slices for the winner only.
-        // lint: cast-ok(candidate counts are bounded by max_paths, far below 2^64)
         self.counters.paths_tried += candidates.len() as u64;
         self.counters.slots_scanned += completion_slot.saturating_sub(start_slot) + 1;
         let path = candidates.path(idx);
@@ -496,11 +502,14 @@ impl AllocEngine {
 
     /// Materializes a winner's slices: the first `slots` idle slots at
     /// or after `from` on the union of its links' occupancy (Alg. 3).
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: the idle tail is infinite, so E >= 1 slots are always allocatable"
+    )]
     pub(crate) fn first_free_on(&mut self, links: &[LinkId], from: u64, slots: u64) -> IntervalSet {
         union_path(&self.occupancy, links, &mut self.scratch);
         self.scratch
             .allocate_first_free(from, slots)
-            // lint: panic-ok(invariant: the idle tail is infinite, so E >= 1 slots are always allocatable)
             .expect("E >= 1 slots always allocatable")
     }
 

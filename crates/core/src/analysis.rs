@@ -50,19 +50,26 @@ pub fn analyze(topo: &Topology, allocs: &[FlowAlloc], slot: f64) -> ScheduleAnal
         .collect();
     busiest.sort_by_key(|&(l, busy)| (std::cmp::Reverse(busy), l));
     let links_used = busiest.len();
+    #[expect(
+        clippy::as_conversions,
+        reason = "slot counts and link counts are far below 2^53"
+    )]
     let mean_util = if links_used == 0 || makespan == 0 {
         0.0
     } else {
-        // lint: cast-ok(slot counts and link counts are far below 2^53)
         busiest.iter().map(|(_, b)| *b as f64).sum::<f64>() / (links_used as f64 * makespan as f64)
     };
+    #[expect(clippy::as_conversions, reason = "slot indices are far below 2^63")]
     let slacks = allocs
         .iter()
         .filter(|al| al.on_time)
         .map(|al| {
-            // lint: cast-ok(slot indices are far below 2^63, so the i64 slack cannot wrap)
+            #[expect(
+                clippy::as_conversions,
+                reason = "slot indices are far below 2^63, so the i64 slack cannot wrap"
+            )]
             let deadline_slot = (al.deadline / slot).floor() as i64;
-            (al.id, deadline_slot - al.completion_slot as i64) // lint: cast-ok(slot indices are far below 2^63)
+            (al.id, deadline_slot - al.completion_slot as i64)
         })
         .collect::<Vec<_>>();
     ScheduleAnalysis {
@@ -83,7 +90,8 @@ pub fn gantt_for_link(allocs: &[FlowAlloc], link: LinkId, width: u64) -> String 
         if !al.path.links.contains(&link) {
             continue;
         }
-        let mut row = String::with_capacity(width as usize + 16); // lint: cast-ok(render width is a small count)
+        #[expect(clippy::as_conversions, reason = "render width is a small count")]
+        let mut row = String::with_capacity(width as usize + 16);
         row.push_str(&format!("flow {:>4} |", al.id));
         for s in 0..width {
             row.push(if al.slices.contains(s) { '#' } else { '.' });

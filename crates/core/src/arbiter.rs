@@ -69,11 +69,15 @@ impl Standing {
     /// demand-normalized (a per-flow fraction), so this orders tasks by
     /// schedulable value per unit of demand — low weight-per-byte victims
     /// yield first.
+    #[expect(
+        clippy::as_conversions,
+        reason = "per-task flow counts are tiny, far below 2^53"
+    )]
     fn value(&self) -> f64 {
         if self.flows_total == 0 {
             return self.weight;
         }
-        self.weight * (self.flows_made as f64 / self.flows_total as f64) // lint: cast-ok(per-task flow counts are tiny, far below 2^53)
+        self.weight * (self.flows_made as f64 / self.flows_total as f64)
     }
 }
 
@@ -195,7 +199,10 @@ impl InFlightIndex {
             Ok(at) => {
                 self.order.remove(at);
             }
-            // lint: panic-ok(invariant: an in-flight flow is indexed under the key its caller's record yields)
+            #[expect(
+                clippy::unreachable,
+                reason = "invariant: an in-flight flow is indexed under the key its caller's record yields"
+            )]
             Err(_) => unreachable!("in-flight index lost flow {}", key.id),
         }
     }
@@ -373,7 +380,10 @@ impl Arbiter {
                 Ok(allocs) => return (allocs, newcomer_cut),
                 Err(AllocError::Disconnected { flow }) => {
                     let owner = self.ftmp.order.iter().find(|e| e.id == flow);
-                    // lint: panic-ok(invariant: the pass only sees demands built from F_tmp)
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "invariant: the pass only sees demands built from F_tmp"
+                    )]
                     let task = owner.expect("disconnected flow is in F_tmp").task;
                     newcomer_cut |= newcomer == Some(task);
                     dropped.push(self.take_task(task));

@@ -407,6 +407,10 @@ impl AllocEngine {
                     } else {
                         Some((translated, e.winner))
                     };
+                    #[expect(
+                        clippy::as_conversions,
+                        reason = "candidate counts are bounded by max_paths, far below 2^64"
+                    )]
                     if let Some(mut best) = seed {
                         let mut moved = false;
                         // Only a candidate that crosses a freed link can
@@ -480,7 +484,6 @@ impl AllocEngine {
                         // Counters exactly as the full pass books them
                         // (trace byte-identity): all candidates ranked,
                         // winner depth scanned.
-                        // lint: cast-ok(candidate counts are bounded by max_paths, far below 2^64)
                         self.counters.paths_tried += c.len() as u64;
                         self.counters.slots_scanned += completion.saturating_sub(start_slot) + 1;
                         out.push(self.finish(d, path, slices, completion));
@@ -523,7 +526,10 @@ impl AllocEngine {
                         }
                         None => add_dirt.mark(links),
                     }
-                    // lint: cast-ok(batch sizes are far below 2^52; exact as f64)
+                    #[expect(
+                        clippy::as_conversions,
+                        reason = "batch sizes are far below 2^52; exact as f64"
+                    )]
                     if total >= 8 && (searched as f64) > SEARCH_FALLBACK_FRACTION * (total as f64) {
                         // The dirty closure swallowed the batch: stop
                         // consulting the cache, the remainder is a plain
@@ -544,9 +550,12 @@ impl AllocEngine {
         if cfg!(debug_assertions) {
             let after_delta = self.counters;
             self.reset();
+            #[expect(
+                clippy::expect_used,
+                reason = "debug cross-check: the delta pass succeeded, so the full pass over the same demands cannot fail"
+            )]
             let full = self
                 .allocate_batch(topo, demands, start_slot)
-                // lint: panic-ok(debug cross-check: the delta pass succeeded, so the full pass over the same demands cannot fail)
                 .expect("full cross-check pass failed where delta succeeded");
             assert_eq!(full.len(), out.len());
             for (f, d) in full.iter().zip(&out) {
@@ -608,6 +617,7 @@ impl AllocEngine {
     /// different topology) — the next batch then falls back as before.
     /// Bit-identity with the full pass is unchanged (the debug-build
     /// cross-check still re-verifies every subsequent batch).
+    #[expect(clippy::as_conversions, reason = "entry counts are far below 2^64")]
     pub fn absorb_fault_epoch(&mut self, topo: &Topology, cache: &mut DeltaCache) -> bool {
         self.ensure_topology(topo);
         if !cache.valid || cache.topo_name != topo.name {
@@ -625,7 +635,6 @@ impl AllocEngine {
         });
         cache.epoch = epoch;
         cache.stats.absorbed_epochs += 1;
-        // lint: cast-ok(entry counts are far below 2^64)
         cache.stats.absorbed_dropped += (before - cache.index.len()) as u64;
         true
     }

@@ -78,11 +78,19 @@ pub struct ReductionTask {
 
 /// Builds the paper's reduction instance: one task per edge.
 pub fn reduction_instance(g: &Graph) -> Vec<ReductionTask> {
-    let n = g.n as f64; // lint: cast-ok(vertex counts are tiny, far below 2^53)
+    #[expect(
+        clippy::as_conversions,
+        reason = "vertex counts are tiny, far below 2^53"
+    )]
+    let n = g.n as f64;
     g.edges
         .iter()
         .map(|&(i1, i2)| {
-            let (f1, f2) = (i1 as f64, i2 as f64); // lint: cast-ok(vertex indices are tiny, far below 2^53)
+            #[expect(
+                clippy::as_conversions,
+                reason = "vertex indices are tiny, far below 2^53"
+            )]
+            let (f1, f2) = (i1 as f64, i2 as f64);
             ReductionTask {
                 edge: (i1, i2),
                 deadlines: [f1 + 1.0, 2.0 * n - f1, f2 + 1.0, 2.0 * n - f2],
@@ -121,7 +129,11 @@ pub fn max_completable_tasks(tasks: &[ReductionTask]) -> usize {
     assert!(m <= 20, "exponential solver: keep instances small");
     let mut best = 0usize;
     for mask in 0u32..(1 << m) {
-        let k = mask.count_ones() as usize; // lint: cast-ok(count_ones() <= 32 always fits usize)
+        #[expect(
+            clippy::as_conversions,
+            reason = "count_ones() <= 32 always fits usize"
+        )]
+        let k = mask.count_ones() as usize;
         if k <= best {
             continue;
         }

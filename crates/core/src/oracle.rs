@@ -53,11 +53,17 @@ pub fn naive_batch(
                 t_ocp = t_ocp.union(&occupancy[l.idx()]);
             }
             let e = slots_for(slot, d.remaining, p.bottleneck(topo));
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: the idle tail is infinite, so E >= 1 slots are always allocatable"
+            )]
             let slices = t_ocp
                 .allocate_first_free(start_slot, e)
-                // lint: panic-ok(invariant: the idle tail is infinite, so E >= 1 slots are always allocatable)
                 .expect("E >= 1 slots always allocatable");
-            // lint: panic-ok(invariant: E >= 1 makes the allocation non-empty)
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: E >= 1 makes the allocation non-empty"
+            )]
             let completion = slices.max_end().expect("non-empty allocation");
             if best.as_ref().is_none_or(|(_, c, _)| completion < *c) {
                 best = Some((slices, completion, p));
@@ -166,7 +172,11 @@ impl SingleLinkOracle {
         );
         let mut best = 0usize;
         for mask in 0u32..(1 << self.num_tasks) {
-            let k = mask.count_ones() as usize; // lint: cast-ok(count_ones() <= 32 always fits usize)
+            #[expect(
+                clippy::as_conversions,
+                reason = "count_ones() <= 32 always fits usize"
+            )]
+            let k = mask.count_ones() as usize;
             if k > best && self.feasible(mask) {
                 best = k;
             }

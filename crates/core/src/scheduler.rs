@@ -377,10 +377,13 @@ impl Scheduler for Taps {
             let fid = self.on[i];
             let f = ctx.flow(fid);
             if f.status.is_live() {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: commit() installs a route before any slice turns on"
+                )]
                 let rate = f
                     .route
                     .as_ref()
-                    // lint: panic-ok(invariant: commit() installs a route before any slice turns on)
                     .expect("committed flows are routed")
                     .bottleneck(ctx.topo());
                 ctx.set_rate(fid, rate);

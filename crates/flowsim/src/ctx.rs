@@ -117,9 +117,12 @@ impl<'a> SimCtx<'a> {
         let pf = PathFinder::new(self.topo);
         let src = self.topo.host(f.spec.src);
         let dst = self.topo.host(f.spec.dst);
+        #[expect(
+            clippy::expect_used,
+            reason = "workload generators only emit host pairs connected by construction"
+        )]
         let route = pf
             .ecmp(src, dst, splitmix64(id as u64))
-            // lint: panic-ok(workload generators only emit host pairs connected by construction)
             .expect("flow endpoints disconnected");
         self.st.flows[id].route = Some(route);
     }

@@ -69,8 +69,11 @@ impl<'a> Simulation<'a> {
     /// live-flow list is ascending by id only because flow ranges are
     /// contiguous and tasks arrive in id order.
     pub fn new(topo: &'a Topology, workload: &'a Workload, cfg: SimConfig) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "documented constructor precondition: an unvalidated workload would silently break the live list's ordering"
+        )]
         if let Err(why) = workload.validate() {
-            // lint: panic-ok(documented constructor precondition: an unvalidated workload would silently break the live list's ordering)
             panic!("invalid workload: {why}");
         }
         debug_assert!(workload
@@ -95,7 +98,10 @@ impl<'a> Simulation<'a> {
 
     /// Runs the workload under `sched` to completion and reports metrics.
     pub fn run(&self, sched: &mut dyn Scheduler) -> SimReport {
-        // lint: nondeterministic-ok(wall-clock is reported as a perf metric only; no scheduling decision reads it)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock is reported as a perf metric only; no scheduling decision reads it"
+        )]
         let start_wall = std::time::Instant::now();
         let mut st = SimState {
             now: 0.0,
@@ -420,7 +426,10 @@ impl<'a> Simulation<'a> {
                 load_epoch += 1;
                 for &fid in &senders {
                     let f = &st.flows[fid];
-                    // lint: panic-ok(invariant: a flow only gets a positive rate after a route is set)
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "invariant: a flow only gets a positive rate after a route is set"
+                    )]
                     let route = f.route.as_ref().expect("sender without route");
                     for l in &route.links {
                         let slot = &mut link_load[l.idx()];

@@ -21,6 +21,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Rules L1, L3, L4, L6 and marker hygiene, library code only (DESIGN.md §13).
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::disallowed_methods))]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), deny(clippy::dbg_macro, clippy::allow_attributes))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+#![cfg_attr(not(test), deny(unfulfilled_lint_expectations))]
 
 mod ctx;
 mod engine;

@@ -107,7 +107,10 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one call site hands over the engine's end-of-run state piece by piece"
+    )]
     pub(crate) fn build(
         scheduler: &str,
         wl: &Workload,
@@ -324,10 +327,13 @@ pub fn effective_throughput_series(
     capacity_bytes_per_sec: f64,
 ) -> Vec<(f64, f64)> {
     assert!(bin > 0.0 && horizon > 0.0 && capacity_bytes_per_sec > 0.0);
+    #[expect(
+        clippy::expect_used,
+        reason = "documented precondition: caller must enable SimConfig::log_segments"
+    )]
     let segments = report
         .segments
         .as_ref()
-        // lint: panic-ok(documented precondition: caller must enable SimConfig::log_segments)
         .expect("effective_throughput_series requires SimConfig::log_segments");
     let nbins = (horizon / bin).ceil() as usize;
     let mut useful = vec![0.0f64; nbins];
@@ -364,10 +370,13 @@ pub fn effective_throughput_series(
 /// throughput": TAPS pins it at ~1 while Fair Sharing fluctuates.
 pub fn goodput_fraction_series(report: &SimReport, bin: f64, horizon: f64) -> Vec<(f64, f64)> {
     assert!(bin > 0.0 && horizon > 0.0);
+    #[expect(
+        clippy::expect_used,
+        reason = "documented precondition: caller must enable SimConfig::log_segments"
+    )]
     let segments = report
         .segments
         .as_ref()
-        // lint: panic-ok(documented precondition: caller must enable SimConfig::log_segments)
         .expect("goodput_fraction_series requires SimConfig::log_segments");
     let nbins = (horizon / bin).ceil() as usize;
     let mut useful = vec![0.0f64; nbins];

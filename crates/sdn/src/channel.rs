@@ -480,10 +480,17 @@ impl<T: Clone> ReliableSender<T> {
         // Bounded: each message is retried at most policy.max_attempts times,
         // then dropped as expired.
         for id in due {
-            // lint: panic-ok(invariant: `due` ids were just drawn from `pending` keys)
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: `due` ids were just drawn from `pending` keys"
+            )]
             let p = self.pending.get_mut(&id).expect("due id came from keys");
             if p.attempts >= self.policy.max_attempts {
-                let p = self.pending.remove(&id).expect("present"); // lint: panic-ok(same invariant)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: `due` ids were just drawn from `pending` keys"
+                )]
+                let p = self.pending.remove(&id).expect("present");
                 if let Some(k) = p.key {
                     if self.keys.get(&k) == Some(&id) {
                         self.keys.remove(&k);
@@ -515,7 +522,10 @@ impl<T: Clone> ReliableSender<T> {
             self.stats.resends += 1;
             resends += 1;
             let deadline = now + self.arm_timeout(attempts);
-            // lint: panic-ok(invariant: id is still a pending key — the expiry branch above `continue`d)
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: id is still a pending key — the expiry branch above `continue`d"
+            )]
             let p = self.pending.get_mut(&id).expect("still pending");
             p.deadline = deadline;
             p.attempts += 1;

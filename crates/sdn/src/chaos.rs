@@ -231,9 +231,12 @@ fn run_inner(
     trace: Option<std::sync::Arc<dyn taps_obs::TraceSink>>,
 ) -> ChaosReport {
     let slot = cfg.controller.slot;
+    #[expect(
+        clippy::expect_used,
+        reason = "harness precondition: the testbed topologies are built with uniform capacity"
+    )]
     let line_rate = topo
         .uniform_capacity()
-        // lint: panic-ok(harness precondition: the testbed topologies are built with uniform capacity)
         .expect("chaos harness wants uniform links");
     let num_hosts = topo.num_hosts();
     topo.reset_faults();
@@ -272,7 +275,7 @@ fn run_inner(
         c.set_trace_sink(s.clone());
     }
     let mut last_stats = ControlStats::default();
-    // lint: panic-ok(controller was just constructed)
+    #[expect(clippy::expect_used, reason = "controller was just constructed")]
     let mut ckpt: ControllerCheckpoint = controller.as_ref().expect("live").checkpoint();
     let mut down_since: Option<f64> = None;
     // `Some((takeover start, hosts still to resync))` while a standby
@@ -497,7 +500,10 @@ fn run_inner(
                             &mut c2sw,
                         );
                     }
-                    // lint: panic-ok(resync is only entered from ControllerUp, which records down_since)
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "resync is only entered from ControllerUp, which records down_since"
+                    )]
                     let latency = now - down_since.expect("takeover after crash");
                     obs_event!(&trace, now, FailoverEnd { epoch, latency });
                     failovers.push(latency);

@@ -790,7 +790,10 @@ impl<'t> Controller<'t> {
                     });
                 }
                 Err(TableError::BudgetExhausted) => self.stats.budget_drops += 1,
-                // lint: panic-ok(invariant: a re-routed flow's old entries were withdrawn before any install)
+                #[expect(
+                    clippy::unreachable,
+                    reason = "invariant: a re-routed flow's old entries were withdrawn before any install"
+                )]
                 Err(TableError::Conflict) => unreachable!("entry was withdrawn above"),
             }
         }

@@ -4,7 +4,11 @@
 //! less than 2000 entries), only the first 1k entries are installed").
 
 use crate::messages::SwitchCmd;
-use std::collections::HashMap; // lint: nondeterministic-ok(lookup-only flow table; never iterated)
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup-only flow table; never iterated"
+)]
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use taps_topology::LinkId;
 
@@ -68,7 +72,10 @@ impl Hasher for FlowIdHasher {
 /// A bounded flow table.
 #[derive(Clone, Debug)]
 pub struct FlowTable {
-    // lint: nondeterministic-ok(entries are only probed by flow id, never iterated)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "entries are only probed by flow id, never iterated"
+    )]
     entries: HashMap<usize, LinkId, BuildHasherDefault<FlowIdHasher>>,
     capacity: usize,
     budget: usize,
@@ -87,7 +94,11 @@ impl FlowTable {
     pub fn new(capacity: usize, budget: usize) -> Self {
         assert!(budget <= capacity);
         FlowTable {
-            entries: HashMap::default(), // lint: nondeterministic-ok(lookup-only flow table; never iterated)
+            #[expect(
+                clippy::disallowed_types,
+                reason = "lookup-only flow table; never iterated"
+            )]
+            entries: HashMap::default(),
             capacity,
             budget,
             peak: 0,

@@ -70,9 +70,12 @@ fn run_inner(
     trace: Option<std::sync::Arc<dyn taps_obs::TraceSink>>,
 ) -> TestbedReport {
     let slot = cfg.slot;
+    #[expect(
+        clippy::expect_used,
+        reason = "harness precondition: the testbed topologies are built with uniform capacity"
+    )]
     let line_rate = topo
         .uniform_capacity()
-        // lint: panic-ok(harness precondition: the testbed topologies are built with uniform capacity)
         .expect("testbed wants uniform links");
     let mut controller = Controller::new(topo, cfg);
     if let Some(s) = &trace {
@@ -105,7 +108,10 @@ fn run_inner(
     let mut forwarding_violations = 0usize;
     let mut occupancy_violations = 0usize;
 
-    #[allow(clippy::needless_range_loop)] // `s` also stamps `now` and delivered_by_slot
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "`s` also stamps `now` and delivered_by_slot"
+    )]
     for s in 0..nslots {
         let now = s as f64 * slot;
 

@@ -295,7 +295,10 @@ impl<'t> ServiceController<'t> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a shed reply carries the client, task, reason code and the numbers behind it"
+    )]
     fn record_shed<T: Transport>(
         &mut self,
         tr: &mut T,
@@ -711,7 +714,8 @@ impl<'t> ServiceController<'t> {
             .map(|(&t, _)| t)
             .collect();
         for task in done {
-            let (_, flows) = self.active.remove(&task).expect("key from iteration above"); // lint: panic-ok(key came from iterating the same map)
+            #[expect(clippy::expect_used, reason = "key came from iterating the same map")]
+            let (_, flows) = self.active.remove(&task).expect("key from iteration above");
             for flow in flows {
                 let _ = self.ctrl.handle_term(now, flow);
             }

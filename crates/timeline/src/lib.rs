@@ -18,6 +18,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Rules L2, L3, L4, L6 and marker hygiene, library code only (DESIGN.md §13).
+#![cfg_attr(not(test), deny(clippy::as_conversions, clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::disallowed_methods))]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), deny(clippy::dbg_macro, clippy::allow_attributes))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+#![cfg_attr(not(test), deny(unfulfilled_lint_expectations))]
 
 use std::fmt;
 
@@ -419,8 +428,11 @@ impl IntervalSet {
                     return Some(cursor + take);
                 }
             }
+            #[expect(
+                clippy::unreachable,
+                reason = "the gap past the last interval is unbounded, so `need` always drains there"
+            )]
             if idx >= self.ivs.len() {
-                // lint: panic-ok(the gap past the last interval is unbounded, so `need` always drains there)
                 unreachable!("idle tail is infinite, allocation cannot fail");
             }
             cursor = cursor.max(self.ivs[idx].end);
@@ -509,8 +521,11 @@ impl IntervalSet {
                     return Some(cursor + take);
                 }
             }
+            #[expect(
+                clippy::unreachable,
+                reason = "the gap past the last interval is unbounded, so `need` always drains there"
+            )]
             if min_start == u64::MAX {
-                // lint: panic-ok(the gap past the last interval is unbounded, so `need` always drains there)
                 unreachable!("idle tail is infinite, allocation cannot fail");
             }
             let p = pos[min_i];
@@ -595,9 +610,12 @@ impl IntervalSet {
                     return Some(IntervalSet { ivs: out });
                 }
             }
+            #[expect(
+                clippy::unreachable,
+                reason = "the gap past the last interval is unbounded, so `need` always drains there"
+            )]
             if idx >= self.ivs.len() {
                 // Unbounded idle tail; we must have finished above.
-                // lint: panic-ok(the gap past the last interval is unbounded, so `need` always drains there)
                 unreachable!("idle tail is infinite, allocation cannot fail");
             }
             cursor = cursor.max(self.ivs[idx].end);
@@ -686,31 +704,43 @@ pub mod slots {
     /// Panics on NaN/infinite input or values past [`MAX_EXACT`] — both
     /// indicate corrupt schedule arithmetic upstream.
     #[inline]
+    #[expect(
+        clippy::as_conversions,
+        reason = "MAX_EXACT = 2^53 is exactly representable in f64; checked: finite, clamped to [0, 2^53]"
+    )]
     pub fn from_f64_ceil(x: f64) -> u64 {
         assert!(x.is_finite(), "slot count from non-finite value {x}");
         let c = x.ceil().max(0.0);
-        assert!(c <= MAX_EXACT as f64, "slot count {c} exceeds 2^53"); // lint: cast-ok(MAX_EXACT = 2^53 is exactly representable in f64)
-        c as u64 // lint: cast-ok(checked: finite, clamped to [0, 2^53])
+        assert!(c <= MAX_EXACT as f64, "slot count {c} exceeds 2^53");
+        c as u64
     }
 
     /// Rounds `x` down to a slot count. Negative inputs clamp to 0.
     ///
     /// Panics on NaN/infinite input or values past [`MAX_EXACT`].
     #[inline]
+    #[expect(
+        clippy::as_conversions,
+        reason = "MAX_EXACT = 2^53 is exactly representable in f64; checked: finite, clamped to [0, 2^53]"
+    )]
     pub fn from_f64_floor(x: f64) -> u64 {
         assert!(x.is_finite(), "slot count from non-finite value {x}");
         let f = x.floor().max(0.0);
-        assert!(f <= MAX_EXACT as f64, "slot count {f} exceeds 2^53"); // lint: cast-ok(MAX_EXACT = 2^53 is exactly representable in f64)
-        f as u64 // lint: cast-ok(checked: finite, clamped to [0, 2^53])
+        assert!(f <= MAX_EXACT as f64, "slot count {f} exceeds 2^53");
+        f as u64
     }
 
     /// Converts a slot index to `f64` exactly.
     ///
     /// Panics past [`MAX_EXACT`], where the conversion would round.
     #[inline]
+    #[expect(
+        clippy::as_conversions,
+        reason = "checked: <= 2^53, exactly representable"
+    )]
     pub fn to_f64(slots: u64) -> f64 {
         assert!(slots <= MAX_EXACT, "slot index {slots} exceeds 2^53");
-        slots as f64 // lint: cast-ok(checked: <= 2^53, exactly representable)
+        slots as f64
     }
 
     #[cfg(test)]

@@ -266,6 +266,10 @@ impl PiecewiseCdf {
     /// heavy tail of multi-megabyte background transfers (shaped after
     /// the production web-search workload DCTCP measured; also used by
     /// the pFabric/PIAS evaluations).
+    #[expect(
+        clippy::expect_used,
+        reason = "static literal table, validated in tests"
+    )]
     pub fn websearch() -> Self {
         Self::new(vec![
             (6_000.0, 0.15),
@@ -278,13 +282,16 @@ impl PiecewiseCdf {
             (1_333_000.0, 0.90),
             (3_333_000.0, 1.00),
         ])
-        // lint: panic-ok(static literal table, validated in tests)
         .expect("static websearch CDF")
     }
 
     /// Data-mining flow sizes: ~half the flows are tiny control/lookup
     /// messages while the top decile carries multi-megabyte shuffles
     /// (shaped after the VL2 data-mining measurement).
+    #[expect(
+        clippy::expect_used,
+        reason = "static literal table, validated in tests"
+    )]
     pub fn data_mining() -> Self {
         Self::new(vec![
             (100.0, 0.50),
@@ -294,7 +301,6 @@ impl PiecewiseCdf {
             (1_000_000.0, 0.95),
             (10_000_000.0, 1.00),
         ])
-        // lint: panic-ok(static literal table, validated in tests)
         .expect("static data-mining CDF")
     }
 

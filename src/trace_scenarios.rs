@@ -44,7 +44,10 @@ fn drain(ring: &RingRecorder) -> Vec<TraceRecord> {
 pub fn testbed_trace() -> Vec<TraceRecord> {
     let topo = partial_fat_tree_testbed(GBPS);
     let wl = testbed_workload(5, 20);
-    // lint: panic-ok(the workload generator always emits the requested 20 tasks)
+    #[expect(
+        clippy::expect_used,
+        reason = "the workload generator always emits the requested 20 tasks"
+    )]
     let horizon = wl.tasks.last().expect("non-empty workload").deadline + 0.05;
     let ring = Arc::new(RingRecorder::new());
     let rep = run_testbed_traced(
@@ -77,7 +80,10 @@ pub fn chaos_config(horizon: f64) -> ChaosConfig {
 pub fn chaos_trace() -> Vec<TraceRecord> {
     let topo = partial_fat_tree_testbed(GBPS);
     let wl = testbed_workload(11, 16);
-    // lint: panic-ok(the workload generator always emits the requested 16 tasks)
+    #[expect(
+        clippy::expect_used,
+        reason = "the workload generator always emits the requested 16 tasks"
+    )]
     let horizon = wl.tasks.last().expect("non-empty workload").deadline + 0.08;
     let cfg = chaos_config(horizon);
     let ring = Arc::new(RingRecorder::new());
@@ -95,7 +101,7 @@ fn scenario_trace(cfg: &ScenarioConfig) -> Vec<TraceRecord> {
     use taps_core::{Taps, TapsConfig};
     use taps_flowsim::{SimConfig, Simulation};
     let topo = single_rooted(2, 2, 4, GBPS);
-    // lint: panic-ok(the checked-in presets always validate)
+    #[expect(clippy::expect_used, reason = "the checked-in presets always validate")]
     let wl = cfg.generate().expect("scenario preset validates");
     let ring = Arc::new(RingRecorder::new());
     ring.emit(

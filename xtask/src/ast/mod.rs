@@ -6,9 +6,9 @@
 //! exclusion, and an intra-workspace call graph — and runs every lint
 //! rule over it:
 //!
-//! - [`lexical`] matches L1–L6 and L10 on the token stream, resolving
-//!   identifiers through the file's imports so a renamed or
-//!   glob-imported banned API is still caught;
+//! - [`lexical`] matches L5 and L10 on the token stream, resolving
+//!   identifiers through the file's imports so a renamed queue type is
+//!   still caught;
 //! - [`l7`] (call-graph validator coverage) and [`l8`] (float-ordering
 //!   hygiene) need item structure.
 //!

@@ -4,10 +4,10 @@
 //! gate behind `cargo xtask trace` ([`trace`], DESIGN.md §11).
 //!
 //! The lint pass is one engine: the workspace is parsed once into a
-//! `syn`-based item model ([`ast`]) and every rule — the lexical rules
-//! L1–L6 and L10, the call-graph rule L7, the float-ordering rule L8 —
-//! runs over it. Allowlist-marker staleness is accounted once, after
-//! every rule ran.
+//! `syn`-based item model ([`ast`]) and every rule it still owns — the
+//! lexical rules L5 and L10, the call-graph rule L7, the float-ordering
+//! rule L8 — runs over it. Allowlist-marker staleness is accounted once,
+//! after every rule ran. L1–L4 and L6 are clippy lints (DESIGN.md §13).
 //!
 //! See [`rules`] for the rule table and DESIGN.md §"Scheduler
 //! invariants & static analysis" + §13 for the rationale; [`chaos`]
@@ -82,50 +82,4 @@ fn lint_model(ws: &ast::Workspace) -> Vec<Finding> {
         (a.rule, &a.path, a.line, &a.message).cmp(&(b.rule, &b.path, b.line, &b.message))
     });
     findings
-}
-
-/// Renders findings as a stable JSON array sorted by (rule, path, line,
-/// message) — byte-identical across re-runs on identical sources, for
-/// CI artifact diffing (`cargo xtask lint --format json`).
-pub fn findings_to_json(findings: &[Finding]) -> String {
-    let mut rows: Vec<&Finding> = findings.iter().collect();
-    rows.sort_by(|a, b| {
-        (a.rule, &a.path, a.line, &a.message).cmp(&(b.rule, &b.path, b.line, &b.message))
-    });
-    let mut out = String::from("[");
-    for (i, f) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n  {{\"rule\":{},\"path\":{},\"line\":{},\"message\":{}}}",
-            json_str(f.rule),
-            json_str(&f.path),
-            f.line,
-            json_str(&f.message)
-        ));
-    }
-    if !rows.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

@@ -1,10 +1,9 @@
 //! `cargo xtask <task>` — workspace automation.
 //!
 //! Tasks:
-//! * `lint` — run the repo-specific determinism & safety lints (rules
-//!   L1–L8 and L10, one `syn`-based engine) over every workspace crate.
-//!   Exits non-zero on any finding. `--format json` prints a stable
-//!   sorted findings array.
+//! * `lint` — run the repo-specific lints that clippy cannot express
+//!   (rules L5, L7, L8 and L10, one `syn`-based engine) over every
+//!   workspace crate. Exits non-zero on any finding.
 //! * `chaos --seeds N` — run the seeded control-plane chaos gate: lossy
 //!   channels + link outage + controller crash/failover per seed, with
 //!   safety and bit-identical-determinism assertions (DESIGN.md §10).
@@ -25,12 +24,7 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => {
-            let json = args
-                .windows(2)
-                .any(|w| w[0] == "--format" && w[1] == "json");
-            lint(args.iter().any(|a| a == "--quiet" || a == "-q"), json)
-        }
+        Some("lint") => lint(args.iter().any(|a| a == "--quiet" || a == "-q")),
         Some("chaos") => chaos(&args[1..]),
         Some("trace") => trace(),
         Some("bench-smoke") => bench_smoke(),
@@ -51,11 +45,9 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage: cargo xtask <task>
 
 tasks:
-  lint [--quiet] [--format json]
-                     repo-specific determinism & safety lints: rules L1-L8 and L10,
-                     run by one syn-based engine, plus allowlist-marker hygiene;
-                     --format json emits a stable sorted findings array; see
-                     DESIGN.md §13
+  lint [--quiet]     repo-specific lints clippy cannot express: rules L5, L7, L8
+                     and L10, run by one syn-based engine, plus allowlist-marker
+                     hygiene; L1-L4 and L6 are clippy lints; see DESIGN.md §13
   chaos --seeds N    seeded control-plane chaos gate (lossy channels, link outage,
                      controller crash/failover); asserts safety + determinism
   trace              golden-trace gate: runs the traced testbed + chaos scenarios,
@@ -257,7 +249,7 @@ fn soak(args: &[String]) -> ExitCode {
     }
 }
 
-fn lint(quiet: bool, json: bool) -> ExitCode {
+fn lint(quiet: bool) -> ExitCode {
     let root = workspace_root();
     let findings = match xtask::lint_workspace(&root) {
         Ok(f) => f,
@@ -266,17 +258,9 @@ fn lint(quiet: bool, json: bool) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if json {
-        print!("{}", xtask::findings_to_json(&findings));
-        return if findings.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
     if findings.is_empty() {
         if !quiet {
-            println!("xtask lint: clean (rules L1-L8 and L10, allowlist hygiene)");
+            println!("xtask lint: clean (rules L5, L7, L8 and L10, allowlist hygiene)");
         }
         ExitCode::SUCCESS
     } else {

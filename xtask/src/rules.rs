@@ -1,21 +1,23 @@
 //! The lint rule table, per-path rule scopes, and allowlist hygiene.
 //!
-//! | rule | what                                                   | scope                              | allowlist marker        |
-//! |------|--------------------------------------------------------|------------------------------------|-------------------------|
-//! | L1   | `HashMap`/`HashSet` in decision-path code              | core, sdn, flowsim, baselines, service | `nondeterministic-ok` |
-//! | L2   | bare `as` numeric casts on slot/`u64` arithmetic       | timeline, core                     | `cast-ok`               |
-//! | L3   | `unwrap`/`expect`/`panic!` in non-test library code    | every workspace lib crate          | `panic-ok`              |
-//! | L4   | wall clock / unseeded RNG in deterministic sim crates  | timeline, topology, core, flowsim, workload, baselines, sdn, service | `nondeterministic-ok` |
-//! | L5   | indefinite `loop` in control-plane (retry) code        | sdn, service, core's `arbiter.rs`  | `l5-ok`                 |
-//! | L6   | ad-hoc `println!`/`eprintln!` in library code          | every workspace lib crate          | `l6-ok`                 |
-//! | L7   | public schedule mutation with no validate-gated commit | core, sdn                          | `l7-ok`                 |
-//! | L8   | bare float comparison in decision-path code            | core, sdn, flowsim, baselines      | `l8-ok`                 |
-//! | L10  | unbounded channels / queue growth in request paths     | service                            | `l10-ok(bound: ...)`    |
+//! | rule | what                                                   | engine: lint                           | scope                                  | allowlist                 |
+//! |------|--------------------------------------------------------|----------------------------------------|----------------------------------------|---------------------------|
+//! | L1   | `HashMap`/`HashSet` in decision-path code              | clippy: `disallowed_types`             | core, sdn, flowsim, baselines, service | `#[expect(.., reason)]`   |
+//! | L2   | bare `as` numeric casts on slot/`u64` arithmetic       | clippy: `as_conversions`               | timeline, core                         | `#[expect(.., reason)]`   |
+//! | L3   | `unwrap`/`expect`/`panic!` in non-test library code    | clippy: `unwrap_used`, `expect_used`, `panic`, `unreachable`, `todo`, `unimplemented` | every library crate but bench | `#[expect(.., reason)]` |
+//! | L4   | wall clock in deterministic sim crates                 | clippy: `disallowed_methods`           | every library crate but obs, bench and `taps` | `#[expect(.., reason)]` |
+//! | L5   | indefinite `loop` in control-plane (retry) code        | xtask: [`crate::ast::lexical`]         | sdn, service, core's `arbiter.rs`      | `l5-ok`                   |
+//! | L6   | ad-hoc `println!`/`eprintln!` in library code          | clippy: `print_stdout`, `print_stderr`, `dbg_macro` | every library crate but bench | `#[expect(.., reason)]` |
+//! | L7   | public schedule mutation with no validate-gated commit | xtask: [`crate::ast::l7`]              | core, sdn                              | `l7-ok`                   |
+//! | L8   | bare float comparison in decision-path code            | xtask: [`crate::ast::l8`]              | core, sdn, flowsim, baselines          | `l8-ok`                   |
+//! | L10  | unbounded channels / queue growth in request paths     | xtask: [`crate::ast::lexical`]         | service                                | `l10-ok(bound: ...)`      |
 //!
-//! L1–L6 and L10 are matched on the token stream by
-//! [`crate::ast::lexical`]; L7 and L8 need item structure and live in
-//! [`crate::ast::l7`] / [`crate::ast::l8`]. (There is no L9: it audited
-//! the atomics of a lock-free recorder that no longer exists.)
+//! Each library crate's `lib.rs` denies its clippy rules outside tests
+//! (DESIGN.md §13), and `unfulfilled_lint_expectations` makes a stale
+//! `#[expect]` an error. This module scopes the xtask rules: L5 and L10
+//! match the token stream, L7 and L8 need item structure. (There is no
+//! L9: it audited the atomics of a lock-free recorder that no longer
+//! exists.)
 //!
 //! Markers are `// lint: <name>-ok(reason)` on the offending line or the
 //! line directly above; a marker must carry a non-empty reason and must
@@ -45,36 +47,10 @@ impl fmt::Display for Finding {
 /// Which rules apply to a file, decided from its workspace-relative path.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleScope {
-    pub l1: bool,
-    pub l2: bool,
-    pub l3: bool,
-    pub l4: bool,
     pub l5: bool,
-    pub l6: bool,
     pub l10: bool,
 }
 
-/// Crates whose decision paths must not iterate hash collections (L1).
-const L1_CRATES: &[&str] = &[
-    "crates/core/",
-    "crates/sdn/",
-    "crates/flowsim/",
-    "crates/baselines/",
-    "crates/service/",
-];
-/// Crates doing slot arithmetic where bare `as` casts are banned (L2).
-const L2_CRATES: &[&str] = &["crates/timeline/", "crates/core/"];
-/// Deterministic simulation crates where wall clock / ambient RNG are banned (L4).
-const L4_CRATES: &[&str] = &[
-    "crates/timeline/",
-    "crates/topology/",
-    "crates/core/",
-    "crates/flowsim/",
-    "crates/workload/",
-    "crates/baselines/",
-    "crates/sdn/",
-    "crates/service/",
-];
 /// Control-plane code where indefinite `loop`s are banned (L5): every
 /// retry site must be bounded by a [`RetryPolicy`]-style max-attempts
 /// budget, or document its termination argument with an `l5-ok` marker.
@@ -127,12 +103,7 @@ pub fn scope_for(rel: &str) -> Option<RuleScope> {
         return None;
     }
     Some(RuleScope {
-        l1: L1_CRATES.iter().any(|c| rel.starts_with(c)),
-        l2: L2_CRATES.iter().any(|c| rel.starts_with(c)),
-        l3: true,
-        l4: L4_CRATES.iter().any(|c| rel.starts_with(c)),
         l5: L5_CRATES.iter().any(|c| rel.starts_with(c)),
-        l6: true,
         l10: L10_CRATES.iter().any(|c| rel.starts_with(c)),
     })
 }

@@ -20,19 +20,9 @@ use std::fmt;
 /// Allowlist marker kinds, written as `// lint: <name>(reason)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MarkerKind {
-    /// `nondeterministic-ok` — suppresses L1 (hash collections) and L4
-    /// (wall clock / unseeded RNG).
-    NondeterministicOk,
-    /// `cast-ok` — suppresses L2 (bare `as` numeric casts).
-    CastOk,
-    /// `panic-ok` — suppresses L3 (unwrap/expect/panic in lib code).
-    PanicOk,
     /// `l5-ok` — suppresses L5 (indefinite `loop` in control-plane code);
     /// the reason must state the termination/retry bound.
     L5Ok,
-    /// `l6-ok` — suppresses L6 (ad-hoc stdout/stderr printing in library
-    /// code; diagnostics go through the structured trace sink).
-    L6Ok,
     /// `l7-ok` — suppresses L7 (schedule-mutating public entry point
     /// with no validate-gated commit on its call paths); the reason must
     /// state why the mutation needs no commit-time validation.
@@ -50,11 +40,7 @@ pub enum MarkerKind {
 impl MarkerKind {
     pub fn name(self) -> &'static str {
         match self {
-            MarkerKind::NondeterministicOk => "nondeterministic-ok",
-            MarkerKind::CastOk => "cast-ok",
-            MarkerKind::PanicOk => "panic-ok",
             MarkerKind::L5Ok => "l5-ok",
-            MarkerKind::L6Ok => "l6-ok",
             MarkerKind::L7Ok => "l7-ok",
             MarkerKind::L8Ok => "l8-ok",
             MarkerKind::L10Ok => "l10-ok",
@@ -370,16 +356,8 @@ fn parse_markers(comments: &[String]) -> Vec<Marker> {
             continue;
         };
         let rest = text[pos + 5..].trim_start();
-        let kind = if rest.starts_with("nondeterministic-ok") {
-            MarkerKind::NondeterministicOk
-        } else if rest.starts_with("cast-ok") {
-            MarkerKind::CastOk
-        } else if rest.starts_with("panic-ok") {
-            MarkerKind::PanicOk
-        } else if rest.starts_with("l5-ok") {
+        let kind = if rest.starts_with("l5-ok") {
             MarkerKind::L5Ok
-        } else if rest.starts_with("l6-ok") {
-            MarkerKind::L6Ok
         } else if rest.starts_with("l7-ok") {
             MarkerKind::L7Ok
         } else if rest.starts_with("l8-ok") {
@@ -446,9 +424,9 @@ mod tests {
 
     #[test]
     fn markers_parse_with_reasons() {
-        let m = model("// lint: panic-ok(invariant: slot fits)\nx.unwrap();\n");
-        let mk = m.marker_for(MarkerKind::PanicOk, 2).expect("marker");
-        assert_eq!(mk.reason, "invariant: slot fits");
+        let m = model("// lint: l5-ok(terminates: the queue drains)\nloop { break; }\n");
+        let mk = m.marker_for(MarkerKind::L5Ok, 2).expect("marker");
+        assert_eq!(mk.reason, "terminates: the queue drains");
         assert!(mk.used.get());
     }
 }

@@ -1,14 +1,13 @@
-//! End-to-end tests for the lint pass (`cargo xtask lint`): a renamed
-//! import caught at the import and at the call, mutation tests that
-//! plant one synthetic violation per item-structure rule (L7, L8) and
-//! assert it is reported at exactly the right file and line (the
-//! lexical rules' fixtures sit beside them in `ast/lexical.rs`), marker
-//! suppression + staleness round-trips, an in-scope file no `mod`
-//! declaration reaches, and byte-stable `--format json` output.
+//! End-to-end tests for the lint pass (`cargo xtask lint`): mutation
+//! tests that plant one synthetic violation per item-structure rule
+//! (L7, L8) and assert it is reported at exactly the right file and
+//! line (the lexical rules' fixtures sit beside them in
+//! `ast/lexical.rs`), marker suppression + staleness round-trips, and
+//! an in-scope file no `mod` declaration reaches.
 
 use std::path::Path;
+use xtask::lint_sources;
 use xtask::rules::Finding;
-use xtask::{findings_to_json, lint_sources};
 
 fn keys(findings: &[Finding], rule: &str) -> Vec<(String, usize)> {
     findings
@@ -18,41 +17,21 @@ fn keys(findings: &[Finding], rule: &str) -> Vec<(String, usize)> {
         .collect()
 }
 
-/// Rename the banned import and call it under the new name:
-/// `Instant::now` never appears in the source, yet the alias is
-/// resolved and both the import and the call site are flagged.
-#[test]
-fn a_renamed_import_is_flagged_at_the_import_and_at_the_call() {
-    const EVASION: &str = "use std::time::Instant as T;\n\
-                           pub fn f() -> u64 {\n\
-                           \x20   let t = T::now();\n\
-                           \x20   let _ = t;\n\
-                           \x20   0\n\
-                           }\n";
-    let rel = "crates/core/src/evade.rs";
-    let out = lint_sources(&[("crates/core/src/lib.rs", "mod evade;\n"), (rel, EVASION)]);
-    assert_eq!(
-        keys(&out, "L4"),
-        vec![(rel.to_string(), 1), (rel.to_string(), 3)],
-        "{out:?}"
-    );
-}
-
 /// An in-scope file that no `mod` declaration reaches still gets the
-/// lexical rules and marker hygiene: its `unwrap()` and its stale
+/// lexical rules and marker hygiene: its bare `loop` and its stale
 /// marker are both reported.
 #[test]
 fn a_file_outside_the_module_tree_is_still_linted() {
-    let orphan = "pub fn f(o: Option<u64>) -> u64 {\n\
-                  \x20   // lint: l5-ok(no loop left here)\n\
-                  \x20   o.unwrap()\n\
+    let orphan = "pub fn f() {\n\
+                  \x20   // lint: l10-ok(bound: nothing grows here any more)\n\
+                  \x20   loop { break; }\n\
                   }\n";
-    let rel = "crates/core/src/orphan.rs";
+    let rel = "crates/service/src/orphan.rs";
     let out = lint_sources(&[
-        ("crates/core/src/lib.rs", "pub fn ok() {}\n"),
+        ("crates/service/src/lib.rs", "pub fn ok() {}\n"),
         (rel, orphan),
     ]);
-    assert_eq!(keys(&out, "L3"), vec![(rel.to_string(), 3)], "{out:?}");
+    assert_eq!(keys(&out, "L5"), vec![(rel.to_string(), 3)], "{out:?}");
     assert_eq!(keys(&out, "marker"), vec![(rel.to_string(), 2)], "{out:?}");
     assert_eq!(out.len(), 2, "{out:?}");
 }
@@ -135,38 +114,6 @@ fn l8_marker_suppresses_and_goes_stale() {
         "{out:?}"
     );
     assert!(out[0].message.contains("stale"), "{out:?}");
-}
-
-/// `--format json` output is sorted by (rule, path, line, message) and
-/// byte-identical across independent runs on identical sources.
-#[test]
-fn json_output_is_sorted_and_byte_stable() {
-    let src = "use std::collections::HashMap;\n\
-               pub fn f(x: f64, y: f64) -> bool {\n\
-               \x20   let _m: HashMap<u64, u64> = HashMap::new();\n\
-               \x20   x == y\n\
-               }\n";
-    let fixture: &[(&str, &str)] = &[("crates/core/src/lib.rs", src)];
-
-    let first = lint_sources(fixture);
-    assert!(!first.is_empty(), "fixture is supposed to produce findings");
-    let a = findings_to_json(&first);
-    let b = findings_to_json(&lint_sources(fixture));
-    assert_eq!(
-        a, b,
-        "two runs over identical sources must serialize identically"
-    );
-
-    // Serialization re-sorts: reversed input, same bytes.
-    let mut reversed = lint_sources(fixture);
-    reversed.reverse();
-    assert_eq!(findings_to_json(&reversed), a);
-
-    assert!(
-        a.contains("\"rule\":\"L1\"") && a.contains("\"rule\":\"L8\""),
-        "{a}"
-    );
-    assert_eq!(findings_to_json(&[]), "[]\n");
 }
 
 /// The acceptance bar the CI `lint` job enforces: the real workspace
