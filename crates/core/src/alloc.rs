@@ -272,6 +272,12 @@ pub struct AllocCounters {
     pub slots_scanned: u64,
 }
 
+/// `n` as a work-counter increment: lossless on every target whose
+/// `usize` fits in 64 bits, saturating on any wider one.
+pub(crate) fn count(n: usize) -> u64 {
+    u64::try_from(n).unwrap_or(u64::MAX)
+}
+
 impl AllocEngine {
     /// Creates an engine with no topology bound yet.
     pub fn new(slot: f64, max_paths: usize) -> Self {
@@ -420,10 +426,6 @@ impl AllocEngine {
     /// seed — evaluation order only changes the work done, because the
     /// adaptive bound preserves the exact `(completion, index)` first-wins
     /// order.
-    #[expect(
-        clippy::as_conversions,
-        reason = "candidate counts are bounded by max_paths, far below 2^64"
-    )]
     pub(crate) fn search_and_commit(
         &mut self,
         topo: &Topology,
@@ -486,7 +488,7 @@ impl AllocEngine {
             best.expect("at least one candidate completes (idle tail is infinite)");
 
         // Materialize the path and slices for the winner only.
-        self.counters.paths_tried += candidates.len() as u64;
+        self.counters.paths_tried += count(candidates.len());
         self.counters.slots_scanned += completion_slot.saturating_sub(start_slot) + 1;
         let path = candidates.path(idx);
         let slices = self.first_free_on(

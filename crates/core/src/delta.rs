@@ -47,7 +47,7 @@
 //! 3. **Per-flow fallback** — a dirty winner path or a changed demand
 //!    sends just that flow through the ordinary search.
 
-use crate::alloc::{AllocEngine, AllocError, FlowAlloc, FlowDemand, SlotDemand};
+use crate::alloc::{count, AllocEngine, AllocError, FlowAlloc, FlowDemand, SlotDemand};
 use taps_timeline::IntervalSet;
 use taps_topology::cache::Candidates;
 use taps_topology::{LinkId, Topology};
@@ -407,10 +407,6 @@ impl AllocEngine {
                     } else {
                         Some((translated, e.winner))
                     };
-                    #[expect(
-                        clippy::as_conversions,
-                        reason = "candidate counts are bounded by max_paths, far below 2^64"
-                    )]
                     if let Some(mut best) = seed {
                         let mut moved = false;
                         // Only a candidate that crosses a freed link can
@@ -484,7 +480,7 @@ impl AllocEngine {
                         // Counters exactly as the full pass books them
                         // (trace byte-identity): all candidates ranked,
                         // winner depth scanned.
-                        self.counters.paths_tried += c.len() as u64;
+                        self.counters.paths_tried += count(c.len());
                         self.counters.slots_scanned += completion.saturating_sub(start_slot) + 1;
                         out.push(self.finish(d, path, slices, completion));
                         handled = true;
@@ -617,7 +613,6 @@ impl AllocEngine {
     /// different topology) — the next batch then falls back as before.
     /// Bit-identity with the full pass is unchanged (the debug-build
     /// cross-check still re-verifies every subsequent batch).
-    #[expect(clippy::as_conversions, reason = "entry counts are far below 2^64")]
     pub fn absorb_fault_epoch(&mut self, topo: &Topology, cache: &mut DeltaCache) -> bool {
         self.ensure_topology(topo);
         if !cache.valid || cache.topo_name != topo.name {
@@ -635,7 +630,7 @@ impl AllocEngine {
         });
         cache.epoch = epoch;
         cache.stats.absorbed_epochs += 1;
-        cache.stats.absorbed_dropped += (before - cache.index.len()) as u64;
+        cache.stats.absorbed_dropped += count(before - cache.index.len());
         true
     }
 

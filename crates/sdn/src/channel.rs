@@ -260,6 +260,16 @@ impl RetryPolicy {
         }
         t.min(self.max_timeout)
     }
+
+    /// Longest time from a message's first send to its last
+    /// retransmission, seconds, at the sender's own timing: the
+    /// `max_attempts − 1` armed timeouts, each stretched by the full
+    /// jitter.
+    pub fn span(&self) -> f64 {
+        (0..self.max_attempts.saturating_sub(1))
+            .map(|a| self.timeout_for(a) * (1.0 + self.jitter))
+            .sum()
+    }
 }
 
 /// One terminally given-up message: the retry budget

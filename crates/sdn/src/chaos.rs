@@ -224,6 +224,27 @@ pub fn run_chaos_traced(
     run_inner(topo, wl, cfg, Some(sink))
 }
 
+/// How long after its task's deadline a copy of a probe can still reach
+/// the controller under `cfg`, seconds (DESIGN.md §10, "Forgetting
+/// finished work"). The first send waits for the next slot after the
+/// arrival, which is before the deadline. Then come the server's
+/// retransmissions, each up to a slot after its timeout because the
+/// sender ticks once per slot; one delivery, polled on the next slot;
+/// and a takeover's deferral of the probes that land during it. A
+/// lossless channel with no controller crash delivers every probe once,
+/// in the slot it is sent.
+pub fn probe_lifetime(cfg: &ChaosConfig) -> f64 {
+    let crashes = cfg
+        .faults
+        .iter()
+        .any(|f| matches!(f.kind, FaultKind::ControllerDown));
+    if cfg.channel == ChannelConfig::reliable() && !crashes {
+        return 0.0;
+    }
+    let slots = f64::from(cfg.retry.max_attempts) + 3.0;
+    cfg.retry.span() + slots * cfg.controller.slot + cfg.channel.max_total_delay() + cfg.resync_wait
+}
+
 fn run_inner(
     topo: &Topology,
     wl: &Workload,
@@ -231,6 +252,13 @@ fn run_inner(
     trace: Option<std::sync::Arc<dyn taps_obs::TraceSink>>,
 ) -> ChaosReport {
     let slot = cfg.controller.slot;
+    // The controller forgets a decided task at its deadline + horizon; a
+    // probe copy arriving later would be admitted afresh.
+    let (lifetime, horizon) = (probe_lifetime(cfg), cfg.controller.horizon());
+    assert!(
+        lifetime.total_cmp(&horizon).is_le(),
+        "a probe can reach the controller {lifetime} s past its deadline, beyond the {horizon} s horizon"
+    );
     #[expect(
         clippy::expect_used,
         reason = "harness precondition: the testbed topologies are built with uniform capacity"

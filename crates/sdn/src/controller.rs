@@ -2,9 +2,10 @@
 //! Alg. 1 arbiter ([`taps_core::Arbiter`]) for a decision and a
 //! schedule, then installs/withdraws forwarding entries and hands out
 //! time-slice grants. What lives here is the SDN side of the loop: the
-//! durable flow registry, the decision cache, `(epoch, gen)` stamps,
-//! switch tables and the commands that realize each commit's change set.
+//! flow registry, the decision cache, `(epoch, gen)` stamps, switch
+//! tables and the commands that realize each commit's change set.
 
+use crate::expiry::ExpiryQueue;
 use crate::messages::{FlowGrant, LinkEvent, ProbeHeader, SwitchCmd};
 use crate::obs::TraceHandle;
 use crate::switch::{FlowEntry, FlowTable, TableError};
@@ -47,6 +48,33 @@ pub struct ControllerConfig {
     /// debug assertions (the chaos harness turns this on so release-mode
     /// chaos runs still validate every commit).
     pub force_validate: bool,
+}
+
+/// Grant fences a lossy control plane's message may outlive its task's
+/// deadline by: one delivery (`max_total_delay` < fence), the sender's
+/// bounded retries and a failover's deferral. For the retry policy and
+/// resync window [`crate::ChaosConfig::unreliable`] derives from the
+/// same slot and delay bound as the fence, that is at most
+/// `54·slot + 83·max_total_delay` < 28 fences (DESIGN.md §10);
+/// [`crate::run_chaos`] checks [`crate::probe_lifetime`] against the
+/// horizon for every config it runs.
+const FENCES_PER_HORIZON: f64 = 28.0;
+
+impl ControllerConfig {
+    /// How long past its deadline the controller remembers a finished
+    /// flow or a decided task, seconds: two slots (a TERM lands one slot
+    /// after the last slice), one control round trip, one fault
+    /// notification and [`FENCES_PER_HORIZON`] grant fences. Zero-fence
+    /// (reliable) planes keep a record two slots past its deadline.
+    /// Every copy of a probe a harness can deliver arrives within it,
+    /// and a later resync report is refused by its deadline (DESIGN.md
+    /// §10, "Forgetting finished work").
+    pub fn horizon(&self) -> f64 {
+        2.0 * self.slot
+            + self.control_rtt
+            + self.recovery_latency
+            + FENCES_PER_HORIZON * self.grant_fence
+    }
 }
 
 impl Default for ControllerConfig {
@@ -183,8 +211,10 @@ pub struct CheckpointFlow {
 }
 
 /// Serialized controller state: everything a standby needs to take over
-/// (admitted tasks, per-flow progress, the decision cache, and the
-/// `(epoch, gen)` high-water mark). Deliberately excludes the committed
+/// (admitted tasks, per-flow progress, the decision cache, the
+/// `(epoch, gen)` high-water mark and the clock). It holds the flows in
+/// flight and the finished work of the last horizon, not history.
+/// Deliberately excludes the committed
 /// schedule and switch-table images — the standby recomputes both from
 /// the registry (re-running Alg. 1–3) and reconciles switches with a
 /// full-state sweep, so a stale checkpoint can never resurrect slices
@@ -195,10 +225,37 @@ pub struct ControllerCheckpoint {
     pub epoch: u64,
     /// Commit generation at checkpoint time.
     pub gen: u64,
+    /// The latest `now` the controller had forgotten records against:
+    /// every flow and task it forgot had its deadline + horizon before
+    /// this time.
+    pub now: f64,
     /// The flow registry.
     pub flows: Vec<CheckpointFlow>,
-    /// The per-task decision cache (sorted by task id).
-    pub decided: Vec<(usize, TaskVerdict)>,
+    /// The per-task decision cache as `(task, verdict, deadline)`,
+    /// sorted by task id.
+    pub decided: Vec<(usize, TaskVerdict, f64)>,
+}
+
+/// How many records a controller keeps (DESIGN.md §10): the in-flight
+/// flows plus the finished work of the last horizon.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RetainedRecords {
+    /// Flow registry entries, in flight and finished.
+    pub registry: usize,
+    /// Decision cache entries.
+    pub decided: usize,
+    /// Queued expiries of finished flows.
+    pub flow_expiries: usize,
+    /// Queued expiries of decided tasks.
+    pub task_expiries: usize,
+}
+
+/// A decision-cache entry: the verdict a duplicate probe replays, and the
+/// task's deadline, which dates its expiry.
+#[derive(Clone, Debug)]
+struct Decided {
+    verdict: TaskVerdict,
+    deadline: f64,
 }
 
 /// The TAPS SDN controller.
@@ -211,12 +268,17 @@ pub struct Controller<'t> {
     /// registry mutation that inserts a flow, flips `done` or moves
     /// `delivered` updates it in the same breath.
     arbiter: Arbiter,
-    /// The durable record of every flow ever registered: what
-    /// checkpoints carry, duplicate probes replay against and `resync`
-    /// reconciles with. A `done` flow stays known, so a lossy resync
-    /// cannot resurrect a preempted one. Only `checkpoint` iterates it;
-    /// every other path touches it by key.
+    /// Every flow in flight, and every finished one whose deadline +
+    /// horizon the clock has not passed: what checkpoints carry and
+    /// `resync` reconciles with. A `done` flow stays known for the
+    /// horizon, so no resync report can resurrect a preempted one while
+    /// a server may still list it; past it, `resync` refuses the flow by
+    /// its deadline instead. Only `checkpoint` iterates it; every other
+    /// path touches it by key (DESIGN.md §7, §10).
     registry: BTreeMap<usize, FlowReg>,
+    /// Finished flows by deadline + horizon, the order `registry`
+    /// forgets them in.
+    done_flows: ExpiryQueue<usize>,
     tables: Vec<FlowTable>,
     stats: ControlStats,
     /// Controller incarnation; bumped by [`Controller::restore`] so every
@@ -227,8 +289,14 @@ pub struct Controller<'t> {
     gen: u64,
     /// Per-task verdict cache: duplicate probe deliveries replay the
     /// original decision instead of re-registering the task (which would
-    /// reset delivered-bytes progress and double-count stats).
-    decided: BTreeMap<usize, TaskVerdict>,
+    /// reset delivered-bytes progress and double-count stats). Forgotten
+    /// at the task's deadline + horizon, in `decided_tasks` order.
+    decided: BTreeMap<usize, Decided>,
+    /// Decided tasks by deadline + horizon.
+    decided_tasks: ExpiryQueue<usize>,
+    /// The latest `now` a probe or TERM carried: what expiries are
+    /// measured against.
+    clock: f64,
     /// Trace sink for admission/commit/table events.
     trace: TraceHandle,
     /// The former id → allocation schedule and its kept / stale diff,
@@ -249,11 +317,14 @@ impl<'t> Controller<'t> {
             cfg,
             arbiter,
             registry: BTreeMap::new(),
+            done_flows: ExpiryQueue::default(),
             tables,
             stats: ControlStats::default(),
             epoch: 0,
             gen: 0,
             decided: BTreeMap::new(),
+            decided_tasks: ExpiryQueue::default(),
+            clock: f64::NEG_INFINITY,
             trace: TraceHandle::default(),
             #[cfg(test)]
             oracle: None,
@@ -320,8 +391,25 @@ impl<'t> Controller<'t> {
         self.topo
     }
 
+    /// How many records this controller keeps.
+    pub fn retained(&self) -> RetainedRecords {
+        RetainedRecords {
+            registry: self.registry.len(),
+            decided: self.decided.len(),
+            flow_expiries: self.done_flows.len(),
+            task_expiries: self.decided_tasks.len(),
+        }
+    }
+
+    /// How long past its deadline a finished record is kept
+    /// ([`ControllerConfig::horizon`]), seconds.
+    pub fn horizon(&self) -> f64 {
+        self.cfg.horizon()
+    }
+
     /// The task that registered `flow`, in flight or finished; `None`
-    /// for a flow never heard of (or forgotten with its rejected task).
+    /// for a flow never heard of, forgotten with its rejected task, or
+    /// forgotten past its deadline + horizon.
     pub fn task_of(&self, flow: usize) -> Option<usize> {
         self.registry.get(&flow).map(|r| r.task)
     }
@@ -361,9 +449,14 @@ impl<'t> Controller<'t> {
     }
 
     /// Records `reg` as flow `flow` (replacing any earlier record of
-    /// that id) and indexes it when it is in flight.
+    /// that id) and indexes it when it is in flight, or queues its
+    /// expiry when it is finished.
     fn register(&mut self, flow: usize, reg: FlowReg) {
         let live = (!reg.done).then(|| reg.entry(flow));
+        if reg.done {
+            self.done_flows
+                .push(reg.deadline + self.cfg.horizon(), flow);
+        }
         if let Some(old) = self.registry.insert(flow, reg) {
             if !old.done {
                 self.arbiter.ftmp.remove(&old.entry(flow));
@@ -376,12 +469,50 @@ impl<'t> Controller<'t> {
 
     /// Marks the flows of a task the arbiter dropped from F_tmp done
     /// (preemption, or a task given up during recovery): they stay in
-    /// the registry.
+    /// the registry until their deadline + horizon.
     fn give_up(&mut self, dropped: &Dropped) {
-        for flow in &dropped.flows {
-            if let Some(r) = self.registry.get_mut(flow) {
-                r.done = true;
+        let horizon = self.cfg.horizon();
+        for &flow in &dropped.flows {
+            if let Some(r) = self.registry.get_mut(&flow) {
+                Self::finish(&mut self.done_flows, horizon, flow, r);
             }
+        }
+    }
+
+    /// Marks the in-flight flow `flow`, whose record is `r` and which has
+    /// already left F_tmp, done, and queues its expiry.
+    fn finish(done_flows: &mut ExpiryQueue<usize>, horizon: f64, flow: usize, r: &mut FlowReg) {
+        r.done = true;
+        done_flows.push(r.deadline + horizon, flow);
+    }
+
+    /// Caches `verdict` for `task`, due at `deadline`, and queues its
+    /// expiry.
+    fn remember(&mut self, task: usize, verdict: TaskVerdict, deadline: f64) {
+        self.decided_tasks.push(deadline + self.cfg.horizon(), task);
+        self.decided.insert(task, Decided { verdict, deadline });
+    }
+
+    /// Advances the clock to `now` and forgets every finished flow and
+    /// decided task whose deadline + horizon it has passed. A flow id
+    /// can be registered again while its old expiry is queued; such a
+    /// key is kept, and queued again under its new expiry when it
+    /// finishes. A task is decided once while it is cached (a probe of a
+    /// cached task replays it), so its queued key is its entry's own.
+    fn forget_expired(&mut self, now: f64) {
+        self.clock = self.clock.max(now);
+        let (clock, horizon) = (self.clock, self.cfg.horizon());
+        while let Some(flow) = self.done_flows.pop_expired(clock) {
+            if self
+                .registry
+                .get(&flow)
+                .is_some_and(|r| r.done && r.deadline + horizon < clock)
+            {
+                self.registry.remove(&flow);
+            }
+        }
+        while let Some(task) = self.decided_tasks.pop_expired(clock) {
+            self.decided.remove(&task);
         }
     }
 
@@ -407,15 +538,16 @@ impl<'t> Controller<'t> {
         let task = probes[0].task;
         assert!(probes.iter().all(|p| p.task == task), "one task per probe");
         self.stats.probes += 1;
+        self.forget_expired(now);
 
         // Idempotent replay: a duplicated (or retried) probe of an
         // already-decided task returns the cached verdict and the current
         // grants. Re-registering would zero the flows' delivered bytes
         // and re-run admission against an occupancy that already
         // contains them.
-        if let Some(v) = self.decided.get(&task) {
+        if let Some(d) = self.decided.get(&task) {
             self.stats.duplicate_probes += 1;
-            let verdict = v.clone();
+            let verdict = d.verdict.clone();
             let grants = self.grants_for(&verdict, probes);
             return (verdict, grants, Vec::new());
         }
@@ -458,10 +590,21 @@ impl<'t> Controller<'t> {
             for p in probes {
                 self.registry.remove(&p.flow);
             }
+            // A task forgotten past its deadline + horizon while one of
+            // its flows was still in flight (no TERM came) is probed
+            // afresh under the same id; the reject took that flow out of
+            // F_tmp with the newcomer's, so it is given up.
+            if let Some(own) = admission.dropped.iter().find(|d| d.task == task) {
+                self.give_up(own);
+            }
         }
 
         let cmds = self.commit(now, admission.allocs);
-        self.decided.insert(task, verdict.clone());
+        let deadline = probes
+            .iter()
+            .map(|p| p.deadline)
+            .fold(f64::NEG_INFINITY, f64::max);
+        self.remember(task, verdict.clone(), deadline);
         let grants = self.grants_for(&verdict, probes);
         self.stats.grants += grants.len();
         (verdict, grants, cmds)
@@ -582,10 +725,13 @@ impl<'t> Controller<'t> {
         if let Some(r) = self.registry.get_mut(&flow) {
             if !r.done {
                 self.arbiter.ftmp.remove(&r.entry(flow));
-                r.done = true;
+                Self::finish(&mut self.done_flows, self.cfg.horizon(), flow, r);
             }
             r.delivered = r.size;
         }
+        // After the flow finished, so a TERM that lands past its deadline
+        // + horizon leaves nothing behind.
+        self.forget_expired(now);
         let mut cmds = Vec::new();
         if let Some(rank) = self.arbiter.forget_committed(flow) {
             // The withdrawals must outrank the install that created the
@@ -602,12 +748,14 @@ impl<'t> Controller<'t> {
 
     /// Serializes the controller's durable state for a standby
     /// (DESIGN.md §10): the flow registry, the per-task decision cache,
-    /// and the `(epoch, gen)` high-water mark. The committed schedule is
+    /// the `(epoch, gen)` high-water mark and the clock — O(in flight +
+    /// the last horizon's finished work). The committed schedule is
     /// intentionally not captured — see [`ControllerCheckpoint`].
     pub fn checkpoint(&self) -> ControllerCheckpoint {
         ControllerCheckpoint {
             epoch: self.epoch,
             gen: self.gen,
+            now: self.clock,
             flows: self
                 .registry
                 .iter()
@@ -622,7 +770,11 @@ impl<'t> Controller<'t> {
                     done: r.done,
                 })
                 .collect(),
-            decided: self.decided.iter().map(|(&t, v)| (t, v.clone())).collect(),
+            decided: self
+                .decided
+                .iter()
+                .map(|(&t, d)| (t, d.verdict.clone(), d.deadline))
+                .collect(),
         }
     }
 
@@ -632,11 +784,14 @@ impl<'t> Controller<'t> {
     /// schedule/tables start empty — the standby re-learns progress from
     /// server resyncs ([`Controller::resync`]), re-runs Alg. 1–3
     /// ([`Controller::reallocate_all`]), and replaces switch state with a
-    /// full sweep ([`Controller::sweep`]).
+    /// full sweep ([`Controller::sweep`]). The clock resumes from the
+    /// checkpoint's, and every finished record is queued to expire as it
+    /// would have on the primary.
     pub fn restore(topo: &'t Topology, cfg: ControllerConfig, ckpt: &ControllerCheckpoint) -> Self {
         let mut c = Controller::new(topo, cfg);
         c.epoch = ckpt.epoch + 1;
         c.gen = ckpt.gen;
+        c.clock = ckpt.now;
         for f in &ckpt.flows {
             c.register(
                 f.flow,
@@ -651,7 +806,9 @@ impl<'t> Controller<'t> {
                 },
             );
         }
-        c.decided = ckpt.decided.iter().cloned().collect();
+        for (task, verdict, deadline) in &ckpt.decided {
+            c.remember(*task, verdict.clone(), *deadline);
+        }
         c
     }
 
@@ -663,9 +820,13 @@ impl<'t> Controller<'t> {
     /// marked done. Flows the checkpoint never saw (admitted after the
     /// checkpoint, grant lost with the primary) are registered fresh
     /// from the report — with the original size, so later progress
-    /// reports (measured against the original size) stay consistent.
+    /// reports (measured against the original size) stay consistent. An
+    /// unknown flow whose deadline + horizon is before the clock is not
+    /// registered: the controller may have forgotten it finished, and it
+    /// could not be scheduled in time anyway.
     pub fn resync(&mut self, host: usize, probes: &[(ProbeHeader, f64)]) {
         self.stats.resyncs += 1;
+        let horizon = self.cfg.horizon();
         let mut listed: Vec<usize> = Vec::with_capacity(probes.len());
         for (p, remaining) in probes {
             listed.push(p.flow);
@@ -674,9 +835,11 @@ impl<'t> Controller<'t> {
                     let delivered = r.delivered.max((r.size - remaining).max(0.0));
                     Self::set_delivered(&mut self.arbiter, p.flow, r, delivered);
                 }
-            } else {
+            } else if p.deadline + horizon >= self.clock {
                 self.register(p.flow, FlowReg::fresh(p, (p.size - remaining).max(0.0)));
-                self.decided.entry(p.task).or_insert(TaskVerdict::Accepted);
+                if !self.decided.contains_key(&p.task) {
+                    self.remember(p.task, TaskVerdict::Accepted, p.deadline);
+                }
             }
         }
         let finished = self
@@ -685,7 +848,7 @@ impl<'t> Controller<'t> {
             .take_where(|e| e.src == host && !listed.contains(&e.id));
         for flow in finished {
             if let Some(r) = self.registry.get_mut(&flow) {
-                r.done = true;
+                Self::finish(&mut self.done_flows, horizon, flow, r);
                 r.delivered = r.size;
             }
         }
@@ -1243,6 +1406,8 @@ mod tests {
         reused_flow_ids: usize,
         commits_checked: usize,
         rerouted_flows: usize,
+        forgotten_flows: usize,
+        forgotten_tasks: usize,
     }
 
     /// Drives one controller through a seeded random history of every
@@ -1352,7 +1517,11 @@ mod tests {
                     if c.registry.get(&flow).is_some_and(|r| !r.done) {
                         reached.terms_of_live_flows += 1;
                     }
+                    let before = c.retained();
                     c.handle_term(now, flow);
+                    let after = c.retained();
+                    reached.forgotten_flows += before.registry.saturating_sub(after.registry);
+                    reached.forgotten_tasks += before.decided.saturating_sub(after.decided);
                     "handle_term"
                 }
                 65..=79 if next_flow > 0 => {
@@ -1453,6 +1622,8 @@ mod tests {
             ("reused flow ids", total.reused_flow_ids),
             ("commits checked against the oracle", total.commits_checked),
             ("re-routed flows", total.rerouted_flows),
+            ("finished flows forgotten", total.forgotten_flows),
+            ("decided tasks forgotten", total.forgotten_tasks),
         ] {
             assert!(n > 0, "no history reached: {what}");
         }

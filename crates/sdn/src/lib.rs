@@ -46,6 +46,7 @@
 pub mod channel;
 pub mod chaos;
 mod controller;
+mod expiry;
 mod messages;
 mod obs;
 mod server;
@@ -56,10 +57,12 @@ pub use channel::{
     ChannelConfig, ChannelStats, ControlChannel, Envelope, ExpiredMsg, ReliableSender, RetryPolicy,
     RetryStats, EXPIRED_BUFFER_CAP,
 };
-pub use chaos::{run_chaos, run_chaos_traced, ChaosConfig, ChaosReport};
+pub use chaos::{probe_lifetime, run_chaos, run_chaos_traced, ChaosConfig, ChaosReport};
 pub use controller::{
-    CheckpointFlow, ControlStats, Controller, ControllerCheckpoint, ControllerConfig, TaskVerdict,
+    CheckpointFlow, ControlStats, Controller, ControllerCheckpoint, ControllerConfig,
+    RetainedRecords, TaskVerdict,
 };
+pub use expiry::ExpiryQueue;
 pub use messages::{CtrlMsg, FlowGrant, LinkEvent, ProbeHeader, ServerMsg, SwitchCmd, SwitchMsg};
 pub use server::ServerAgent;
 pub use switch::{FlowEntry, FlowTable, SwitchAgent, TableError};

@@ -17,8 +17,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use taps_flowsim::{FaultEvent, FaultKind};
 use taps_sdn::{
-    run_chaos, ChannelConfig, ChaosConfig, ControllerConfig, FlowEntry, FlowGrant, ProbeHeader,
-    ServerAgent, SwitchAgent, SwitchCmd,
+    probe_lifetime, run_chaos, ChannelConfig, ChaosConfig, Controller, ControllerConfig, FlowEntry,
+    FlowGrant, ProbeHeader, ServerAgent, SwitchAgent, SwitchCmd, TaskVerdict,
 };
 use taps_timeline::IntervalSet;
 use taps_topology::build::{partial_fat_tree_testbed, GBPS};
@@ -288,5 +288,77 @@ proptest! {
         let b = run_chaos(&topo, &wl, &cfg);
         prop_assert_eq!(a.digest, b.digest, "double run must be bit-identical");
         prop_assert_eq!(a.violations(), 0, "safety invariants must hold");
+    }
+
+    /// Forgetting finished work (DESIGN.md §10): a task's probe copies,
+    /// however the lossy plane delays, duplicates or retries them, land
+    /// within its deadline + horizon and replay the cached verdict. Past
+    /// the horizon the task and its finished flows are forgotten, and
+    /// then a late resync report listing the flows (a server that never
+    /// heard their TERM acknowledged) registers nothing — on the live
+    /// controller or on a standby restored from its checkpoint — and a
+    /// late duplicate probe is a fresh, already-late task that the
+    /// reject rule rejects: nothing forgotten comes back in flight.
+    #[test]
+    fn no_forgotten_flow_or_task_comes_back(
+        seed in any::<u64>(),
+        drop_pm in 0u64..300,
+        delay_us in 0u64..300,
+        deadline_ms in 2u64..40,
+        copy_at in 0.0f64..1.0,
+        past in 0.0f64..1.0,
+    ) {
+        let topo = partial_fat_tree_testbed(GBPS);
+        let channel = ChannelConfig::lossy(drop_pm as f64 / 1000.0, delay_us as f64 * 1e-6);
+        let chaos = ChaosConfig::unreliable(ControllerConfig::default(), channel, seed, 1.0);
+        let horizon = chaos.controller.horizon();
+        let lifetime = probe_lifetime(&chaos);
+        prop_assert!(lifetime <= horizon, "probe lifetime {lifetime} past horizon {horizon}");
+
+        let deadline = deadline_ms as f64 * 1e-3;
+        let probes: Vec<ProbeHeader> = (0..2)
+            .map(|j| ProbeHeader {
+                task: 7,
+                flow: 70 + j,
+                src: j,
+                dst: 4 + j,
+                size: 10_000.0,
+                deadline,
+            })
+            .collect();
+        let mut c = Controller::new(&topo, chaos.controller.clone());
+        let (verdict, _, _) = c.handle_probe(0.0, &probes);
+        prop_assert_eq!(verdict.clone(), TaskVerdict::Accepted);
+        for p in &probes {
+            c.handle_term(deadline, p.flow);
+        }
+
+        // Any copy of the probe the harness can still deliver replays.
+        let dup_at = copy_at * (deadline + lifetime);
+        let (replayed, grants, _) = c.handle_probe(dup_at.max(deadline), &probes);
+        prop_assert_eq!(replayed, verdict);
+        prop_assert!(grants.is_empty(), "finished flows hold no grant");
+        prop_assert_eq!(c.stats().duplicate_probes, 1);
+
+        // Past the horizon, another task's TERM forgets task 7.
+        let late = deadline + horizon + (1.0 + past) * chaos.controller.slot;
+        c.handle_term(late, 999);
+        let ckpt = c.checkpoint();
+        prop_assert!(ckpt.flows.is_empty(), "{:?}", ckpt.flows);
+        prop_assert!(ckpt.decided.is_empty(), "{:?}", ckpt.decided);
+
+        let report: Vec<(ProbeHeader, f64)> = probes.iter().map(|p| (p.clone(), p.size)).collect();
+        let mut standby = Controller::restore(&topo, chaos.controller.clone(), &ckpt);
+        for ctrl in [&mut c, &mut standby] {
+            for p in &probes {
+                ctrl.resync(p.src, &report[p.src..=p.src]);
+            }
+            prop_assert_eq!(ctrl.in_flight(), 0, "a resync re-registered a forgotten flow");
+            prop_assert!(probes.iter().all(|p| ctrl.task_of(p.flow).is_none()));
+            let (verdict, grants, _) = ctrl.handle_probe(late, &probes);
+            prop_assert_eq!(verdict, TaskVerdict::Rejected, "a forgotten task was re-admitted");
+            prop_assert!(grants.is_empty());
+            prop_assert_eq!(ctrl.in_flight(), 0);
+        }
     }
 }

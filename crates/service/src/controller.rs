@@ -19,7 +19,9 @@ use std::sync::Arc;
 
 use serde_json::{Serialize, Value};
 use taps_obs::{reason, Metrics, TraceEvent, TraceSink, DEPTH_BOUNDS, LATENCY_US_BOUNDS};
-use taps_sdn::{Controller, ControllerCheckpoint, ControllerConfig, ProbeHeader, TaskVerdict};
+use taps_sdn::{
+    Controller, ControllerCheckpoint, ControllerConfig, ExpiryQueue, ProbeHeader, TaskVerdict,
+};
 use taps_topology::Topology;
 
 use crate::messages::{verdict, ClientId, GrantSummary, Request, Response, Submit};
@@ -117,12 +119,19 @@ pub struct ServiceController<'t> {
     pending: VecDeque<Pending>,
     state: ServiceState,
     batch_mode: bool,
-    /// task → submitting client, for decision and preemption delivery.
+    /// task → submitting client, for decision and preemption delivery:
+    /// the queued and the granted tasks. An entry leaves when its task
+    /// turns terminal — decided or shed as rejected, retired, or
+    /// preempted (after its `Preempted` notice).
     owners: BTreeMap<u64, ClientId>,
-    /// Terminal outcome per task (verdict code), for duplicate replay.
+    /// Terminal outcome per task (verdict code), for duplicate replay,
+    /// kept until the task's deadline + horizon: a retry after that is
+    /// a fresh, already-late submission.
     outcomes: BTreeMap<u64, u64>,
-    /// Tasks already told they were preempted (notify once).
-    preempt_notified: BTreeSet<u64>,
+    /// `outcomes` keys by deadline + horizon. A task with a kept
+    /// outcome is answered from it, so each outcome is recorded once and
+    /// each queued key expires its own entry.
+    outcome_expiry: ExpiryQueue<u64>,
     /// Cumulative notifications dropped per slow client.
     dropped: BTreeMap<ClientId, u64>,
     /// Granted tasks not yet retired: task → (deadline, flow ids).
@@ -130,10 +139,10 @@ pub struct ServiceController<'t> {
     /// `now` passes it every flow has used its slices; the loop then
     /// synthesizes the servers' TERMs. That bounds this map and the
     /// controller's in-flight index — what an admission iterates — by
-    /// the in-flight set. It does not bound memory: the controller
-    /// registry and decision cache, and `outcomes` here, keep one record
-    /// per flow and task ever decided (duplicate replay and resync need
-    /// a finished flow to stay known), touched by key only.
+    /// the in-flight set. The finished work the loop and its controller
+    /// still remember (`outcomes`, the controller's registry and
+    /// decision cache) is bounded by the tasks whose deadline + horizon
+    /// has not passed, and is forgotten by expiry, touched by key only.
     active: BTreeMap<u64, (f64, Vec<usize>)>,
     decision_log: Vec<(u64, u64)>,
     shed_log: Vec<ShedRecord>,
@@ -184,7 +193,7 @@ impl<'t> ServiceController<'t> {
             batch_mode: false,
             owners: BTreeMap::new(),
             outcomes: BTreeMap::new(),
-            preempt_notified: BTreeSet::new(),
+            outcome_expiry: ExpiryQueue::default(),
             dropped: BTreeMap::new(),
             active: BTreeMap::new(),
             decision_log: Vec::new(),
@@ -321,13 +330,13 @@ impl<'t> ServiceController<'t> {
             projected,
             deadline,
         });
-        if code == reason::SHED_QUEUE_FULL {
-            // Not terminal for the task: the client is told to retry,
-            // so a resubmission must go through admission, not the
-            // duplicate-replay path.
-            self.owners.remove(&task);
-        } else {
-            self.outcomes.insert(task, verdict::REJECTED);
+        // A shed ends the submission. Only a queue-full shed is not
+        // terminal for the task: the client is told to retry, so a
+        // resubmission must go through admission, not the
+        // duplicate-replay path.
+        self.owners.remove(&task);
+        if code != reason::SHED_QUEUE_FULL {
+            self.record_outcome(task, verdict::REJECTED, deadline);
         }
         self.metrics.inc("pending_shed_total");
         self.metrics.inc(&format!("shed_reason_{code}"));
@@ -632,7 +641,10 @@ impl<'t> ServiceController<'t> {
             self.drain_decided += 1;
         }
         self.decision_log.push((task, code));
-        self.outcomes.insert(task, code);
+        self.record_outcome(task, code, p.submit.deadline);
+        if code == verdict::REJECTED {
+            self.owners.remove(&task);
+        }
         let latency_us = ((now - p.enqueued_at) * 1e6).round().max(0.0) as u64;
         self.metrics
             .observe("admission_latency_us", &LATENCY_US_BOUNDS, latency_us);
@@ -660,13 +672,29 @@ impl<'t> ServiceController<'t> {
                 grants,
             },
         );
+        // The controller names a victim only while its flows are in
+        // flight and marks them done as it preempts, so no task is a
+        // victim twice (DESIGN.md §15): the notice needs no dedup set.
         if let Some(victim) = victim {
-            if self.preempt_notified.insert(victim) {
-                self.metrics.inc("tasks_preempted");
-                if let Some(&owner) = self.owners.get(&victim) {
-                    self.notify(tr, now, owner, Response::Preempted { task: victim });
-                }
+            self.metrics.inc("tasks_preempted");
+            if let Some(owner) = self.owners.remove(&victim) {
+                self.notify(tr, now, owner, Response::Preempted { task: victim });
             }
+        }
+    }
+
+    /// Records `task`'s terminal verdict `code` for duplicate replay
+    /// until its `deadline` + the controller's horizon.
+    fn record_outcome(&mut self, task: u64, code: u64, deadline: f64) {
+        self.outcomes.insert(task, code);
+        self.outcome_expiry
+            .push(deadline + self.ctrl.horizon(), task);
+    }
+
+    /// Forgets every outcome whose deadline + horizon `now` has passed.
+    fn forget_expired(&mut self, now: f64) {
+        while let Some(task) = self.outcome_expiry.pop_expired(now) {
+            self.outcomes.remove(&task);
         }
     }
 
@@ -719,6 +747,7 @@ impl<'t> ServiceController<'t> {
             for flow in flows {
                 let _ = self.ctrl.handle_term(now, flow);
             }
+            self.owners.remove(&task);
             self.metrics.inc("tasks_retired");
         }
     }
@@ -728,6 +757,7 @@ impl<'t> ServiceController<'t> {
     /// mode, admit. Returns the number of terminal decisions made.
     pub fn step<T: Transport>(&mut self, now: f64, tr: &mut T) -> usize {
         self.last_now = now;
+        self.forget_expired(now);
         self.retire_completed(now);
         for (client, req) in tr.poll() {
             match req {
@@ -832,6 +862,21 @@ impl<'t> ServiceController<'t> {
             ),
             ("resyncs".into(), (cs.resyncs as u64).to_value()),
         ]);
+        let kept = self.ctrl.retained();
+        let retained = Value::Object(
+            [
+                ("registry", kept.registry),
+                ("decided", kept.decided),
+                ("flow_expiries", kept.flow_expiries),
+                ("task_expiries", kept.task_expiries),
+                ("outcomes", self.outcomes.len()),
+                ("outcome_expiries", self.outcome_expiry.len()),
+                ("owners", self.owners.len()),
+            ]
+            .into_iter()
+            .map(|(k, n)| (k.into(), (n as u64).to_value()))
+            .collect(),
+        );
         let state = match self.state {
             ServiceState::Accepting => "accepting",
             ServiceState::Draining => "draining",
@@ -848,6 +893,7 @@ impl<'t> ServiceController<'t> {
             ("state".into(), Value::Str(state.into())),
             ("epoch".into(), self.ctrl.epoch().to_value()),
             ("now".into(), self.last_now.to_value()),
+            ("retained".into(), retained),
         ])
     }
 

@@ -946,3 +946,106 @@ fn uds_full_socket_delivers_every_accepted_line_whole_once_and_in_order() {
     assert_eq!(tr.push(0, line_of(accepted)), Ok(()));
     let _ = std::fs::remove_file(&path);
 }
+
+/// The loop's retained `owners` and `outcomes` counts, from the stats
+/// snapshot.
+fn retained(svc: &ServiceController<'_>, key: &str) -> u64 {
+    svc.stats_value()
+        .get("retained")
+        .and_then(|r| r.get(key))
+        .and_then(|v| v.as_u64())
+        .expect("stats report retained counts")
+}
+
+/// A duplicate submit inside the task's deadline + horizon replays the
+/// first decision; one past it is a fresh, already-late submission that
+/// the reject rule rejects, and nothing of the first is left.
+#[test]
+fn a_duplicate_past_the_horizon_is_rejected_as_late() {
+    let topo = dumbbell(4, 4, GBPS);
+    let mut svc =
+        ServiceController::new(&topo, ControllerConfig::default(), ServiceConfig::default());
+    let horizon = svc.controller().horizon();
+    assert!(horizon > 0.0);
+    let deadline = 0.01;
+    let mut tr = SimTransport::new();
+    tr.submit(0, submit(5, 50, 0, 4, 1e5, deadline)).unwrap();
+    svc.step(0.0, &mut tr);
+    assert_eq!(
+        decisions_of(&tr.drain_client(0)),
+        vec![(5, verdict::GRANTED, None, None)]
+    );
+
+    // Retired at its deadline, still remembered within the horizon.
+    tr.submit(0, submit(5, 50, 0, 4, 1e5, deadline)).unwrap();
+    svc.step(deadline + horizon / 2.0, &mut tr);
+    assert_eq!(
+        decisions_of(&tr.drain_client(0)),
+        vec![(5, verdict::GRANTED, None, None)],
+        "replayed inside the horizon"
+    );
+    assert_eq!(svc.metrics().counter("duplicate_submits"), 1);
+    assert_eq!(svc.controller().task_of(50), Some(5));
+
+    // Past it the task is forgotten: the retry is decided afresh, late.
+    tr.submit(0, submit(5, 50, 0, 4, 1e5, deadline)).unwrap();
+    svc.step(deadline + 2.0 * horizon, &mut tr);
+    assert_eq!(
+        decisions_of(&tr.drain_client(0)),
+        vec![(5, verdict::REJECTED, Some(reason::INFEASIBLE), None)],
+        "rejected as already late past the horizon"
+    );
+    assert_eq!(svc.metrics().counter("duplicate_submits"), 1);
+    assert_eq!(svc.decided_total(), 2);
+    assert_eq!(svc.controller().task_of(50), None);
+    assert_eq!(svc.controller().in_flight(), 0);
+}
+
+/// A task leaves `owners` when it turns terminal: rejected, shed,
+/// retired, or preempted (after its `Preempted` notice). Only queued and
+/// granted tasks keep an entry.
+#[test]
+fn owners_holds_only_queued_and_granted_tasks() {
+    let topo = dumbbell(2, 2, GBPS);
+    let ctrl_cfg = ControllerConfig {
+        slot: 1.0,
+        ..ControllerConfig::default()
+    };
+    let cfg = ServiceConfig {
+        batch_enter: 2,
+        batch_exit: 0,
+        ..ServiceConfig::default()
+    };
+    let mut svc = ServiceController::new(&topo, ctrl_cfg, cfg);
+    let mut tr = SimTransport::new();
+    // Task 1 preempts task 0 (as in the burst test above); task 2 is
+    // then rejected behind task 1 on the bottleneck.
+    tr.submit(0, submit(0, 0, 0, 2, 4.0 * GBPS, 4.5)).unwrap();
+    tr.submit(0, submit(1, 1, 1, 3, GBPS, 3.0)).unwrap();
+    tr.submit(1, submit(2, 2, 1, 3, 3.0 * GBPS, 3.0)).unwrap();
+    svc.step(0.0, &mut tr);
+    let responses = tr.drain_client(0);
+    assert!(responses
+        .iter()
+        .any(|r| matches!(r, Response::Preempted { task: 0 })));
+    assert_eq!(
+        decisions_of(&tr.drain_client(1)),
+        vec![(2, verdict::REJECTED, Some(reason::INFEASIBLE), None)]
+    );
+    assert_eq!(retained(&svc, "owners"), 1, "task 1, granted");
+
+    // Draining: a new submission is shed as terminal.
+    svc.begin_drain(0.5);
+    tr.submit(1, submit(3, 3, 0, 2, GBPS, 9.0)).unwrap();
+    svc.step(1.0, &mut tr);
+    assert_eq!(
+        decisions_of(&tr.drain_client(1)),
+        vec![(3, verdict::REJECTED, Some(reason::SHED_DRAINING), None)]
+    );
+    assert_eq!(retained(&svc, "owners"), 1);
+
+    // Task 1 retires at its deadline.
+    svc.step(3.0, &mut tr);
+    assert_eq!(retained(&svc, "owners"), 0);
+    assert_eq!(retained(&svc, "outcomes"), 4);
+}
