@@ -375,7 +375,12 @@ impl<'t> Controller<'t> {
     /// Number of flows in flight (registered, not done): the length of
     /// F_tmp, which is what one probe's cost follows.
     pub fn in_flight(&self) -> usize {
-        self.arbiter.ftmp.entries().len()
+        self.in_flight_flows().len()
+    }
+
+    /// The flows in flight, in F_tmp order.
+    pub fn in_flight_flows(&self) -> &[InFlight] {
+        self.arbiter.ftmp.entries()
     }
 
     /// F_tmp entries written since this controller was made

@@ -51,7 +51,6 @@ mod messages;
 mod obs;
 mod server;
 mod switch;
-pub mod testbed;
 
 pub use channel::{
     ChannelConfig, ChannelStats, ControlChannel, Envelope, ExpiredMsg, ReliableSender, RetryPolicy,
@@ -66,4 +65,3 @@ pub use expiry::ExpiryQueue;
 pub use messages::{CtrlMsg, FlowGrant, LinkEvent, ProbeHeader, ServerMsg, SwitchCmd, SwitchMsg};
 pub use server::ServerAgent;
 pub use switch::{FlowEntry, FlowTable, SwitchAgent, TableError};
-pub use testbed::{run_testbed, run_testbed_traced, TestbedReport};

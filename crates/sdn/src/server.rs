@@ -79,13 +79,6 @@ impl ServerAgent {
         self.lease = lease;
     }
 
-    /// Builds the probe message for a new task's local flows (Fig. 4
-    /// step 2).
-    pub fn probe_for(&self, headers: Vec<ProbeHeader>) -> ServerMsg {
-        debug_assert!(headers.iter().all(|h| h.src == self.host));
-        ServerMsg::Probe(headers)
-    }
-
     /// Accepts a grant from the controller (Fig. 4 step 4B), received at
     /// time `now`. Returns `false` when the grant is *stale* — its
     /// `(epoch, gen)` stamp is older than the one already applied for the
@@ -229,14 +222,6 @@ impl ServerAgent {
         self.flows.get(&flow).map_or(0.0, |f| f.remaining)
     }
 
-    /// Whether the flow missed its deadline at time `t` with bytes left.
-    pub fn missed(&self, flow: usize, t: f64) -> bool {
-        self.flows
-            .get(&flow)
-            // lint: l8-ok(deadline-miss audit: both times are slot-aligned values of the same simulated clock, compared exactly)
-            .is_some_and(|f| f.remaining > 0.0 && t > f.header.deadline)
-    }
-
     /// The original scheduling header and remaining byte count of every
     /// live local flow — the payload of [`ServerMsg::Resync`] a
     /// failed-over controller re-learns in-flight state from.
@@ -314,14 +299,6 @@ mod tests {
         assert_eq!(a.remaining(1), 0.0);
         // No double TERM.
         assert!(a.advance(2.0, 1.0).is_empty());
-    }
-
-    #[test]
-    fn missed_detection() {
-        let mut a = ServerAgent::new(0, 1.0);
-        a.accept_grant(0.0, &header(1, 1000.0, 2.0), grant(1, &[(5, 6)]), 1000.0);
-        assert!(!a.missed(1, 1.0));
-        assert!(a.missed(1, 2.5));
     }
 
     #[test]

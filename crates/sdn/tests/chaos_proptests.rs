@@ -23,7 +23,7 @@ use taps_sdn::{
 use taps_timeline::IntervalSet;
 use taps_topology::build::{partial_fat_tree_testbed, GBPS};
 use taps_topology::{LinkId, NodeId, Path};
-use taps_workload::{SizeDist, WorkloadConfig};
+use taps_workload::WorkloadConfig;
 
 /// In-order send sequence → a delivery schedule with duplicates and an
 /// arbitrary permutation, but every message present at least once.
@@ -209,21 +209,7 @@ proptest! {
         delay_us in 0u64..300,
     ) {
         let topo = partial_fat_tree_testbed(GBPS);
-        let wl = WorkloadConfig {
-            num_tasks: 8,
-            mean_flows_per_task: 2.0,
-            sd_flows_per_task: 0.0,
-            mean_flow_size: 100_000.0,
-            sd_flow_size: 25_000.0,
-            min_flow_size: 1_000.0,
-            mean_deadline: 0.040,
-            min_deadline: 0.002,
-            arrival_rate: 500.0,
-            num_hosts: 8,
-            seed: seed ^ 0xC0FF_EE00,
-            size_dist: SizeDist::Normal,
-        }
-        .generate();
+        let wl = WorkloadConfig::testbed(8, seed ^ 0xC0FF_EE00).generate();
         let horizon = wl.tasks.last().map(|t| t.deadline).unwrap_or(0.05) + 0.05;
         let channel = ChannelConfig::lossy(drop_pm as f64 / 1000.0, delay_us as f64 * 1e-6);
         let cfg = ChaosConfig::unreliable(ControllerConfig::default(), channel, seed, horizon);
@@ -261,21 +247,7 @@ proptest! {
             .map(|(_, l)| *l)
             .nth(uplink)
             .unwrap();
-        let wl = WorkloadConfig {
-            num_tasks: 8,
-            mean_flows_per_task: 2.0,
-            sd_flows_per_task: 0.0,
-            mean_flow_size: 100_000.0,
-            sd_flow_size: 25_000.0,
-            min_flow_size: 1_000.0,
-            mean_deadline: 0.040,
-            min_deadline: 0.002,
-            arrival_rate: 500.0,
-            num_hosts: 8,
-            seed: seed ^ 0xDE17_A000,
-            size_dist: SizeDist::Normal,
-        }
-        .generate();
+        let wl = WorkloadConfig::testbed(8, seed ^ 0xDE17_A000).generate();
         let horizon = wl.tasks.last().map(|t| t.deadline).unwrap_or(0.05) + 0.05;
         let channel = ChannelConfig::lossy(drop_pm as f64 / 1000.0, delay_us as f64 * 1e-6);
         let mut cfg = ChaosConfig::unreliable(ControllerConfig::default(), channel, seed, horizon);

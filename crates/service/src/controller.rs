@@ -165,8 +165,11 @@ impl<'t> ServiceController<'t> {
     }
 
     /// Rebuilds a service from a drained daemon's checkpoint: the inner
-    /// controller re-runs admission over the registry and bumps its
-    /// epoch, exactly like a standby takeover (DESIGN.md §10).
+    /// controller restores the registry, the decision cache and the clock
+    /// and bumps its epoch, like a standby takeover (DESIGN.md §10). It
+    /// re-runs no admission; the next probe re-packs F_tmp. The flows it
+    /// restores in flight are retired at their task's deadline, as if the
+    /// loop had granted them.
     pub fn restore(
         topo: &'t Topology,
         ctrl_cfg: ControllerConfig,
@@ -184,7 +187,7 @@ impl<'t> ServiceController<'t> {
             "hysteresis requires batch_exit < batch_enter"
         );
         assert!(cfg.max_batch > 0, "max_batch must be positive");
-        ServiceController {
+        let mut svc = ServiceController {
             ctrl,
             cfg,
             // lint: l10-ok(bound: cfg.queue_cap — on_submit sheds beyond it)
@@ -205,6 +208,25 @@ impl<'t> ServiceController<'t> {
             drain_decided: 0,
             drain_shed: 0,
             last_now: 0.0,
+        };
+        svc.track_in_flight();
+        svc
+    }
+
+    /// Files every flow the controller has in flight under its task in
+    /// `active`, keyed by the task's deadline, so `retire_completed`
+    /// synthesizes its TERM: a flow restored from a checkpoint or
+    /// registered by a resync came with no submit this loop decided.
+    fn track_in_flight(&mut self) {
+        for e in self.ctrl.in_flight_flows() {
+            let (deadline, flows) = self
+                .active
+                .entry(e.task as u64)
+                .or_insert((e.deadline, Vec::new()));
+            *deadline = deadline.max(e.deadline);
+            if !flows.contains(&e.id) {
+                flows.push(e.id);
+            }
         }
     }
 
@@ -254,9 +276,11 @@ impl<'t> ServiceController<'t> {
         &self.ctrl
     }
 
-    /// Absorbs a server's post-failover resync report (passthrough).
+    /// Absorbs a server's post-failover resync report (passthrough); a
+    /// flow it registers is retired at its task's deadline.
     pub fn resync(&mut self, host: usize, probes: &[(ProbeHeader, f64)]) {
         self.ctrl.resync(host, probes);
+        self.track_in_flight();
     }
 
     /// FNV-1a digest over the decision and shed logs — the byte-identity

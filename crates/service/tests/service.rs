@@ -360,6 +360,48 @@ fn drain_under_chaos_reproduces_predrain_decisions() {
     );
 }
 
+/// A flow a checkpoint restores in flight, or a resync registers, is
+/// retired at its task's deadline, as the uninterrupted service retires
+/// it: it leaves F_tmp, so no later admission re-packs it.
+#[test]
+fn restored_and_resynced_flows_retire_at_their_deadline() {
+    let topo = dumbbell(4, 4, GBPS);
+    let cfg = ServiceConfig::default();
+    let ctrl_cfg = ControllerConfig::default;
+    let mut live = ServiceController::new(&topo, ctrl_cfg(), cfg);
+    let empty = live.controller().checkpoint();
+    let mut tr = SimTransport::new();
+    tr.submit(0, submit(1, 1, 0, 4, 1e5, 1.0)).unwrap();
+    live.step(0.0, &mut tr);
+    assert_eq!(live.controller().in_flight(), 1);
+
+    let mut drained = ServiceController::new(&topo, ctrl_cfg(), cfg);
+    tr.submit(0, submit(1, 1, 0, 4, 1e5, 1.0)).unwrap();
+    drained.step(0.0, &mut tr);
+    let (ckpt, _) = drained.drain(1e-3, &mut tr);
+    let mut restored = ServiceController::restore(&topo, ctrl_cfg(), cfg, &ckpt);
+    assert_eq!(restored.controller().in_flight(), 1);
+
+    // A standby whose checkpoint predates the task learns the flow from
+    // its sender's resync report.
+    let mut resynced = ServiceController::restore(&topo, ctrl_cfg(), cfg, &empty);
+    let header = ProbeHeader {
+        task: 1,
+        flow: 1,
+        src: 0,
+        dst: 4,
+        size: 1e5,
+        deadline: 1.0,
+    };
+    resynced.resync(0, &[(header, 1e5)]);
+    assert_eq!(resynced.controller().in_flight(), 1);
+
+    for svc in [&mut live, &mut restored, &mut resynced] {
+        svc.step(2.0, &mut SimTransport::new());
+        assert_eq!(svc.controller().in_flight(), 0);
+    }
+}
+
 #[test]
 fn duplicate_submit_replays_the_decision() {
     let topo = dumbbell(4, 4, GBPS);

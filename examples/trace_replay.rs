@@ -13,34 +13,29 @@ use std::sync::Arc;
 use std::time::Instant;
 use taps::trace_scenarios::testbed_workload;
 use taps_obs::{jsonl, replay, RingRecorder};
-use taps_sdn::{run_testbed, run_testbed_traced, ControllerConfig};
+use taps_sdn::{run_chaos, run_chaos_traced, ChaosConfig, ControllerConfig};
 use taps_topology::build::{partial_fat_tree_testbed, GBPS};
 
 fn main() {
     let topo = partial_fat_tree_testbed(GBPS);
     let wl = testbed_workload(5, 20);
     let horizon = wl.tasks.last().expect("non-empty workload").deadline + 0.05;
+    let cfg = ChaosConfig::reliable(ControllerConfig::default(), horizon);
 
     const REPS: usize = 20;
     // Warm-up, then interleave to be fair to both configurations.
-    run_testbed(&topo, &wl, ControllerConfig::default(), horizon);
+    run_chaos(&topo, &wl, &cfg);
     let mut plain = std::time::Duration::ZERO;
     let mut traced = std::time::Duration::ZERO;
     let mut records = Vec::new();
     for _ in 0..REPS {
         let t0 = Instant::now();
-        run_testbed(&topo, &wl, ControllerConfig::default(), horizon);
+        run_chaos(&topo, &wl, &cfg);
         plain += t0.elapsed();
 
         let ring = Arc::new(RingRecorder::new());
         let t0 = Instant::now();
-        run_testbed_traced(
-            &topo,
-            &wl,
-            ControllerConfig::default(),
-            horizon,
-            ring.clone(),
-        );
+        run_chaos_traced(&topo, &wl, &cfg, ring.clone());
         traced += t0.elapsed();
         records = ring.drain();
     }

@@ -8,28 +8,14 @@
 
 use std::sync::Arc;
 use taps_obs::{RingRecorder, TraceEvent, TraceRecord, TraceSink};
-use taps_sdn::{run_chaos_traced, run_testbed_traced, ChaosConfig, ControllerConfig};
+use taps_sdn::{run_chaos_traced, ChaosConfig, ControllerConfig};
 use taps_topology::build::{dumbbell, partial_fat_tree_testbed, single_rooted, GBPS};
 use taps_workload::{FaultPlan, ScenarioConfig, WorkloadConfig};
 
 /// The 8-host partial fat-tree workload used by the testbed scenarios
-/// (also reused by the overhead guard in `tests/obs_overhead.rs`).
+/// ([`WorkloadConfig::testbed`]).
 pub fn testbed_workload(seed: u64, tasks: usize) -> taps_flowsim::Workload {
-    WorkloadConfig {
-        num_tasks: tasks,
-        mean_flows_per_task: 2.0,
-        sd_flows_per_task: 0.0,
-        mean_flow_size: 100_000.0,
-        sd_flow_size: 25_000.0,
-        min_flow_size: 1_000.0,
-        mean_deadline: 0.040,
-        min_deadline: 0.002,
-        arrival_rate: 500.0,
-        num_hosts: 8,
-        seed,
-        size_dist: taps_workload::SizeDist::Normal,
-    }
-    .generate()
+    WorkloadConfig::testbed(tasks, seed).generate()
 }
 
 /// Drains `ring`, asserting nothing was dropped (a capacity problem must
@@ -40,7 +26,8 @@ fn drain(ring: &RingRecorder) -> Vec<TraceRecord> {
 }
 
 /// The §VI 8-host testbed run (reliable control plane, seed 5, 20
-/// tasks) with full control-plane tracing.
+/// tasks) with full control-plane tracing. The run must be clean: no
+/// audit violation, no packet on a default route, no failover.
 pub fn testbed_trace() -> Vec<TraceRecord> {
     let topo = partial_fat_tree_testbed(GBPS);
     let wl = testbed_workload(5, 20);
@@ -50,14 +37,10 @@ pub fn testbed_trace() -> Vec<TraceRecord> {
     )]
     let horizon = wl.tasks.last().expect("non-empty workload").deadline + 0.05;
     let ring = Arc::new(RingRecorder::new());
-    let rep = run_testbed_traced(
-        &topo,
-        &wl,
-        ControllerConfig::default(),
-        horizon,
-        ring.clone(),
-    );
-    assert_eq!(rep.forwarding_violations + rep.occupancy_violations, 0);
+    let cfg = ChaosConfig::reliable(ControllerConfig::default(), horizon);
+    let rep = run_chaos_traced(&topo, &wl, &cfg, ring.clone());
+    assert_eq!(rep.violations() + rep.default_routed_slots, 0);
+    assert!(rep.failovers.is_empty());
     drain(&ring)
 }
 

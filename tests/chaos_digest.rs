@@ -9,12 +9,12 @@
 //! that marks a delta-pass departure at its rank; the safety audit must
 //! stay clean.
 //!
-//! Its baseline, through a preemption: on a perfect control channel
-//! the chaos harness must reproduce the testbed, whose senders discard a
-//! preempted task's flows as the chaos plane's revokes do.
+//! Its baseline is the reliable control plane, the §VI testbed: through
+//! a preemption its audit must stay clean, and on Fig. 14's workload the
+//! per-slot byte series that figure plots must conserve bytes.
 
 use taps::trace_scenarios::testbed_workload;
-use taps_sdn::{run_chaos, run_testbed, ChannelConfig, ChaosConfig, ControllerConfig, TaskVerdict};
+use taps_sdn::{run_chaos, ChannelConfig, ChaosConfig, ControllerConfig, TaskVerdict};
 use taps_topology::build::{partial_fat_tree_testbed, GBPS};
 use taps_workload::{FaultPlan, SizeDist, WorkloadConfig};
 
@@ -47,7 +47,7 @@ fn a_chaos_seed_with_a_link_outage_is_pinned() {
 }
 
 #[test]
-fn reliable_chaos_reproduces_the_testbed_through_a_preemption() {
+fn reliable_chaos_is_clean_through_a_preemption() {
     // Overload: large flows under tight deadlines arriving in a burst,
     // so the reject rule fires and, once, preempts.
     let topo = partial_fat_tree_testbed(GBPS);
@@ -67,22 +67,84 @@ fn reliable_chaos_reproduces_the_testbed_through_a_preemption() {
     }
     .generate();
     let horizon = wl.tasks.last().expect("non-empty workload").deadline + 0.05;
-    let cfg = ControllerConfig::default();
-    let tb = run_testbed(&topo, &wl, cfg.clone(), horizon);
-    let ch = run_chaos(&topo, &wl, &ChaosConfig::reliable(cfg, horizon));
+    let rep = run_chaos(
+        &topo,
+        &wl,
+        &ChaosConfig::reliable(ControllerConfig::default(), horizon),
+    );
 
     assert!(
-        tb.verdicts
+        rep.verdicts
             .iter()
             .any(|(_, v)| matches!(v, TaskVerdict::AcceptedWithPreemption(_))),
         "the workload must preempt"
     );
-    assert_eq!(ch.verdicts, tb.verdicts);
-    assert_eq!(
-        (ch.flows_on_time, ch.flows_rejected, ch.flows_missed),
-        (tb.flows_on_time, tb.flows_rejected, tb.flows_missed),
-        "on-time / rejected / missed flows"
+    // A preempted task's senders discard its flows on the revoke: no
+    // grantless transmission, no shared link, no packet on a default
+    // route because its entries were withdrawn under it.
+    assert_eq!(rep.violations(), 0);
+    assert_eq!(rep.default_routed_slots, 0);
+    assert_eq!((rep.stalled_slots, rep.failovers.len()), (0, 0));
+    // A rejected task never sends a byte, and what is sent fits the
+    // hosts' line rate.
+    assert!(rep.flows_rejected > 0, "the workload must reject");
+    let line = GBPS * ControllerConfig::default().slot * topo.num_hosts() as f64;
+    assert!(rep
+        .transmitted_bytes_per_slot
+        .iter()
+        .all(|t| *t <= line * (1.0 + 1e-12)));
+    for (task, v) in &rep.verdicts {
+        if matches!(v, TaskVerdict::Rejected) {
+            for f in wl.tasks[*task].flows.clone() {
+                assert_eq!(rep.delivered[f], 0.0, "rejected flow {f} sent");
+            }
+        }
+    }
+}
+
+/// Fig. 14's series conserve bytes: per slot, useful ≤ transmitted ≤
+/// what the hosts' links carry in a slot; all useful bytes are exactly
+/// the on-time flows' sizes; all transmitted bytes are what the flows
+/// delivered.
+#[test]
+fn fig14_byte_series_conserve_bytes() {
+    let topo = partial_fat_tree_testbed(GBPS);
+    let wl = WorkloadConfig::fig14(topo.num_hosts(), 50, 1).generate();
+    let horizon = wl.tasks.last().expect("non-empty workload").deadline + 0.02;
+    let cfg = ChaosConfig::reliable(ControllerConfig::default(), horizon);
+    let rep = run_chaos(&topo, &wl, &cfg);
+    assert_eq!(rep.violations() + rep.default_routed_slots, 0);
+    assert!(
+        rep.flows_on_time > 0 && rep.flows_missed > 0,
+        "both kinds of bytes occur"
     );
-    assert_eq!(tb.occupancy_violations + tb.forwarding_violations, 0);
-    assert_eq!(ch.violations(), 0);
+
+    let line = GBPS * cfg.controller.slot * topo.num_hosts() as f64;
+    let nslots = rep.transmitted_bytes_per_slot.len();
+    assert_eq!(rep.useful_bytes_per_slot.len(), nslots);
+    for (s, (u, t)) in rep
+        .useful_bytes_per_slot
+        .iter()
+        .zip(&rep.transmitted_bytes_per_slot)
+        .enumerate()
+    {
+        assert!(
+            *u <= *t && *t <= line * (1.0 + 1e-12),
+            "slot {s}: {u} useful, {t} sent, {line} line"
+        );
+    }
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.max(1.0);
+    let useful: f64 = rep.useful_bytes_per_slot.iter().sum();
+    let on_time: f64 = (0..wl.num_flows())
+        .filter(|&f| rep.finished[f].is_some_and(|t| t <= wl.flows[f].deadline + 1e-9))
+        .map(|f| wl.flows[f].size)
+        .sum();
+    assert!(
+        close(useful, on_time),
+        "{useful} useful bytes, {on_time} on time"
+    );
+    let sent: f64 = rep.transmitted_bytes_per_slot.iter().sum();
+    let delivered: f64 = rep.delivered.iter().sum();
+    assert!(close(sent, delivered), "{sent} sent, {delivered} delivered");
+    assert!(sent > useful, "missed flows' bytes are not useful");
 }

@@ -11,27 +11,28 @@ use std::time::Instant;
 use taps::trace_scenarios::{chaos_config, testbed_workload};
 use taps_obs::RingRecorder;
 use taps_sdn::{
-    run_chaos, run_chaos_traced, run_testbed, run_testbed_traced, Controller, ControllerConfig,
-    ProbeHeader,
+    run_chaos, run_chaos_traced, ChaosConfig, Controller, ControllerConfig, ProbeHeader,
 };
 use taps_topology::build::{partial_fat_tree_testbed, GBPS};
 
-#[test]
-fn tracing_does_not_perturb_testbed_outcomes() {
+/// The §VI testbed run: seed 5, 20 tasks, on a reliable control plane.
+fn testbed_config() -> (taps_topology::Topology, taps_flowsim::Workload, ChaosConfig) {
     let topo = partial_fat_tree_testbed(GBPS);
     let wl = testbed_workload(5, 20);
     let horizon = wl.tasks.last().expect("non-empty workload").deadline + 0.05;
-    let plain = run_testbed(&topo, &wl, ControllerConfig::default(), horizon);
+    let cfg = ChaosConfig::reliable(ControllerConfig::default(), horizon);
+    (topo, wl, cfg)
+}
+
+#[test]
+fn tracing_does_not_perturb_testbed_outcomes() {
+    let (topo, wl, cfg) = testbed_config();
+    let plain = run_chaos(&topo, &wl, &cfg);
     let ring = Arc::new(RingRecorder::new());
-    let traced = run_testbed_traced(
-        &topo,
-        &wl,
-        ControllerConfig::default(),
-        horizon,
-        ring.clone(),
-    );
-    // TestbedReport carries every outcome (verdicts, per-slot bytes,
-    // audit counters); its Debug form is an exact field-by-field image.
+    let traced = run_chaos_traced(&topo, &wl, &cfg, ring.clone());
+    // ChaosReport carries every outcome (verdicts, per-slot bytes,
+    // audit and channel counters); its Debug form is an exact
+    // field-by-field image.
     assert_eq!(
         format!("{plain:?}"),
         format!("{traced:?}"),
@@ -45,20 +46,11 @@ fn tracing_does_not_perturb_testbed_outcomes() {
 /// must keep the *first* events (drop-newest, order preserved).
 #[test]
 fn a_full_recorder_does_not_perturb_outcomes() {
-    let topo = partial_fat_tree_testbed(GBPS);
-    let wl = testbed_workload(5, 20);
-    let horizon = wl.tasks.last().expect("non-empty workload").deadline + 0.05;
+    let (topo, wl, cfg) = testbed_config();
     let run = |ring: &Arc<RingRecorder>| {
-        let report = run_testbed_traced(
-            &topo,
-            &wl,
-            ControllerConfig::default(),
-            horizon,
-            ring.clone(),
-        );
-        format!("{report:?}")
+        format!("{:?}", run_chaos_traced(&topo, &wl, &cfg, ring.clone()))
     };
-    let plain = run_testbed(&topo, &wl, ControllerConfig::default(), horizon);
+    let plain = run_chaos(&topo, &wl, &cfg);
     let unbounded = Arc::new(RingRecorder::new());
     let full = Arc::new(RingRecorder::with_capacity(64));
     assert_eq!(format!("{plain:?}"), run(&unbounded));

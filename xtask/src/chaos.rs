@@ -13,38 +13,21 @@
 //! * exactly one controller recovery is observed (the crash is in the
 //!   plan, so the failover must actually happen);
 //! * a second run with identical inputs produces a **bit-identical**
-//!   outcome digest (verdicts, finish times, delivered bytes, counters);
-//! * as a baseline, seed-independent sanity: the reliable-channel,
-//!   no-fault configuration reproduces the legacy testbed harness
-//!   outcome exactly.
+//!   outcome digest (verdicts, finish times, delivered bytes, counters).
+//!
+//! The reliable-channel, no-fault configuration (the §VI testbed) is
+//! audited in Tier-1 (`tests/chaos_digest.rs`, `tests/golden_traces.rs`).
 
+use taps::trace_scenarios::testbed_workload;
 use taps_sdn::{run_chaos, ChannelConfig, ChaosConfig, ControllerConfig};
 use taps_topology::build::{partial_fat_tree_testbed, GBPS};
 use taps_topology::Topology;
-use taps_workload::{FaultPlan, SizeDist, WorkloadConfig};
+use taps_workload::FaultPlan;
 
 /// One failed per-seed check.
 pub struct ChaosFailure {
     pub seed: u64,
     pub what: String,
-}
-
-fn workload(seed: u64, tasks: usize) -> taps_flowsim::Workload {
-    WorkloadConfig {
-        num_tasks: tasks,
-        mean_flows_per_task: 2.0,
-        sd_flows_per_task: 0.0,
-        mean_flow_size: 100_000.0,
-        sd_flow_size: 25_000.0,
-        min_flow_size: 1_000.0,
-        mean_deadline: 0.040,
-        min_deadline: 0.002,
-        arrival_rate: 500.0,
-        num_hosts: 8,
-        seed,
-        size_dist: SizeDist::Normal,
-    }
-    .generate()
 }
 
 /// A switch-to-switch cable of the testbed fabric (deterministic pick:
@@ -55,57 +38,10 @@ fn fabric_cable(topo: &Topology) -> Option<taps_topology::LinkId> {
         .map(|(id, _)| id)
 }
 
-/// Runs the reliable-channel baseline once: `run_chaos` with
-/// [`ChaosConfig::reliable`] must reproduce the legacy `run_testbed`
-/// outcome exactly (same verdicts, same on-time/rejected/missed counts,
-/// zero violations, no failovers).
-fn baseline_check(topo: &Topology, failures: &mut Vec<ChaosFailure>) {
-    let wl = workload(5, 20);
-    let horizon = match wl.tasks.last() {
-        Some(t) => t.deadline + 0.05,
-        None => return,
-    };
-    let tb = taps_sdn::run_testbed(topo, &wl, ControllerConfig::default(), horizon);
-    let ch = run_chaos(
-        topo,
-        &wl,
-        &ChaosConfig::reliable(ControllerConfig::default(), horizon),
-    );
-    if ch.verdicts != tb.verdicts
-        || ch.flows_on_time != tb.flows_on_time
-        || ch.flows_rejected != tb.flows_rejected
-        || ch.flows_missed != tb.flows_missed
-    {
-        failures.push(ChaosFailure {
-            seed: 0,
-            what: format!(
-                "reliable chaos diverges from the legacy testbed \
-                 (on_time {}/{}, rejected {}/{}, missed {}/{})",
-                ch.flows_on_time,
-                tb.flows_on_time,
-                ch.flows_rejected,
-                tb.flows_rejected,
-                ch.flows_missed,
-                tb.flows_missed
-            ),
-        });
-    }
-    if ch.violations() != 0 || !ch.failovers.is_empty() {
-        failures.push(ChaosFailure {
-            seed: 0,
-            what: format!(
-                "reliable chaos reports {} violation(s), {} failover(s)",
-                ch.violations(),
-                ch.failovers.len()
-            ),
-        });
-    }
-}
-
 /// Runs one lossy-with-failover scenario for `seed`; pushes failures and
 /// returns a one-line human summary.
 fn chaos_seed(topo: &Topology, seed: u64, failures: &mut Vec<ChaosFailure>) -> String {
-    let wl = workload(1000 + seed, 16);
+    let wl = testbed_workload(1000 + seed, 16);
     let horizon = match wl.tasks.last() {
         Some(t) => t.deadline + 0.08,
         None => return format!("seed {seed}: empty workload"),
@@ -174,8 +110,6 @@ fn chaos_seed(topo: &Topology, seed: u64, failures: &mut Vec<ChaosFailure>) -> S
 pub fn run(seeds: u64) -> Vec<ChaosFailure> {
     let topo = partial_fat_tree_testbed(GBPS);
     let mut failures = Vec::new();
-    baseline_check(&topo, &mut failures);
-    println!("chaos: reliable baseline matches the legacy testbed harness");
     for seed in 0..seeds {
         let line = chaos_seed(&topo, seed, &mut failures);
         println!("chaos: {line}");
