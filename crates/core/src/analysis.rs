@@ -6,7 +6,7 @@
 //! and a Gantt-style rendering for debugging and examples.
 
 use crate::alloc::FlowAlloc;
-use taps_timeline::IntervalSet;
+use taps_timeline::{Clock, IntervalSet};
 use taps_topology::{LinkId, Topology};
 
 /// Aggregated view of a committed schedule.
@@ -25,7 +25,9 @@ pub struct ScheduleAnalysis {
     /// Total allocated slot-link pairs (one slot on one link).
     pub total_slot_links: u64,
     /// Per-flow slack: `deadline_slot - completion_slot` (only for
-    /// on-time flows).
+    /// on-time flows), where `deadline_slot` is the last boundary the
+    /// deadline reaches ([`Clock::boundary_by`]), so it is never
+    /// negative.
     pub slacks: Vec<(usize, i64)>,
 }
 
@@ -59,16 +61,16 @@ pub fn analyze(topo: &Topology, allocs: &[FlowAlloc], slot: f64) -> ScheduleAnal
     } else {
         busiest.iter().map(|(_, b)| *b as f64).sum::<f64>() / (links_used as f64 * makespan as f64)
     };
-    #[expect(clippy::as_conversions, reason = "slot indices are far below 2^63")]
+    let clock = Clock::new(slot);
+    #[expect(
+        clippy::as_conversions,
+        reason = "slot indices are far below 2^63, so the i64 slack cannot wrap"
+    )]
     let slacks = allocs
         .iter()
         .filter(|al| al.on_time)
         .map(|al| {
-            #[expect(
-                clippy::as_conversions,
-                reason = "slot indices are far below 2^63, so the i64 slack cannot wrap"
-            )]
-            let deadline_slot = (al.deadline / slot).floor() as i64;
+            let deadline_slot = clock.boundary_by(al.deadline) as i64;
             (al.id, deadline_slot - al.completion_slot as i64)
         })
         .collect::<Vec<_>>();
@@ -165,6 +167,29 @@ mod tests {
         let r1: Vec<char> = lines[1].chars().rev().take(6).collect();
         for (c0, c1) in r0.iter().zip(&r1) {
             assert!(!(*c0 == '#' && *c1 == '#'), "overlapping slot in gantt");
+        }
+    }
+
+    /// A flow that completes exactly at its deadline has slack 0, also
+    /// where the deadline's double falls just short of the boundary:
+    /// `0.3 / 0.1 = 2.9999999999999996`, and `49 · 1e-4 / 1e-4 < 49`.
+    #[test]
+    fn a_flow_finishing_on_its_deadline_boundary_has_zero_slack() {
+        let topo = dumbbell(1, 1, GBPS);
+        for (slot, slots) in [(0.1, 3u32), (1e-4, 49), (1e-4, 59), (1e-4, 81)] {
+            let mut a = SlotAllocator::new(&topo, slot, 4);
+            let demand = FlowDemand {
+                id: 0,
+                src: 0,
+                dst: 1,
+                remaining: f64::from(slots) * GBPS * slot,
+                deadline: f64::from(slots) * slot,
+            };
+            let allocs = a.allocate_batch(&[demand], 0).unwrap();
+            assert_eq!(allocs[0].completion_slot, u64::from(slots));
+            assert!(allocs[0].on_time, "the engine marks it on time");
+            let an = analyze(&topo, &allocs, slot);
+            assert_eq!(an.slacks, vec![(0, 0)], "slot {slot}, {slots} slots");
         }
     }
 

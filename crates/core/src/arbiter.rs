@@ -323,9 +323,9 @@ impl Arbiter {
         self.trace = Some(sink);
     }
 
-    /// First slot that starts at or after `time`.
-    pub fn slot_at(&self, time: f64) -> u64 {
-        self.engine.slot_at(time)
+    /// The engine's clock: every conversion between seconds and slots.
+    pub fn clock(&self) -> taps_timeline::Clock {
+        self.engine.clock()
     }
 
     /// One tentative Alg. 2/3 run over F_tmp, in its order, from a clean
@@ -676,11 +676,10 @@ impl Arbiter {
     /// Emits the `GrantIssued` + `GrantHop` + `GrantSlice` burst of one
     /// committed allocation, stamped `(epoch, gen)`.
     pub fn trace_grant(&self, now: f64, al: &FlowAlloc, epoch: u64, gen: u64) {
-        use taps_timeline::slots;
         if self.trace.is_none() {
             return;
         }
-        let slot = self.engine.slot_duration();
+        let clock = self.engine.clock();
         obs_event!(
             self.trace,
             now,
@@ -711,8 +710,8 @@ impl Arbiter {
                 GrantSlice {
                     flow: obs_id(al.id),
                     idx: obs_id(idx),
-                    start: slots::to_f64(iv.start) * slot,
-                    end: slots::to_f64(iv.end) * slot
+                    start: clock.start(iv.start),
+                    end: clock.start(iv.end)
                 }
             );
         }

@@ -380,7 +380,7 @@ impl AllocEngine {
                         || add_dirt.touches(access)
                         || add_dirt.touches(winner_middle);
                     let translated = e.completion + delta;
-                    let mut demand_on = SlotDemand::new(self.slot, d.remaining);
+                    let mut demand_on = SlotDemand::new(self.clock, d.remaining);
                     // Sweeps rank middles against the access links' merged
                     // occupancy, built by the first sweep that needs it.
                     let mut merged = false;

@@ -19,9 +19,9 @@
 //! flows entirely inside the window fits in `e − s`. The oracle then
 //! maximizes the number (or total size) of tasks over all task subsets.
 
-use crate::alloc::{slots_for, AllocError, FlowAlloc, FlowDemand};
+use crate::alloc::{AllocError, FlowAlloc, FlowDemand};
 use taps_flowsim::Workload;
-use taps_timeline::{slots, IntervalSet};
+use taps_timeline::{Clock, IntervalSet};
 use taps_topology::paths::PathFinder;
 use taps_topology::{Path, Topology};
 
@@ -32,7 +32,7 @@ use taps_topology::{Path, Topology};
 /// first `E` idle slots of `T_ocp = ⋃ O_x` at or after `start_slot`,
 /// keep the earliest-completing candidate (strict first-wins) and commit
 /// it. Stateless and deliberately unoptimized — it shares nothing with
-/// the engine but the slot arithmetic and the demand/allocation types.
+/// the engine but the [`Clock`] and the demand/allocation types.
 /// Fails with [`AllocError::Disconnected`] at the first flow (in
 /// priority order) whose endpoints have no surviving path.
 pub fn naive_batch(
@@ -42,6 +42,7 @@ pub fn naive_batch(
     demands: &[FlowDemand],
     start_slot: u64,
 ) -> Result<Vec<FlowAlloc>, AllocError> {
+    let clock = Clock::new(slot);
     let pf = PathFinder::new(topo);
     let mut occupancy = vec![IntervalSet::new(); topo.num_links()];
     let mut out = Vec::with_capacity(demands.len());
@@ -52,7 +53,7 @@ pub fn naive_batch(
             for l in &p.links {
                 t_ocp = t_ocp.union(&occupancy[l.idx()]);
             }
-            let e = slots_for(slot, d.remaining, p.bottleneck(topo));
+            let e = clock.slots_for(d.remaining, p.bottleneck(topo));
             #[expect(
                 clippy::expect_used,
                 reason = "invariant: the idle tail is infinite, so E >= 1 slots are always allocatable"
@@ -81,7 +82,7 @@ pub fn naive_batch(
             slices,
             completion_slot,
             deadline: d.deadline,
-            on_time: slots::to_f64(completion_slot) * slot <= d.deadline + 1e-9,
+            on_time: clock.reached(completion_slot, d.deadline),
         });
     }
     Ok(out)

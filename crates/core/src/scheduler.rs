@@ -19,7 +19,6 @@ use crate::arbiter::{
 use std::collections::VecDeque;
 use taps_flowsim::{DeadlineAction, FaultEvent, FlowId, FlowStatus, Scheduler, SimCtx, TaskId};
 use taps_obs::{obs_event, obs_id};
-use taps_timeline::slots;
 
 /// TAPS configuration.
 #[derive(Clone, Debug)]
@@ -135,7 +134,7 @@ impl Taps {
 
     #[inline]
     fn current_slot(&self, now: f64) -> u64 {
-        slots::from_f64_floor((now / self.cfg.slot) + 1e-9)
+        self.arbiter.clock().slot_of(now)
     }
 
     /// F_tmp = F_trans ∪ flows(new task): every live flow except those of
@@ -255,8 +254,9 @@ impl Taps {
     /// arrival order.
     fn process_pending(&mut self, ctx: &mut SimCtx<'_>) {
         while let Some(&task) = self.pending.front() {
-            let boundary = self.arbiter.slot_at(ctx.task(task).spec.arrival);
-            if slots::to_f64(boundary) * self.cfg.slot > ctx.now() + 1e-9 {
+            let clock = self.arbiter.clock();
+            let boundary = clock.slot_at(ctx.task(task).spec.arrival);
+            if !clock.reached(boundary, ctx.now()) {
                 break;
             }
             self.pending.pop_front();
@@ -302,7 +302,7 @@ impl Taps {
     /// that survive — and restored capacity is folded in the same way.
     pub fn handle_link_failure(&mut self, ctx: &mut SimCtx<'_>) {
         self.load_ftmp(ctx);
-        let start_slot = self.arbiter.slot_at(ctx.now());
+        let start_slot = self.arbiter.clock().slot_at(ctx.now());
         let (allocs, dropped) = self.arbiter.repack(ctx.topo(), start_slot);
         Self::apply_drops(ctx, &dropped, None);
         self.commit(ctx, allocs);
@@ -396,19 +396,20 @@ impl Scheduler for Taps {
     }
 
     fn next_wake(&mut self, now: f64) -> Option<f64> {
-        let cur = self.current_slot(now);
+        let clock = self.arbiter.clock();
+        let cur = clock.slot_of(now);
         let mut wake: Option<f64> = None;
         // Pending admission boundary.
         if let Some(&_task) = self.pending.front() {
             let b = cur + 1; // admissions happen on slot boundaries
-            wake = Some(slots::to_f64(b) * self.cfg.slot);
+            wake = Some(clock.start(b));
         }
         // Next schedule boundary strictly after `now`.
         let mut p = self.ptr;
         while p < self.timeline.len() {
             let slot = self.timeline[p].0;
             if slot > cur {
-                let t = slots::to_f64(slot) * self.cfg.slot;
+                let t = clock.start(slot);
                 wake = Some(wake.map_or(t, |w| w.min(t)));
                 break;
             }

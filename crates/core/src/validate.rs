@@ -8,6 +8,19 @@
 //! keep nondeterminism out of the decision paths; this module checks the
 //! produced schedules themselves.
 //!
+//! Time is not re-derived here. The on-time flag and the slot demand
+//! are judged by the same [`Clock`] rules the engine applies
+//! ([`Clock::reached`], [`Clock::slots_for`]). A private copy of a
+//! rounding rule would not make the check independent: it would be a
+//! second definition of time, and copies drift apart (the schedule
+//! analysis's copy had no tolerance and gave on-time flows negative
+//! slack). The Clock is
+//! checked once, against the expressions it replaced and against exact
+//! rational arithmetic, by `taps-timeline`'s own tests. What the
+//! validator checks independently is everything else: which slices the
+//! engine placed, on which links, for which demands, and what it left
+//! in the occupancy.
+//!
 //! [`Taps`](crate::Taps) runs these checks automatically after every
 //! admission, reject, and preemption when the build has debug assertions
 //! (debug/test builds) — release benchmarks pay nothing. The checks are also plain public
@@ -17,12 +30,8 @@
 use crate::alloc::{AllocEngine, FlowAlloc, FlowDemand};
 use std::collections::BTreeMap;
 use std::fmt;
-use taps_timeline::{slots, IntervalSet};
+use taps_timeline::{Clock, IntervalSet};
 use taps_topology::{LinkId, Topology};
-
-/// Tolerance when comparing completion times against deadlines, matching
-/// the engine's own epsilon.
-const EPS: f64 = 1e-9;
 
 /// One violated schedule invariant.
 #[derive(Clone, Debug, PartialEq)]
@@ -180,6 +189,7 @@ pub fn check_schedule(
         violations: Vec::new(),
     };
     let by_id: BTreeMap<usize, &FlowDemand> = demands.iter().map(|d| (d.id, d)).collect();
+    let clock = Clock::new(slot);
 
     // Link-exclusivity: compare each flow's slices against every prior
     // holder of the link (per-link flow counts are small), flagging the
@@ -207,13 +217,11 @@ pub fn check_schedule(
         // Slice-within-deadline: the on_time flag must agree with the
         // actual completion time (checked both directions, so a late
         // slice mislabeled on-time is caught too).
-        let completion_time = slots::to_f64(al.completion_slot) * slot;
-        let actually_on_time = completion_time <= al.deadline + EPS;
-        if al.on_time != actually_on_time {
+        if al.on_time != clock.reached(al.completion_slot, al.deadline) {
             report.violations.push(Violation::SliceAfterDeadline {
                 flow: al.id,
                 completion_slot: al.completion_slot,
-                completion_time,
+                completion_time: clock.start(al.completion_slot),
                 deadline: al.deadline,
             });
         }
@@ -222,7 +230,7 @@ pub fn check_schedule(
         // at the chosen path's bottleneck.
         match by_id.get(&al.id) {
             Some(d) => {
-                let required = required_slots(slot, d.remaining, al.path.bottleneck(topo));
+                let required = clock.slots_for(d.remaining, al.path.bottleneck(topo));
                 let allocated = al.slices.total_slots();
                 if allocated != required {
                     report.violations.push(Violation::DemandMismatch {
@@ -272,12 +280,4 @@ pub fn check_occupancy(
         }
     }
     report
-}
-
-/// Slots a demand of `bytes` needs at `bottleneck` bytes/s — the same
-/// rounding the engine uses (mirrored here so the validator is an
-/// independent check rather than a call into the code under test).
-fn required_slots(slot: f64, bytes: f64, bottleneck: f64) -> u64 {
-    let per_slot = bottleneck * slot;
-    slots::from_f64_ceil((bytes / per_slot) - EPS).max(1)
 }

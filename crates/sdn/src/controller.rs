@@ -528,6 +528,7 @@ impl<'t> Controller<'t> {
     /// (DESIGN.md §10).
     fn first_slot(&self, now: f64) -> u64 {
         self.arbiter
+            .clock()
             .slot_at(now + self.cfg.control_rtt + self.cfg.grant_fence)
     }
 

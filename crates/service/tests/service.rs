@@ -308,7 +308,8 @@ fn drain_under_chaos_reproduces_predrain_decisions() {
     );
 
     // Restart from the checkpoint and resync like a standby takeover:
-    // servers re-report their in-flight flows.
+    // servers re-report their in-flight flows with the bytes they have
+    // left to send.
     let mut svc_c = ServiceController::restore(&topo, ControllerConfig::default(), svc_cfg, &ckpt);
     let mut by_host: std::collections::BTreeMap<usize, Vec<(ProbeHeader, f64)>> =
         std::collections::BTreeMap::new();
@@ -325,13 +326,29 @@ fn drain_under_chaos_reproduces_predrain_decisions() {
                 size: f.size,
                 deadline: f.deadline,
             },
-            f.delivered,
+            f.size - f.delivered,
         ));
     }
     for (host, probes) in &by_host {
         svc_c.resync(*host, probes);
     }
     assert!(svc_c.controller().epoch() > 0, "restore bumps the epoch");
+    // The resync reported exactly the checkpointed progress, so every
+    // in-flight flow keeps its delivered bytes.
+    let resynced = svc_c.controller().checkpoint();
+    let mut in_flight = 0;
+    for f in ckpt.flows.iter().filter(|f| !f.done) {
+        let r = resynced.flows.iter().find(|r| r.flow == f.flow);
+        let r = r.unwrap_or_else(|| panic!("flow {} lost by the resync", f.flow));
+        assert_eq!(
+            r.delivered.to_bits(),
+            f.delivered.to_bits(),
+            "flow {}: delivered bytes after the resync",
+            f.flow
+        );
+        in_flight += 1;
+    }
+    assert!(in_flight > 0, "the drain must leave flows in flight");
 
     // The restarted daemon serves the rest of the plan.
     let mut tr2 = SimTransport::new();

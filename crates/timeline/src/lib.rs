@@ -30,6 +30,9 @@
 
 use std::fmt;
 
+mod clock;
+pub use clock::Clock;
+
 /// A half-open interval of slot indices `[start, end)`.
 ///
 /// Invariant: `start < end`. Empty intervals are never stored.
@@ -681,92 +684,6 @@ impl IntervalSet {
 impl FromIterator<Interval> for IntervalSet {
     fn from_iter<T: IntoIterator<Item = Interval>>(iter: T) -> Self {
         Self::from_intervals(iter)
-    }
-}
-
-/// Checked conversions between continuous quantities (seconds, bytes)
-/// and discrete slot indices.
-///
-/// Slot indices live in `u64`, but every schedule quantity that crosses
-/// into continuous time goes through `f64`, which represents integers
-/// exactly only up to 2^53. These helpers centralize the conversions —
-/// the repo's L2 lint (`cargo xtask lint`) bans bare `as` numeric casts
-/// in slot arithmetic precisely so that every lossy boundary is one of
-/// the audited lines below.
-pub mod slots {
-    /// Largest slot index `f64` represents exactly (2^53). Schedules a
-    /// few thousand slots long never get close; the asserts below turn a
-    /// silent precision loss into a loud failure if that ever changes.
-    pub const MAX_EXACT: u64 = 1 << 53;
-
-    /// Rounds `x` up to a slot count. Negative inputs clamp to 0.
-    ///
-    /// Panics on NaN/infinite input or values past [`MAX_EXACT`] — both
-    /// indicate corrupt schedule arithmetic upstream.
-    #[inline]
-    #[expect(
-        clippy::as_conversions,
-        reason = "MAX_EXACT = 2^53 is exactly representable in f64; checked: finite, clamped to [0, 2^53]"
-    )]
-    pub fn from_f64_ceil(x: f64) -> u64 {
-        assert!(x.is_finite(), "slot count from non-finite value {x}");
-        let c = x.ceil().max(0.0);
-        assert!(c <= MAX_EXACT as f64, "slot count {c} exceeds 2^53");
-        c as u64
-    }
-
-    /// Rounds `x` down to a slot count. Negative inputs clamp to 0.
-    ///
-    /// Panics on NaN/infinite input or values past [`MAX_EXACT`].
-    #[inline]
-    #[expect(
-        clippy::as_conversions,
-        reason = "MAX_EXACT = 2^53 is exactly representable in f64; checked: finite, clamped to [0, 2^53]"
-    )]
-    pub fn from_f64_floor(x: f64) -> u64 {
-        assert!(x.is_finite(), "slot count from non-finite value {x}");
-        let f = x.floor().max(0.0);
-        assert!(f <= MAX_EXACT as f64, "slot count {f} exceeds 2^53");
-        f as u64
-    }
-
-    /// Converts a slot index to `f64` exactly.
-    ///
-    /// Panics past [`MAX_EXACT`], where the conversion would round.
-    #[inline]
-    #[expect(
-        clippy::as_conversions,
-        reason = "checked: <= 2^53, exactly representable"
-    )]
-    pub fn to_f64(slots: u64) -> f64 {
-        assert!(slots <= MAX_EXACT, "slot index {slots} exceeds 2^53");
-        slots as f64
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn ceil_floor_round_and_clamp() {
-            assert_eq!(from_f64_ceil(2.0001), 3);
-            assert_eq!(from_f64_ceil(-1.5), 0);
-            assert_eq!(from_f64_floor(2.999), 2);
-            assert_eq!(from_f64_floor(-0.1), 0);
-            assert_eq!(to_f64(7), 7.0);
-        }
-
-        #[test]
-        #[should_panic(expected = "non-finite")]
-        fn nan_input_panics() {
-            from_f64_ceil(f64::NAN);
-        }
-
-        #[test]
-        #[should_panic(expected = "exceeds 2^53")]
-        fn oversized_slot_index_panics() {
-            to_f64(MAX_EXACT + 1);
-        }
     }
 }
 

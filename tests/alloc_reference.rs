@@ -13,6 +13,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use taps_core::arbiter::{Arbiter, InFlight, Standing};
 use taps_core::oracle::naive_batch;
+use taps_core::validate::check_schedule;
 use taps_core::{DeltaCache, FlowAlloc, FlowDemand, RejectDecision, RejectPolicy, SlotAllocator};
 use taps_topology::build::{fat_tree, GBPS};
 use taps_topology::Topology;
@@ -96,6 +97,79 @@ fn replay_history(max_paths: usize) {
     assert_eq!(s.full_fallbacks, 1, "only the cold first batch: {s:?}");
     assert_eq!(s.absorbed_epochs, 1, "{s:?}");
     assert!(s.reused_flows > 0 && s.searched_flows > 0, "{s:?}");
+}
+
+/// Deadlines that are exact products `k · SLOT` at the indices where
+/// `floor(k · SLOT / SLOT)` is `k − 1` (49, 59, 81): a flow completing at
+/// boundary `k` is on time, one completing at `k + 1` is late, and the
+/// full pass, the delta pass, the naive reference and the validator all
+/// agree on both.
+#[test]
+fn deadlines_on_mis_rounding_boundaries_agree_everywhere() {
+    let topo = fat_tree(4, GBPS);
+    let hosts = topo.num_hosts();
+    let slots = |n: u64| n as f64 * GBPS * SLOT;
+    let mut live = Vec::new();
+    for (i, k) in [49u64, 59, 81].into_iter().enumerate() {
+        assert_eq!((k as f64 * SLOT / SLOT).floor() as u64, k - 1);
+        let deadline = k as f64 * SLOT;
+        let (src, dst) = (2 * i, hosts - 1 - 2 * i);
+        // Ends exactly on boundary k; then a one-slot flow behind it on
+        // the same access link, one slot late.
+        for (id, remaining) in [(10 * i, slots(k)), (10 * i + 1, slots(1))] {
+            live.push(FlowDemand {
+                id,
+                src,
+                dst,
+                remaining,
+                deadline,
+            });
+        }
+        // A one-slot flow ahead of a (k − 1)-slot one: also ends on k.
+        for (id, remaining) in [(10 * i + 2, slots(1)), (10 * i + 3, slots(k - 1))] {
+            live.push(FlowDemand {
+                id,
+                src: src + 1,
+                dst: dst - 1,
+                remaining,
+                deadline,
+            });
+        }
+    }
+    let mut full = SlotAllocator::new(&topo, SLOT, 4);
+    let mut delta = SlotAllocator::new(&topo, SLOT, 4);
+    let mut cache = DeltaCache::new();
+    for batch in 0..2 {
+        if batch == 1 {
+            // A departure ahead of everything: the delta pass reuses the
+            // rest instead of falling back.
+            live.remove(0);
+        }
+        let want = naive_batch(&topo, SLOT, 4, &live, 0).unwrap();
+        full.reset();
+        assert_same(
+            batch,
+            "allocate_batch",
+            &want,
+            &full.allocate_batch(&live, 0).unwrap(),
+        );
+        let got = delta.allocate_batch_delta(&live, 0, &mut cache).unwrap();
+        assert_same(batch, "allocate_batch_delta", &want, &got);
+        let report = check_schedule(&topo, SLOT, &live, &want, "mis-rounding boundaries");
+        assert!(report.is_clean(), "{report}");
+        for (d, al) in live.iter().zip(&want) {
+            let k = (d.deadline / SLOT).round() as u64;
+            let expect = match d.id % 10 {
+                // Flow 1's predecessor departs in batch 1.
+                1 if d.id == batch => (1, true),
+                1 => (k + 1, false),
+                2 => (1, true),
+                _ => (k, true),
+            };
+            assert_eq!((al.completion_slot, al.on_time), expect, "flow {}", d.id);
+        }
+    }
+    assert_eq!(cache.stats().full_fallbacks, 1, "{:?}", cache.stats());
 }
 
 /// What Rule 3 needs to know about a task beyond the tentative pass.
