@@ -786,7 +786,7 @@ fn run_inner(
         for a in agents.iter_mut() {
             let host = a.host();
             let before: Vec<f64> = senders[host].iter().map(|&f| a.remaining(f)).collect();
-            for m in a.advance(now, slot) {
+            for m in a.advance(s as u64, now) {
                 if let ServerMsg::Term { flow } = m {
                     finished[flow] = Some(now + slot);
                     delivered[flow] = delivered[flow].max(wl.flows[flow].size);
@@ -982,15 +982,8 @@ mod tests {
             rep.flows_on_time + rep.flows_rejected + rep.flows_missed,
             rep.flows_total
         );
-        // Granted flows finish inside their slices, so misses are rare
-        // (`ServerAgent::advance` mis-rounding a slot index can strand
-        // a flow's tail).
-        assert!(
-            rep.flows_missed <= rep.flows_total / 10,
-            "granted flows should rarely miss: {} of {}",
-            rep.flows_missed,
-            rep.flows_total
-        );
+        // Granted flows finish inside their slices.
+        assert_eq!(rep.flows_missed, 0, "of {}", rep.flows_total);
         assert!(rep.flows_on_time > 0);
     }
 

@@ -15,6 +15,7 @@
 
 use crate::messages::{FlowGrant, ProbeHeader, ServerMsg};
 use std::collections::BTreeMap;
+use taps_timeline::Clock;
 
 /// Per-flow sender state.
 #[derive(Clone, Debug)]
@@ -39,9 +40,9 @@ struct LocalFlow {
 pub struct ServerAgent {
     /// Host index this agent runs on.
     host: usize,
-    /// Slot duration in seconds — the handshake constant shared with the
+    /// Slot duration — the handshake constant shared with the
     /// controller (grants carry slot *indices* only).
-    slot: f64,
+    clock: Clock,
     /// Lease duration granted by each controller contact, seconds.
     /// `f64::INFINITY` (the default) disables lease expiry — the
     /// reliable-channel behavior.
@@ -57,7 +58,7 @@ impl ServerAgent {
     pub fn new(host: usize, slot: f64) -> Self {
         ServerAgent {
             host,
-            slot,
+            clock: Clock::new(slot),
             lease: f64::INFINITY,
             flows: BTreeMap::new(),
         }
@@ -70,7 +71,7 @@ impl ServerAgent {
 
     /// The configured slot duration (handshake constant).
     pub fn slot(&self) -> f64 {
-        self.slot
+        self.clock.slot()
     }
 
     /// Sets the grant lease duration (fail-closed window). Grants and
@@ -178,35 +179,29 @@ impl ServerAgent {
         if f.terminated || f.remaining <= 0.0 || f.stalled || t > f.lease_until {
             return 0.0;
         }
-        let slot_idx = (t / self.slot).floor().max(0.0) as u64;
-        if f.grant.slices.contains(slot_idx) {
+        if f.grant.slices.contains(self.clock.slot_of(t)) {
             f.line_rate
         } else {
             0.0
         }
     }
 
-    /// Advances the sender's clock by `dt` from time `t`, transmitting
-    /// per the granted slices (lease- and stall-gated). Returns any
-    /// `TERM` messages to send to the controller (completed flows).
+    /// Transmits for one whole slot, index `slot`, per the granted
+    /// slices; `now` is the slot's start, against which leases are
+    /// checked (lease- and stall-gated). Returns any `TERM` messages to
+    /// send to the controller (completed flows).
     ///
-    /// `dt` must not cross a slot boundary (the harness steps slot by
-    /// slot); debug builds assert this.
-    pub fn advance(&mut self, t: f64, dt: f64) -> Vec<ServerMsg> {
-        let slot = self.slot;
+    /// The driver passes the index it steps with: recomputing it from
+    /// `now` would round `(s·slot)/slot` down to `s − 1` for some `s`.
+    pub fn advance(&mut self, slot: u64, now: f64) -> Vec<ServerMsg> {
         let mut out = Vec::new();
         for (&fid, f) in self.flows.iter_mut() {
             // lint: l8-ok(fail-closed lease gate: exact lapse stops transmission, it can never over-send)
-            if f.terminated || f.remaining <= 0.0 || f.stalled || t > f.lease_until {
+            if f.terminated || f.remaining <= 0.0 || f.stalled || now > f.lease_until {
                 continue;
             }
-            debug_assert!(
-                ((t / slot).floor() - ((t + dt - 1e-12) / slot).floor()).abs() < 1.0 + 1e-9,
-                "advance must not span multiple slots"
-            );
-            let slot_idx = (t / slot).floor().max(0.0) as u64;
-            if f.grant.slices.contains(slot_idx) {
-                f.remaining -= f.line_rate * dt;
+            if f.grant.slices.contains(slot) {
+                f.remaining -= f.line_rate * self.clock.slot();
                 if f.remaining <= 0.5 {
                     f.remaining = 0.0;
                     f.terminated = true;
@@ -292,13 +287,39 @@ mod tests {
     fn advance_transmits_and_terms() {
         let mut a = ServerAgent::new(0, 1.0);
         a.accept_grant(0.0, &header(1, 1500.0, 10.0), grant(1, &[(0, 2)]), 1000.0);
-        assert!(a.advance(0.0, 1.0).is_empty());
+        assert!(a.advance(0, 0.0).is_empty());
         assert!((a.remaining(1) - 500.0).abs() < 1e-9);
-        let msgs = a.advance(1.0, 1.0);
+        let msgs = a.advance(1, 1.0);
         assert_eq!(msgs, vec![ServerMsg::Term { flow: 1 }]);
         assert_eq!(a.remaining(1), 0.0);
         // No double TERM.
-        assert!(a.advance(2.0, 1.0).is_empty());
+        assert!(a.advance(2, 2.0).is_empty());
+    }
+
+    /// `49 · 1e-4 / 1e-4` is just below 49: a sender that derived its
+    /// slot index from seconds sent a slice starting at 49 in slot 48,
+    /// outside its grant, and then lost slot 49.
+    #[test]
+    fn a_slice_at_a_mis_rounding_index_sends_in_its_own_slot() {
+        let slot: f64 = 1e-4;
+        assert_eq!((49.0 * slot / slot).floor(), 48.0);
+        let mut a = ServerAgent::new(0, slot);
+        let line_rate = 1000.0 / slot; // one slot sends the whole flow
+        a.accept_grant(
+            0.0,
+            &header(1, 1000.0, 1.0),
+            grant(1, &[(49, 50)]),
+            line_rate,
+        );
+        for s in 47..=50u64 {
+            let terms = a.advance(s, Clock::new(slot).start(s));
+            let expect = if s == 49 {
+                vec![ServerMsg::Term { flow: 1 }]
+            } else {
+                Vec::new()
+            };
+            assert_eq!(terms, expect, "slot {s}");
+        }
     }
 
     #[test]
@@ -307,7 +328,7 @@ mod tests {
         a.accept_grant(0.0, &header(7, 100.0, 1.0), grant(7, &[(0, 1)]), 1000.0);
         a.drop_flow(7);
         assert_eq!(a.rate_at(7, 0.5), 0.0);
-        assert!(a.advance(0.0, 1.0).is_empty());
+        assert!(a.advance(0, 0.0).is_empty());
     }
 
     #[test]
@@ -332,7 +353,7 @@ mod tests {
         let mut a = ServerAgent::new(0, 1.0);
         let h = header(1, 2000.0, 10.0);
         a.accept_grant(0.0, &h, stamped_grant(1, &[(0, 1)], 0, 1), 1000.0);
-        a.advance(0.0, 1.0); // 1000 bytes left
+        a.advance(0, 0.0); // 1000 bytes left
         a.accept_grant(1.0, &h, stamped_grant(1, &[(3, 4)], 0, 2), 1000.0);
         assert!((a.remaining(1) - 1000.0).abs() < 1e-9);
     }
@@ -350,7 +371,7 @@ mod tests {
         assert_eq!(a.rate_at(1, 1.5), 1000.0);
         // Beyond the lease with no contact: fail closed.
         assert_eq!(a.rate_at(1, 2.5), 0.0);
-        assert!(a.advance(2.5, 0.5).is_empty());
+        assert!(a.advance(3, 3.0).is_empty());
         // A matching-stamp heartbeat revives it...
         a.on_heartbeat(3.0, 0, 1);
         assert_eq!(a.rate_at(1, 4.0), 1000.0);
@@ -366,7 +387,7 @@ mod tests {
         a.accept_grant(0.0, &header(1, 2000.0, 10.0), grant(1, &[(0, 4)]), 1000.0);
         a.set_stalled(1, true);
         assert_eq!(a.rate_at(1, 0.5), 0.0);
-        assert!(a.advance(0.0, 1.0).is_empty());
+        assert!(a.advance(0, 0.0).is_empty());
         assert!((a.remaining(1) - 2000.0).abs() < 1e-9);
         a.set_stalled(1, false);
         assert_eq!(a.rate_at(1, 1.5), 1000.0);
@@ -376,14 +397,14 @@ mod tests {
     fn resync_and_progress_reports() {
         let mut a = ServerAgent::new(0, 1.0);
         a.accept_grant(0.0, &header(1, 2000.0, 10.0), grant(1, &[(0, 2)]), 1000.0);
-        a.advance(0.0, 1.0);
+        a.advance(0, 0.0);
         let probes = a.resync_probes();
         assert_eq!(probes.len(), 1);
         assert!((probes[0].0.size - 2000.0).abs() < 1e-9, "original size");
         assert!((probes[0].1 - 1000.0).abs() < 1e-9, "remaining bytes");
         assert_eq!(a.progress_report(), vec![(1, 1000.0)]);
         // Finished flows vanish from both reports.
-        a.advance(1.0, 1.0);
+        a.advance(1, 1.0);
         assert!(a.resync_probes().is_empty());
         assert!(a.progress_report().is_empty());
     }

@@ -9,6 +9,7 @@
 
 use taps::prelude::*;
 use taps::sdn::{Controller, ControllerConfig, ProbeHeader, ServerAgent, ServerMsg};
+use taps::timeline::Clock;
 
 fn main() {
     let topo = partial_fat_tree_testbed(GBPS);
@@ -81,11 +82,13 @@ fn main() {
     }
 
     // Step the senders slot by slot; forward TERMs to the controller.
-    let mut t = 0.0;
+    let clock = Clock::new(slot);
+    let mut s = 0u64;
     let mut done = 0usize;
-    while t < 0.2 && done < 2 {
+    while clock.start(s) < 0.2 && done < 2 {
+        let t = clock.start(s);
         for a in agents.iter_mut() {
-            for msg in a.advance(t, slot) {
+            for msg in a.advance(s, t) {
                 if let ServerMsg::Term { flow } = msg {
                     let withdrawn = controller.handle_term(t, flow);
                     println!(
@@ -97,7 +100,7 @@ fn main() {
                 }
             }
         }
-        t += slot;
+        s += 1;
     }
 
     let st = controller.stats();
