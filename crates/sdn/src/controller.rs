@@ -406,10 +406,31 @@ impl<'t> Controller<'t> {
         }
     }
 
-    /// How long past its deadline a finished record is kept
-    /// ([`ControllerConfig::horizon`]), seconds.
-    pub fn horizon(&self) -> f64 {
-        self.cfg.horizon()
+    /// The configuration this controller runs with; its
+    /// [`ControllerConfig::horizon`] is how long past its deadline a
+    /// finished record is kept.
+    pub fn config(&self) -> &ControllerConfig {
+        &self.cfg
+    }
+
+    /// The cached verdict of `task` at `now`: what a duplicate probe
+    /// replays. An entry whose deadline + horizon `now` has passed is
+    /// hidden even while the clock, which only probes and TERMs move,
+    /// trails `now`: it is the test [`Self::forget_expired`] applies, so
+    /// the next probe of the task forgets it and decides afresh.
+    pub fn verdict(&self, task: usize, now: f64) -> Option<&TaskVerdict> {
+        self.decided
+            .get(&task)
+            .filter(|d| d.deadline + self.cfg.horizon() >= now)
+            .map(|d| &d.verdict)
+    }
+
+    /// Caches a rejection of `task`, due at `deadline`, that the caller
+    /// reached without a probe (a task it shed before admission): a
+    /// duplicate replays it and the checkpoint carries it, like a
+    /// rejection of this controller's own. Nothing is registered.
+    pub fn cache_rejection(&mut self, task: usize, deadline: f64) {
+        self.remember(task, TaskVerdict::Rejected, deadline);
     }
 
     /// The task that registered `flow`, in flight or finished; `None`
@@ -502,8 +523,10 @@ impl<'t> Controller<'t> {
     /// decided task whose deadline + horizon it has passed. A flow id
     /// can be registered again while its old expiry is queued; such a
     /// key is kept, and queued again under its new expiry when it
-    /// finishes. A task is decided once while it is cached (a probe of a
-    /// cached task replays it), so its queued key is its entry's own.
+    /// finishes. A probe of a cached task replays it, but
+    /// [`Self::cache_rejection`] may replace an entry [`Self::verdict`]
+    /// already hides before its key is popped, so a task key is checked
+    /// against its entry's own expiry too.
     fn forget_expired(&mut self, now: f64) {
         self.clock = self.clock.max(now);
         let (clock, horizon) = (self.clock, self.cfg.horizon());
@@ -517,7 +540,13 @@ impl<'t> Controller<'t> {
             }
         }
         while let Some(task) = self.decided_tasks.pop_expired(clock) {
-            self.decided.remove(&task);
+            if self
+                .decided
+                .get(&task)
+                .is_some_and(|d| d.deadline + horizon < clock)
+            {
+                self.decided.remove(&task);
+            }
         }
     }
 

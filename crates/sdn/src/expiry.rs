@@ -1,6 +1,6 @@
-//! Expiry-ordered queues: how the controller and the service forget a
-//! finished record once its deadline + horizon has passed (DESIGN.md
-//! §10, "Forgetting finished work").
+//! Expiry-ordered queues: how the controller forgets a finished record
+//! once its deadline + horizon has passed (DESIGN.md §10, "Forgetting
+//! finished work").
 //!
 //! A queue holds `(expiry, key)` pairs in a min-heap. Whoever owns the
 //! records pops the keys whose expiry the clock has passed and decides
@@ -74,11 +74,6 @@ impl<K: Ord + Copy> ExpiryQueue<K> {
     pub fn len(&self) -> usize {
         self.heap.len()
     }
-
-    /// Whether nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -99,6 +94,6 @@ mod tests {
         assert_eq!(q.pop_expired(2.5), None);
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop_expired(f64::INFINITY), Some(30));
-        assert!(q.is_empty());
+        assert_eq!(q.pop_expired(f64::INFINITY), None, "nothing is left");
     }
 }

@@ -61,7 +61,6 @@ pub use controller::{
     CheckpointFlow, ControlStats, Controller, ControllerCheckpoint, ControllerConfig,
     RetainedRecords, TaskVerdict,
 };
-pub use expiry::ExpiryQueue;
 pub use messages::{CtrlMsg, FlowGrant, LinkEvent, ProbeHeader, ServerMsg, SwitchCmd, SwitchMsg};
 pub use server::ServerAgent;
 pub use switch::{FlowEntry, FlowTable, SwitchAgent, TableError};

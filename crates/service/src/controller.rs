@@ -19,12 +19,10 @@ use std::sync::Arc;
 
 use serde_json::{Serialize, Value};
 use taps_obs::{reason, Metrics, TraceEvent, TraceSink, DEPTH_BOUNDS, LATENCY_US_BOUNDS};
-use taps_sdn::{
-    Controller, ControllerCheckpoint, ControllerConfig, ExpiryQueue, ProbeHeader, TaskVerdict,
-};
+use taps_sdn::{Controller, ControllerCheckpoint, ControllerConfig, ProbeHeader, TaskVerdict};
 use taps_topology::Topology;
 
-use crate::messages::{verdict, ClientId, GrantSummary, Request, Response, Submit};
+use crate::messages::{task_id, verdict, ClientId, GrantSummary, Request, Response, Submit};
 use crate::transport::Transport;
 
 /// Robustness knobs of the service loop. Times are seconds.
@@ -47,12 +45,9 @@ pub struct ServiceConfig {
     pub max_batch: usize,
     /// Deterministic estimate of one admission decision's service time;
     /// the unit of queue delay in the shed test and the retry-after
-    /// hint. Must be positive.
+    /// hint. Must be positive. The shed test adds the controller's
+    /// [`ControllerConfig::control_rtt`] to the queue delay.
     pub decision_cost: f64,
-    /// Control-plane round trip added to the queue delay when testing
-    /// deadline feasibility (mirror of
-    /// [`ControllerConfig::control_rtt`]).
-    pub control_rtt: f64,
 }
 
 impl Default for ServiceConfig {
@@ -64,7 +59,6 @@ impl Default for ServiceConfig {
             batch_exit: 8,
             max_batch: 64,
             decision_cost: 2e-5,
-            control_rtt: 0.0,
         }
     }
 }
@@ -106,12 +100,16 @@ pub struct ShedRecord {
 struct Pending {
     client: ClientId,
     submit: Submit,
-    min_deadline: f64,
     bytes: f64,
     enqueued_at: f64,
 }
 
 /// The service event loop. See the module docs for the step contract.
+///
+/// An adapter: every per-task fact — the verdict a duplicate replays and
+/// the flows in flight — lives in the wrapped [`Controller`], which the
+/// checkpoint carries. The loop keeps only what its clients need: the
+/// queue, who to answer, drop marks, logs and metrics.
 pub struct ServiceController<'t> {
     ctrl: Controller<'t>,
     cfg: ServiceConfig,
@@ -124,26 +122,8 @@ pub struct ServiceController<'t> {
     /// turns terminal — decided or shed as rejected, retired, or
     /// preempted (after its `Preempted` notice).
     owners: BTreeMap<u64, ClientId>,
-    /// Terminal outcome per task (verdict code), for duplicate replay,
-    /// kept until the task's deadline + horizon: a retry after that is
-    /// a fresh, already-late submission.
-    outcomes: BTreeMap<u64, u64>,
-    /// `outcomes` keys by deadline + horizon. A task with a kept
-    /// outcome is answered from it, so each outcome is recorded once and
-    /// each queued key expires its own entry.
-    outcome_expiry: ExpiryQueue<u64>,
     /// Cumulative notifications dropped per slow client.
     dropped: BTreeMap<ClientId, u64>,
-    /// Granted tasks not yet retired: task → (deadline, flow ids).
-    /// The reject rule never grants slices past the deadline, so once
-    /// `now` passes it every flow has used its slices; the loop then
-    /// synthesizes the servers' TERMs. That bounds this map and the
-    /// controller's in-flight index — what an admission iterates — by
-    /// the in-flight set. The finished work the loop and its controller
-    /// still remember (`outcomes`, the controller's registry and
-    /// decision cache) is bounded by the tasks whose deadline + horizon
-    /// has not passed, and is forgotten by expiry, touched by key only.
-    active: BTreeMap<u64, (f64, Vec<usize>)>,
     decision_log: Vec<(u64, u64)>,
     shed_log: Vec<ShedRecord>,
     metrics: Metrics,
@@ -167,9 +147,10 @@ impl<'t> ServiceController<'t> {
     /// Rebuilds a service from a drained daemon's checkpoint: the inner
     /// controller restores the registry, the decision cache and the clock
     /// and bumps its epoch, like a standby takeover (DESIGN.md §10). It
-    /// re-runs no admission; the next probe re-packs F_tmp. The flows it
-    /// restores in flight are retired at their task's deadline, as if the
-    /// loop had granted them.
+    /// re-runs no admission; the next probe re-packs F_tmp. A duplicate
+    /// of a task the drained daemon decided or shed is replayed from the
+    /// restored cache, and the flows restored in flight are retired at
+    /// their task's deadline, as the drained daemon would have.
     pub fn restore(
         topo: &'t Topology,
         ctrl_cfg: ControllerConfig,
@@ -187,7 +168,7 @@ impl<'t> ServiceController<'t> {
             "hysteresis requires batch_exit < batch_enter"
         );
         assert!(cfg.max_batch > 0, "max_batch must be positive");
-        let mut svc = ServiceController {
+        ServiceController {
             ctrl,
             cfg,
             // lint: l10-ok(bound: cfg.queue_cap — on_submit sheds beyond it)
@@ -195,10 +176,7 @@ impl<'t> ServiceController<'t> {
             state: ServiceState::Accepting,
             batch_mode: false,
             owners: BTreeMap::new(),
-            outcomes: BTreeMap::new(),
-            outcome_expiry: ExpiryQueue::default(),
             dropped: BTreeMap::new(),
-            active: BTreeMap::new(),
             decision_log: Vec::new(),
             shed_log: Vec::new(),
             metrics: Metrics::new(),
@@ -208,25 +186,6 @@ impl<'t> ServiceController<'t> {
             drain_decided: 0,
             drain_shed: 0,
             last_now: 0.0,
-        };
-        svc.track_in_flight();
-        svc
-    }
-
-    /// Files every flow the controller has in flight under its task in
-    /// `active`, keyed by the task's deadline, so `retire_completed`
-    /// synthesizes its TERM: a flow restored from a checkpoint or
-    /// registered by a resync came with no submit this loop decided.
-    fn track_in_flight(&mut self) {
-        for e in self.ctrl.in_flight_flows() {
-            let (deadline, flows) = self
-                .active
-                .entry(e.task as u64)
-                .or_insert((e.deadline, Vec::new()));
-            *deadline = deadline.max(e.deadline);
-            if !flows.contains(&e.id) {
-                flows.push(e.id);
-            }
         }
     }
 
@@ -280,7 +239,6 @@ impl<'t> ServiceController<'t> {
     /// flow it registers is retired at its task's deadline.
     pub fn resync(&mut self, host: usize, probes: &[(ProbeHeader, f64)]) {
         self.ctrl.resync(host, probes);
-        self.track_in_flight();
     }
 
     /// FNV-1a digest over the decision and shed logs — the byte-identity
@@ -360,7 +318,7 @@ impl<'t> ServiceController<'t> {
         // duplicate-replay path.
         self.owners.remove(&task);
         if code != reason::SHED_QUEUE_FULL {
-            self.record_outcome(task, verdict::REJECTED, deadline);
+            self.ctrl.cache_rejection(task_id(task), deadline);
         }
         self.metrics.inc("pending_shed_total");
         self.metrics.inc(&format!("shed_reason_{code}"));
@@ -459,9 +417,10 @@ impl<'t> ServiceController<'t> {
             self.notify(tr, now, client, Response::Error { msg });
             return;
         }
-        if let Some(&code) = self.outcomes.get(&s.task) {
-            // Duplicate of a decided task: replay the terminal outcome
-            // (idempotent, like the controller's decision cache).
+        if let Some(v) = self.ctrl.verdict(task_id(s.task), now) {
+            // Duplicate of a decided task: replay the controller's
+            // cached verdict.
+            let (code, _) = verdict_code(v);
             let grants = if code == verdict::REJECTED {
                 Vec::new()
             } else {
@@ -530,11 +489,8 @@ impl<'t> ServiceController<'t> {
             );
             return;
         }
-        // All flows of a task share its deadline (§II-B).
-        let min_deadline = s.deadline;
         let p = Pending {
             client,
-            min_deadline,
             bytes: s.bytes(),
             enqueued_at: now,
             submit: s,
@@ -557,7 +513,7 @@ impl<'t> ServiceController<'t> {
         if self.pending.len() <= self.cfg.shed_watermark {
             return;
         }
-        let (cost, rtt) = (self.cfg.decision_cost, self.cfg.control_rtt);
+        let (cost, rtt) = (self.cfg.decision_cost, self.ctrl.config().control_rtt);
         // One pass takes the doomed out and keeps the rest in order.
         // Each is (bytes, deadline, task, client, projected delay).
         let mut doomed: Vec<(f64, f64, u64, ClientId, f64)> = Vec::new();
@@ -565,9 +521,10 @@ impl<'t> ServiceController<'t> {
         self.pending.retain(|p| {
             position += 1;
             let projected = position as f64 * cost + rtt;
-            let infeasible = now + projected >= p.min_deadline;
+            let deadline = p.submit.deadline;
+            let infeasible = now + projected >= deadline;
             if infeasible {
-                doomed.push((p.bytes, p.min_deadline, p.submit.task, p.client, projected));
+                doomed.push((p.bytes, deadline, p.submit.task, p.client, projected));
             }
             !infeasible
         });
@@ -641,31 +598,12 @@ impl<'t> ServiceController<'t> {
         v: &TaskVerdict,
     ) {
         let task = p.submit.task;
-        let (code, victim) = match v {
-            TaskVerdict::Accepted => (verdict::GRANTED, None),
-            TaskVerdict::AcceptedWithPreemption(victim) => {
-                (verdict::GRANTED_PREEMPTING, Some(*victim as u64))
-            }
-            TaskVerdict::Rejected => (verdict::REJECTED, None),
-        };
-        if code != verdict::REJECTED {
-            let flows: Vec<usize> = p
-                .submit
-                .flows
-                .iter()
-                .filter_map(|f| usize::try_from(f.flow).ok())
-                .collect();
-            self.active.insert(task, (p.submit.deadline, flows));
-        }
-        if let Some(victim) = victim {
-            self.active.remove(&victim);
-        }
+        let (code, victim) = verdict_code(v);
         self.decided += 1;
         if self.state != ServiceState::Accepting {
             self.drain_decided += 1;
         }
         self.decision_log.push((task, code));
-        self.record_outcome(task, code, p.submit.deadline);
         if code == verdict::REJECTED {
             self.owners.remove(&task);
         }
@@ -707,21 +645,6 @@ impl<'t> ServiceController<'t> {
         }
     }
 
-    /// Records `task`'s terminal verdict `code` for duplicate replay
-    /// until its `deadline` + the controller's horizon.
-    fn record_outcome(&mut self, task: u64, code: u64, deadline: f64) {
-        self.outcomes.insert(task, code);
-        self.outcome_expiry
-            .push(deadline + self.ctrl.horizon(), task);
-    }
-
-    /// Forgets every outcome whose deadline + horizon `now` has passed.
-    fn forget_expired(&mut self, now: f64) {
-        while let Some(task) = self.outcome_expiry.pop_expired(now) {
-            self.outcomes.remove(&task);
-        }
-    }
-
     /// Admits up to one task (normal mode) or `max_batch` tasks (batch
     /// mode), each through [`Controller::handle_probe`] in queue order.
     /// Returns the number of decisions made.
@@ -755,22 +678,23 @@ impl<'t> ServiceController<'t> {
         batch.len()
     }
 
-    /// Retires granted tasks whose deadline has passed: the reject rule
-    /// never grants slices beyond the deadline, so their transmissions
-    /// are over and the loop synthesizes the servers' TERM messages.
+    /// Retires the in-flight flows whose deadline has passed: the reject
+    /// rule never grants slices beyond the deadline, so their
+    /// transmissions are over and the loop synthesizes the servers' TERM
+    /// messages. F_tmp is EDF-ordered, so they are its prefix, whether
+    /// this loop granted them or a checkpoint or resync brought them in.
+    /// That bounds F_tmp — what an admission iterates — by the in-flight
+    /// set, at a cost of the flows due.
     fn retire_completed(&mut self, now: f64) {
-        let done: Vec<u64> = self
-            .active
-            .iter()
-            .filter(|(_, (deadline, _))| *deadline <= now)
-            .map(|(&t, _)| t)
-            .collect();
-        for task in done {
-            #[expect(clippy::expect_used, reason = "key came from iterating the same map")]
-            let (_, flows) = self.active.remove(&task).expect("key from iteration above");
-            for flow in flows {
-                let _ = self.ctrl.handle_term(now, flow);
-            }
+        let in_flight = self.ctrl.in_flight_flows();
+        let due = in_flight.partition_point(|e| e.deadline <= now);
+        let done: Vec<(usize, usize)> = in_flight[..due].iter().map(|e| (e.id, e.task)).collect();
+        let mut tasks = BTreeSet::new();
+        for (flow, task) in done {
+            let _ = self.ctrl.handle_term(now, flow);
+            tasks.insert(task as u64);
+        }
+        for task in tasks {
             self.owners.remove(&task);
             self.metrics.inc("tasks_retired");
         }
@@ -781,7 +705,6 @@ impl<'t> ServiceController<'t> {
     /// mode, admit. Returns the number of terminal decisions made.
     pub fn step<T: Transport>(&mut self, now: f64, tr: &mut T) -> usize {
         self.last_now = now;
-        self.forget_expired(now);
         self.retire_completed(now);
         for (client, req) in tr.poll() {
             match req {
@@ -893,8 +816,6 @@ impl<'t> ServiceController<'t> {
                 ("decided", kept.decided),
                 ("flow_expiries", kept.flow_expiries),
                 ("task_expiries", kept.task_expiries),
-                ("outcomes", self.outcomes.len()),
-                ("outcome_expiries", self.outcome_expiry.len()),
                 ("owners", self.owners.len()),
             ]
             .into_iter()
@@ -924,5 +845,16 @@ impl<'t> ServiceController<'t> {
     /// Read-only view of the metrics registry.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
+    }
+}
+
+/// The reply code of verdict `v`, and the victim it names.
+fn verdict_code(v: &TaskVerdict) -> (u64, Option<u64>) {
+    match v {
+        TaskVerdict::Accepted => (verdict::GRANTED, None),
+        TaskVerdict::AcceptedWithPreemption(victim) => {
+            (verdict::GRANTED_PREEMPTING, Some(*victim as u64))
+        }
+        TaskVerdict::Rejected => (verdict::REJECTED, None),
     }
 }

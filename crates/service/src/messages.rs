@@ -40,13 +40,19 @@ pub struct Submit {
     pub flows: Vec<SubmitFlow>,
 }
 
+/// The controller's id of wire task id `task`: what its probes carry
+/// and its decision-cache entry is keyed by.
+pub(crate) fn task_id(task: u64) -> usize {
+    usize::try_from(task).unwrap_or(usize::MAX)
+}
+
 impl Submit {
     /// Converts the submission into the controller's probe group.
     pub fn probes(&self) -> Vec<ProbeHeader> {
         self.flows
             .iter()
             .map(|f| ProbeHeader {
-                task: usize::try_from(self.task).unwrap_or(usize::MAX),
+                task: task_id(self.task),
                 flow: usize::try_from(f.flow).unwrap_or(usize::MAX),
                 src: usize::try_from(f.src).unwrap_or(usize::MAX),
                 dst: usize::try_from(f.dst).unwrap_or(usize::MAX),

@@ -94,8 +94,11 @@ fn service_cfg() -> ServiceConfig {
         batch_exit: 8,
         max_batch: 64,
         decision_cost: 2e-5,
-        control_rtt: 0.0,
     }
+}
+
+fn controller_cfg() -> ControllerConfig {
+    ControllerConfig::default()
 }
 
 fn run_once(cfg: &SoakConfig, seed: u64) -> LoadReport {
@@ -122,7 +125,7 @@ fn run_once(cfg: &SoakConfig, seed: u64) -> LoadReport {
         },
     );
     let svc_cfg = service_cfg();
-    let mut svc = ServiceController::new(&topo, ControllerConfig::default(), svc_cfg);
+    let mut svc = ServiceController::new(&topo, controller_cfg(), svc_cfg);
     run_load(
         &mut svc,
         &svc_cfg,
@@ -175,7 +178,7 @@ fn audit(seed: u64, rep: &LoadReport, cfg: &SoakConfig, failures: &mut Vec<SoakF
                 // And the projection itself must be honest: at most the
                 // full-queue delay plus the control RTT.
                 let max_projected =
-                    (svc.queue_cap + 1) as f64 * svc.decision_cost + svc.control_rtt;
+                    (svc.queue_cap + 1) as f64 * svc.decision_cost + controller_cfg().control_rtt;
                 if s.projected > max_projected {
                     fail(format!(
                         "task {} shed with projected delay {} beyond the queue bound {}",

@@ -419,6 +419,65 @@ fn restored_and_resynced_flows_retire_at_their_deadline() {
     }
 }
 
+/// A duplicate of a task decided before a drain is replayed after the
+/// restore, as the uninterrupted service replays it: the restored
+/// controller's decision cache answers it, and nothing is decided or
+/// probed again.
+#[test]
+fn a_duplicate_after_a_restore_replays_the_drained_decision() {
+    let topo = dumbbell(4, 4, GBPS);
+    let cfg = ServiceConfig::default();
+    let mut svc = ServiceController::new(&topo, ControllerConfig::default(), cfg);
+    let mut tr = SimTransport::new();
+    tr.submit(0, submit(1, 1, 0, 4, 1e5, 1.0)).unwrap();
+    svc.step(0.0, &mut tr);
+    let first = decisions_of(&tr.drain_client(0));
+    assert_eq!(first, vec![(1, verdict::GRANTED, None, None)]);
+    let (ckpt, end) = svc.drain(1e-3, &mut tr);
+
+    let mut restored = ServiceController::restore(&topo, ControllerConfig::default(), cfg, &ckpt);
+    tr.submit(0, submit(1, 1, 0, 4, 1e5, 1.0)).unwrap();
+    restored.step(end, &mut tr);
+    assert_eq!(
+        decisions_of(&tr.drain_client(0)),
+        first,
+        "the duplicate replays the drained decision"
+    );
+    assert_eq!(restored.metrics().counter("duplicate_submits"), 1);
+    assert_eq!(restored.decision_log(), &[] as &[(u64, u64)]);
+    assert_eq!(restored.decided_total(), 0);
+    assert_eq!(restored.controller().stats().duplicate_probes, 0);
+}
+
+/// A task shed while draining stays rejected after the restore: its
+/// resubmission replays the terminal reject instead of being admitted.
+#[test]
+fn a_task_shed_while_draining_stays_rejected_after_a_restore() {
+    let topo = dumbbell(4, 4, GBPS);
+    let cfg = ServiceConfig::default();
+    let mut svc = ServiceController::new(&topo, ControllerConfig::default(), cfg);
+    let mut tr = SimTransport::new();
+    svc.begin_drain(0.0);
+    tr.submit(0, submit(1, 1, 0, 4, 1e5, 1.0)).unwrap();
+    svc.step(0.0, &mut tr);
+    assert_eq!(
+        decisions_of(&tr.drain_client(0)),
+        vec![(1, verdict::REJECTED, Some(reason::SHED_DRAINING), None)]
+    );
+    let (ckpt, end) = svc.drain(1e-3, &mut tr);
+
+    let mut restored = ServiceController::restore(&topo, ControllerConfig::default(), cfg, &ckpt);
+    tr.submit(0, submit(1, 1, 0, 4, 1e5, 1.0)).unwrap();
+    restored.step(end, &mut tr);
+    assert_eq!(
+        decisions_of(&tr.drain_client(0)),
+        vec![(1, verdict::REJECTED, None, None)],
+        "a replay of the shed, not a new decision"
+    );
+    assert_eq!(restored.metrics().counter("duplicate_submits"), 1);
+    assert_eq!(restored.decided_total(), 0);
+}
+
 #[test]
 fn duplicate_submit_replays_the_decision() {
     let topo = dumbbell(4, 4, GBPS);
@@ -1006,8 +1065,8 @@ fn uds_full_socket_delivers_every_accepted_line_whole_once_and_in_order() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// The loop's retained `owners` and `outcomes` counts, from the stats
-/// snapshot.
+/// A retained count (`owners`, or the controller's `decided`), from the
+/// stats snapshot.
 fn retained(svc: &ServiceController<'_>, key: &str) -> u64 {
     svc.stats_value()
         .get("retained")
@@ -1024,7 +1083,7 @@ fn a_duplicate_past_the_horizon_is_rejected_as_late() {
     let topo = dumbbell(4, 4, GBPS);
     let mut svc =
         ServiceController::new(&topo, ControllerConfig::default(), ServiceConfig::default());
-    let horizon = svc.controller().horizon();
+    let horizon = svc.controller().config().horizon();
     assert!(horizon > 0.0);
     let deadline = 0.01;
     let mut tr = SimTransport::new();
@@ -1106,5 +1165,5 @@ fn owners_holds_only_queued_and_granted_tasks() {
     // Task 1 retires at its deadline.
     svc.step(3.0, &mut tr);
     assert_eq!(retained(&svc, "owners"), 0);
-    assert_eq!(retained(&svc, "outcomes"), 4);
+    assert_eq!(retained(&svc, "decided"), 4);
 }

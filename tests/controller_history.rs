@@ -51,7 +51,7 @@ fn a_seeded_service_run_is_pinned_and_the_index_follows_the_live_flows() {
 
     // The plan is replayed in legs so the controller can be looked at
     // along the way.
-    let horizon = svc.controller().horizon();
+    let horizon = svc.controller().config().horizon();
     let mut digest = 0u64;
     let mut submitted = 0usize;
     for leg in plan.events.chunks(TASKS / LEGS) {
@@ -190,7 +190,7 @@ fn retired_flows_in_the_registry_change_no_verdict_grant_or_command() {
     // when the run starts, are forgotten once it passes their deadline
     // + horizon: the aged controller ends up keeping exactly what the
     // fresh one does.
-    assert!(plan.events[0].at < 0.01 + aged.horizon());
+    assert!(plan.events[0].at < 0.01 + aged.config().horizon());
     assert_eq!(aged.checkpoint(), fresh.checkpoint());
     assert_eq!(
         (cmds.count, cmds.hash.0),

@@ -11,13 +11,11 @@ use taps_service::{run_load, LoadConfig, ServiceConfig, ServiceController};
 use taps_workload::{ReplayConfig, ReplayPlan};
 
 /// The stats snapshot's `retained` keys, in one order.
-const KEYS: [&str; 7] = [
+const KEYS: [&str; 5] = [
     "registry",
     "decided",
     "flow_expiries",
     "task_expiries",
-    "outcomes",
-    "outcome_expiries",
     "owners",
 ];
 
@@ -44,7 +42,7 @@ fn retained_records_stay_within_in_flight_and_the_horizon() {
     let plan = ReplayPlan::build(&wl, &ReplayConfig::default());
     let svc_cfg = ServiceConfig::default();
     let mut svc = ServiceController::new(&topo, ControllerConfig::default(), svc_cfg);
-    let horizon = svc.controller().horizon();
+    let horizon = svc.controller().config().horizon();
 
     // Per length (10 000, 20 000 tasks): the largest count of each key
     // seen at a leg's end.
